@@ -7,15 +7,20 @@ Run from the root of a source checkout; the library is imported from
 ``src/``.  The run sets up the workload at least five times (each set-up
 starts a fresh interpreter that imports the package, then makes the seeded
 inputs) and reports the median as ``setup_s``.  It then runs passes for about ``S``
-seconds, at least one, and checks every pass's outputs.
+seconds, at least three, and checks every pass's outputs.
 
 With ``--trace 0`` the last stdout line holds the end-to-end metrics:
-median pass ``wall_s`` and ``cpu_s`` (this process and its reaped
-children), ``setup_s`` and ``peak_rss_mb``.  With ``--trace 1`` passes
-alternate untraced and traced, the traced ones record a span per call into
-each layer (see ``tracer.py``), and the last line holds the per-layer
-metrics, ``trace.overhead_s`` (traced minus untraced median ``wall_s``)
-among them.  Spans and the per-layer table go to ``perfbench/out/``.
+``wall_s`` and ``cpu_s`` (this process and its reaped children) of one
+pass, ``setup_s`` and ``peak_rss_mb``.  A pass's time is the sum over its
+operations of each operation's fastest time in the run (see
+``best_pass``), and the three times are scaled to the machine's quiet
+speed by a calibration loop timed between operations (see
+``workloads.Ops.calibrate``); the summary line before the result gives
+them unscaled.  With ``--trace 1`` passes alternate untraced and traced,
+the traced ones record a span per call into each layer (see
+``tracer.py``), and the last line holds the per-layer metrics,
+``trace.overhead_s`` (traced minus untraced ``wall_s``) among them.  Spans
+and the per-layer table go to ``perfbench/out/``.
 
 A run fails, without a result line, if the checkout has no ``src/mdimlab``.
 Failed operations (an ``MdimError``, a non-zero CLI exit, a violated output
@@ -38,22 +43,21 @@ import tempfile
 import time
 from pathlib import Path
 
+from tracer import LAYERS, SPAN_CAP, Tracer
+
 BENCH_DIR = Path(__file__).resolve().parent
 ROOT = BENCH_DIR.parent
 SRC = ROOT / "src"
 OUT_DIR = BENCH_DIR / "out"
 # set up at least 5 times, and a cheap set-up until 2 s have been spent on it
 SETUP_REPEATS, SETUP_MIN_S, SETUP_MAX_REPEATS = 5, 2.0, 25
+# every operation gets at least three samples for its least time, however
+# slow the machine runs (a density pass takes 9-15 s)
+MIN_PASSES = 3
 
 
 def digests(outputs: dict[str, bytes]) -> dict[str, str]:
     return {name: hashlib.sha256(data).hexdigest() for name, data in sorted(outputs.items())}
-
-
-def cpu_seconds() -> float:
-    """CPU time of this process and of every child it has waited for."""
-    children = resource.getrusage(resource.RUSAGE_CHILDREN)
-    return time.process_time() + children.ru_utime + children.ru_stime
 
 
 def peak_rss_mb() -> float:
@@ -69,6 +73,18 @@ def import_probe() -> None:
                    cwd=ROOT, stdout=subprocess.DEVNULL)
 
 
+def best_pass(passes: list[list[float]]) -> float:
+    """Sum over a pass's operations of each operation's least time in any pass.
+
+    Other tenants of the machine only ever slow an operation down; on a
+    shared 2-vCPU VM they slow this code by up to 1.8x in bursts of a few
+    seconds, so a median pass moves with them.  The least time of each
+    operation is the estimate of its cost that they disturb least, and
+    taking it per operation catches quiet moments that a whole pass of
+    several seconds rarely fits into."""
+    return sum(min(times) for times in zip(*passes))
+
+
 def recorded_digests(workload: str, seed: int) -> dict[str, str] | None:
     meta = json.loads((BENCH_DIR / "meta.json").read_text())
     return meta.get("digests", {}).get(workload, {}).get(str(seed))
@@ -78,7 +94,6 @@ def run(workload, seed: int, seconds: float, trace: bool, workdir: Path,
         expected: dict[str, str] | None = None) -> dict:
     """One benchmark run; returns the result object printed as the last line."""
     import workloads
-    from tracer import LAYERS, Tracer
 
     setup_times: list[float] = []
     workdir = workdir / "run"
@@ -93,36 +108,35 @@ def run(workload, seed: int, seconds: float, trace: bool, workdir: Path,
 
     ops = workloads.Ops()
     tracer = Tracer(workloads.lib.MdimError) if trace else None
-    walls = {False: [], True: []}
-    cpus: list[float] = []
+    walls = {False: [], True: []}      # per pass: its operations' wall times
+    cpus: list[list[float]] = []
     extras: list[dict] = []
     first_outputs = first_results = first_digests = None
     mismatches: list[str] = []
 
-    # start another pass only while it should end within half a pass of the
-    # deadline, so a run lasts about `seconds` whatever the pass length
+    # after MIN_PASSES, start another pass only while it should end within
+    # half a pass of the deadline, so a run lasts about `seconds`
     deadline = time.perf_counter() + seconds
     k = 0
-    while k < (2 if trace else 1) or (
-            time.perf_counter() + statistics.median(walls[False] + walls[True]) / 2 < deadline):
+    while k < MIN_PASSES or (
+            time.perf_counter() + statistics.median(map(sum, walls[False] + walls[True])) / 2
+            < deadline):
         traced = trace and k % 2 == 1
         workload.prepare(state)
+        ops.times = []
         if traced:
             tracer.install()
             tracer.begin_pass(k)
             ops.tracer = tracer
-        cpu0, start = cpu_seconds(), time.perf_counter()
         results = workload.run(state, ops)
-        wall = time.perf_counter() - start
-        cpu = cpu_seconds() - cpu0
         if traced:
             tracer.end_pass()
             tracer.uninstall()
             ops.tracer = None
         outputs = workload.render(state, results)
-        walls[traced].append(wall)
+        walls[traced].append([wall for wall, _ in ops.times])
         if not traced:
-            cpus.append(cpu)
+            cpus.append([cpu for _, cpu in ops.times])
         got = digests(outputs)
         if first_digests is None:
             first_outputs, first_results, first_digests = outputs, results, got
@@ -144,22 +158,24 @@ def run(workload, seed: int, seconds: float, trace: bool, workdir: Path,
         print(f"check failed: {message}")
     failed = ops.failed + len(failures)
     attempted = ops.attempted
-    print(f"{workload.name}: seed {seed}, {k} passes, median wall "
-          f"{statistics.median(walls[False]):.4f} s over {len(walls[False])} untraced passes "
-          f"({', '.join(f'{w:.3f}' for w in walls[False])}), "
+    scale = workloads.CALIBRATION_REF_S / min(ops.calibration)
+    print(f"{workload.name}: seed {seed}, {k} passes, unscaled best-operations wall "
+          f"{best_pass(walls[False]):.4f} s over {len(walls[False])} untraced passes "
+          f"(whole passes {', '.join(f'{sum(w):.3f}' for w in walls[False])}), "
+          f"unscaled setup {statistics.median(setup_times):.4f} s, calibration least "
+          f"{min(ops.calibration) * 1000:.2f} ms of {len(ops.calibration)} (scale {scale:.4f}), "
           f"{failed} of {attempted} operations failed (fail_ratio {failed / attempted:.6g})")
 
     if not trace:
         metrics = {
-            "wall_s": (statistics.median(walls[False]), "s"),
-            "cpu_s": (statistics.median(cpus), "s"),
-            "setup_s": (statistics.median(setup_times), "s"),
+            "wall_s": (best_pass(walls[False]) * scale, "s"),
+            "cpu_s": (best_pass(cpus) * scale, "s"),
+            "setup_s": (statistics.median(setup_times) * scale, "s"),
             "peak_rss_mb": (peak_rss_mb(), "MB"),
         }
     else:
         metrics = layer_metrics(tracer, extras, LAYERS)
-        metrics["trace.overhead_s"] = (
-            statistics.median(walls[True]) - statistics.median(walls[False]), "s")
+        metrics["trace.overhead_s"] = (best_pass(walls[True]) - best_pass(walls[False]), "s")
         write_trace(tracer, metrics, workload.name, seed)
     return {
         "correct": failed == 0,
@@ -178,13 +194,6 @@ SELF_TIMES = (
     "fbeta.build_fbeta", "fbeta.verify_model", "fbeta.load_model", "fbeta.dump_model",
     "horseshoe.separated_bound_2d", "horseshoe.detect_1d",
     "surgery.implant", "surgery.blend_with_profile", "surgery.transported_views",
-)
-# entry points whose work sits mostly in other public functions they call
-TOTAL_TIMES = (
-    "separation.verify_cylinder_separation", "separation.count_separated_greedy",
-    "separation.count_separated_exhaustive", "separation.mdim_profile",
-    "fbeta.build_fbeta", "fbeta.load_model", "horseshoe.separated_bound_2d",
-    "surgery.implant",
 )
 CALLS = ("pwa.eval_map", "rational.parse_rational", "separation.MarkovView")
 COUNTS = (
@@ -210,8 +219,6 @@ def layer_metrics(tracer, extras: list[dict], layers) -> dict:
                                      for p in passes]), "s")
     for name in SELF_TIMES:
         m[f"{name}.self_s"] = (med([p.self_s.get(name, 0.0) for p in passes]), "s")
-    for name in TOTAL_TIMES:
-        m[f"{name}.total_s"] = (med([p.total_s.get(name, 0.0) for p in passes]), "s")
     for name in CALLS:
         m[f"{name}.calls"] = (med([p.calls.get(name, 0) for p in passes]), "count")
     for name in COUNTS:
@@ -236,20 +243,20 @@ def write_trace(tracer, metrics: dict, workload: str, seed: int) -> None:
     OUT_DIR.mkdir(exist_ok=True)
     stem = OUT_DIR / f"trace-{workload}-seed{seed}"
     kept = tracer.write_spans(stem.with_suffix(".spans.csv"))
+    dropped = sum(p.dropped for p in tracer.passes)
     table = {
         "workload": workload,
         "seed": seed,
-        "spans_kept": kept,
-        "spans_dropped": tracer.dropped,
+        "span_cap_per_pass": SPAN_CAP,
         "metrics": {name: {"value": v, "unit": u} for name, (v, u) in metrics.items()},
         "passes": [
-            {"calls": p.calls, "self_s": p.self_s, "total_s": p.total_s,
-             "counts": dict(p.counts), "errors": p.errors}
+            {"calls": p.calls, "self_s": p.self_s, "counts": dict(p.counts),
+             "errors": p.errors, "spans_kept": p.spans, "spans_dropped": p.dropped}
             for p in tracer.passes
         ],
     }
     stem.with_suffix(".table.json").write_text(json.dumps(table, indent=1, sort_keys=True))
-    print(f"trace: {kept} spans ({tracer.dropped} over the cap) in "
+    print(f"trace: {kept} spans ({dropped} over the per-pass cap of {SPAN_CAP}) in "
           f"{stem.with_suffix('.spans.csv').relative_to(ROOT)}, table in "
           f"{stem.with_suffix('.table.json').relative_to(ROOT)}")
 

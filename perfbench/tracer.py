@@ -12,8 +12,9 @@ code.
 Each call records one span: name, start, end, parent span and pass id.
 Self time is the span's duration minus the time covered by its direct
 children.  Aggregates (calls, self seconds, counters, errors) are kept
-for every span; full span records are kept up to ``span_cap`` and the rest
-are counted as dropped.
+for every span; full span records are kept for the first ``SPAN_CAP``
+spans of each pass and the rest of that pass's spans are counted as
+dropped, so every traced pass is written out and memory stays bounded.
 """
 from __future__ import annotations
 
@@ -21,11 +22,14 @@ import csv
 import inspect
 import sys
 import time
-from array import array
 from collections import defaultdict
 
 # one layer per module; "cli" comes last
 LAYERS = ("rational", "pwa", "separation", "fbeta", "horseshoe", "surgery", "cli")
+# span records kept per traced pass; a grid pass makes about 110,000 spans,
+# nearly all of them eval_map, a density pass about 82,000, and a run holds
+# several traced passes
+SPAN_CAP = 100_000
 
 
 def _pairs(n: int) -> int:
@@ -83,24 +87,17 @@ class PassStats:
     def __init__(self) -> None:
         self.calls: dict[str, int] = {}
         self.self_s: dict[str, float] = {}
-        self.total_s: dict[str, float] = {}
         self.counts: dict[str, int] = defaultdict(int)
         self.errors: dict[str, int] = {layer: 0 for layer in LAYERS}
+        self.spans = 0         # span records kept
+        self.dropped = 0       # spans over SPAN_CAP, counted only
 
 
 class Tracer:
-    def __init__(self, error_type: type[BaseException], span_cap: int = 100_000) -> None:
+    def __init__(self, error_type: type[BaseException]) -> None:
         self.error_type = error_type
-        self.span_cap = span_cap
-        self.names: list[str] = []
-        self.name_ids: dict[str, int] = {}
-        self.sp_id = array("q")
-        self.sp_name = array("i")
-        self.sp_parent = array("q")
-        self.sp_pass = array("i")
-        self.sp_start = array("d")
-        self.sp_end = array("d")
-        self.dropped = 0
+        # (id, parent id or -1, pass id, name, start, end)
+        self.spans: list[tuple[int, int, int, str, float, float]] = []
         self.next_id = 0
         self.stack: list[list] = []
         self.pass_id = -1
@@ -120,16 +117,9 @@ class Tracer:
 
     # --- spans --------------------------------------------------------------
 
-    def _name_id(self, name: str) -> int:
-        if name not in self.name_ids:
-            self.name_ids[name] = len(self.names)
-            self.names.append(name)
-        return self.name_ids[name]
-
     def wrap(self, fn, name: str, layer: str):
         """Return `fn` wrapped so each call records one span called `name`."""
         tracer = self
-        name_id = self._name_id(name)
         count = COUNTERS.get(name)
         error_type = self.error_type
         perf = time.perf_counter
@@ -154,7 +144,7 @@ class Tracer:
                 duration = end - start
                 if parent is not None:
                     parent[1] += duration
-                tracer._record(name_id, name, span_id, -1 if parent is None else parent[0],
+                tracer._record(name, span_id, -1 if parent is None else parent[0],
                                start, end, duration, frame[1])
             if count is not None:
                 count(tracer.stats.counts, args, kwargs, result)
@@ -164,20 +154,15 @@ class Tracer:
         traced.__name__ = getattr(fn, "__name__", name)
         return traced
 
-    def _record(self, name_id, name, span_id, parent_id, start, end, duration, children) -> None:
+    def _record(self, name, span_id, parent_id, start, end, duration, children) -> None:
         stats = self.stats
         stats.calls[name] = stats.calls.get(name, 0) + 1
         stats.self_s[name] = stats.self_s.get(name, 0.0) + duration - children
-        stats.total_s[name] = stats.total_s.get(name, 0.0) + duration
-        if len(self.sp_name) >= self.span_cap:
-            self.dropped += 1
+        if stats.spans >= SPAN_CAP:
+            stats.dropped += 1
             return
-        self.sp_id.append(span_id)
-        self.sp_name.append(name_id)
-        self.sp_parent.append(parent_id)
-        self.sp_pass.append(self.pass_id)
-        self.sp_start.append(start)
-        self.sp_end.append(end)
+        stats.spans += 1
+        self.spans.append((span_id, parent_id, self.pass_id, name, start, end))
 
     def call(self, name: str, layer: str, fn, *args, **kwargs):
         """Run fn(*args) as one span; used for the benchmark's own CLI steps."""
@@ -229,8 +214,6 @@ class Tracer:
         with open(path, "w", newline="") as fh:
             out = csv.writer(fh)
             out.writerow(["id", "parent", "pass", "name", "start_s", "end_s"])
-            for i in range(len(self.sp_name)):
-                out.writerow([self.sp_id[i], self.sp_parent[i], self.sp_pass[i],
-                              self.names[self.sp_name[i]],
-                              f"{self.sp_start[i]:.9f}", f"{self.sp_end[i]:.9f}"])
-        return len(self.sp_name)
+            for span_id, parent, pass_id, name, start, end in self.spans:
+                out.writerow([span_id, parent, pass_id, name, f"{start:.9f}", f"{end:.9f}"])
+        return len(self.spans)

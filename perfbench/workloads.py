@@ -22,6 +22,7 @@ import contextlib
 import io
 import random
 import re
+import resource
 import shutil
 import time
 import traceback
@@ -39,13 +40,41 @@ import inputs
 
 # === bookkeeping =============================================================
 
+# least time of calibration_unit on an idle vCPU of the 2-vCPU Xeon VM the
+# benchmark was defined on; the end-to-end times are scaled to that speed
+CALIBRATION_REF_S = 0.0155
+CALIBRATION_EVERY_S = 0.5      # run time between two calibration samples
+
+
+def calibration_unit() -> None:
+    """A fixed piece of stdlib Fraction arithmetic, the kind of work mdimlab does."""
+    total = F(0)
+    for i in range(1, 4000):
+        total += F(1, i % 97 + 1) * F(i % 13 + 1, 7)
+
+
+def cpu_seconds() -> float:
+    """CPU time of this process and of every child it has waited for."""
+    children = resource.getrusage(resource.RUSAGE_CHILDREN)
+    return time.process_time() + children.ru_utime + children.ru_stime
+
+
 @dataclass
 class Ops:
-    """Counts attempted and failed operations; times the CLI steps."""
+    """Counts attempted and failed operations and times each one.
+
+    ``times`` holds (wall, cpu) seconds of every operation of the current
+    pass, in call order; a pass makes the same operations in the same order
+    every time, so position i names one operation across passes.
+    ``calibration`` holds the times of calibration_unit, sampled between
+    operations (see ``calibrate``)."""
 
     attempted: int = 0
     failed: int = 0
     tracer: object = None
+    times: list = field(default_factory=list)
+    calibration: list = field(default_factory=list)
+    last_calibration: float = 0.0
     step_wall: dict = field(default_factory=dict)
     stdout: dict = field(default_factory=dict)
     pool_wait_s: float = 0.0
@@ -53,17 +82,38 @@ class Ops:
     def lib(self, fn, *args):
         """One library call; an MdimError counts as a failed operation."""
         self.attempted += 1
+        cpu0, start = cpu_seconds(), time.perf_counter()
         try:
             return fn(*args)
         except lib.MdimError:
             self.failed += 1
             return None
+        finally:
+            self.times.append((time.perf_counter() - start, cpu_seconds() - cpu0))
+            self.calibrate()
+
+    def calibrate(self) -> None:
+        """Time calibration_unit once, if CALIBRATION_EVERY_S has passed since
+        the last sample.
+
+        Co-tenants slow this VM by up to 1.8x for tens of seconds to
+        minutes at a time, often for a whole run, so even an operation's
+        least time in a run moves with them.  The least calibration time of the same run moves with
+        them too, and dividing by it takes the machine's speed out of the
+        figures.  Samples are spread over the whole run, between operations
+        and outside their timing, and use no mdimlab code, so no change to
+        the library changes them."""
+        now = time.perf_counter()
+        if now - self.last_calibration >= CALIBRATION_EVERY_S:
+            calibration_unit()
+            self.last_calibration = time.perf_counter()
+            self.calibration.append(self.last_calibration - now)
 
     def cli(self, step: str, argv: list[str]) -> int:
         """One in-process CLI run; a non-zero exit counts as a failure."""
         self.attempted += 1
         out, err = io.StringIO(), io.StringIO()
-        cpu0, start = time.process_time(), time.perf_counter()
+        all_cpu0, cpu0, start = cpu_seconds(), time.process_time(), time.perf_counter()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             try:
                 if self.tracer is not None:
@@ -75,6 +125,8 @@ class Ops:
                 rc = 1
         wall = time.perf_counter() - start
         cpu = time.process_time() - cpu0
+        self.times.append((wall, cpu_seconds() - all_cpu0))
+        self.calibrate()
         self.step_wall[step] = wall
         self.stdout[step] = out.getvalue()
         if step == "sweep-w2":
