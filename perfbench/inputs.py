@@ -15,25 +15,32 @@ from mdimlab import PwaMap
 
 # --- density ------------------------------------------------------------------
 
-DENSITY_BETA = "1/2"
+# beta 5/11 over two levels: 666 nodes, 5 + 107 branches, so that every CLI
+# step of a pass takes under 0.5 s and a run times each step many times
+# (beta 1/2 gives 2,823 nodes and 2-6 s steps)
+DENSITY_BETA = "5/11"
 DENSITY_LEVELS = 2
 DENSITY_FLAT = (F(3, 20), F(17, 20))
 DENSITY_INNER = (F(1, 4), F(3, 4))
 DENSITY_OUTER = (F(1, 5), F(4, 5))
 DENSITY_CENTER = F(1, 2)
+# the implant's sup-distance from the host: it depends on the staircase and
+# the windows only, so it is the same for every host seed
+DENSITY_SUP_DISTANCE = F(47, 136)
 HOST_DENOM = 40            # host nodes outside the flat sit on the 1/40 grid
 HOST_SIDE_NODES = (1, 4)   # interior nodes on each side of the flat
 
 # --- certify ------------------------------------------------------------------
 
-CERTIFY_BETA = F(1, 2)
-CERTIFY_K = 1              # two levels: 2,823 nodes, 8 + 464 branches
-CERTIFY_LEVEL = 0
-CERTIFY_N = 3              # 8**3 = 512 representatives
-SLABS, PERIOD, DEPTH = 4, 2, 2   # 4**(2*2) = 256 representatives
+# sizes chosen so that each certificate takes under 0.5 s (see DENSITY_BETA)
+CERTIFY_BETA = F(4, 11)
+CERTIFY_K = 1              # two levels: 116 nodes, 3 + 17 branches
+CERTIFY_LEVEL = 1
+CERTIFY_N = 2              # 17**2 = 289 representatives
+SLABS, PERIOD, DEPTH = 3, 2, 2   # 3**(2*2) = 81 representatives
 HALF_SIDE = F(1, 2)
 SLAB_EPSILON = F(1, 16)
-# every width keeps N*(w + eps) <= 2*delta and slab gaps > eps
+# every width keeps N*(w + eps) <= 2*delta and slab gaps > eps for N = 3
 SLAB_WIDTHS = (F(1, 8), F(1, 10), F(1, 12), F(3, 20), F(1, 6), F(3, 16))
 SAMPLED_PAIRS = 64         # pairs re-checked by direct d_n evaluation
 

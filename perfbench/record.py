@@ -28,13 +28,23 @@ def seed_range(text: str) -> list[int]:
 
 def input_sizes() -> dict:
     import inputs
+    import mdimlab as lib
+    from fractions import Fraction
 
+    density = lib.build_fbeta(lib.plan_sequences(Fraction(inputs.DENSITY_BETA),
+                                                 inputs.DENSITY_LEVELS - 1))
+    certify = lib.build_fbeta(lib.plan_sequences(inputs.CERTIFY_BETA, inputs.CERTIFY_K))
+    cylinder_reps = certify.view(inputs.CERTIFY_LEVEL).branch_count ** inputs.CERTIFY_N
+    baker_reps = inputs.SLABS ** (inputs.PERIOD * inputs.DEPTH)
     return {
         "density": {
             "cli_steps": ["build-fbeta", "estimate --model", "implant", "estimate views",
                           "sweep --workers 1", "sweep --workers 2"],
             "beta": inputs.DENSITY_BETA, "levels": inputs.DENSITY_LEVELS,
-            "model_nodes": 2823, "branches_per_level": [8, 464],
+            "model_nodes": density.map.node_count,
+            "branches_per_level": [density.view(k).branch_count
+                                   for k in range(inputs.DENSITY_LEVELS)],
+            "implant_sup_distance": str(inputs.DENSITY_SUP_DISTANCE),
             "host": f"identity on {inputs.DENSITY_FLAT[0]}:{inputs.DENSITY_FLAT[1]}, "
                     f"{inputs.HOST_SIDE_NODES[0]}-{inputs.HOST_SIDE_NODES[1]} random nodes "
                     f"on the 1/{inputs.HOST_DENOM} grid each side",
@@ -42,9 +52,9 @@ def input_sizes() -> dict:
         },
         "certify": {
             "cylinder_view": f"beta {inputs.CERTIFY_BETA} level {inputs.CERTIFY_LEVEL}, "
-                             f"n={inputs.CERTIFY_N}, 512 reps",
+                             f"n={inputs.CERTIFY_N}, {cylinder_reps} reps",
             "baker_model": f"{inputs.SLABS} slabs, period {inputs.PERIOD}, depth "
-                           f"{inputs.DEPTH}, 256 reps, epsilon {inputs.SLAB_EPSILON}",
+                           f"{inputs.DEPTH}, {baker_reps} reps, epsilon {inputs.SLAB_EPSILON}",
             "slab_widths": [str(w) for w in inputs.SLAB_WIDTHS],
             "sampled_pairs": inputs.SAMPLED_PAIRS,
         },

@@ -4,23 +4,25 @@
         --seconds S --trace 0|1
 
 Run from the root of a source checkout; the library is imported from
-``src/``.  The run sets up the workload at least five times (each set-up
-starts a fresh interpreter that imports the package, then makes the seeded
-inputs) and reports the median as ``setup_s``.  It then runs passes for about ``S``
-seconds, at least three, and checks every pass's outputs.
+``src/``.  The run sets the workload up (a set-up starts a fresh
+interpreter that imports the package, then makes the seeded inputs), then
+runs passes for about ``S`` seconds, at least three, and checks every
+pass's outputs.  It sets up ``SETUP_REPEATS`` times in all, spread evenly
+over the passes, and reports the median as ``setup_s``.
 
 With ``--trace 0`` the last stdout line holds the end-to-end metrics:
 ``wall_s`` and ``cpu_s`` (this process and its reaped children) of one
 pass, ``setup_s`` and ``peak_rss_mb``.  A pass's time is the sum over its
-operations of each operation's fastest time in the run (see
-``best_pass``), and the three times are scaled to the machine's quiet
-speed by a calibration loop timed between operations (see
+operations of each operation's trimmed mean time in the run (see
+``mean_pass``), and the three times are scaled by the trimmed mean time
+of a calibration loop timed between operations (see
 ``workloads.Ops.calibrate``); the summary line before the result gives
-them unscaled.  With ``--trace 1`` passes alternate untraced and traced,
-the traced ones record a span per call into each layer (see
-``tracer.py``), and the last line holds the per-layer metrics,
-``trace.overhead_s`` (traced minus untraced ``wall_s``) among them.  Spans
-and the per-layer table go to ``perfbench/out/``.
+them unscaled, with the median pass.  With ``--trace 1`` passes
+alternate untraced and traced, the traced ones record a span per call
+into each layer (see ``tracer.py``), and the last line holds the
+per-layer metrics, ``trace.overhead_s`` (traced minus untraced unscaled
+wall time) among them.  Spans and the per-layer table go to
+``perfbench/out/``.
 
 A run fails, without a result line, if the checkout has no ``src/mdimlab``.
 Failed operations (an ``MdimError``, a non-zero CLI exit, a violated output
@@ -49,10 +51,10 @@ BENCH_DIR = Path(__file__).resolve().parent
 ROOT = BENCH_DIR.parent
 SRC = ROOT / "src"
 OUT_DIR = BENCH_DIR / "out"
-# set up at least 5 times, and a cheap set-up until 2 s have been spent on it
-SETUP_REPEATS, SETUP_MIN_S, SETUP_MAX_REPEATS = 5, 2.0, 25
-# every operation gets at least three samples for its least time, however
-# slow the machine runs (a density pass takes 9-15 s)
+# set-ups per run; all but the first are made between passes, spread over
+# the run, so that their median does not rest on one moment of the machine
+SETUP_REPEATS = 15
+# every operation gets at least three samples, however slow the machine runs
 MIN_PASSES = 3
 
 
@@ -73,16 +75,37 @@ def import_probe() -> None:
                    cwd=ROOT, stdout=subprocess.DEVNULL)
 
 
-def best_pass(passes: list[list[float]]) -> float:
-    """Sum over a pass's operations of each operation's least time in any pass.
+def set_up(workload, seed: int, workdir: Path):
+    """Set the workload up in a fresh ``workdir``; returns (state, seconds)."""
+    shutil.rmtree(workdir, ignore_errors=True)
+    workdir.mkdir()
+    start = time.perf_counter()
+    import_probe()
+    state = workload.setup(seed, workdir)
+    return state, time.perf_counter() - start
 
-    Other tenants of the machine only ever slow an operation down; on a
-    shared 2-vCPU VM they slow this code by up to 1.8x in bursts of a few
-    seconds, so a median pass moves with them.  The least time of each
-    operation is the estimate of its cost that they disturb least, and
-    taking it per operation catches quiet moments that a whole pass of
-    several seconds rarely fits into."""
-    return sum(min(times) for times in zip(*passes))
+
+def trimmed_mean(values) -> float:
+    """Mean of the values without the lowest and the highest tenth.
+
+    A run often mixes slow and quiet spells of the machine (see
+    ``workloads.Ops.calibrate``).  A mean moves smoothly with the share of
+    slow time, in the operations' times and the calibration times alike,
+    where a median jumps from the quiet to the slow value once that share
+    passes a half, at a point that differs between the two.  Trimming
+    drops one-off stalls."""
+    values = sorted(values)
+    cut = len(values) // 10
+    return statistics.fmean(values[cut:len(values) - cut])
+
+
+def mean_pass(passes: list[list[float]]) -> float:
+    """Sum over a pass's operations of each operation's trimmed mean time.
+
+    The workloads keep every operation under about 0.5 s, so that a run
+    times each one tens of times, spread over the whole run like the
+    calibration samples that the result is scaled by."""
+    return sum(trimmed_mean(times) for times in zip(*passes))
 
 
 def recorded_digests(workload: str, seed: int) -> dict[str, str] | None:
@@ -95,16 +118,11 @@ def run(workload, seed: int, seconds: float, trace: bool, workdir: Path,
     """One benchmark run; returns the result object printed as the last line."""
     import workloads
 
-    setup_times: list[float] = []
-    workdir = workdir / "run"
-    while len(setup_times) < SETUP_REPEATS or (
-            sum(setup_times) < SETUP_MIN_S and len(setup_times) < SETUP_MAX_REPEATS):
-        shutil.rmtree(workdir, ignore_errors=True)
-        workdir.mkdir()
-        start = time.perf_counter()
-        import_probe()
-        state = workload.setup(seed, workdir)
-        setup_times.append(time.perf_counter() - start)
+    state, first_setup = set_up(workload, seed, workdir / "run")
+    setup_times = [first_setup]
+
+    def spare_setup() -> None:
+        setup_times.append(set_up(workload, seed, workdir / "spare")[1])
 
     ops = workloads.Ops()
     tracer = Tracer(workloads.lib.MdimError) if trace else None
@@ -116,7 +134,8 @@ def run(workload, seed: int, seconds: float, trace: bool, workdir: Path,
 
     # after MIN_PASSES, start another pass only while it should end within
     # half a pass of the deadline, so a run lasts about `seconds`
-    deadline = time.perf_counter() + seconds
+    started = time.perf_counter()
+    deadline = started + seconds
     k = 0
     while k < MIN_PASSES or (
             time.perf_counter() + statistics.median(map(sum, walls[False] + walls[True])) / 2
@@ -152,30 +171,37 @@ def run(workload, seed: int, seconds: float, trace: bool, workdir: Path,
             extra["rational.max_den_bits"] = workloads.max_den_bits(outputs)
             extras.append(extra)
         k += 1
+        share = (time.perf_counter() - started) / seconds
+        while len(setup_times) < min(SETUP_REPEATS, 1 + (SETUP_REPEATS - 1) * share):
+            spare_setup()
+    while len(setup_times) < SETUP_REPEATS:
+        spare_setup()
 
     failures = workload.check(state, first_outputs, first_results) + mismatches
     for message in failures:
         print(f"check failed: {message}")
     failed = ops.failed + len(failures)
     attempted = ops.attempted
-    scale = workloads.CALIBRATION_REF_S / min(ops.calibration)
-    print(f"{workload.name}: seed {seed}, {k} passes, unscaled best-operations wall "
-          f"{best_pass(walls[False]):.4f} s over {len(walls[False])} untraced passes "
-          f"(whole passes {', '.join(f'{sum(w):.3f}' for w in walls[False])}), "
-          f"unscaled setup {statistics.median(setup_times):.4f} s, calibration least "
-          f"{min(ops.calibration) * 1000:.2f} ms of {len(ops.calibration)} (scale {scale:.4f}), "
+    scale = workloads.CALIBRATION_REF_S / trimmed_mean(ops.calibration)
+    print(f"{workload.name}: seed {seed}, {k} passes, unscaled wall "
+          f"{mean_pass(walls[False]):.4f} s over {len(walls[False])} untraced passes "
+          f"(median whole pass "
+          f"{statistics.median(map(sum, walls[False])):.4f} s), unscaled setup "
+          f"{statistics.median(setup_times):.4f} s over {len(setup_times)}, calibration "
+          f"{trimmed_mean(ops.calibration) * 1000:.2f} ms over {len(ops.calibration)} "
+          f"(scale {scale:.4f}), "
           f"{failed} of {attempted} operations failed (fail_ratio {failed / attempted:.6g})")
 
     if not trace:
         metrics = {
-            "wall_s": (best_pass(walls[False]) * scale, "s"),
-            "cpu_s": (best_pass(cpus) * scale, "s"),
+            "wall_s": (mean_pass(walls[False]) * scale, "s"),
+            "cpu_s": (mean_pass(cpus) * scale, "s"),
             "setup_s": (statistics.median(setup_times) * scale, "s"),
             "peak_rss_mb": (peak_rss_mb(), "MB"),
         }
     else:
         metrics = layer_metrics(tracer, extras, LAYERS)
-        metrics["trace.overhead_s"] = (best_pass(walls[True]) - best_pass(walls[False]), "s")
+        metrics["trace.overhead_s"] = (mean_pass(walls[True]) - mean_pass(walls[False]), "s")
         write_trace(tracer, metrics, workload.name, seed)
     return {
         "correct": failed == 0,

@@ -28,7 +28,7 @@ import workloads  # noqa: E402
 
 SMALL = {
     "density": lambda: workloads.Density(levels=1),
-    "certify": lambda: workloads.Certify(n=2, depth=1, k=0),
+    "certify": lambda: workloads.Certify(n=1, depth=1),
     "grid": lambda: workloads.Grid(maps=3, tent_iterates=6, tent_greedy=(3, F(1, 100))),
 }
 

@@ -27,7 +27,7 @@ from collections import defaultdict
 # one layer per module; "cli" comes last
 LAYERS = ("rational", "pwa", "separation", "fbeta", "horseshoe", "surgery", "cli")
 # span records kept per traced pass; a grid pass makes about 110,000 spans,
-# nearly all of them eval_map, a density pass about 82,000, and a run holds
+# nearly all of them eval_map, a density pass about 20,000, and a run holds
 # several traced passes
 SPAN_CAP = 100_000
 

@@ -40,10 +40,11 @@ import inputs
 
 # === bookkeeping =============================================================
 
-# least time of calibration_unit on an idle vCPU of the 2-vCPU Xeon VM the
-# benchmark was defined on; the end-to-end times are scaled to that speed
+# the end-to-end times are reported as if calibration_unit's trimmed mean
+# time in the run were this (its least time on an idle vCPU of the 2-vCPU
+# Xeon VM the benchmark was defined on)
 CALIBRATION_REF_S = 0.0155
-CALIBRATION_EVERY_S = 0.5      # run time between two calibration samples
+CALIBRATION_EVERY_S = 0.1      # run time between two calibration samples
 
 
 def calibration_unit() -> None:
@@ -96,11 +97,13 @@ class Ops:
         """Time calibration_unit once, if CALIBRATION_EVERY_S has passed since
         the last sample.
 
-        Co-tenants slow this VM by up to 1.8x for tens of seconds to
-        minutes at a time, often for a whole run, so even an operation's
-        least time in a run moves with them.  The least calibration time of the same run moves with
-        them too, and dividing by it takes the machine's speed out of the
-        figures.  Samples are spread over the whole run, between operations
+        Co-tenants slow this VM by up to 1.8x, for a second or for minutes
+        at a time, so an operation's typical time in a run, and even its
+        least time, moves with them.  The calibration time of the same run
+        moves with them too, and dividing by it takes most of the machine's
+        speed out of the figures: over runs spread across slow and quiet
+        spells, trimmed means so scaled spread a fifth as much as unscaled
+        ones.  Samples are spread over the whole run, between operations
         and outside their timing, and use no mdimlab code, so no change to
         the library changes them."""
         now = time.perf_counter()
@@ -301,11 +304,13 @@ class Density:
         expect(fails, rows and all(c == view_branches.get(e, -1) ** n for e, n, c in rows),
                "ev/report.csv: cylinder counts are not B**n")
 
-        # the implant moves the host by exactly 83/232, only inside the outer window
-        expect(fails, "sup-distance 83/232" in stdout["implant"],
-               "implant did not report sup-distance 83/232")
-        expect(fails, sup_gap(implanted, state.host) == F(83, 232),
-               "implanted map is not 83/232 from the host")
+        # the implant moves the host by exactly DENSITY_SUP_DISTANCE, only
+        # inside the outer window
+        distance = _fmt(inputs.DENSITY_SUP_DISTANCE)
+        expect(fails, f"sup-distance {distance}" in stdout["implant"],
+               f"implant did not report sup-distance {distance}")
+        expect(fails, sup_gap(implanted, state.host) == inputs.DENSITY_SUP_DISTANCE,
+               f"implanted map is not {distance} from the host")
         t_lo, t_hi = inputs.DENSITY_OUTER
         off = [x for x in set(implanted.xs) | set(state.host.xs) if x <= t_lo or x >= t_hi]
         expect(fails, all(value_at(implanted, x) == value_at(state.host, x) for x in off),
