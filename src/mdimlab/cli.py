@@ -18,7 +18,6 @@ import argparse
 import json
 import math
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -57,14 +56,10 @@ from .separation import (
     VIEWS_HEADER,
     MarkovBranch,
     MarkovView,
-    check_rate_window,
     check_scales,
-    count_at,
     dump_views,
     load_views,
     mdim_profile,
-    rate_from_records,
-    report_from_entries,
     report_to_csv,
     report_to_json,
 )
@@ -155,17 +150,14 @@ def _resolve_sources(
     return picked, scales
 
 
-def _write_report(report, out: Path, name: str, fmt: str) -> Path:
-    if fmt == "json":
+def _write_report(report, args: argparse.Namespace, name: str) -> None:
+    out = _out_dir(args)
+    if args.format == "json":
         path = out / f"{name}.json"
         path.write_text(json.dumps(report_to_json(report), indent=2) + "\n")
     else:
         path = out / f"{name}.csv"
         path.write_text(report_to_csv(report))
-    return path
-
-
-def _echo_report(report, path: Path) -> None:
     print(f"wrote {path}")
     print(f"upper {report.upper:.12g}")
     print(f"lower {report.lower:.12g}")
@@ -214,8 +206,7 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
     source_path = Path(args.model if args.model else args.map)
     sources, scales = _resolve_sources(source_path.read_text(), method, scales)
     report = mdim_profile(sources, scales, window, method, grid)
-    path = _write_report(report, _out_dir(args), "report", args.format)
-    _echo_report(report, path)
+    _write_report(report, args, "report")
     return 0
 
 
@@ -352,43 +343,14 @@ class SweepConfig:
         )
 
 
-def _sweep_job(payload):
-    source, n, eps, method, grid = payload
-    return count_at(source, n, eps, method, grid)
-
-
 def _cmd_sweep(args: argparse.Namespace) -> int:
     config_path = Path(args.config)
     cfg = SweepConfig.from_text(config_path.read_text(), config_path.parent)
     scales = list(cfg.scales)
     check_scales(scales)
     sources, scales = _resolve_sources(cfg.source.read_text(), cfg.method, scales)
-    if not isinstance(sources, list):
-        sources = [sources] * len(scales)
-    for eps in scales:
-        check_rate_window(cfg.n_window, eps)
-
-    n_min, n_max = cfg.n_window
-    jobs = [
-        (src, n, eps, cfg.method, cfg.grid)
-        for src, eps in zip(sources, scales)
-        for n in range(n_min, n_max + 1)
-    ]
-    if args.workers > 1:
-        with ProcessPoolExecutor(max_workers=args.workers) as pool:
-            records = list(pool.map(_sweep_job, jobs))
-    else:
-        records = [_sweep_job(job) for job in jobs]
-
-    per_scale = n_max - n_min + 1
-    entries = tuple(
-        rate_from_records(eps, records[i * per_scale : (i + 1) * per_scale],
-                          cfg.n_window, cfg.method)
-        for i, eps in enumerate(scales)
-    )
-    report = report_from_entries(entries)
-    path = _write_report(report, _out_dir(args), "sweep", args.format)
-    _echo_report(report, path)
+    report = mdim_profile(sources, scales, cfg.n_window, cfg.method, cfg.grid, args.workers)
+    _write_report(report, args, "sweep")
     return 0
 
 

@@ -27,10 +27,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import zip_longest
 
 from .errors import ContractError, DomainError, ResourceError, SerializationError
-from .pwa import DEFAULT_NODE_BUDGET, PwaMap, eval_map, dump_pwa, load_pwa
-from .rational import floor_pow, format_rational, parse_rational, parse_interval, format_interval
+from .pwa import DEFAULT_NODE_BUDGET, PwaMap, eval_map, dump_pwa
+from .rational import floor_pow, format_interval, format_rational, parse_int, parse_rational
 from .reporting import CheckResult, VerificationSummary
 from .separation import MarkovBranch, MarkovView, verify_cylinder_separation
 
@@ -493,18 +494,18 @@ def load_plan(text: str) -> FBetaPlan:
             raise SerializationError(f"unparseable plan line: {ln!r}")
     try:
         beta = parse_rational(fields["beta"])
-        K = int(fields["K"])
+        K = parse_int(fields["K"])
         seed = parse_rational(fields["seed_a1"])
         variant = fields.get("variant", "none") == "full"
     except KeyError as exc:
         raise SerializationError(f"plan file missing field {exc}") from exc
+    if len(level_lines) != K + 1:
+        raise SerializationError(f"expected {K + 1} level lines, found {len(level_lines)}")
     plan = plan_sequences(beta, K, seed, variant)
     stored = dump_plan(plan).splitlines()
     for ln in level_lines:
         if ln not in stored:
             raise SerializationError(f"stored level line does not match the plan rule: {ln!r}")
-    if len(level_lines) != K + 1:
-        raise SerializationError(f"expected {K + 1} level lines, found {len(level_lines)}")
     return plan
 
 
@@ -520,31 +521,16 @@ def dump_model(model: FBetaModel) -> str:
 
 
 def load_model(text: str) -> FBetaModel:
-    lines = text.splitlines()
-    if not lines or lines[0].strip() != MODEL_HEADER:
-        raise SerializationError(f"expected header {MODEL_HEADER!r}")
-    sections: dict[str, list[str]] = {}
-    current: str | None = None
-    for ln in lines[1:]:
-        if ln.strip() in ("[plan]", "[map]", "[branches]"):
-            current = ln.strip()[1:-1]
-            sections[current] = []
-        elif current is not None:
-            sections[current].append(ln)
-    for needed in ("plan", "map", "branches"):
-        if needed not in sections:
-            raise SerializationError(f"model file missing [{needed}] section")
-    plan = load_plan("\n".join(sections["plan"]))
-    pwa = load_pwa("\n".join(sections["map"]))
-    entries: list[BranchEntry] = []
-    for ln in sections["branches"]:
-        ln = ln.strip()
-        if not ln:
-            continue
-        parts = dict(p.split("=", 1) for p in ln.split())
-        lo, hi = parse_interval(parts["dom"])
-        entries.append(
-            BranchEntry(int(parts["level"]), int(parts["j"]), parts["dir"] == "up", lo, hi)
-        )
-    views = tuple(_level_view(plan, k, pwa) for k in range(plan.K + 1))
-    return FBetaModel(plan, pwa, tuple(entries), views)
+    """Rebuild the model from its [plan] section (under the default node
+    budget); every other stored line must equal the rebuilt model's."""
+    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
+    if lines[:2] != [MODEL_HEADER, "[plan]"]:
+        raise SerializationError(f"expected header {MODEL_HEADER!r} and a [plan] section")
+    end = next((i for i in range(2, len(lines)) if lines[i].startswith("[")), len(lines))
+    model = build_fbeta(load_plan("\n".join(lines[2:end])))
+    for have, want in zip_longest(lines, dump_model(model).splitlines(), fillvalue="end of file"):
+        if have != want:
+            raise SerializationError(
+                f"model line {have!r} differs from the model its plan rebuilds: {want!r}"
+            )
+    return model

@@ -29,7 +29,7 @@ from .errors import (
     VerificationError,
 )
 from .pwa import PwaMap
-from .rational import format_interval, format_rational, parse_interval, parse_rational
+from .rational import format_interval, format_rational, parse_int, parse_interval, parse_rational
 from .reporting import CheckResult, VerificationSummary
 
 Interval = tuple[Fraction, Fraction]
@@ -489,10 +489,11 @@ def load_model_2d(text: str) -> Horseshoe2DModel:
     for ln in lines[1:]:
         parts = ln.split()
         if parts[0] == "branch":
-            if len(parts) != 8 or parts[2] != "slab" or parts[4] != "strip" or parts[6] != "orient":
+            if (len(parts) != 8 or parts[2] != "slab" or parts[4] != "strip"
+                    or parts[6] != "orient" or parts[7] not in ("+", "-")):
                 raise SerializationError(f"bad branch line: {ln!r}")
             branches.append((
-                int(parts[1]),
+                parse_int(parts[1]),
                 parse_interval(parts[3]),
                 parse_interval(parts[5]),
                 1 if parts[7] == "+" else -1,
@@ -502,8 +503,8 @@ def load_model_2d(text: str) -> Horseshoe2DModel:
         else:
             raise SerializationError(f"bad line: {ln!r}")
     try:
-        n = int(scalars["N"])
-        p = int(scalars["p"])
+        n = parse_int(scalars["N"])
+        p = parse_int(scalars["p"])
         delta = parse_rational(scalars["delta"])
         epsilon = parse_rational(scalars["epsilon"])
         width = parse_rational(scalars["width"])

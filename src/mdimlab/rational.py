@@ -66,6 +66,14 @@ def parse_rational(text: str) -> Fraction:
         raise SerializationError(f"not a rational literal: {text!r}") from exc
 
 
+def parse_int(text: str) -> int:
+    """Parse a plain integer literal."""
+    try:
+        return int(text)
+    except ValueError:
+        raise SerializationError(f"not an integer literal: {text!r}") from None
+
+
 def format_rational(x: Fraction) -> str:
     """Render a Fraction as ``p/q`` (always with the slash, for round-trips)."""
     return f"{x.numerator}/{x.denominator}"

@@ -21,6 +21,7 @@ growth proxy; ratios h/|log eps| feed the mean-dimension profiles.
 from __future__ import annotations
 
 import math
+from concurrent import futures
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -431,12 +432,8 @@ def rate_from_records(
     return ScaleRate(epsilon, tuple(records), h_hat, max_step, ratio, n_window, method)
 
 
-def check_rate_window(n_window: tuple[int, int], epsilon: Fraction) -> None:
-    n_min, n_max = n_window
-    if not (n_max > n_min >= 1):
-        raise DomainError(f"need n_max > n_min >= 1, got window {n_window}")
-    if not 0 < epsilon < 1:
-        raise DomainError(f"rate estimation needs 0 < epsilon < 1, got {epsilon}")
+def _count_job(job: tuple) -> CountRecord:
+    return count_at(*job)
 
 
 def rate_at_scale(
@@ -447,10 +444,7 @@ def rate_at_scale(
     grid: Fraction | None = None,
 ) -> ScaleRate:
     """Entropy-at-scale estimate from counts over n in [n_min, n_max]."""
-    check_rate_window(n_window, epsilon)
-    n_min, n_max = n_window
-    records = [count_at(source, n, epsilon, method, grid) for n in range(n_min, n_max + 1)]
-    return rate_from_records(epsilon, records, n_window, method)
+    return mdim_profile([source], [epsilon], n_window, method, grid).entries[0]
 
 
 def check_scales(scales: list[Fraction]) -> None:
@@ -464,26 +458,24 @@ def check_scales(scales: list[Fraction]) -> None:
             raise DomainError(f"scales must strictly decrease: {a} then {b}")
 
 
-def report_from_entries(entries: tuple[ScaleRate, ...]) -> SeparationReport:
-    """The tail half of the scale list (the smallest scales) gives the
-    upper (max ratio) and lower (min ratio) estimates."""
-    tail = entries[len(entries) // 2 :]
-    upper = max(e.ratio for e in tail)
-    lower = min(e.ratio for e in tail)
-    return SeparationReport(entries, upper, lower)
-
-
 def mdim_profile(
     sources: PwaMap | MarkovView | list[PwaMap | MarkovView],
     scales: list[Fraction],
     n_window: tuple[int, int],
     method: str,
     grid: Fraction | None = None,
+    workers: int = 1,
 ) -> SeparationReport:
     """Ratio profile over strictly decreasing scales.
 
     ``sources`` may be a single source shared across scales or one source
-    per scale (e.g. per-level Markov views at their own scales).
+    per scale (e.g. per-level Markov views at their own scales).  The scales
+    and the n-window are checked before any count runs.  With
+    ``workers > 1`` the greedy and exhaustive (scale, n) counts fan out over
+    that many worker processes; cylinder counts are B**n, so they always run
+    in-process rather than pickling a view and its map.  The report is the
+    same for any ``workers``.  The tail half of the scale list (the smallest
+    scales) gives the upper (max ratio) and lower (min ratio) estimates.
     """
     check_scales(scales)
     if isinstance(sources, list):
@@ -494,11 +486,26 @@ def mdim_profile(
         per_scale = sources
     else:
         per_scale = [sources] * len(scales)
-    entries = tuple(
-        rate_at_scale(src, eps, n_window, method, grid)
+    n_min, n_max = n_window
+    if not (n_max > n_min >= 1):
+        raise DomainError(f"need n_max > n_min >= 1, got window {n_window}")
+    jobs = [
+        (src, n, eps, method, grid)
         for src, eps in zip(per_scale, scales)
+        for n in range(n_min, n_max + 1)
+    ]
+    if workers > 1 and method != METHOD_CYLINDER:
+        with futures.ProcessPoolExecutor(min(workers, len(jobs))) as pool:
+            records = list(pool.map(_count_job, jobs))
+    else:
+        records = [_count_job(job) for job in jobs]
+    width = n_max - n_min + 1
+    entries = tuple(
+        rate_from_records(eps, records[i * width : (i + 1) * width], n_window, method)
+        for i, eps in enumerate(scales)
     )
-    return report_from_entries(entries)
+    tail = entries[len(entries) // 2 :]
+    return SeparationReport(entries, max(e.ratio for e in tail), min(e.ratio for e in tail))
 
 
 # === export ==================================================================
@@ -577,6 +584,13 @@ def dump_views(views: tuple[MarkovView, ...] | list[MarkovView]) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _unit_interval(text: str, ln: str) -> tuple[Fraction, Fraction]:
+    lo, hi = parse_interval(text)
+    if lo < 0 or hi > 1:
+        raise SerializationError(f"domain outside [0, 1]: {ln!r}")
+    return lo, hi
+
+
 def load_views(text: str) -> tuple[MarkovView, ...]:
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
     if not lines or lines[0] != VIEWS_HEADER:
@@ -606,7 +620,7 @@ def load_views(text: str) -> tuple[MarkovView, ...]:
                     raise SerializationError(f"bad view line: {ln!r}")
                 label = ln.split(" label ", 1)[1]
             pending = {
-                "core": parse_interval(parts[2]),
+                "core": _unit_interval(parts[2], ln),
                 "scale": None if parts[4] == "-" else parse_rational(parts[4]),
                 "branches": [],
                 "label": label,
@@ -614,7 +628,7 @@ def load_views(text: str) -> tuple[MarkovView, ...]:
         elif parts[0] == "branch":
             if pending is None or len(parts) != 3 or parts[1] not in ("up", "down"):
                 raise SerializationError(f"bad branch line: {ln!r}")
-            lo, hi = parse_interval(parts[2])
+            lo, hi = _unit_interval(parts[2], ln)
             pending["branches"].append(MarkovBranch(lo, hi, parts[1] == "up"))
         else:
             raise SerializationError(f"bad line: {ln!r}")

@@ -5,7 +5,9 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
-from mdimlab import dump_model, dump_plan, dump_pwa, load_plan, load_pwa, load_views
+from mdimlab import (
+    dump_model, dump_plan, dump_pwa, load_plan, load_pwa, load_views, plan_sequences,
+)
 from mdimlab.cli import main
 
 F = Fraction
@@ -91,6 +93,19 @@ def test_estimate_rejects_an_unrecognized_source_file(tmp_path, capsys):
     )
     assert code == 2
     assert "unrecognized source header" in err
+
+
+def test_estimate_rejects_bad_model_plans_with_exit_2(tmp_path, capsys, half_model):
+    over_budget = "fbeta-model v1\n[plan]\n" + dump_plan(plan_sequences(F(1, 2), 2))
+    for text, message in (
+        (dump_model(half_model).replace("K = 1", "K = abc"), "not an integer literal: 'abc'"),
+        (over_budget, "over the budget of 1000000"),
+    ):
+        (tmp_path / "model.txt").write_text(text)
+        code, _, err = run(capsys, "estimate", "--model", str(tmp_path / "model.txt"),
+                           "-o", str(tmp_path))
+        assert code == 2
+        assert message in err
 
 
 def test_estimate_missing_file_exits_3(tmp_path, capsys):
@@ -210,20 +225,35 @@ n-window = 1:3
 """
 
 
-def test_sweep_output_is_identical_across_worker_counts(tmp_path, capsys, half_model):
+# greedy sweep on the tent: the only method whose counts go to worker processes
+GREEDY_SWEEP_CONFIG = """\
+source = tent.txt
+method = greedy
+scales = 1/10,1/20
+grid = 1/80
+n-window = 1:3
+"""
+
+
+def test_sweep_output_is_identical_across_worker_counts(tmp_path, capsys, half_model, tent):
     (tmp_path / "model.txt").write_text(dump_model(half_model))
-    (tmp_path / "sweep.cfg").write_text(SWEEP_CONFIG)
-    outs = []
-    for workers in ("1", "2"):
-        out_dir = tmp_path / f"w{workers}"
-        code, out, err = run(
-            capsys, "sweep", "--config", str(tmp_path / "sweep.cfg"),
-            "--workers", workers, "-o", str(out_dir),
-        )
-        assert code == 0 and err == ""
-        assert "upper 0.500065876654" in out
-        outs.append((out_dir / "sweep.csv").read_bytes())
-    assert outs[0] == outs[1]
+    (tmp_path / "tent.txt").write_text(dump_pwa(tent))
+    for name, config, upper in (
+        ("cylinder", SWEEP_CONFIG, "upper 0.500065876654"),
+        ("greedy", GREEDY_SWEEP_CONFIG, "upper 0.142814182297"),
+    ):
+        (tmp_path / f"{name}.cfg").write_text(config)
+        outs = []
+        for workers in ("1", "2"):
+            out_dir = tmp_path / f"{name}-w{workers}"
+            code, out, err = run(
+                capsys, "sweep", "--config", str(tmp_path / f"{name}.cfg"),
+                "--workers", workers, "-o", str(out_dir),
+            )
+            assert code == 0 and err == ""
+            assert upper in out
+            outs.append((out_dir / "sweep.csv").read_bytes())
+        assert outs[0] == outs[1]
 
 
 def test_sweep_rejects_an_unknown_config_key(tmp_path, capsys):

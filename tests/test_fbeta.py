@@ -3,6 +3,7 @@ predictions, verification checks, and plan/model round-trips."""
 from __future__ import annotations
 
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -283,3 +284,33 @@ def test_model_loader_requires_all_sections(half_model):
     headless = text.replace("[branches]", "[other]")
     with pytest.raises(SerializationError, match=r"\[branches\]"):
         load_model(headless)
+
+
+def _move_a_map_node(text: str) -> str:
+    lines = text.splitlines(keepends=True)
+    i = lines.index("[map]\n") + 3                     # past the header and the node at 0
+    x, y = lines[i].split()
+    lines[i] = f"{x} {F(y) / 2}\n"
+    return "".join(lines)
+
+
+MODEL_EDITS = {
+    "flipped-dir": lambda t: t.replace("dir=up", "dir=down", 1),
+    "dropped-branch-line": lambda t: t.rstrip("\n").rsplit("\n", 1)[0] + "\n",
+    "moved-map-node": _move_a_map_node,
+    "token-without-equals": lambda t: t.replace(" dir=up", " dir up", 1),
+    "missing-dom": lambda t: re.sub(r" dom=\S+", "", t, count=1),
+}
+
+
+@pytest.mark.parametrize("edit", MODEL_EDITS.values(), ids=MODEL_EDITS.keys())
+def test_model_loader_rejects_what_the_plan_does_not_rebuild(half_model, edit):
+    text = dump_model(half_model)
+    assert edit(text) != text
+    with pytest.raises(SerializationError, match="differs from the model its plan rebuilds"):
+        load_model(edit(text))
+
+
+def test_plan_loader_rejects_a_non_integer_level_count(half_plan):
+    with pytest.raises(SerializationError, match="not an integer literal: 'abc'"):
+        load_plan(dump_plan(half_plan).replace("K = 1", "K = abc"))

@@ -328,6 +328,19 @@ def test_model_2d_loader_cross_checks_geometry():
         load_model_2d(tampered)
 
 
+@pytest.mark.parametrize("old,new", [
+    ("N 4", "N x"),
+    ("p 2", "p 2.5"),
+    ("branch 1 slab", "branch one slab"),
+    ("orient -", "orient *"),
+])
+def test_model_2d_loader_rejects_bad_integers_and_orientations(old, new):
+    text = dump_model_2d(reference_model())
+    assert old in text
+    with pytest.raises(SerializationError):
+        load_model_2d(text.replace(old, new, 1))
+
+
 def test_certificate_csv_layout():
     cert = separated_bound_2d(reference_model(), 1)
     lines = certificate_to_csv(cert).splitlines()

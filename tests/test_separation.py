@@ -431,3 +431,12 @@ def test_views_loader_rejects_malformed_documents():
         load_views("markov-views v1\nview core 0/1:1/1 scale -\nbranch sideways 0/1:1/2\n")
     with pytest.raises(SerializationError, match="no views"):
         load_views("markov-views v1\n")
+
+
+@pytest.mark.parametrize("body", [
+    "view core 0/1:1/1 scale -\nbranch up 2/1:3/1\n",
+    "view core -1/2:1/1 scale -\nbranch up 0/1:1/2\n",
+], ids=["branch", "core"])
+def test_views_loader_rejects_domains_outside_the_unit_interval(body):
+    with pytest.raises(SerializationError, match=r"outside \[0, 1\]"):
+        load_views("markov-views v1\n" + body)
