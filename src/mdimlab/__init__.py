@@ -48,6 +48,7 @@ from .pwa import (
     constant_map,
     dump_pwa,
     eval_map,
+    eval_sorted,
     fixed_points,
     identity_map,
     iterate,

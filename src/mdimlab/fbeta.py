@@ -457,6 +457,7 @@ def verify_model(model: FBetaModel, gap_orbit_steps: int = 200) -> VerificationS
 # === serialization ===========================================================
 
 PLAN_HEADER = "fbeta-plan v1"
+PLAN_KEYS = ("beta", "K", "seed_a1", "variant")
 MODEL_HEADER = "fbeta-model v1"
 
 
@@ -488,20 +489,26 @@ def load_plan(text: str) -> FBetaPlan:
         if ln.startswith("level "):
             level_lines.append(ln)
         elif "=" in ln:
-            key, val = ln.split("=", 1)
-            fields[key.strip()] = val.strip()
+            key, val = (part.strip() for part in ln.split("=", 1))
+            if key not in PLAN_KEYS:
+                raise SerializationError(f"unknown plan key {key!r}")
+            if key in fields:
+                raise SerializationError(f"repeated plan key {key!r}")
+            fields[key] = val
         else:
             raise SerializationError(f"unparseable plan line: {ln!r}")
     try:
         beta = parse_rational(fields["beta"])
         K = parse_int(fields["K"])
         seed = parse_rational(fields["seed_a1"])
-        variant = fields.get("variant", "none") == "full"
     except KeyError as exc:
         raise SerializationError(f"plan file missing field {exc}") from exc
+    variant = fields.get("variant", "none")
+    if variant not in ("none", "full"):
+        raise SerializationError(f"plan variant must be 'none' or 'full', got {variant!r}")
     if len(level_lines) != K + 1:
         raise SerializationError(f"expected {K + 1} level lines, found {len(level_lines)}")
-    plan = plan_sequences(beta, K, seed, variant)
+    plan = plan_sequences(beta, K, seed, variant == "full")
     stored = dump_plan(plan).splitlines()
     for ln in level_lines:
         if ln not in stored:

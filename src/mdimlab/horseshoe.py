@@ -456,6 +456,7 @@ def ratio_lower_bound(model: Horseshoe2DModel, ell_max: int, rep_cap: int = REP_
 # === serialization ===========================================================
 
 MODEL2D_HEADER = "horseshoe-2d v1"
+MODEL2D_SCALARS = ("N", "p", "delta", "epsilon", "width")
 
 
 def dump_model_2d(model: Horseshoe2DModel) -> str:
@@ -499,6 +500,10 @@ def load_model_2d(text: str) -> Horseshoe2DModel:
                 1 if parts[7] == "+" else -1,
             ))
         elif len(parts) == 2:
+            if parts[0] not in MODEL2D_SCALARS:
+                raise SerializationError(f"unknown scalar {parts[0]!r}")
+            if parts[0] in scalars:
+                raise SerializationError(f"repeated scalar {parts[0]!r}")
             scalars[parts[0]] = parts[1]
         else:
             raise SerializationError(f"bad line: {ln!r}")

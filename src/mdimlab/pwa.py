@@ -115,6 +115,31 @@ def eval_map(m: PwaMap, x: Fraction) -> Fraction:
     return y0 + (y1 - y0) * (x - x0) / (x1 - x0)
 
 
+def eval_sorted(m: PwaMap, xs: list[Fraction]) -> list[Fraction]:
+    """Exact values at ascending points of [0,1], equal to ``eval_map`` at
+    each: one pointer walks the nodes once, so the cost is O(points + nodes)."""
+    out: list[Fraction] = []
+    last = len(m.xs) - 1
+    i = 0
+    prev = ZERO
+    for x in xs:
+        x = Fraction(x)
+        if not ZERO <= x <= ONE:
+            raise DomainError(f"eval argument {x} outside [0,1]")
+        if x < prev:
+            raise DomainError(f"eval points must ascend: {prev} then {x}")
+        prev = x
+        while i < last and m.xs[i + 1] <= x:
+            i += 1
+        if i == last or m.xs[i] == x:
+            out.append(m.ys[i])
+        else:
+            x0, x1 = m.xs[i], m.xs[i + 1]
+            y0, y1 = m.ys[i], m.ys[i + 1]
+            out.append(y0 + (y1 - y0) * (x - x0) / (x1 - x0))
+    return out
+
+
 def compose(outer: PwaMap, inner: PwaMap) -> PwaMap:
     """Exact outer∘inner.
 
@@ -164,7 +189,7 @@ def sup_distance(a: PwaMap, b: PwaMap) -> Fraction:
     set, so the max is attained at one of those points.
     """
     merged = sorted(set(a.xs) | set(b.xs))
-    return max(abs(eval_map(a, x) - eval_map(b, x)) for x in merged)
+    return max(abs(u - v) for u, v in zip(eval_sorted(a, merged), eval_sorted(b, merged)))
 
 
 def fixed_points(m: PwaMap) -> list[tuple[Fraction, Fraction]]:

@@ -21,6 +21,7 @@ growth proxy; ratios h/|log eps| feed the mean-dimension profiles.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from concurrent import futures
 from dataclasses import dataclass
 from fractions import Fraction
@@ -42,6 +43,7 @@ METHOD_CYLINDER = "cylinder-exact"
 METHODS = (METHOD_GREEDY, METHOD_EXHAUSTIVE, METHOD_CYLINDER)
 
 EXHAUSTIVE_POINT_CAP = 14       # 2^14 subset scan
+GREEDY_GRID_CAP = 10**6         # greedy grid point cap
 REPRESENTATIVE_CAP = 20000      # cylinder representative enumeration cap
 
 
@@ -145,7 +147,8 @@ def count_separated_greedy(
     """Greedy separated count over the uniform grid {0, g, 2g, ...} ∩ [0,1].
 
     The grid must resolve the scale (g <= eps/4), otherwise the grid count
-    says nothing about eps-separation and we refuse.
+    says nothing about eps-separation and we refuse; it may hold at most
+    GREEDY_GRID_CAP points.
     """
     if n < 1:
         raise DomainError(f"count_separated_greedy needs n >= 1, got {n}")
@@ -155,7 +158,12 @@ def count_separated_greedy(
         raise GridPrecisionError(
             f"grid resolution {grid} is coarser than epsilon/4 = {epsilon / 4}"
         )
-    points = [grid * j for j in range(int(1 / grid) + 1)]
+    count = int(1 / grid) + 1
+    if count > GREEDY_GRID_CAP:
+        raise ResourceError(
+            f"greedy grid capped at {GREEDY_GRID_CAP} points, got {count}"
+        )
+    points = [grid * j for j in range(count)]
     selected = greedy_separated_points(m, n, epsilon, points)
     return CountRecord(n, epsilon, len(selected), METHOD_GREEDY, grid)
 
@@ -266,11 +274,12 @@ class MarkovView:
                 f"branch [{br.lo}, {br.hi}] does not map onto the core:"
                 f" endpoint values ({lo_v}, {hi_v}), expected {want}"
             )
-        for x in self.map.xs:
-            if br.lo < x < br.hi:
-                raise ContractError(
-                    f"branch [{br.lo}, {br.hi}] is not affine: map node at {x}"
-                )
+        # the least node above lo; it exists, since lo < hi <= 1 = xs[-1]
+        x = self.map.xs[bisect_right(self.map.xs, br.lo)]
+        if x < br.hi:
+            raise ContractError(
+                f"branch [{br.lo}, {br.hi}] is not affine: map node at {x}"
+            )
 
     @property
     def branch_count(self) -> int:

@@ -24,7 +24,7 @@ from pathlib import Path
 
 from .errors import ContractError, DomainError, SerializationError, VerificationError
 from .fbeta import FBetaModel, FBetaPlan, build_fbeta, dump_plan, load_plan
-from .pwa import DEFAULT_NODE_BUDGET, PwaMap, dump_pwa, load_pwa
+from .pwa import DEFAULT_NODE_BUDGET, PwaMap, dump_pwa, eval_sorted, load_pwa
 from .rational import format_interval, format_rational, parse_interval, parse_rational
 from .separation import MarkovBranch, MarkovView
 
@@ -105,18 +105,16 @@ def blend_with_profile(base: PwaMap, insert: PwaMap, profile: PwaMap) -> PwaMap:
     profile is constant or the two maps differ by a constant; anything else
     would square a slope."""
     xs = sorted(set(base.xs) | set(insert.xs) | set(profile.xs))
-    values = []
-    for x in xs:
-        c = profile(x)
-        values.append(base(x) + c * (insert(x) - base(x)))
+    chi = eval_sorted(profile, xs)
+    base_ys = eval_sorted(base, xs)
+    diffs = [v - u for u, v in zip(base_ys, eval_sorted(insert, xs))]
     for i in range(len(xs) - 1):
-        x0, x1 = xs[i], xs[i + 1]
-        if profile(x0) != profile(x1) and insert(x0) - base(x0) != insert(x1) - base(x1):
+        if chi[i] != chi[i + 1] and diffs[i] != diffs[i + 1]:
             raise ContractError(
-                f"blend is not piecewise affine on {format_interval(x0, x1)}: "
+                f"blend is not piecewise affine on {format_interval(xs[i], xs[i + 1])}: "
                 "the profile and the map difference both vary there"
             )
-    return PwaMap.from_nodes(list(zip(xs, values)))
+    return PwaMap.from_nodes([(x, u + c * d) for x, u, c, d in zip(xs, base_ys, chi, diffs)])
 
 
 # === implant plans ===========================================================
@@ -210,7 +208,8 @@ def _maps_agree(a: PwaMap, b: PwaMap, keep) -> bool:
     """Exact equality of two piecewise-affine maps over the breakpoints
     selected by `keep` (equality at all shared breakpoints of a region
     pins the maps on it)."""
-    return all(a(x) == b(x) for x in sorted(set(a.xs) | set(b.xs)) if keep(x))
+    xs = [x for x in sorted(set(a.xs) | set(b.xs)) if keep(x)]
+    return eval_sorted(a, xs) == eval_sorted(b, xs)
 
 
 def _verify_implant(blended: PwaMap, plan: SurgeryPlan, insert: PwaMap) -> None:

@@ -126,6 +126,16 @@ def test_estimate_coarse_grid_exits_4(tmp_path, capsys, identity):
     assert "epsilon/4" in err
 
 
+def test_estimate_greedy_grid_over_the_cap_exits_2(tmp_path, capsys, identity):
+    (tmp_path / "map.txt").write_text(dump_pwa(identity))
+    code, _, err = run(
+        capsys, "estimate", "--map", str(tmp_path / "map.txt"), "--method", "greedy",
+        "--scales", "1/10", "--grid", "1/1000000000", "-o", str(tmp_path),
+    )
+    assert code == 2
+    assert "greedy grid capped at 1000000 points, got 1000000001" in err
+
+
 # === horseshoe ================================================================
 
 def test_horseshoe_2d_certifies_the_reference_model(tmp_path, capsys):

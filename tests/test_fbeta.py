@@ -314,3 +314,24 @@ def test_model_loader_rejects_what_the_plan_does_not_rebuild(half_model, edit):
 def test_plan_loader_rejects_a_non_integer_level_count(half_plan):
     with pytest.raises(SerializationError, match="not an integer literal: 'abc'"):
         load_plan(dump_plan(half_plan).replace("K = 1", "K = abc"))
+
+
+PLAN_EDITS = {
+    "unknown-key": (lambda t: t + "gamma = 3\n", "unknown plan key 'gamma'"),
+    "repeated-key": (lambda t: t + "K = 1\n", "repeated plan key 'K'"),
+    "bad-variant": (lambda t: t.replace("variant = none", "variant = ful"),
+                    "variant must be 'none' or 'full', got 'ful'"),
+}
+
+
+@pytest.mark.parametrize("edit,message", PLAN_EDITS.values(), ids=PLAN_EDITS.keys())
+def test_plan_loader_rejects_unknown_repeated_and_bad_fields(half_plan, edit, message):
+    text = dump_plan(half_plan)
+    assert edit(text) != text
+    with pytest.raises(SerializationError, match=message):
+        load_plan(edit(text))
+
+
+def test_plan_loader_reads_a_missing_variant_as_none(half_plan):
+    text = dump_plan(half_plan).replace("variant = none\n", "")
+    assert load_plan(text) == half_plan

@@ -341,6 +341,16 @@ def test_model_2d_loader_rejects_bad_integers_and_orientations(old, new):
         load_model_2d(text.replace(old, new, 1))
 
 
+@pytest.mark.parametrize("extra,message", [
+    ("foo 3", "unknown scalar 'foo'"),
+    ("p 2", "repeated scalar 'p'"),
+])
+def test_model_2d_loader_rejects_unknown_and_repeated_scalars(extra, message):
+    text = dump_model_2d(reference_model())
+    with pytest.raises(SerializationError, match=message):
+        load_model_2d(text + extra + "\n")
+
+
 def test_certificate_csv_layout():
     cert = separated_bound_2d(reference_model(), 1)
     lines = certificate_to_csv(cert).splitlines()

@@ -19,6 +19,7 @@ from mdimlab import (
     constant_map,
     dump_pwa,
     eval_map,
+    eval_sorted,
     fixed_points,
     identity_map,
     iterate,
@@ -203,6 +204,22 @@ def test_sup_distance_is_a_metric(seed_a, seed_b, seed_c):
     assert sup_distance(a, b) == sup_distance(b, a)
     assert (sup_distance(a, b) == 0) == (a == b)   # canonical form: equal as functions
     assert sup_distance(a, c) <= sup_distance(a, b) + sup_distance(b, c)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10**9), st.lists(st.fractions(min_value=0, max_value=1, max_denominator=48)))
+def test_eval_sorted_matches_pointwise_evaluation(seed, extra):
+    m = random_pwa(random.Random(seed))
+    # with every node, and with the extra points alone, which may skip nodes
+    for xs in (sorted([*m.xs, F(0), F(1), *extra]), sorted(extra)):
+        assert eval_sorted(m, xs) == [eval_map(m, x) for x in xs]
+
+
+def test_eval_sorted_rejects_points_outside_the_domain_or_out_of_order(tent):
+    with pytest.raises(DomainError, match="outside"):
+        eval_sorted(tent, [F(0), F(5, 4)])
+    with pytest.raises(DomainError, match="ascend"):
+        eval_sorted(tent, [F(1, 2), F(1, 4)])
 
 
 # === serialization ============================================================

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations
 
@@ -41,6 +42,7 @@ from mdimlab import (
 )
 from mdimlab.separation import (
     CSV_HEADER,
+    GREEDY_GRID_CAP,
     METHOD_CYLINDER,
     METHOD_EXHAUSTIVE,
     METHOD_GREEDY,
@@ -109,6 +111,18 @@ def test_greedy_tent_half_scale(tent):
 def test_greedy_rejects_coarse_grids(tent):
     with pytest.raises(GridPrecisionError, match=r"epsilon/4"):
         count_separated_greedy(tent, 1, F(1, 10), F(1, 20))
+
+
+@pytest.mark.parametrize("grid", [F(1, GREEDY_GRID_CAP), F(1, 10**9)])
+def test_greedy_refuses_a_grid_over_the_cap_before_building_it(tent, grid):
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceError, match=f"capped at {GREEDY_GRID_CAP} points"):
+            count_separated_greedy(tent, 1, F(1, 10), grid)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 10**6  # bytes; a million-point grid takes about 100 MB
 
 
 def test_greedy_is_maximal_within_its_grid(tent):
@@ -217,6 +231,26 @@ def test_view_rejects_branches_broken_by_a_node():
     )
     with pytest.raises(ContractError, match="not affine"):
         MarkovView(F(0), F(1), (MarkovBranch(F(0), F(1, 2), True),), None, kinked)
+    # two interior kinks: the message names the smaller one
+    twice = PwaMap.from_nodes(
+        [(F(0), F(0)), (F(1, 8), F(1, 6)), (F(3, 8), F(2, 3)), (F(1, 2), F(1)), (F(1), F(0))]
+    )
+    with pytest.raises(ContractError, match="not affine: map node at 1/8$"):
+        MarkovView(F(0), F(1), (MarkovBranch(F(0), F(1, 2), True),), None, twice)
+
+
+def test_view_accepts_map_nodes_at_the_branch_ends():
+    # nodes exactly at lo and hi of the middle branch, none strictly inside
+    zigzag = PwaMap.from_nodes(
+        [(F(0), F(0)), (F(1, 4), F(1)), (F(3, 4), F(0)), (F(1), F(1))]
+    )
+    branches = (
+        MarkovBranch(F(0), F(1, 4), True),
+        MarkovBranch(F(1, 4), F(3, 4), False),
+        MarkovBranch(F(3, 4), F(1), True),
+    )
+    view = MarkovView(F(0), F(1), branches, None, zigzag)
+    assert view.branch_count == 3
 
 
 # === rates and profiles =======================================================

@@ -13,6 +13,7 @@ from mdimlab import (
     DomainError,
     SerializationError,
     SurgeryPlan,
+    VerificationError,
     blend_with_profile,
     conjugate_into_interval,
     dump_plan,
@@ -31,6 +32,7 @@ from mdimlab import (
 )
 from mdimlab.pwa import PwaMap
 from mdimlab.separation import METHOD_CYLINDER
+from mdimlab.surgery import _verify_implant
 
 F = Fraction
 
@@ -127,7 +129,7 @@ def test_blend_carries_the_insert_on_the_inner_window(half_model, identity):
 
 def test_blend_rejects_a_profile_that_would_square_slopes(tent, identity):
     chi = make_bump((F(2, 5), F(3, 5)), (F(7, 20), F(13, 20)))
-    with pytest.raises(ContractError, match="not piecewise affine"):
+    with pytest.raises(ContractError, match="not piecewise affine on 7/20:2/5:"):
         blend_with_profile(tent, identity, chi)
 
 
@@ -225,6 +227,19 @@ def test_inner_window_orbits_never_escape(implanted):
     for _ in range(12):
         x = eval_map(blended, x)
         assert F(1, 4) <= x <= F(3, 4)
+
+
+def test_implant_verification_catches_a_tampered_blend(implanted, half_model):
+    plan, blended = implanted
+    insert = conjugate_into_interval(half_model.map, *plan.J_hat)
+    leaked = PwaMap.from_nodes(sorted(blended.nodes() + [(F(1, 10), F(11, 100))]))
+    with pytest.raises(VerificationError, match="leaked outside the outer window 1/5:4/5"):
+        _verify_implant(leaked, plan, insert)
+    nodes = blended.nodes()
+    k = next(i for i, (x, y) in enumerate(nodes) if F(1, 4) < x < F(3, 4) and y < F(3, 4))
+    nodes[k] = (nodes[k][0], nodes[k][1] + F(1, 10**6))
+    with pytest.raises(VerificationError, match="1/4:3/4 does not carry the exact rescaled"):
+        _verify_implant(PwaMap.from_nodes(nodes), plan, insert)
 
 
 def test_transported_views_certify_against_the_blended_map(implanted, half_model):
