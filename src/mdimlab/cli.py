@@ -18,7 +18,6 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
@@ -49,7 +48,8 @@ from .horseshoe import (
     verify_conditions,
 )
 from .pwa import DEFAULT_NODE_BUDGET, PWA_HEADER, PwaMap, dump_pwa, load_pwa, sup_distance
-from .rational import format_interval, format_rational, parse_interval, parse_rational
+from .rational import format_interval, format_rational, parse_interval, parse_rational, read_fields
+from .reporting import VerificationSummary
 from .separation import (
     METHOD_CYLINDER,
     METHOD_GREEDY,
@@ -163,6 +163,16 @@ def _write_report(report, args: argparse.Namespace, name: str) -> None:
     print(f"lower {report.lower:.12g}")
 
 
+def _print_summary(summary: VerificationSummary) -> bool:
+    """Print a verification summary (its first failure to stderr); True when it passed."""
+    for line in summary.lines():
+        print(line)
+    if not summary.ok:
+        fail = summary.first_failure
+        print(f"error: {fail.name}: {fail.detail}", file=sys.stderr)
+    return summary.ok
+
+
 # === build-fbeta =============================================================
 
 def _cmd_build_fbeta(args: argparse.Namespace) -> int:
@@ -186,14 +196,7 @@ def _cmd_build_fbeta(args: argparse.Namespace) -> int:
     print(f"wrote {plan_path}")
     print(f"wrote {model_path}")
 
-    summary = verify_model(model)
-    for line in summary.lines():
-        print(line)
-    if not summary.ok:
-        print(f"error: {summary.first_failure.name}: {summary.first_failure.detail}",
-              file=sys.stderr)
-        return 5
-    return 0
+    return 0 if _print_summary(verify_model(model)) else 5
 
 
 # === estimate ================================================================
@@ -227,12 +230,7 @@ def _cmd_horseshoe(args: argparse.Namespace) -> int:
             args.period,
             parse_rational(args.strip_width) if args.strip_width else None,
         )
-        summary = verify_conditions(model)
-        for line in summary.lines():
-            print(line)
-        if not summary.ok:
-            fail = summary.first_failure
-            print(f"error: {fail.name}: {fail.detail}", file=sys.stderr)
+        if not _print_summary(verify_conditions(model)):
             return 5
         cert = separated_bound_2d(model, args.depth)
         out = _out_dir(args)
@@ -303,53 +301,23 @@ def _cmd_implant(args: argparse.Namespace) -> int:
 
 # === sweep ===================================================================
 
-@dataclass(frozen=True)
-class SweepConfig:
-    """A sweep = one estimation profile fanned out over (scale, n) jobs."""
-
-    source: Path
-    method: str
-    scales: tuple[Fraction, ...]
-    n_window: tuple[int, int]
-    grid: Fraction | None
-
-    @staticmethod
-    def from_text(text: str, base_dir: Path) -> "SweepConfig":
-        known = {"source", "method", "scales", "n-window", "grid"}
-        fields: dict[str, str] = {}
-        for raw in text.splitlines():
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise SerializationError(f"bad config line (want key = value): {raw!r}")
-            key, value = (part.strip() for part in line.split("=", 1))
-            if key not in known:
-                raise SerializationError(f"unknown config key {key!r}")
-            if key in fields:
-                raise SerializationError(f"duplicate config key {key!r}")
-            fields[key] = value
-        for required in ("source", "method", "scales"):
-            if required not in fields:
-                raise SerializationError(f"missing config key {required!r}")
-        if fields["method"] not in _METHODS:
-            raise SerializationError(f"unknown method {fields['method']!r}")
-        return SweepConfig(
-            source=base_dir / fields["source"],
-            method=_METHODS[fields["method"]],
-            scales=tuple(_parse_scales(fields["scales"])),
-            n_window=_parse_window(fields.get("n-window", "1:4")),
-            grid=parse_rational(fields["grid"]) if "grid" in fields else None,
-        )
+_SWEEP_KEYS = ("source", "method", "scales", "n-window", "grid")
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     config_path = Path(args.config)
-    cfg = SweepConfig.from_text(config_path.read_text(), config_path.parent)
-    scales = list(cfg.scales)
+    lines = [raw.split("#", 1)[0].strip() for raw in config_path.read_text().splitlines()]
+    cfg = read_fields([ln for ln in lines if ln], _SWEEP_KEYS, _SWEEP_KEYS[:3], "config key", "=")
+    if cfg["method"] not in _METHODS:
+        raise SerializationError(f"unknown method {cfg['method']!r}")
+    method = _METHODS[cfg["method"]]
+    scales = _parse_scales(cfg["scales"])
+    window = _parse_window(cfg.get("n-window", "1:4"))
+    grid = parse_rational(cfg["grid"]) if "grid" in cfg else None
     check_scales(scales)
-    sources, scales = _resolve_sources(cfg.source.read_text(), cfg.method, scales)
-    report = mdim_profile(sources, scales, cfg.n_window, cfg.method, cfg.grid, args.workers)
+    sources, scales = _resolve_sources((config_path.parent / cfg["source"]).read_text(),
+                                       method, scales)
+    report = mdim_profile(sources, scales, window, method, grid, args.workers)
     _write_report(report, args, "sweep")
     return 0
 

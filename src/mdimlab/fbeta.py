@@ -31,7 +31,9 @@ from itertools import zip_longest
 
 from .errors import ContractError, DomainError, ResourceError, SerializationError
 from .pwa import DEFAULT_NODE_BUDGET, PwaMap, eval_map, dump_pwa
-from .rational import floor_pow, format_interval, format_rational, parse_int, parse_rational
+from .rational import (
+    body_lines, floor_pow, format_interval, format_rational, parse_int, parse_rational, read_fields,
+)
 from .reporting import CheckResult, VerificationSummary
 from .separation import MarkovBranch, MarkovView, verify_cylinder_separation
 
@@ -480,29 +482,13 @@ def dump_plan(plan: FBetaPlan) -> str:
 
 def load_plan(text: str) -> FBetaPlan:
     """Parse and re-derive: the stored level table must match the scan."""
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0] != PLAN_HEADER:
-        raise SerializationError(f"expected header {PLAN_HEADER!r}")
-    fields: dict[str, str] = {}
-    level_lines: list[str] = []
-    for ln in lines[1:]:
-        if ln.startswith("level "):
-            level_lines.append(ln)
-        elif "=" in ln:
-            key, val = (part.strip() for part in ln.split("=", 1))
-            if key not in PLAN_KEYS:
-                raise SerializationError(f"unknown plan key {key!r}")
-            if key in fields:
-                raise SerializationError(f"repeated plan key {key!r}")
-            fields[key] = val
-        else:
-            raise SerializationError(f"unparseable plan line: {ln!r}")
-    try:
-        beta = parse_rational(fields["beta"])
-        K = parse_int(fields["K"])
-        seed = parse_rational(fields["seed_a1"])
-    except KeyError as exc:
-        raise SerializationError(f"plan file missing field {exc}") from exc
+    lines = body_lines(text, PLAN_HEADER)
+    level_lines = [ln for ln in lines if ln.startswith("level ")]
+    fields = read_fields([ln for ln in lines if not ln.startswith("level ")],
+                         PLAN_KEYS, ("beta", "K", "seed_a1"), "plan key", "=")
+    beta = parse_rational(fields["beta"])
+    K = parse_int(fields["K"])
+    seed = parse_rational(fields["seed_a1"])
     variant = fields.get("variant", "none")
     if variant not in ("none", "full"):
         raise SerializationError(f"plan variant must be 'none' or 'full', got {variant!r}")
@@ -530,12 +516,13 @@ def dump_model(model: FBetaModel) -> str:
 def load_model(text: str) -> FBetaModel:
     """Rebuild the model from its [plan] section (under the default node
     budget); every other stored line must equal the rebuilt model's."""
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    if lines[:2] != [MODEL_HEADER, "[plan]"]:
-        raise SerializationError(f"expected header {MODEL_HEADER!r} and a [plan] section")
-    end = next((i for i in range(2, len(lines)) if lines[i].startswith("[")), len(lines))
-    model = build_fbeta(load_plan("\n".join(lines[2:end])))
-    for have, want in zip_longest(lines, dump_model(model).splitlines(), fillvalue="end of file"):
+    lines = body_lines(text, MODEL_HEADER)
+    if lines[:1] != ["[plan]"]:
+        raise SerializationError("model file has no [plan] section after its header")
+    end = next((i for i in range(1, len(lines)) if lines[i].startswith("[")), len(lines))
+    model = build_fbeta(load_plan("\n".join(lines[1:end])))
+    want_lines = dump_model(model).splitlines()[1:]
+    for have, want in zip_longest(lines, want_lines, fillvalue="end of file"):
         if have != want:
             raise SerializationError(
                 f"model line {have!r} differs from the model its plan rebuilds: {want!r}"

@@ -29,7 +29,10 @@ from .errors import (
     VerificationError,
 )
 from .pwa import PwaMap
-from .rational import format_interval, format_rational, parse_int, parse_interval, parse_rational
+from .rational import (
+    body_lines, format_interval, format_rational, parse_int, parse_interval, parse_rational,
+    read_fields,
+)
 from .reporting import CheckResult, VerificationSummary
 
 Interval = tuple[Fraction, Fraction]
@@ -482,39 +485,28 @@ def dump_model_2d(model: Horseshoe2DModel) -> str:
 
 
 def load_model_2d(text: str) -> Horseshoe2DModel:
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0] != MODEL2D_HEADER:
-        raise SerializationError(f"expected header {MODEL2D_HEADER!r}")
-    scalars: dict[str, str] = {}
+    lines = body_lines(text, MODEL2D_HEADER)
     branches: list[tuple[int, Interval, Interval, int]] = []
-    for ln in lines[1:]:
+    for ln in lines:
         parts = ln.split()
-        if parts[0] == "branch":
-            if (len(parts) != 8 or parts[2] != "slab" or parts[4] != "strip"
-                    or parts[6] != "orient" or parts[7] not in ("+", "-")):
-                raise SerializationError(f"bad branch line: {ln!r}")
-            branches.append((
-                parse_int(parts[1]),
-                parse_interval(parts[3]),
-                parse_interval(parts[5]),
-                1 if parts[7] == "+" else -1,
-            ))
-        elif len(parts) == 2:
-            if parts[0] not in MODEL2D_SCALARS:
-                raise SerializationError(f"unknown scalar {parts[0]!r}")
-            if parts[0] in scalars:
-                raise SerializationError(f"repeated scalar {parts[0]!r}")
-            scalars[parts[0]] = parts[1]
-        else:
-            raise SerializationError(f"bad line: {ln!r}")
-    try:
-        n = parse_int(scalars["N"])
-        p = parse_int(scalars["p"])
-        delta = parse_rational(scalars["delta"])
-        epsilon = parse_rational(scalars["epsilon"])
-        width = parse_rational(scalars["width"])
-    except KeyError as missing:
-        raise SerializationError(f"missing scalar {missing.args[0]!r}") from None
+        if parts[0] != "branch":
+            continue
+        if (len(parts) != 8 or parts[2] != "slab" or parts[4] != "strip"
+                or parts[6] != "orient" or parts[7] not in ("+", "-")):
+            raise SerializationError(f"bad branch line: {ln!r}")
+        branches.append((
+            parse_int(parts[1]),
+            parse_interval(parts[3]),
+            parse_interval(parts[5]),
+            1 if parts[7] == "+" else -1,
+        ))
+    scalars = read_fields([ln for ln in lines if ln.split()[0] != "branch"],
+                          MODEL2D_SCALARS, MODEL2D_SCALARS, "scalar")
+    n = parse_int(scalars["N"])
+    p = parse_int(scalars["p"])
+    delta = parse_rational(scalars["delta"])
+    epsilon = parse_rational(scalars["epsilon"])
+    width = parse_rational(scalars["width"])
     if len(branches) != n or [b[0] for b in branches] != list(range(n)):
         raise SerializationError(f"expected branches 0..{n - 1} in order")
     offsets = []

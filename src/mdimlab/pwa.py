@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DomainError, ResourceError, SerializationError
-from .rational import format_rational, parse_rational
+from .rational import body_lines, format_rational, parse_rational
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -159,7 +159,8 @@ def compose(outer: PwaMap, inner: PwaMap) -> PwaMap:
             b = outer.xs[j]     # strictly inside (lo, hi)
             breaks.add(x0 + (b - y0) * (x1 - x0) / (y1 - y0))
     xs = sorted(breaks)
-    return PwaMap.from_nodes([(x, eval_map(outer, eval_map(inner, x))) for x in xs])
+    inner_ys = eval_sorted(inner, xs)
+    return PwaMap.from_nodes([(x, eval_map(outer, y)) for x, y in zip(xs, inner_ys)])
 
 
 def iterate(m: PwaMap, n: int, node_budget: int = DEFAULT_NODE_BUDGET) -> PwaMap:
@@ -236,11 +237,8 @@ def dump_pwa(m: PwaMap) -> str:
 
 
 def load_pwa(text: str) -> PwaMap:
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0] != PWA_HEADER:
-        raise SerializationError(f"expected header {PWA_HEADER!r}")
     nodes = []
-    for ln in lines[1:]:
+    for ln in body_lines(text, PWA_HEADER):
         parts = ln.split()
         if len(parts) != 2:
             raise SerializationError(f"bad node line: {ln!r}")

@@ -3,8 +3,9 @@
 All coordinates in this package are ``fractions.Fraction`` values (reduced,
 positive denominator — the stdlib maintains the canonical form for us).
 Floating point appears only in reports.  This module adds the few integer
-kernels the stdlib lacks: floor k-th roots, floor rational powers, and the
-text form ``p/q`` used by every file format.
+kernels the stdlib lacks: floor k-th roots, floor rational powers, the
+text form ``p/q`` used by every file format, and the line rules every format
+shares (a header line first, blank lines ignored, each key at most once).
 """
 from __future__ import annotations
 
@@ -92,3 +93,43 @@ def parse_interval(text: str) -> tuple[Fraction, Fraction]:
 
 def format_interval(lo: Fraction, hi: Fraction) -> str:
     return f"{format_rational(lo)}:{format_rational(hi)}"
+
+
+def body_lines(text: str, header: str) -> list[str]:
+    """The stripped, non-blank lines after a required first line ``header``."""
+    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
+    if not lines or lines[0] != header:
+        raise SerializationError(f"expected header {header!r}")
+    return lines[1:]
+
+
+def read_fields(
+    lines: list[str],
+    keys: tuple[str, ...],
+    required: tuple[str, ...],
+    what: str,
+    sep: str | None = None,
+) -> dict[str, str]:
+    """Read ``key<sep>value`` lines (``sep=None``: whitespace) into a dict.
+
+    Every key must be one of ``keys``, given at most once, and every key in
+    ``required`` must be present; ``what`` names a key in the messages.
+    """
+    fields: dict[str, str] = {}
+    for ln in lines:
+        parts = ln.split(sep, 1)
+        key = parts[0].strip()
+        if len(parts) != 2:
+            problem = f"want key {sep or 'and'} value"
+        elif key not in keys:
+            problem = f"unknown {what} {key!r}"
+        elif key in fields:
+            problem = f"repeated {what} {key!r}"
+        else:
+            fields[key] = parts[1].strip()
+            continue
+        raise SerializationError(f"bad line {ln!r}: {problem}")
+    for key in required:
+        if key not in fields:
+            raise SerializationError(f"missing {what} {key!r}")
+    return fields

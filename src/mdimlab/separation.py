@@ -35,7 +35,7 @@ from .errors import (
     SerializationError,
 )
 from .pwa import PwaMap, eval_map
-from .rational import format_interval, format_rational, parse_interval, parse_rational
+from .rational import body_lines, format_interval, format_rational, parse_interval, parse_rational
 
 METHOD_GREEDY = "greedy-grid"
 METHOD_EXHAUSTIVE = "exhaustive-grid"
@@ -141,6 +141,15 @@ def greedy_separated_points(
     return selected
 
 
+def _grid_points(grid: Fraction, cap: int, what: str) -> list[Fraction]:
+    """The uniform grid {0, g, 2g, ...} ∩ [0,1], refused with ResourceError
+    before anything is built when it would hold more than ``cap`` points."""
+    count = int(1 / grid) + 1
+    if count > cap:
+        raise ResourceError(f"{what} capped at {cap} points, got {count}")
+    return [grid * j for j in range(count)]
+
+
 def count_separated_greedy(
     m: PwaMap, n: int, epsilon: Fraction, grid: Fraction
 ) -> CountRecord:
@@ -158,12 +167,7 @@ def count_separated_greedy(
         raise GridPrecisionError(
             f"grid resolution {grid} is coarser than epsilon/4 = {epsilon / 4}"
         )
-    count = int(1 / grid) + 1
-    if count > GREEDY_GRID_CAP:
-        raise ResourceError(
-            f"greedy grid capped at {GREEDY_GRID_CAP} points, got {count}"
-        )
-    points = [grid * j for j in range(count)]
+    points = _grid_points(grid, GREEDY_GRID_CAP, "greedy grid")
     selected = greedy_separated_points(m, n, epsilon, points)
     return CountRecord(n, epsilon, len(selected), METHOD_GREEDY, grid)
 
@@ -414,7 +418,7 @@ def count_at(
         if not isinstance(source, PwaMap):
             raise DomainError("exhaustive method needs a PwaMap source")
         g = grid or Fraction(1, EXHAUSTIVE_POINT_CAP - 1)
-        points = [g * j for j in range(int(1 / g) + 1)]
+        points = _grid_points(g, EXHAUSTIVE_POINT_CAP, "exhaustive scan")
         return count_separated_exhaustive(source, n, epsilon, points)
     raise DomainError(f"unknown method {method!r}")
 
@@ -601,9 +605,6 @@ def _unit_interval(text: str, ln: str) -> tuple[Fraction, Fraction]:
 
 
 def load_views(text: str) -> tuple[MarkovView, ...]:
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0] != VIEWS_HEADER:
-        raise SerializationError(f"expected header {VIEWS_HEADER!r}")
     views: list[MarkovView] = []
     pending: dict | None = None
 
@@ -617,7 +618,7 @@ def load_views(text: str) -> tuple[MarkovView, ...]:
             tuple(pending["branches"]), pending["scale"], None, pending["label"],
         ))
 
-    for ln in lines[1:]:
+    for ln in body_lines(text, VIEWS_HEADER):
         parts = ln.split()
         if parts[0] == "view":
             if len(parts) < 5 or parts[1] != "core" or parts[3] != "scale":
@@ -625,9 +626,9 @@ def load_views(text: str) -> tuple[MarkovView, ...]:
             finish()
             label = ""
             if len(parts) > 5:
-                if parts[5] != "label":
+                label = ln.partition(" label ")[2]
+                if parts[5] != "label" or not label:
                     raise SerializationError(f"bad view line: {ln!r}")
-                label = ln.split(" label ", 1)[1]
             pending = {
                 "core": _unit_interval(parts[2], ln),
                 "scale": None if parts[4] == "-" else parse_rational(parts[4]),

@@ -25,7 +25,9 @@ from pathlib import Path
 from .errors import ContractError, DomainError, SerializationError, VerificationError
 from .fbeta import FBetaModel, FBetaPlan, build_fbeta, dump_plan, load_plan
 from .pwa import DEFAULT_NODE_BUDGET, PwaMap, dump_pwa, eval_sorted, load_pwa
-from .rational import format_interval, format_rational, parse_interval, parse_rational
+from .rational import (
+    body_lines, format_interval, format_rational, parse_interval, parse_rational, read_fields,
+)
 from .separation import MarkovBranch, MarkovView
 
 Interval = tuple[Fraction, Fraction]
@@ -263,6 +265,7 @@ def transported_views(plan: SurgeryPlan, blended: PwaMap, model: FBetaModel) -> 
 # === serialization ===========================================================
 
 SURGERY_HEADER = "surgery-plan v1"
+SURGERY_KEYS = ("host", "plan", "P", "J", "J-hat", "J-tilde", "chi", "budget")  # 6 required
 
 
 def dump_surgery_plan(
@@ -291,25 +294,14 @@ def dump_surgery_plan(
 
 
 def load_surgery_plan(text: str, base_dir: str | Path = ".") -> SurgeryPlan:
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0] != SURGERY_HEADER:
-        raise SerializationError(f"expected header {SURGERY_HEADER!r}")
-    fields: dict[str, str] = {}
-    for ln in lines[1:]:
-        parts = ln.split(maxsplit=1)
-        if len(parts) != 2 or parts[0] in fields:
-            raise SerializationError(f"bad line: {ln!r}")
-        fields[parts[0]] = parts[1]
-    try:
-        base = Path(base_dir)
-        host = load_pwa((base / fields["host"]).read_text())
-        fplan = load_plan((base / fields["plan"]).read_text())
-        point = parse_rational(fields["P"])
-        j = parse_interval(fields["J"])
-        j_hat = parse_interval(fields["J-hat"])
-        j_tilde = parse_interval(fields["J-tilde"])
-    except KeyError as missing:
-        raise SerializationError(f"missing field {missing.args[0]!r}") from None
+    fields = read_fields(body_lines(text, SURGERY_HEADER), SURGERY_KEYS, SURGERY_KEYS[:6], "field")
+    base = Path(base_dir)
+    host = load_pwa((base / fields["host"]).read_text())
+    fplan = load_plan((base / fields["plan"]).read_text())
+    point = parse_rational(fields["P"])
+    j = parse_interval(fields["J"])
+    j_hat = parse_interval(fields["J-hat"])
+    j_tilde = parse_interval(fields["J-tilde"])
     chi = load_pwa((base / fields["chi"]).read_text()) if "chi" in fields else None
     budget = parse_rational(fields["budget"]) if "budget" in fields else None
     return SurgeryPlan(host, point, j, j_hat, j_tilde, fplan, chi, budget)

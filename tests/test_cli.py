@@ -108,6 +108,17 @@ def test_estimate_rejects_bad_model_plans_with_exit_2(tmp_path, capsys, half_mod
         assert message in err
 
 
+def test_estimate_rejects_a_view_with_an_empty_label(tmp_path, capsys):
+    (tmp_path / "views.txt").write_text(
+        "markov-views v1\nview core 1/2:1/1 scale 1/58 label\nbranch up 1/2:3/4\n"
+    )
+    code, _, err = run(
+        capsys, "estimate", "--model", str(tmp_path / "views.txt"), "-o", str(tmp_path)
+    )
+    assert code == 2
+    assert "bad view line" in err
+
+
 def test_estimate_missing_file_exits_3(tmp_path, capsys):
     code, _, err = run(
         capsys, "estimate", "--model", str(tmp_path / "nope.txt"), "-o", str(tmp_path)
@@ -280,3 +291,12 @@ def test_sweep_requires_the_core_config_keys(tmp_path, capsys):
     code, _, err = run(capsys, "sweep", "--config", str(tmp_path / "bad.cfg"))
     assert code == 2
     assert "missing config key 'scales'" in err
+
+
+def test_sweep_rejects_a_repeated_config_key(tmp_path, capsys):
+    (tmp_path / "bad.cfg").write_text(
+        "source = model.txt\nmethod = cylinder\nscales = 1/2\nmethod = greedy\n"
+    )
+    code, _, err = run(capsys, "sweep", "--config", str(tmp_path / "bad.cfg"))
+    assert code == 2
+    assert "repeated config key 'method'" in err

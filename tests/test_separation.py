@@ -46,6 +46,7 @@ from mdimlab.separation import (
     METHOD_CYLINDER,
     METHOD_EXHAUSTIVE,
     METHOD_GREEDY,
+    count_at,
     cylinder_interval,
 )
 
@@ -123,6 +124,17 @@ def test_greedy_refuses_a_grid_over_the_cap_before_building_it(tent, grid):
     finally:
         tracemalloc.stop()
     assert peak < 10**6  # bytes; a million-point grid takes about 100 MB
+
+
+def test_exhaustive_count_refuses_a_grid_over_the_cap_before_building_it(tent):
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceError, match="capped at 14 points, got 100001"):
+            count_at(tent, 1, F(1, 10), METHOD_EXHAUSTIVE, grid=F(1, 10**5))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 10**6  # bytes; the 100,001-point grid takes about 10 MB
 
 
 def test_greedy_is_maximal_within_its_grid(tent):
@@ -465,6 +477,14 @@ def test_views_loader_rejects_malformed_documents():
         load_views("markov-views v1\nview core 0/1:1/1 scale -\nbranch sideways 0/1:1/2\n")
     with pytest.raises(SerializationError, match="no views"):
         load_views("markov-views v1\n")
+
+
+def test_views_loader_rejects_an_empty_label():
+    text = "markov-views v1\nview core 1/2:1/1 scale 1/58 label\nbranch up 1/2:3/4\n"
+    with pytest.raises(SerializationError, match="bad view line"):
+        load_views(text)
+    with pytest.raises(SerializationError, match="bad view line"):
+        load_views(text.replace(" label", " label   "))
 
 
 @pytest.mark.parametrize("body", [

@@ -297,3 +297,17 @@ def test_surgery_plan_loader_rejects_bad_input(tmp_path):
         load_surgery_plan("surgery-plan v1\nP 1/2\n", tmp_path)
     with pytest.raises(SerializationError, match="bad line"):
         load_surgery_plan("surgery-plan v1\nP 1/2\nP 1/2\n", tmp_path)
+
+
+@pytest.mark.parametrize("edit,message", [
+    (lambda t: t + "foo 3\n", "unknown field 'foo'"),
+    (lambda t: t.replace("budget 2/1", "budgte 1/2"), "unknown field 'budgte'"),
+], ids=["unknown-key", "misspelled-budget"])
+def test_surgery_plan_loader_rejects_unknown_keys(tmp_path, implanted, edit, message):
+    plan, _ = implanted
+    (tmp_path / "host.txt").write_text(dump_pwa(plan.host))
+    (tmp_path / "fplan.txt").write_text(dump_plan(plan.fbeta_plan))
+    text = dump_surgery_plan(plan, "host.txt", "fplan.txt")
+    assert edit(text) != text
+    with pytest.raises(SerializationError, match=message):
+        load_surgery_plan(edit(text), tmp_path)
