@@ -18,6 +18,7 @@ from .fbeta import (
     build_fbeta,
     dump_model,
     dump_plan,
+    level_views,
     load_model,
     load_plan,
     plan_sequences,

@@ -7,16 +7,16 @@ nothing parses floats.  Reports land in --out; a short summary goes to
 stdout.
 
 Exit codes: 0 success; 2 contract violation or bad parameters; 3 missing
-input file; 4 grid too coarse for the requested scale; 5 failed
-verification (horseshoe conditions, separation certificates, implant
-postconditions, detection below target); 6 failed implant precondition.
+input file or a directory given for one; 4 grid too coarse for the
+requested scale; 5 failed verification (horseshoe conditions, separation
+certificates, implant postconditions, detection below target); 6 failed
+implant precondition.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -48,7 +48,9 @@ from .horseshoe import (
     verify_conditions,
 )
 from .pwa import DEFAULT_NODE_BUDGET, PWA_HEADER, PwaMap, dump_pwa, load_pwa, sup_distance
-from .rational import format_interval, format_rational, parse_interval, parse_rational, read_fields
+from .rational import (
+    format_interval, format_rational, parse_interval, parse_rational, read_fields, split_header,
+)
 from .reporting import VerificationSummary
 from .separation import (
     METHOD_CYLINDER,
@@ -109,7 +111,7 @@ def _resolve_sources(
 ):
     """Turn a source file (map, staircase model, or views) plus optional
     explicit scales into (sources, scales) for the profile."""
-    header = text.splitlines()[0].strip() if text.strip() else ""
+    header = split_header(text)[0]
     if header == PWA_HEADER:
         m = load_pwa(text)
         if scales is None:
@@ -243,9 +245,7 @@ def _cmd_horseshoe(args: argparse.Namespace) -> int:
         print(f"certified {cert.count} representatives at depth {cert.steps}"
               + (f" (min pairwise distance {format_rational(cert.min_pairwise)})"
                  if cert.min_pairwise is not None else ""))
-        ratio = (0.0 if cert.count == 1 else
-                 math.log(cert.count) / cert.steps / abs(math.log(model.epsilon)))
-        print(f"ratio-lower-bound {ratio:.12g}")
+        print(f"ratio-lower-bound {cert.ratio:.12g}")
         return 0
 
     m = load_pwa(Path(_require_flag(args.map, "--map", "1d")).read_text())
@@ -285,8 +285,7 @@ def _cmd_implant(args: argparse.Namespace) -> int:
         parse_rational(args.budget) if args.budget else None,
     )
     blended = implant(plan, node_budget=args.node_budget)
-    model = build_fbeta(fplan, node_budget=args.node_budget)
-    views = transported_views(plan, blended, model)
+    views = transported_views(plan, blended)
 
     out = _out_dir(args)
     map_path = out / "implanted.txt"
@@ -401,8 +400,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except FileNotFoundError as exc:
-        print(f"error: missing file: {exc.filename or exc}", file=sys.stderr)
+    except (FileNotFoundError, IsADirectoryError) as exc:
+        kind = "missing file" if isinstance(exc, FileNotFoundError) else "not a file"
+        print(f"error: {kind}: {exc.filename or exc}", file=sys.stderr)
         return 3
     except GridPrecisionError as exc:
         print(f"error: {exc}", file=sys.stderr)

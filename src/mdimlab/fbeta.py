@@ -267,8 +267,7 @@ def build_fbeta(plan: FBetaPlan, node_budget: int = DEFAULT_NODE_BUDGET) -> FBet
     if sink.nodes[-1] != (ONE, ONE):
         raise ContractError(f"assembly did not end at (1,1): {sink.nodes[-1]}")
     pwa = PwaMap.from_nodes(sink.nodes)
-    views = tuple(_level_view(plan, k, pwa) for k in range(plan.K + 1))
-    return FBetaModel(plan, pwa, tuple(branch_table), views)
+    return FBetaModel(plan, pwa, tuple(branch_table), level_views(plan, pwa))
 
 
 def _push_gap(sink: _NodeSink, g_l: Fraction, g_r: Fraction, b: Fraction) -> None:
@@ -321,21 +320,24 @@ def _push_level(
         sink.push(c(lv.ell), lv.a_even)
 
 
-def _level_view(plan: FBetaPlan, k: int, pwa: PwaMap) -> MarkovView:
-    lv = plan.levels[k]
-    if plan.variant_full:
-        branches = tuple(
-            MarkovBranch(lv.a_odd + (j - 1) * lv.eps, lv.a_odd + j * lv.eps, j % 2 == 1)
-            for j in range(1, lv.ell + 1)
-        )
-        scale = None                                   # touching domains: no certificate
-    else:
-        branches = tuple(
-            MarkovBranch(lv.a_odd + 4 * i * lv.eps, lv.a_odd + (4 * i + 1) * lv.eps, True)
-            for i in range(lv.i_sel + 1)
-        )
-        scale = lv.eps                                 # domain gaps are 3*eps > eps
-    return MarkovView(lv.a_odd, lv.a_even, branches, scale, pwa, label=f"level {k}")
+def level_views(plan: FBetaPlan, pwa: PwaMap | None = None) -> tuple[MarkovView, ...]:
+    """One full-branch view per level from the plan's layout, checked against `pwa` if given."""
+    views = []
+    for lv in plan.levels:
+        if plan.variant_full:
+            branches = tuple(
+                MarkovBranch(lv.a_odd + (j - 1) * lv.eps, lv.a_odd + j * lv.eps, j % 2 == 1)
+                for j in range(1, lv.ell + 1)
+            )
+            scale = None                               # touching domains: no certificate
+        else:
+            branches = tuple(
+                MarkovBranch(lv.a_odd + 4 * i * lv.eps, lv.a_odd + (4 * i + 1) * lv.eps, True)
+                for i in range(lv.i_sel + 1)
+            )
+            scale = lv.eps                             # domain gaps are 3*eps > eps
+        views.append(MarkovView(lv.a_odd, lv.a_even, branches, scale, pwa, label=f"level {lv.k}"))
+    return tuple(views)
 
 
 # === verification ============================================================

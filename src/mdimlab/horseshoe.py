@@ -369,6 +369,14 @@ class Certificate2D:
     per_point_min: tuple[Fraction | None, ...]   # min distance to any other point
     min_pairwise: Fraction | None
 
+    @property
+    def ratio(self) -> float:
+        """log(count) / steps / |log epsilon| (0 for one representative, inf at epsilon 1)."""
+        if self.count == 1:
+            return 0.0
+        la = abs(math.log(self.model.epsilon))
+        return math.inf if la == 0 else math.log(self.count) / self.steps / la
+
 
 def _itinerary_box(model: Horseshoe2DModel, itinerary: tuple[int, ...]) -> Interval:
     """Pull the slab constraints back through the y-dynamics: the points
@@ -448,12 +456,7 @@ def ratio_lower_bound(model: Horseshoe2DModel, ell_max: int, rep_cap: int = REP_
         raise DomainError(f"ell_max must be >= 1, got {ell_max}")
     ell = max([l for l in range(1, ell_max + 1) if model.N ** (model.p * l) <= rep_cap],
               default=1)
-    cert = separated_bound_2d(model, ell, rep_cap)
-    if cert.count == 1:
-        return 0.0
-    la = abs(math.log(model.epsilon))
-    rate = math.log(cert.count) / cert.steps
-    return math.inf if la == 0 else rate / la
+    return separated_bound_2d(model, ell, rep_cap).ratio
 
 
 # === serialization ===========================================================

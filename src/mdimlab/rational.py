@@ -95,12 +95,18 @@ def format_interval(lo: Fraction, hi: Fraction) -> str:
     return f"{format_rational(lo)}:{format_rational(hi)}"
 
 
+def split_header(text: str) -> tuple[str, list[str]]:
+    """The header (the first stripped, non-blank line, "" if none) and the lines after it."""
+    lines = [ln.strip() for ln in text.splitlines() if ln.strip()] or [""]
+    return lines[0], lines[1:]
+
+
 def body_lines(text: str, header: str) -> list[str]:
-    """The stripped, non-blank lines after a required first line ``header``."""
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0] != header:
+    """The lines after a required header ``header`` (see `split_header`)."""
+    found, body = split_header(text)
+    if found != header:
         raise SerializationError(f"expected header {header!r}")
-    return lines[1:]
+    return body
 
 
 def read_fields(

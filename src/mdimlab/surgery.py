@@ -23,8 +23,8 @@ from fractions import Fraction
 from pathlib import Path
 
 from .errors import ContractError, DomainError, SerializationError, VerificationError
-from .fbeta import FBetaModel, FBetaPlan, build_fbeta, dump_plan, load_plan
-from .pwa import DEFAULT_NODE_BUDGET, PwaMap, dump_pwa, eval_sorted, load_pwa
+from .fbeta import FBetaPlan, build_fbeta, level_views, load_plan
+from .pwa import DEFAULT_NODE_BUDGET, PwaMap, constant_map, eval_sorted, identity_map, load_pwa
 from .rational import (
     body_lines, format_interval, format_rational, parse_interval, parse_rational, read_fields,
 )
@@ -146,23 +146,21 @@ def _require(cond: bool, message: str) -> None:
         raise ContractError(message)
 
 
-def _host_fixes_interval(host: PwaMap, lo: Fraction, hi: Fraction) -> bool:
-    if host(lo) != lo or host(hi) != hi:
-        return False
-    return all(y == x for x, y in host.nodes() if lo < x < hi)
+def _agree_on(a: PwaMap, b: PwaMap, lo: Fraction, hi: Fraction) -> bool:
+    """Exact equality on [lo, hi]: both maps are affine between consecutive
+    points of {lo, hi} and their breakpoints inside, so those points decide."""
+    xs = sorted({lo, hi} | {x for x in a.xs + b.xs if lo < x < hi})
+    return eval_sorted(a, xs) == eval_sorted(b, xs)
 
 
 def _check_profile(profile: PwaMap, inner: Interval, outer: Interval) -> None:
     (h_lo, h_hi), (t_lo, t_hi) = inner, outer
-    ok = (
-        all(0 <= y <= 1 for y in profile.ys)
-        and profile(t_lo) == 0 == profile(t_hi)
-        and profile(h_lo) == 1 == profile(h_hi)
-        and all(y == 0 for x, y in profile.nodes() if x <= t_lo or x >= t_hi)
-        and all(y == 1 for x, y in profile.nodes() if h_lo <= x <= h_hi)
-    )
-    _require(ok, "profile must be exactly 1 on the inner window, exactly 0 off the outer "
-                 "window, and valued in [0, 1]")
+    zero, one = constant_map(0), constant_map(1)
+    _require(all(0 <= y <= 1 for y in profile.ys)
+             and _agree_on(profile, zero, 0, t_lo) and _agree_on(profile, zero, t_hi, 1)
+             and _agree_on(profile, one, h_lo, h_hi),
+             "profile must be exactly 1 on the inner window, exactly 0 off the outer "
+             "window, and valued in [0, 1]")
 
 
 def _check_plan(plan: SurgeryPlan) -> None:
@@ -177,9 +175,7 @@ def _check_plan(plan: SurgeryPlan) -> None:
     _require(j_lo + j_hi == 2 * plan.P,
              f"flat interval {format_interval(j_lo, j_hi)} is not centered at "
              f"P = {format_rational(plan.P)}")
-    _require(plan.host(plan.P) == plan.P,
-             f"P = {format_rational(plan.P)} is not fixed by the host")
-    _require(_host_fixes_interval(plan.host, j_lo, j_hi),
+    _require(_agree_on(plan.host, identity_map(), j_lo, j_hi),
              f"host must fix {format_interval(j_lo, j_hi)} pointwise (flatten it first)")
     if plan.budget is not None:
         _require(t_hi - t_lo < plan.budget / 3,
@@ -206,31 +202,21 @@ def implant(plan: SurgeryPlan, node_budget: int = DEFAULT_NODE_BUDGET) -> PwaMap
     return blended
 
 
-def _maps_agree(a: PwaMap, b: PwaMap, keep) -> bool:
-    """Exact equality of two piecewise-affine maps over the breakpoints
-    selected by `keep` (equality at all shared breakpoints of a region
-    pins the maps on it)."""
-    xs = [x for x in sorted(set(a.xs) | set(b.xs)) if keep(x)]
-    return eval_sorted(a, xs) == eval_sorted(b, xs)
-
-
 def _verify_implant(blended: PwaMap, plan: SurgeryPlan, insert: PwaMap) -> None:
+    """Raise one VerificationError naming every broken promise."""
     (h_lo, h_hi), (t_lo, t_hi) = plan.J_hat, plan.J_tilde
-    if not _maps_agree(blended, plan.host, lambda x: x <= t_lo or x >= t_hi):
-        raise VerificationError(
-            f"implant leaked outside the outer window {format_interval(t_lo, t_hi)}"
-        )
-    if not _maps_agree(blended, insert, lambda x: h_lo <= x <= h_hi):
-        raise VerificationError(
-            f"inner window {format_interval(h_lo, h_hi)} does not carry the exact "
-            "rescaled copy"
-        )
-    inner_values = [y for x, y in blended.nodes() if h_lo <= x <= h_hi]
+    broken = []
+    if not (_agree_on(blended, plan.host, 0, t_lo) and _agree_on(blended, plan.host, t_hi, 1)):
+        broken.append(f"implant leaked outside the outer window {format_interval(t_lo, t_hi)}")
+    if not _agree_on(blended, insert, h_lo, h_hi):
+        broken.append(f"inner window {format_interval(h_lo, h_hi)} does not carry the exact "
+                      "rescaled copy")
+    inner_values = [y for x, y in blended.nodes() if h_lo < x < h_hi]
     if (blended(h_lo) != h_lo or blended(h_hi) != h_hi
-            or min(inner_values) < h_lo or max(inner_values) > h_hi):
-        raise VerificationError(
-            f"inner window {format_interval(h_lo, h_hi)} is not invariant"
-        )
+            or any(not h_lo <= y <= h_hi for y in inner_values)):
+        broken.append(f"inner window {format_interval(h_lo, h_hi)} is not invariant")
+    if broken:
+        raise VerificationError("; ".join(broken))
 
 
 # === transported views =======================================================
@@ -255,11 +241,11 @@ def transport_markov_view(
     return MarkovView(move(view.core_lo), move(view.core_hi), branches, sep, mapped, label)
 
 
-def transported_views(plan: SurgeryPlan, blended: PwaMap, model: FBetaModel) -> tuple[MarkovView, ...]:
-    """The implanted copies of the model's per-level views, re-validated
+def transported_views(plan: SurgeryPlan, blended: PwaMap) -> tuple[MarkovView, ...]:
+    """The implanted copies of the plan's per-level views, each checked
     against the blended map."""
     lo, hi = plan.J_hat
-    return tuple(transport_markov_view(v, lo, hi, blended) for v in model.views)
+    return tuple(transport_markov_view(v, lo, hi, blended) for v in level_views(plan.fbeta_plan))
 
 
 # === serialization ===========================================================

@@ -155,7 +155,7 @@ def test_criterion_4_implant_is_exact_and_carries_the_exponent(acceptance, ident
     host_exact = bool(outside) and all(y == eval_map(identity, x) for x, y in outside)
     moved = sup_distance(blended, identity)
 
-    views = transported_views(plan, blended, build_fbeta(half_plan))
+    views = transported_views(plan, blended)
     certified = verify_cylinder_separation(views[0], 2) > views[0].separation_scale
     ratios = [
         rate_at_scale(v, v.separation_scale, (1, 3), METHOD_CYLINDER).ratio

@@ -5,8 +5,12 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
+import pytest
+
+import mdimlab.cli
+import mdimlab.surgery
 from mdimlab import (
-    dump_model, dump_plan, dump_pwa, load_plan, load_pwa, load_views, plan_sequences,
+    dump_model, dump_plan, dump_pwa, dump_views, load_plan, load_pwa, load_views, plan_sequences,
 )
 from mdimlab.cli import main
 
@@ -127,6 +131,22 @@ def test_estimate_missing_file_exits_3(tmp_path, capsys):
     assert "missing file" in err
 
 
+def test_estimate_reads_sources_with_a_leading_blank_line(tmp_path, capsys, half_model, tent):
+    for text, flag, extra in (
+        (dump_model(half_model), "--model", ()),
+        (dump_pwa(tent), "--map", ("--scales", "1/10,1/100")),
+        (dump_views(half_model.views), "--model", ()),
+    ):
+        reports = []
+        for prefix in ("", "\n"):
+            (tmp_path / "source.txt").write_text(prefix + text)
+            code, _, err = run(capsys, "estimate", flag, str(tmp_path / "source.txt"), *extra,
+                               "--n-window", "1:2", "-o", str(tmp_path))
+            assert code == 0 and err == ""
+            reports.append((tmp_path / "report.csv").read_bytes())
+        assert reports[0] == reports[1]
+
+
 def test_estimate_coarse_grid_exits_4(tmp_path, capsys, identity):
     (tmp_path / "map.txt").write_text(dump_pwa(identity))
     code, _, err = run(
@@ -164,6 +184,15 @@ def test_horseshoe_2d_certifies_the_reference_model(tmp_path, capsys):
     assert cert[0] == "itinerary,x,y,min_pairwise_dn"
     assert cert[1] == "0-0,0/1,-63/128,7/24"
     assert (tmp_path / "horseshoe.txt").read_text().startswith("horseshoe-2d v1")
+
+
+def test_horseshoe_2d_rates_epsilon_one_as_infinite(tmp_path, capsys):
+    code, out, err = run(
+        capsys, "horseshoe", "--mode", "2d", "--strips", "2", "--half-side", "2",
+        "--epsilon", "1", "-o", str(tmp_path),
+    )
+    assert code == 0 and err == ""
+    assert out.splitlines()[-1] == "ratio-lower-bound inf"
 
 
 def test_horseshoe_2d_rejects_an_overfull_packing(tmp_path, capsys):
@@ -205,6 +234,13 @@ def write_implant_inputs(tmp_path, identity, half_plan):
     (tmp_path / "plan.txt").write_text(dump_plan(half_plan))
 
 
+def implant_argv(tmp_path, host):
+    """The criterion-4 implant of the inputs `write_implant_inputs` wrote."""
+    return ["implant", "--host", str(host), "--plan", str(tmp_path / "plan.txt"),
+            "--center", "1/2", "--flat", "3/20:17/20", "--inner", "1/4:3/4",
+            "--outer", "1/5:4/5", "-o", str(tmp_path / "out")]
+
+
 def test_implant_writes_the_blended_map_and_views(tmp_path, capsys, identity, half_plan):
     write_implant_inputs(tmp_path, identity, half_plan)
     code, out, err = run(
@@ -221,6 +257,30 @@ def test_implant_writes_the_blended_map_and_views(tmp_path, capsys, identity, ha
     assert [v.branch_count for v in views] == [8, 464]
     assert views[0].label == "level 0 in 1/4:3/4"
     assert views[0].separation_scale == F(1, 116)
+
+
+def test_implant_builds_the_staircase_once(tmp_path, capsys, monkeypatch, identity, half_plan):
+    plans = []
+    for module in (mdimlab.surgery, mdimlab.cli):
+        def counted(plan, *rest, real=module.build_fbeta, **kwargs):
+            plans.append(plan)
+            return real(plan, *rest, **kwargs)
+        monkeypatch.setattr(module, "build_fbeta", counted)
+    write_implant_inputs(tmp_path, identity, half_plan)
+    code, _, err = run(capsys, *implant_argv(tmp_path, tmp_path / "host.txt"))
+    assert code == 0 and err == ""
+    assert plans == [half_plan]
+
+
+@pytest.mark.parametrize("command", ["estimate", "implant"])
+def test_a_directory_given_for_an_input_file_exits_3(tmp_path, capsys, identity, half_plan,
+                                                      command):
+    write_implant_inputs(tmp_path, identity, half_plan)
+    argv = (["estimate", "--model", str(tmp_path), "-o", str(tmp_path / "out")]
+            if command == "estimate" else implant_argv(tmp_path, tmp_path))
+    code, _, err = run(capsys, *argv)
+    assert code == 3
+    assert f"not a file: {tmp_path}" in err
 
 
 def test_implant_precondition_failure_exits_6(tmp_path, capsys, identity, half_plan):

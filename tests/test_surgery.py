@@ -15,6 +15,7 @@ from mdimlab import (
     SurgeryPlan,
     VerificationError,
     blend_with_profile,
+    build_fbeta,
     conjugate_into_interval,
     dump_plan,
     dump_pwa,
@@ -24,6 +25,7 @@ from mdimlab import (
     implant,
     load_surgery_plan,
     make_bump,
+    plan_sequences,
     rate_at_scale,
     sup_distance,
     transport_markov_view,
@@ -242,9 +244,30 @@ def test_implant_verification_catches_a_tampered_blend(implanted, half_model):
         _verify_implant(PwaMap.from_nodes(nodes), plan, insert)
 
 
+def test_implant_verification_catches_a_leak_between_breakpoints(implanted, half_model):
+    plan, blended = implanted
+    insert = conjugate_into_interval(half_model.map, *plan.J_hat)
+    # neither the host nor the insert has a breakpoint in (0, 1/5]
+    nodes = [(F(0), F(0)), (F(9, 40), F(1, 5)), (F(1, 4), F(1, 4))]
+    leaked = PwaMap.from_nodes(nodes + [(x, y) for x, y in blended.nodes() if x > F(1, 4)])
+    assert leaked(F(1, 5)) == F(8, 45)
+    with pytest.raises(VerificationError,
+                       match="^implant leaked outside the outer window 1/5:4/5$"):
+        _verify_implant(leaked, plan, insert)
+
+
+@pytest.mark.parametrize("beta, full", [(F(1, 2), False), (F(1), True)], ids=["standard", "dense"])
+def test_transported_views_are_the_built_model_views_moved_in(standard_plan, beta, full):
+    plan = dataclasses.replace(standard_plan, fbeta_plan=plan_sequences(beta, 1, variant_full=full))
+    blended = implant(plan)
+    moved = tuple(transport_markov_view(v, *plan.J_hat, blended)
+                  for v in build_fbeta(plan.fbeta_plan).views)
+    assert transported_views(plan, blended) == moved
+
+
 def test_transported_views_certify_against_the_blended_map(implanted, half_model):
     plan, blended = implanted
-    views = transported_views(plan, blended, half_model)
+    views = transported_views(plan, blended)
     assert [v.label for v in views] == ["level 0 in 1/4:3/4", "level 1 in 1/4:3/4"]
     assert [v.branch_count for v in views] == [8, 464]
     assert [v.separation_scale for v in views] == [F(1, 116), F(1, 429896)]
@@ -253,7 +276,7 @@ def test_transported_views_certify_against_the_blended_map(implanted, half_model
 
 def test_transported_view_ratios_stay_near_the_design_exponent(implanted, half_model):
     plan, blended = implanted
-    views = transported_views(plan, blended, half_model)
+    views = transported_views(plan, blended)
     rates = [
         rate_at_scale(v, v.separation_scale, (1, 4), METHOD_CYLINDER) for v in views
     ]
