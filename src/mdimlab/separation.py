@@ -14,6 +14,12 @@ algorithm under d_n, so counts are produced three ways and labeled by method:
                          representative midpoints certified separated when
                          the branch family declares a separation scale.
 
+The greedy and exhaustive counts and a map-attached cylinder certificate
+decide d_n(x,y) > eps on scaled integers: every orbit value at time k is an
+integer numerator over one common denominator D_k, so each comparison is
+one exact integer test and no Fraction is made in the inner loops.
+``orbit`` and ``dn_distance`` stay the independent pointwise path.
+
 Rates h(f,eps) are least-squares slopes of log(count) against n over a
 window, with the max single-step increment reported alongside as a second
 growth proxy; ratios h/|log eps| feed the mean-dimension profiles.
@@ -112,6 +118,56 @@ def dn_distance(m: PwaMap, x: Fraction, y: Fraction, n: int) -> Fraction:
 
 # === greedy / exhaustive counting ===========================================
 
+def _scaled_orbits(
+    m: PwaMap, points: list[Fraction], n: int
+) -> tuple[list[list[int]], list[int]]:
+    """Orbits of ``points`` as integers: entry k of each orbit is f^k(x)·D_k.
+
+    The denominators are D_k = D_0·M^k, with D_0 the lcm of the points'
+    denominators.  With x-nodes X_i/L and y-nodes over one common
+    denominator, piece i is y = (a_i·x·L + b_i)/d_i for a reduced integer
+    triple, and M is the lcm of the d_i, so one step is
+    v -> (a_i·L·v + b_i·D_k)·(M/d_i), exact.  The piece holding v/D_k is
+    found by bisecting the integer X_i for floor(v·L/D_k).  Returns the
+    orbits, in the order of ``points``, and [D_0, ..., D_{n-1}].
+    """
+    if n < 1:
+        raise DomainError(f"orbit needs n >= 1, got {n}")
+    big_l = math.lcm(*(x.denominator for x in m.xs))
+    big_k = math.lcm(*(y.denominator for y in m.ys))
+    xs = [x.numerator * (big_l // x.denominator) for x in m.xs]
+    ys = [y.numerator * (big_k // y.denominator) for y in m.ys]
+    pieces = []
+    for x0, x1, y0, y1 in zip(xs, xs[1:], ys, ys[1:]):
+        a, b, d = (y1 - y0) * big_l, y0 * (x1 - x0) - (y1 - y0) * x0, big_k * (x1 - x0)
+        g = math.gcd(a, b, d)
+        pieces.append((a // g, b // g, d // g))
+    big_m = math.lcm(*(d for _, _, d in pieces))
+    table = [(a * (big_m // d), b * (big_m // d)) for a, b, d in pieces]
+    last = len(table)               # x = 1 falls in the last piece
+    points = [Fraction(x) for x in points]
+    den0 = math.lcm(*(x.denominator for x in points))
+    dens = [den0 * big_m**k for k in range(n)]
+    orbits = []
+    for x in points:
+        v = x.numerator * (den0 // x.denominator)
+        if n > 1 and not 0 <= v <= den0:
+            raise DomainError(f"eval argument {x} outside [0,1]")
+        out = [v]
+        for d in dens[:-1]:
+            a, b = table[bisect_right(xs, v * big_l // d, 0, last) - 1]
+            v = a * v + b * d
+            out.append(v)
+        orbits.append(out)
+    return orbits, dens
+
+
+def _thresholds(epsilon: Fraction, dens: list[int]) -> list[int]:
+    """floor(eps·D_k) per time: an integer gap |A − B| over D_k is at most
+    eps exactly when it is at most this."""
+    return [epsilon.numerator * d // epsilon.denominator for d in dens]
+
+
 def greedy_separated_points(
     m: PwaMap, n: int, epsilon: Fraction, points: list[Fraction]
 ) -> list[Fraction]:
@@ -122,22 +178,22 @@ def greedy_separated_points(
     """
     if epsilon <= 0:
         raise DomainError(f"epsilon must be positive, got {epsilon}")
+    pts = sorted(points)
+    orbits, dens = _scaled_orbits(m, pts, n)
+    limits = _thresholds(epsilon, dens)
     selected: list[Fraction] = []
-    selected_orbits: list[list[Fraction]] = []
-    for x in sorted(points):
-        ox = None
+    selected_orbits: list[list[int]] = []
+    for x, ox in zip(pts, orbits):
         ok = True
-        for s, os_ in zip(reversed(selected), reversed(selected_orbits)):
-            if x - s > epsilon:
+        for os_ in reversed(selected_orbits):
+            if ox[0] - os_[0] > limits[0]:
                 break               # this and all earlier points are far in x
-            if ox is None:
-                ox = orbit(m, x, n)
-            if max(abs(a - b) for a, b in zip(ox, os_)) <= epsilon:
+            if all(abs(a - b) <= t for a, b, t in zip(ox, os_, limits)):
                 ok = False
                 break
         if ok:
             selected.append(x)
-            selected_orbits.append(ox if ox is not None else orbit(m, x, n))
+            selected_orbits.append(ox)
     return selected
 
 
@@ -178,12 +234,13 @@ def max_separated_subset(
     """Exact maximum (n,eps)-separated subset size of an explicit point set."""
     pts = sorted(points)
     k = len(pts)
-    orbits = [orbit(m, x, n) for x in pts]
+    orbits, dens = _scaled_orbits(m, pts, n)
+    limits = _thresholds(epsilon, dens)
     # adjacency bitmasks: bit j of adj[i] set iff d_n(p_i, p_j) > eps
     adj = [0] * k
     for i in range(k):
         for j in range(i + 1, k):
-            if max(abs(a - b) for a, b in zip(orbits[i], orbits[j])) > epsilon:
+            if any(abs(a - b) > t for a, b, t in zip(orbits[i], orbits[j], limits)):
                 adj[i] |= 1 << j
                 adj[j] |= 1 << i
     best = 1 if k else 0
@@ -345,21 +402,13 @@ def count_cylinders(view: MarkovView, n: int, epsilon: Fraction | None = None) -
     return CountRecord(n, eps, view.branch_count**n, METHOD_CYLINDER)
 
 
-def view_orbit(view: MarkovView, itinerary: tuple[int, ...], x: Fraction) -> list[Fraction]:
-    """Orbit of x along its itinerary: the real map if attached, else branches."""
-    if view.map is not None:
-        return orbit(view.map, x, len(itinerary))
-    out = [x]
-    for idx in itinerary[:-1]:
-        out.append(view.branch_image(idx, out[-1]))
-    return out
-
-
 def verify_cylinder_separation(
     view: MarkovView, n: int, cap: int = REPRESENTATIVE_CAP
 ) -> Fraction:
     """Min pairwise d_n over depth-n representatives; must beat the scale.
 
+    Orbits run through the attached map when there is one, as integers over
+    the common time-(n-1) denominator, else along the branch itinerary.
     Raises ContractError if the view declares no separation scale, and
     VerificationError never — a failed certificate is a ContractError too,
     since it falsifies the view's declared contract.
@@ -369,8 +418,20 @@ def verify_cylinder_separation(
     if n < 1:
         raise DomainError(f"verify_cylinder_separation needs n >= 1, got {n}")
     reps = cylinder_representatives(view, n, cap)
-    orbits = [view_orbit(view, it, x) for it, x in reps]
-    best: Fraction | None = None
+    if view.map is not None:
+        scaled, dens = _scaled_orbits(view.map, [x for _, x in reps], n)
+        den = dens[-1]
+        lift = [den // d for d in dens]
+        orbits = [[v * s for v, s in zip(o, lift)] for o in scaled]
+    else:
+        den = 1
+        orbits = []
+        for itinerary, x in reps:
+            out = [x]
+            for idx in itinerary[:-1]:
+                out.append(view.branch_image(idx, out[-1]))
+            orbits.append(out)
+    best = None
     for i in range(len(orbits)):
         for j in range(i + 1, len(orbits)):
             d = max(abs(a - b) for a, b in zip(orbits[i], orbits[j]))
@@ -378,6 +439,7 @@ def verify_cylinder_separation(
                 best = d
     if best is None:          # single branch: nothing to separate
         return view.core_hi - view.core_lo
+    best = Fraction(best, den)
     if best <= view.separation_scale:
         raise ContractError(
             f"representatives only {best} apart in d_{n},"

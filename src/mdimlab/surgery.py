@@ -279,15 +279,27 @@ def dump_surgery_plan(
     return "\n".join(lines) + "\n"
 
 
+def _read_reference(base: Path, fields: dict[str, str], key: str) -> str:
+    """Text of the file a plan's ``key`` line names; an unreadable one (a
+    missing file, a directory) is a SerializationError naming key and path."""
+    path = base / fields[key]
+    try:
+        return path.read_text()
+    except OSError as exc:
+        raise SerializationError(
+            f"{key} reference {str(path)!r} cannot be read: {exc.strerror}"
+        ) from None
+
+
 def load_surgery_plan(text: str, base_dir: str | Path = ".") -> SurgeryPlan:
     fields = read_fields(body_lines(text, SURGERY_HEADER), SURGERY_KEYS, SURGERY_KEYS[:6], "field")
     base = Path(base_dir)
-    host = load_pwa((base / fields["host"]).read_text())
-    fplan = load_plan((base / fields["plan"]).read_text())
+    host = load_pwa(_read_reference(base, fields, "host"))
+    fplan = load_plan(_read_reference(base, fields, "plan"))
     point = parse_rational(fields["P"])
     j = parse_interval(fields["J"])
     j_hat = parse_interval(fields["J-hat"])
     j_tilde = parse_interval(fields["J-tilde"])
-    chi = load_pwa((base / fields["chi"]).read_text()) if "chi" in fields else None
+    chi = load_pwa(_read_reference(base, fields, "chi")) if "chi" in fields else None
     budget = parse_rational(fields["budget"]) if "budget" in fields else None
     return SurgeryPlan(host, point, j, j_hat, j_tilde, fplan, chi, budget)

@@ -134,8 +134,8 @@ JUNK_TOKENS = ("x", "0", "-1", "1/0", "2/3", "=", ":", "0/1:1/1", "label", "bran
 MUTATIONS = ("delete-token", "replace-token", "insert-line", "truncate-line")
 
 
-def mutate(text: str, kind: str, line: int, at: int, pick: int) -> tuple[str, str]:
-    """One line mutation of a document; returns the new text and the line made."""
+def mutate(text: str, kind: str, line: int, at: int, pick: int) -> str:
+    """One line mutation of a document."""
     lines = text.splitlines()
     i = line % len(lines)
     tokens = lines[i].split()
@@ -151,7 +151,7 @@ def mutate(text: str, kind: str, line: int, at: int, pick: int) -> tuple[str, st
         lines.insert(i, lines[pick % len(lines)] if pick % 2 else junk)
     else:
         lines[i] = lines[i][:at % len(lines[i])]
-    return "\n".join(lines) + "\n", lines[i]
+    return "\n".join(lines) + "\n"
 
 
 @settings(max_examples=400, deadline=None)
@@ -165,11 +165,7 @@ def mutate(text: str, kind: str, line: int, at: int, pick: int) -> tuple[str, st
 @example(fmt="markov-views", kind="truncate-line", line=1, at=34, pick=0)   # "... label"
 def test_a_mutated_document_loads_or_raises_a_typed_error(base_dir, fmt, kind, line, at, pick):
     text, load = DUMPED_FORMATS[fmt]
-    mutated, made = mutate(text, kind, line, at, pick)
     try:
-        load(mutated, base_dir)
+        load(mutate(text, kind, line, at, pick), base_dir)
     except MdimError:
         pass
-    except FileNotFoundError:
-        # a surgery plan's file references: the CLI maps this to exit 3
-        assert fmt == "surgery-plan" and made.split()[:1] in (["host"], ["plan"], ["chi"])

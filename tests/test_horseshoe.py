@@ -226,6 +226,21 @@ def test_verify_conditions_catches_crowded_slabs():
     assert "slabs 0 and 1" in failed.detail
 
 
+@pytest.mark.parametrize("p,detail", [
+    (1, "stage 0: slab 0 does not cross strip 3 of stage 0"),
+    (2, "stage 0: slab 0 does not cross strip 3 of stage 1"),
+    (3, "stage 0: slab 0 does not cross strip 3 of stage 1"),
+])
+def test_verify_conditions_reports_the_first_uncrossed_pair(p, detail):
+    # slab 3 pokes out of the top of the square, so strip 3 is too wide for
+    # every slab; each stage has the same slabs, and stage 0 is named
+    model = dataclasses.replace(reference_model(), p=p)
+    poking = dataclasses.replace(model, offsets=model.offsets[:3] + (F(7, 16),))
+    failed = next(c for c in verify_conditions(poking).checks if c.name == "coherence")
+    assert not failed.ok
+    assert failed.detail == detail
+
+
 def test_verify_conditions_catches_an_undersized_scale():
     model = reference_model()
     greedy_eps = dataclasses.replace(model, epsilon=F(1, 4))

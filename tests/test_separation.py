@@ -23,6 +23,7 @@ from mdimlab import (
     PwaMap,
     ResourceError,
     SerializationError,
+    build_fbeta,
     conjugate_into_interval,
     count_cylinders,
     count_separated_exhaustive,
@@ -34,6 +35,7 @@ from mdimlab import (
     load_views,
     mdim_profile,
     orbit,
+    plan_sequences,
     rate_at_scale,
     report_to_csv,
     report_to_json,
@@ -46,8 +48,11 @@ from mdimlab.separation import (
     METHOD_CYLINDER,
     METHOD_EXHAUSTIVE,
     METHOD_GREEDY,
+    _scaled_orbits,
     count_at,
     cylinder_interval,
+    cylinder_representatives,
+    greedy_separated_points,
 )
 
 F = Fraction
@@ -139,8 +144,6 @@ def test_exhaustive_count_refuses_a_grid_over_the_cap_before_building_it(tent):
 
 def test_greedy_is_maximal_within_its_grid(tent):
     # no unselected grid point can be added: greedy sets are inclusion-maximal
-    from mdimlab.separation import greedy_separated_points
-
     eps, grid = F(1, 4), F(1, 16)
     points = [grid * j for j in range(17)]
     chosen = greedy_separated_points(tent, 2, eps, points)
@@ -263,6 +266,103 @@ def test_view_accepts_map_nodes_at_the_branch_ends():
     )
     view = MarkovView(F(0), F(1), branches, None, zigzag)
     assert view.branch_count == 3
+
+
+# === exact integer orbits =====================================================
+# The greedy and exhaustive counts and map-attached cylinder certificates run
+# on scaled integer orbits; these tests hold them to the pointwise Fraction
+# path (orbit, dn_distance) written independently of it.
+
+def reference_greedy(m: PwaMap, n: int, eps: Fraction, points: list[Fraction]) -> list[Fraction]:
+    """Greedy left-to-right separated subset, comparing every pair by dn_distance."""
+    chosen: list[Fraction] = []
+    for x in sorted(points):
+        if all(dn_distance(m, x, s, n) > eps for s in chosen):
+            chosen.append(x)
+    return chosen
+
+
+def kernel_orbit_values(m: PwaMap, points: list[Fraction], n: int) -> list[list[Fraction]]:
+    orbits, dens = _scaled_orbits(m, points, n)
+    return [[F(v, d) for v, d in zip(o, dens)] for o in orbits]
+
+
+unit_points = st.lists(
+    st.fractions(min_value=0, max_value=1, max_denominator=40), min_size=1, max_size=12
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seeds, st.integers(1, 6), unit_points)
+def test_integer_orbits_equal_pointwise_orbits(seed, n, points):
+    rng = random.Random(seed)
+    m = random_pwa(rng)
+    # map nodes, both ends and mixed denominators
+    points = points + list(m.xs) + [F(0), F(1), F(1, 3), F(5, 7)]
+    assert kernel_orbit_values(m, points, n) == [orbit(m, x, n) for x in points]
+
+
+def test_integer_orbits_stay_exact_over_thirty_steps():
+    rng = random.Random(11)
+    m = random_pwa(rng, max_interior=4, denom=24)
+    points = [F(1, 3), F(2, 7), F(13, 24), F(1)]
+    assert kernel_orbit_values(m, points, 30) == [orbit(m, x, 30) for x in points]
+
+
+def test_integer_orbits_reject_points_off_the_unit_interval(tent):
+    with pytest.raises(DomainError, match="outside"):
+        _scaled_orbits(tent, [F(1, 2), F(5, 4)], 2)
+    with pytest.raises(DomainError, match="n >= 1"):
+        _scaled_orbits(tent, [F(1, 2)], 0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seeds, st.integers(1, 4),
+       st.fractions(min_value="1/40", max_value="1/2", max_denominator=40), unit_points)
+def test_greedy_selection_matches_a_reference_greedy(seed, n, eps, points):
+    rng = random.Random(seed)
+    m = random_pwa(rng)
+    points = sorted(set(points + list(m.xs)))
+    assert greedy_separated_points(m, n, eps, points) == reference_greedy(m, n, eps, points)
+
+
+# f = (0,0) (1/3,1) (1,1/7): slope -9/7 on the right piece, so 1/2 and 3/5
+# are 1/10 apart at time 0 and exactly 9/70 apart at time 1
+EXACT_GAP_MAP = PwaMap.from_nodes([(F(0), F(0)), (F(1, 3), F(1)), (F(1), F(1, 7))])
+
+
+@pytest.mark.parametrize("m,n,pair,eps", [
+    (identity_map(), 1, (F(0), F(3, 10)), F(3, 10)),        # apart at time 0
+    (EXACT_GAP_MAP, 2, (F(1, 2), F(3, 5)), F(9, 70)),       # apart at time 1
+    (tent_map(), 2, (F(1, 7), F(1, 5)), F(4, 35)),          # apart at time 1
+])
+def test_a_pair_exactly_epsilon_apart_is_not_separated(m, n, pair, eps):
+    assert dn_distance(m, *pair, n) == eps
+    assert greedy_separated_points(m, n, eps, list(pair)) == [pair[0]]
+    assert count_separated_exhaustive(m, n, eps, list(pair)).count == 1
+    # any smaller scale separates them
+    smaller = eps - F(1, 10**6)
+    assert greedy_separated_points(m, n, smaller, list(pair)) == list(pair)
+    assert count_separated_exhaustive(m, n, smaller, list(pair)).count == 2
+
+
+CERTIFIED_VIEWS = [  # (beta, K, level, n): at most 125 representatives
+    (F(1, 4), 1, 0, 3), (F(1, 4), 1, 1, 2), (F(1, 3), 1, 0, 3), (F(1, 3), 1, 1, 1),
+    (F(4, 11), 1, 1, 1), (F(2, 5), 0, 0, 2), (F(5, 11), 0, 0, 3),
+]
+
+
+@pytest.mark.parametrize("beta,k,level,n", CERTIFIED_VIEWS)
+def test_cylinder_certificate_is_the_least_pairwise_dn(beta, k, level, n):
+    view = build_fbeta(plan_sequences(beta, k)).view(level)
+    assert view.map is not None
+    reps = [x for _, x in cylinder_representatives(view, n)]
+    least = min(dn_distance(view.map, x, y, n) for x, y in combinations(reps, 2))
+    assert verify_cylinder_separation(view, n) == least
+    # the branch-geometry path of a loaded view (no map) agrees
+    (loaded,) = load_views(dump_views([view]))
+    assert loaded.map is None
+    assert verify_cylinder_separation(loaded, n) == least
 
 
 # === rates and profiles =======================================================

@@ -306,6 +306,24 @@ def test_surgery_plan_round_trip(tmp_path, implanted):
     assert load_surgery_plan(text, tmp_path) == custom
 
 
+@pytest.mark.parametrize("kind", ["missing", "directory"])
+@pytest.mark.parametrize("key,ref", [("host", "host.txt"), ("plan", "fplan.txt"),
+                                     ("chi", "chi.txt")])
+def test_surgery_plan_loader_names_an_unreadable_reference(tmp_path, implanted, key, ref, kind):
+    plan, _ = implanted
+    custom = dataclasses.replace(plan, chi=make_bump(plan.J_hat, plan.J_tilde))
+    (tmp_path / "host.txt").write_text(dump_pwa(custom.host))
+    (tmp_path / "fplan.txt").write_text(dump_plan(custom.fbeta_plan))
+    (tmp_path / "chi.txt").write_text(dump_pwa(custom.chi))
+    text = dump_surgery_plan(custom, "host.txt", "fplan.txt", chi_ref="chi.txt")
+    (tmp_path / ref).unlink()
+    if kind == "directory":
+        (tmp_path / ref).mkdir()
+    with pytest.raises(SerializationError) as info:
+        load_surgery_plan(text, tmp_path)
+    assert str(info.value).startswith(f"{key} reference {str(tmp_path / ref)!r} cannot be read")
+
+
 def test_surgery_plan_with_custom_profile_needs_a_profile_reference(implanted):
     plan, _ = implanted
     custom = dataclasses.replace(plan, chi=make_bump(plan.J_hat, plan.J_tilde))
