@@ -34,6 +34,7 @@ from .rational import (
     read_fields,
 )
 from .reporting import CheckResult, VerificationSummary
+from .separation import _least_distances
 
 Interval = tuple[Fraction, Fraction]
 
@@ -415,7 +416,6 @@ def separated_bound_2d(model: Horseshoe2DModel, ell: int, rep_cap: int = REP_CAP
         )
 
     itineraries = tuple(itertools.product(range(model.N), repeat=steps))
-    points: list[tuple[Fraction, Fraction]] = []
     orbits: list[list[tuple[Fraction, Fraction]]] = []
     for itin in itineraries:
         y_lo, y_hi = _itinerary_box(model, itin)
@@ -427,11 +427,13 @@ def separated_bound_2d(model: Horseshoe2DModel, ell: int, rep_cap: int = REP_CAP
                     f"representative of {'-'.join(str(s) for s in itin)} "
                     f"left its slab at step {t}"
                 )
-        points.append(rep)
         orbits.append(pts)
 
-    per_min: list[Fraction | None] = [None] * total
-    for i in range(total):
+    # sup over time of the plane's sup metric = max over the flat row
+    per_min = _least_distances([[v for pos in pts for v in pos] for pts in orbits])
+    i = next((i for i, d in enumerate(per_min) if d is not None and d <= model.epsilon), None)
+    if i is not None:
+        # no row before i has a close partner, so scanning rows in order stops at i
         for k in range(i + 1, total):
             dist = max(plane_distance(a, b) for a, b in zip(orbits[i], orbits[k]))
             if dist <= model.epsilon:
@@ -439,13 +441,9 @@ def separated_bound_2d(model: Horseshoe2DModel, ell: int, rep_cap: int = REP_CAP
                     f"representatives {i} and {k} are only {format_rational(dist)} "
                     f"apart in d_{steps} (epsilon = {format_rational(model.epsilon)})"
                 )
-            if per_min[i] is None or dist < per_min[i]:
-                per_min[i] = dist
-            if per_min[k] is None or dist < per_min[k]:
-                per_min[k] = dist
 
     min_pairwise = min((m for m in per_min if m is not None), default=None)
-    return Certificate2D(model, ell, steps, total, itineraries, tuple(points),
+    return Certificate2D(model, ell, steps, total, itineraries, tuple(o[0] for o in orbits),
                          tuple(per_min), min_pairwise)
 
 

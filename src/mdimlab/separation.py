@@ -14,10 +14,10 @@ algorithm under d_n, so counts are produced three ways and labeled by method:
                          representative midpoints certified separated when
                          the branch family declares a separation scale.
 
-The greedy and exhaustive counts and a map-attached cylinder certificate
-decide d_n(x,y) > eps on scaled integers: every orbit value at time k is an
-integer numerator over one common denominator D_k, so each comparison is
-one exact integer test and no Fraction is made in the inner loops.
+The greedy and exhaustive counts decide d_n(x,y) > eps on integer orbits
+over one denominator D_k per time k; both separated-family certificates
+(cylinders here, planar in ``horseshoe``) share ``_least_distances``, which
+compares whole orbits as integers over one common denominator.
 ``orbit`` and ``dn_distance`` stay the independent pointwise path.
 
 Rates h(f,eps) are least-squares slopes of log(count) against n over a
@@ -32,6 +32,7 @@ from concurrent import futures
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from operator import sub
 
 from .errors import (
     ContractError,
@@ -276,6 +277,19 @@ def count_separated_exhaustive(
     return CountRecord(n, epsilon, max_separated_subset(m, n, epsilon, points), METHOD_EXHAUSTIVE)
 
 
+def _least_distances(rows: list[list[Fraction]]) -> list[Fraction | None]:
+    """Each row's exact least sup-norm distance to any other row (None for a
+    lone row), comparing plain integers over the lcm of all denominators."""
+    den = math.lcm(*(v.denominator for row in rows for v in row))
+    ints = [[v.numerator * (den // v.denominator) for v in row] for row in rows]
+    best: list[float | int] = [math.inf] * len(ints)
+    for i, a in enumerate(ints):
+        dists = [max(map(abs, map(sub, a, b))) for b in ints[i + 1:]]
+        best[i] = min([best[i], *dists])
+        best[i + 1:] = map(min, best[i + 1:], dists)
+    return [None if d == math.inf else Fraction(d, den) for d in best]
+
+
 # === full-branch Markov views ===============================================
 
 @dataclass(frozen=True)
@@ -293,8 +307,8 @@ class MarkovView:
     decreasing).  When ``separation_scale`` is set, the branch domains must
     have pairwise gaps strictly above it — that is what certifies cylinder
     representatives as separated.  ``map`` optionally ties the view to the
-    PwaMap realizing it, in which case branch shape is re-checked against the
-    actual nodes and orbits run through the real map.
+    PwaMap realizing it, in which case each branch is checked to equal the
+    map on its domain, so orbits along the branches are the map's orbits.
     """
 
     core_lo: Fraction
@@ -407,39 +421,25 @@ def verify_cylinder_separation(
 ) -> Fraction:
     """Min pairwise d_n over depth-n representatives; must beat the scale.
 
-    Orbits run through the attached map when there is one, as integers over
-    the common time-(n-1) denominator, else along the branch itinerary.
-    Raises ContractError if the view declares no separation scale, and
-    VerificationError never — a failed certificate is a ContractError too,
-    since it falsifies the view's declared contract.
+    Orbits walk the branches, exact with an attached map too: at time t the
+    representative of w lies in the cylinder of w[t:], inside branch w_t's
+    domain, where ``MarkovView`` checked that the map equals the branch.
+    Raises ContractError for a missing scale and for a failed certificate,
+    which falsifies the view's declared contract (never VerificationError).
     """
     if view.separation_scale is None:
         raise ContractError("view declares no separation scale to certify against")
     if n < 1:
         raise DomainError(f"verify_cylinder_separation needs n >= 1, got {n}")
-    reps = cylinder_representatives(view, n, cap)
-    if view.map is not None:
-        scaled, dens = _scaled_orbits(view.map, [x for _, x in reps], n)
-        den = dens[-1]
-        lift = [den // d for d in dens]
-        orbits = [[v * s for v, s in zip(o, lift)] for o in scaled]
-    else:
-        den = 1
-        orbits = []
-        for itinerary, x in reps:
-            out = [x]
-            for idx in itinerary[:-1]:
-                out.append(view.branch_image(idx, out[-1]))
-            orbits.append(out)
-    best = None
-    for i in range(len(orbits)):
-        for j in range(i + 1, len(orbits)):
-            d = max(abs(a - b) for a, b in zip(orbits[i], orbits[j]))
-            if best is None or d < best:
-                best = d
-    if best is None:          # single branch: nothing to separate
+    orbits = []
+    for itinerary, x in cylinder_representatives(view, n, cap):
+        out = [x]
+        for idx in itinerary[:-1]:
+            out.append(view.branch_image(idx, out[-1]))
+        orbits.append(out)
+    best = min(_least_distances(orbits))
+    if best is None:          # one branch, one representative: nothing to separate
         return view.core_hi - view.core_lo
-    best = Fraction(best, den)
     if best <= view.separation_scale:
         raise ContractError(
             f"representatives only {best} apart in d_{n},"
@@ -544,10 +544,10 @@ def mdim_profile(
     """Ratio profile over strictly decreasing scales.
 
     ``sources`` may be a single source shared across scales or one source
-    per scale (e.g. per-level Markov views at their own scales).  The scales
-    and the n-window are checked before any count runs.  With
-    ``workers > 1`` the greedy and exhaustive (scale, n) counts fan out over
-    that many worker processes; cylinder counts are B**n, so they always run
+    per scale (e.g. per-level Markov views at their own scales).  The scales,
+    the n-window and ``workers >= 1`` are checked before any count runs.
+    With ``workers > 1`` the greedy and exhaustive (scale, n) counts fan out
+    over that many worker processes; cylinder counts are B**n, so they run
     in-process rather than pickling a view and its map.  The report is the
     same for any ``workers``.  The tail half of the scale list (the smallest
     scales) gives the upper (max ratio) and lower (min ratio) estimates.
@@ -564,6 +564,8 @@ def mdim_profile(
     n_min, n_max = n_window
     if not (n_max > n_min >= 1):
         raise DomainError(f"need n_max > n_min >= 1, got window {n_window}")
+    if workers < 1:
+        raise DomainError(f"workers must be >= 1, got {workers}")
     jobs = [
         (src, n, eps, method, grid)
         for src, eps in zip(per_scale, scales)

@@ -337,6 +337,19 @@ def test_sweep_output_is_identical_across_worker_counts(tmp_path, capsys, half_m
         assert outs[0] == outs[1]
 
 
+@pytest.mark.parametrize("workers", ["0", "-5"])
+def test_sweep_refuses_fewer_than_one_worker(tmp_path, capsys, tent, workers):
+    (tmp_path / "tent.txt").write_text(dump_pwa(tent))
+    (tmp_path / "greedy.cfg").write_text(GREEDY_SWEEP_CONFIG)
+    code, out, err = run(
+        capsys, "sweep", "--config", str(tmp_path / "greedy.cfg"),
+        "--workers", workers, "-o", str(tmp_path / "out"),
+    )
+    assert (code, out) == (2, "")
+    assert err == f"error: workers must be >= 1, got {workers}\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_sweep_rejects_an_unknown_config_key(tmp_path, capsys):
     (tmp_path / "bad.cfg").write_text(
         "source = model.txt\nmethod = cylinder\nscales = 1/2\nstyle = loud\n"

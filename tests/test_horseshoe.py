@@ -4,9 +4,10 @@ from __future__ import annotations
 
 import dataclasses
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from mdimlab import (
@@ -20,6 +21,7 @@ from mdimlab import (
     certificate_to_csv,
     detect_1d,
     dump_model_2d,
+    format_rational,
     interval_distance,
     load_model_2d,
     monotone_laps,
@@ -298,6 +300,65 @@ def test_collapsed_strips_are_caught_during_certification():
     assert not verify_conditions(broken).ok
     with pytest.raises(VerificationError, match="empty itinerary box"):
         separated_bound_2d(broken, 1)
+
+
+def test_representatives_exactly_epsilon_apart_are_not_separated():
+    # at ell = 1 representatives 0 and 1 are exactly 7/24 apart in d_2
+    model = dataclasses.replace(reference_model(), epsilon=F(7, 24))
+    with pytest.raises(VerificationError) as info:
+        separated_bound_2d(model, 1)
+    assert str(info.value) == (
+        "representatives 0 and 1 are only 7/24 apart in d_2 (epsilon = 7/24)"
+    )
+
+
+def test_a_failed_certificate_names_the_first_close_pair_in_row_order():
+    # slab midpoints -15/32, 1/32, 5/32: only slabs 1 and 2 are within 1/4
+    model = build_model_2d(3, F(1, 2), F(1, 4), 1, width=F(1, 16))
+    uneven = dataclasses.replace(model, offsets=(F(-1, 2), F(0), F(1, 8)))
+    with pytest.raises(VerificationError) as info:
+        separated_bound_2d(uneven, 1)
+    assert str(info.value) == (
+        "representatives 1 and 2 are only 1/8 apart in d_1 (epsilon = 1/4)"
+    )
+
+
+def _first_close_pair(orbits, epsilon):
+    """The failure text of a row-by-row scan over all pairs, or None."""
+    for i, k in combinations(range(len(orbits)), 2):
+        dist = max(plane_distance(a, b) for a, b in zip(orbits[i], orbits[k]))
+        if dist <= epsilon:
+            return (f"representatives {i} and {k} are only {format_rational(dist)} "
+                    f"apart in d_{len(orbits[i])} (epsilon = {format_rational(epsilon)})")
+    return None
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(1, 4), st.integers(1, 2), st.integers(1, 2),
+    st.fractions(min_value="1/8", max_value=2, max_denominator=16),
+    st.fractions(min_value="1/64", max_value="63/64", max_denominator=64),
+    st.integers(0, 10**6),
+)
+def test_certificate_minima_match_a_brute_force_scan(n, p, ell, delta, share, pick):
+    assume(n ** (p * ell) <= 64)
+    model = build_model_2d(n, delta, 2 * delta / n * share, p)   # n*epsilon < 2*delta
+    cert = separated_bound_2d(model, ell)
+    orbits = [orbit_2d(model, point, cert.steps) for point in cert.points]
+    brute = [
+        min((max(plane_distance(a, b) for a, b in zip(mine, other))
+             for j, other in enumerate(orbits) if j != i), default=None)
+        for i, mine in enumerate(orbits)
+    ]
+    assert list(cert.per_point_min) == brute
+    assert cert.min_pairwise == min((d for d in brute if d is not None), default=None)
+    if cert.count > 1:
+        # at a scale no smaller than some representative's minimum the
+        # certificate fails, naming the pair a row-by-row scan meets first
+        epsilon = brute[pick % cert.count]
+        with pytest.raises(VerificationError) as info:
+            separated_bound_2d(dataclasses.replace(model, epsilon=epsilon), ell)
+        assert str(info.value) == _first_close_pair(orbits, epsilon)
 
 
 def test_ratio_lower_bound_examples():

@@ -217,6 +217,16 @@ def test_cylinder_representatives_are_certified_separated(half_model):
     assert margin > F(1, 58)
 
 
+@pytest.mark.parametrize("view", [
+    MarkovView(F(1, 4), F(3, 4), (MarkovBranch(F(1, 8), F(7, 8), True),), F(1, 100)),
+    MarkovView(F(0), F(1), (MarkovBranch(F(0), F(1), True),), F(1, 2), identity_map()),
+], ids=["geometry-only", "identity-map"])
+@pytest.mark.parametrize("n", [1, 3])
+def test_one_branch_certificate_is_the_core_length(view, n):
+    # a single depth-n representative has nothing to be separated from
+    assert verify_cylinder_separation(view, n) == view.core_hi - view.core_lo
+
+
 def test_cylinder_widths_shrink_geometrically(half_model):
     view = half_model.view(0)
     for depth in (1, 2, 3):
@@ -422,6 +432,12 @@ def test_profile_validation(identity):
         mdim_profile(identity, [F(1, 10), F(1, 10)], (1, 3), METHOD_GREEDY)
     with pytest.raises(DomainError):
         mdim_profile([identity], [F(1, 10), F(1, 100)], (1, 3), METHOD_GREEDY)
+
+
+@pytest.mark.parametrize("workers", [0, -5])
+def test_profile_refuses_fewer_than_one_worker(tent, workers):
+    with pytest.raises(DomainError, match=f"workers must be >= 1, got {workers}"):
+        mdim_profile(tent, [F(1, 10)], (1, 2), METHOD_GREEDY, workers=workers)
 
 
 def test_count_record_validation():
