@@ -327,8 +327,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("-o", "--out", default=".", metavar="DIR",
                         help="output directory (created if missing)")
-    common.add_argument("--workers", type=int, default=1, metavar="N",
-                        help="worker processes (sweep only)")
     common.add_argument("--format", choices=("csv", "json"), default="csv",
                         help="report file format")
 
@@ -391,6 +389,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", parents=[common],
                        help="run an estimation profile from a config file")
     p.add_argument("--config", required=True, help="key = value config file")
+    p.add_argument("--workers", type=int, default=1, metavar="N", help="worker processes")
     p.set_defaults(func=_cmd_sweep)
     return parser
 

@@ -34,34 +34,42 @@ class PwaMap:
 
     @staticmethod
     def from_nodes(nodes: list[tuple[Fraction, Fraction]]) -> "PwaMap":
-        """Validate a node list and normalize away collinear middles."""
+        """Validate a node list and normalize away collinear middles.
+
+        Every check runs on the integer (numerator, denominator) pairs by
+        cross-multiplication, one node triple at a time; the kept nodes are
+        the given Fraction objects.
+        """
         if not nodes:
             raise DomainError("a PwaMap needs at least one node")
-        xs = [Fraction(x) for x, _ in nodes]
-        ys = [Fraction(y) for _, y in nodes]
-        for a, b in zip(xs, xs[1:]):
-            if not a < b:
+        xs = [x if type(x) is Fraction else Fraction(x) for x, _ in nodes]
+        ys = [y if type(y) is Fraction else Fraction(y) for _, y in nodes]
+        xr = [x.as_integer_ratio() for x in xs]
+        yr = [y.as_integer_ratio() for y in ys]
+        for a, b, (an, ad), (bn, bd) in zip(xs, xs[1:], xr, xr[1:]):
+            if not an * bd < bn * ad:
                 raise DomainError(f"node x-values must strictly increase: {a} then {b}")
-        if xs[0] != ZERO or xs[-1] != ONE:
+        if xr[0][0] != 0 or xr[-1][0] != xr[-1][1]:
             raise DomainError(f"nodes must span [0,1], got [{xs[0]}, {xs[-1]}]")
-        for y in ys:
-            if not ZERO <= y <= ONE:
+        for y, (yn, yd) in zip(ys, yr):
+            if not 0 <= yn <= yd:
                 raise DomainError(f"node value {y} outside [0,1] (self-map contract)")
-        # drop middles of collinear triples: (y1-y0)(x2-x1) == (y2-y1)(x1-x0)
-        kept_x: list[Fraction] = [xs[0]]
-        kept_y: list[Fraction] = [ys[0]]
-        for x, y in zip(xs[1:], ys[1:]):
-            while len(kept_x) >= 2:
-                x0, x1 = kept_x[-2], kept_x[-1]
-                y0, y1 = kept_y[-2], kept_y[-1]
-                if (y1 - y0) * (x - x1) == (y - y1) * (x1 - x0):
-                    kept_x.pop()
-                    kept_y.pop()
+        # drop middles of collinear triples: (y1-y0)(x2-x1) == (y2-y1)(x1-x0),
+        # multiplied through by all six denominators (xd1 and yd1 cancel)
+        kept = [0]
+        for k in range(1, len(xs)):
+            x2, xd2 = xr[k]
+            y2, yd2 = yr[k]
+            while len(kept) >= 2:
+                (x0, xd0), (x1, xd1) = xr[kept[-2]], xr[kept[-1]]
+                (y0, yd0), (y1, yd1) = yr[kept[-2]], yr[kept[-1]]
+                if ((y1 * yd0 - y0 * yd1) * (x2 * xd1 - x1 * xd2) * yd2 * xd0
+                        == (y2 * yd1 - y1 * yd2) * (x1 * xd0 - x0 * xd1) * yd0 * xd2):
+                    kept.pop()
                 else:
                     break
-            kept_x.append(x)
-            kept_y.append(y)
-        return PwaMap(tuple(kept_x), tuple(kept_y))
+            kept.append(k)
+        return PwaMap(tuple(xs[k] for k in kept), tuple(ys[k] for k in kept))
 
     def __call__(self, x: Fraction) -> Fraction:
         return eval_map(self, x)
@@ -141,26 +149,31 @@ def eval_sorted(m: PwaMap, xs: list[Fraction]) -> list[Fraction]:
 
 
 def compose(outer: PwaMap, inner: PwaMap) -> PwaMap:
-    """Exact outer∘inner.
+    """Exact outer∘inner by one ordered walk over inner's segments.
 
-    Breakpoints of the result: inner's own breakpoints plus every inner-
-    preimage of an outer breakpoint (solved per inner segment).  Between two
-    consecutive such points inner is affine with image inside one affine
-    piece of outer, so the result is affine there.
+    Each segment [x0, x1] gives its left node, valued by ``eval_map`` on
+    outer, then the preimage of every outer node strictly between its end
+    values y0 and y1, in x order (descending outer index when inner
+    decreases), valued by that outer node itself.  Between two consecutive
+    points inner is affine with image inside one affine piece of outer, so
+    the result is affine there; ``from_nodes`` rechecks the x order.
     """
-    breaks = set(inner.xs)
+    oxs, oys = outer.xs, outer.ys
+    nodes: list[tuple[Fraction, Fraction]] = []
     for i in range(len(inner.xs) - 1):
         x0, x1 = inner.xs[i], inner.xs[i + 1]
         y0, y1 = inner.ys[i], inner.ys[i + 1]
-        if y0 == y1:
+        nodes.append((x0, eval_map(outer, y0)))
+        if y0 < y1:
+            js = range(bisect_right(oxs, y0), bisect_left(oxs, y1))
+        elif y0 > y1:
+            js = range(bisect_left(oxs, y0) - 1, bisect_right(oxs, y1) - 1, -1)
+        else:
             continue
-        lo, hi = (y0, y1) if y0 < y1 else (y1, y0)
-        for j in range(bisect_right(outer.xs, lo), bisect_left(outer.xs, hi)):
-            b = outer.xs[j]     # strictly inside (lo, hi)
-            breaks.add(x0 + (b - y0) * (x1 - x0) / (y1 - y0))
-    xs = sorted(breaks)
-    inner_ys = eval_sorted(inner, xs)
-    return PwaMap.from_nodes([(x, eval_map(outer, y)) for x, y in zip(xs, inner_ys)])
+        run = (x1 - x0) / (y1 - y0)
+        nodes += [(x0 + (oxs[j] - y0) * run, oys[j]) for j in js]
+    nodes.append((inner.xs[-1], eval_map(outer, inner.ys[-1])))
+    return PwaMap.from_nodes(nodes)
 
 
 def iterate(m: PwaMap, n: int, node_budget: int = DEFAULT_NODE_BUDGET) -> PwaMap:

@@ -7,8 +7,8 @@ algorithm under d_n, so counts are produced three ways and labeled by method:
 
 * ``greedy-grid``      — greedy maximal separated subset of a uniform grid
                          (a certified lower bound relative to that grid);
-* ``exhaustive-grid``  — exact maximum over an explicit point set (subset
-                         scan, capped at 14 points);
+* ``exhaustive-grid``  — exact maximum over an explicit point set (branch-
+                         and-bound clique search, capped at 14 points);
 * ``cylinder-exact``   — branch-itinerary counts B^n for maps declared
                          full-branch Markov on a marked core interval, with
                          representative midpoints certified separated when
@@ -49,7 +49,7 @@ METHOD_EXHAUSTIVE = "exhaustive-grid"
 METHOD_CYLINDER = "cylinder-exact"
 METHODS = (METHOD_GREEDY, METHOD_EXHAUSTIVE, METHOD_CYLINDER)
 
-EXHAUSTIVE_POINT_CAP = 14       # 2^14 subset scan
+EXHAUSTIVE_POINT_CAP = 14       # exhaustive clique search point cap
 GREEDY_GRID_CAP = 10**6         # greedy grid point cap
 REPRESENTATIVE_CAP = 20000      # cylinder representative enumeration cap
 
@@ -244,21 +244,20 @@ def max_separated_subset(
             if any(abs(a - b) > t for a, b, t in zip(orbits[i], orbits[j], limits)):
                 adj[i] |= 1 << j
                 adj[j] |= 1 << i
-    best = 1 if k else 0
-    for mask in range(1, 1 << k):
-        size = mask.bit_count()
-        if size <= best:
-            continue
-        mm, ok = mask, True
-        while mm:
-            i = (mm & -mm).bit_length() - 1
-            mm &= mm - 1
-            if mask & ~adj[i] & ~(1 << i):
-                ok = False
-                break
-        if ok:
-            best = size
-    return best
+    return _max_clique(adj, (1 << k) - 1, 0, 0)
+
+
+def _max_clique(adj: list[int], cand: int, size: int, best: int) -> int:
+    """Largest clique among the ``cand`` bits, grown from one of ``size``:
+    branch on the top candidate (taken, then dropped), pruning any branch
+    that cannot beat ``best``.  Recursion depth is at most the bit count."""
+    if not cand:
+        return max(size, best)
+    if size + cand.bit_count() <= best:
+        return best
+    i = cand.bit_length() - 1
+    best = _max_clique(adj, cand & adj[i], size + 1, best)
+    return _max_clique(adj, cand ^ (1 << i), size, best)
 
 
 def count_separated_exhaustive(

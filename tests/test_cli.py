@@ -350,6 +350,21 @@ def test_sweep_refuses_fewer_than_one_worker(tmp_path, capsys, tent, workers):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["horseshoe", "--mode", "2d", "--strips", "4", "--half-side", "1/2", "--epsilon", "1/16"],
+    ["build-fbeta", "--beta", "1/2"],
+    ["estimate", "--map", "tent.txt", "--method", "greedy"],
+])
+def test_only_sweep_takes_a_worker_count(tmp_path, capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--workers", "-3", "-o", str(tmp_path / "out")])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == ""
+    assert captured.err.startswith("usage: mdimlab")
+    assert "unrecognized arguments: --workers -3" in captured.err
+    assert not (tmp_path / "out").exists()
+
+
 def test_sweep_rejects_an_unknown_config_key(tmp_path, capsys):
     (tmp_path / "bad.cfg").write_text(
         "source = model.txt\nmethod = cylinder\nscales = 1/2\nstyle = loud\n"

@@ -77,6 +77,62 @@ def test_compose_constant_absorbs(tent):
     assert compose(constant_map(F(1, 2)), tent) == constant_map(F(1, 2))
 
 
+def reference_compose(outer: PwaMap, inner: PwaMap) -> list[tuple[Fraction, Fraction]]:
+    """outer∘inner by collecting every breakpoint in a set, sorting it and
+    evaluating both maps pointwise."""
+    breaks = set(inner.xs)
+    for (x0, y0), (x1, y1) in zip(inner.nodes(), inner.nodes()[1:]):
+        lo, hi = sorted((y0, y1))
+        for b in outer.xs:
+            if lo < b < hi:
+                breaks.add(x0 + (b - y0) * (x1 - x0) / (y1 - y0))
+    return reference_normalise(
+        [(x, eval_map(outer, eval_map(inner, x))) for x in sorted(breaks)]
+    )
+
+
+def mixed_pwa(rng: random.Random, interior: int, values=None) -> PwaMap:
+    """A random map whose nodes sit on the 1/7, 1/24 and 1/97 grids at once;
+    its values are drawn from ``values`` when given."""
+    def grid_point() -> Fraction:
+        d = rng.choice((7, 24, 97))
+        return F(rng.randint(0, d), d)
+
+    xs = sorted({F(0), F(1), *(grid_point() for _ in range(interior))})
+    pick = (lambda: rng.choice(values)) if values else grid_point
+    return PwaMap.from_nodes([(x, pick()) for x in xs])
+
+
+@settings(max_examples=80, deadline=None)
+@given(seeds, st.integers(0, 12), st.integers(0, 12), st.sampled_from(["free", "on-nodes", "flat"]))
+def test_compose_matches_a_set_sort_evaluate_reference(seed, n_outer, n_inner, kind):
+    rng = random.Random(seed)
+    outer = mixed_pwa(rng, n_outer)
+    if kind == "free":
+        inner = mixed_pwa(rng, n_inner)
+    elif kind == "on-nodes":               # inner values exactly on outer nodes
+        inner = mixed_pwa(rng, n_inner, values=list(outer.xs))
+    else:                                  # few values, so many flat segments
+        inner = mixed_pwa(rng, n_inner, values=[F(1, 7), F(13, 24), F(1, 7)])
+    assert compose(outer, inner).nodes() == reference_compose(outer, inner)
+
+
+@pytest.mark.parametrize("inner_nodes", [
+    [(F(0), F(1)), (F(1), F(0))],                                     # one decreasing sweep
+    [(F(0), F(0)), (F(1, 3), F(1)), (F(1), F(0))],                    # up, then down
+    [(F(0), F(95, 97)), (F(1, 2), F(1, 24)), (F(1), F(1, 24))],       # down, then flat
+    [(F(0), F(3, 7)), (F(2, 7), F(6, 7)), (F(1, 2), F(1, 7)), (F(1), F(3, 7))],  # on nodes
+])
+def test_compose_crosses_many_outer_nodes_in_order(inner_nodes):
+    outer = PwaMap.from_nodes([(F(j, 7), F(j % 2)) for j in range(8)])  # a 7-lap zigzag
+    inner = PwaMap.from_nodes(inner_nodes)
+    composed = compose(outer, inner)
+    assert composed.nodes() == reference_compose(outer, inner)
+    for j in range(98):
+        x = F(j, 97)
+        assert eval_map(composed, x) == eval_map(outer, eval_map(inner, x))
+
+
 def test_compose_matches_pointwise_on_a_grid(tent):
     composed = compose(tent, tent)
     for j in range(65):
@@ -175,6 +231,75 @@ def test_from_nodes_validation():
         PwaMap.from_nodes([(F(0), F(0)), (F(1, 2), F(1))])
     with pytest.raises(DomainError):      # value escapes [0, 1]
         PwaMap.from_nodes([(F(0), F(0)), (F(1), F(3, 2))])
+
+
+def reference_normalise(nodes) -> list[tuple[Fraction, Fraction]]:
+    """Canonical nodes by Fraction arithmetic: drop every collinear middle."""
+    kept: list[tuple[Fraction, Fraction]] = []
+    for x, y in ((F(x), F(y)) for x, y in nodes):
+        while len(kept) >= 2:
+            (x0, y0), (x1, y1) = kept[-2], kept[-1]
+            if (y1 - y0) * (x - x1) != (y - y1) * (x1 - x0):
+                break
+            kept.pop()
+        kept.append((x, y))
+    return kept
+
+
+COPRIME_DENOMINATORS = (7, 11, 13, 24, 97, 101, 997)
+
+
+@st.composite
+def collinear_node_lists(draw):
+    """Breakpoints over coprime denominators, each segment filled with a run
+    of collinear nodes; ends and values 0 or 1 may be plain ints."""
+    dens = st.sampled_from(COPRIME_DENOMINATORS)
+    cuts = draw(st.lists(st.tuples(st.integers(1, 996), dens), max_size=5))
+    xs = sorted({F(0), F(1), *(F(j % d, d) for j, d in cuts if j % d)})
+    values = st.tuples(st.integers(0, 997), dens).map(lambda t: F(min(t[0], t[1]), t[1]))
+    ys = [draw(values) for _ in xs]
+    if draw(st.booleans()):               # a straight line: every breakpoint collinear
+        ys = [ys[0] + (ys[-1] - ys[0]) * x for x in xs]
+    nodes = [(xs[0], ys[0])]
+    for (x0, y0), (x1, y1) in zip(zip(xs, ys), zip(xs[1:], ys[1:])):
+        for t in draw(st.lists(st.fractions(0, 1, max_denominator=101), max_size=30, unique=True)):
+            if 0 < t < 1:
+                nodes.append((x0 + t * (x1 - x0), y0 + t * (y1 - y0)))
+        nodes.append((x1, y1))
+    nodes.sort()
+    return [(int(x) if x.denominator == 1 and draw(st.booleans()) else x,
+             int(y) if y.denominator == 1 and draw(st.booleans()) else y) for x, y in nodes]
+
+
+@settings(max_examples=80, deadline=None)
+@given(collinear_node_lists())
+def test_from_nodes_matches_a_fraction_reference(nodes):
+    m = PwaMap.from_nodes(nodes)
+    assert m.nodes() == reference_normalise(nodes)
+    assert all(type(v) is Fraction for v in (*m.xs, *m.ys))
+
+
+def test_from_nodes_collapses_a_long_collinear_run_over_coprime_denominators():
+    nodes = [(F(j, 997), F(1, 3) + F(j, 2991)) for j in range(998)]
+    nodes[500] = (F(500, 997), F(1, 2))   # one kink in the middle of the run
+    m = PwaMap.from_nodes(nodes)
+    assert m.nodes() == reference_normalise(nodes)
+    assert m.xs == (F(0), F(499, 997), F(500, 997), F(501, 997), F(1))
+
+
+@pytest.mark.parametrize("nodes,message", [
+    ([(F(0), F(0)), (F(1, 3), F(1)), (F(2, 7), F(1)), (F(1), F(0))],
+     "node x-values must strictly increase: 1/3 then 2/7"),
+    ([(0, 0), (0, 1), (1, 0)], "node x-values must strictly increase: 0 then 0"),
+    ([(F(0), F(0)), (F(1, 2), F(1))], "nodes must span [0,1], got [0, 1/2]"),
+    ([(F(1, 97), F(0)), (F(1), F(1))], "nodes must span [0,1], got [1/97, 1]"),
+    ([(F(0), F(0)), (F(1), F(3, 2))], "node value 3/2 outside [0,1] (self-map contract)"),
+    ([(F(0), F(-1, 7)), (F(1), F(1))], "node value -1/7 outside [0,1] (self-map contract)"),
+])
+def test_from_nodes_validation_messages(nodes, message):
+    with pytest.raises(DomainError) as exc:
+        PwaMap.from_nodes(nodes)
+    assert str(exc.value) == message
 
 
 # === algebraic properties =====================================================

@@ -25,6 +25,7 @@ from mdimlab import (
     SerializationError,
     build_fbeta,
     conjugate_into_interval,
+    constant_map,
     count_cylinders,
     count_separated_exhaustive,
     count_separated_greedy,
@@ -47,12 +48,14 @@ from mdimlab.separation import (
     GREEDY_GRID_CAP,
     METHOD_CYLINDER,
     METHOD_EXHAUSTIVE,
+    EXHAUSTIVE_POINT_CAP,
     METHOD_GREEDY,
     _scaled_orbits,
     count_at,
     cylinder_interval,
     cylinder_representatives,
     greedy_separated_points,
+    max_separated_subset,
 )
 
 F = Fraction
@@ -187,6 +190,50 @@ def test_exhaustive_matches_a_direct_subset_scan(seed, n, eps):
             best = r
             break
     assert rec.count == best
+
+
+def reference_mask_scan(m: PwaMap, n: int, eps: Fraction, points: list[Fraction]) -> int:
+    """Largest separated subset by testing every subset mask, with adjacency
+    from pointwise dn_distance."""
+    k = len(points)
+    adj = [0] * k
+    for i, j in combinations(range(k), 2):
+        if dn_distance(m, points[i], points[j], n) > eps:
+            adj[i] |= 1 << j
+            adj[j] |= 1 << i
+    best = 1 if k else 0
+    for mask in range(1, 1 << k):
+        size = mask.bit_count()
+        if size > best and all(
+            mask & ~adj[i] & ~(1 << i) == 0 for i in range(k) if mask >> i & 1
+        ):
+            best = size
+    return best
+
+
+THIRTEENTHS = [F(j, 13) for j in range(EXHAUSTIVE_POINT_CAP)]
+
+
+@settings(max_examples=25, deadline=None)
+# from 1/13 up, neighbouring grid points are not separated at time 0
+@given(seeds, st.integers(1, 4), st.fractions(min_value="1/13", max_value="1/2", max_denominator=60))
+def test_exhaustive_matches_a_mask_scan_at_the_point_cap(seed, n, eps):
+    m = random_pwa(random.Random(seed), max_interior=5, denom=13)
+    assert max_separated_subset(m, n, eps, THIRTEENTHS) == reference_mask_scan(
+        m, n, eps, THIRTEENTHS
+    )
+
+
+@pytest.mark.parametrize("m,eps,points,expected", [
+    (identity_map(), F(1, 10**6), THIRTEENTHS, 14),             # every pair separated
+    (tent_map(), F(1, 14), THIRTEENTHS, 14),
+    (constant_map(F(2, 5)), F(1, 50), [F(j, 1300) for j in range(14)], 1),  # none
+    (identity_map(), F(1, 13), THIRTEENTHS, 7),                 # only every other point
+])
+def test_exhaustive_extremes_at_the_point_cap(m, eps, points, expected):
+    assert len(points) == EXHAUSTIVE_POINT_CAP
+    assert count_separated_exhaustive(m, 3, eps, points).count == expected
+    assert reference_mask_scan(m, 3, eps, points) == expected
 
 
 # === cylinder counting ========================================================
