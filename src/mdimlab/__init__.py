@@ -58,7 +58,6 @@ from .pwa import (
     tent_map,
 )
 from .rational import (
-    Rational,
     floor_pow,
     format_interval,
     format_rational,

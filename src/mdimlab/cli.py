@@ -223,7 +223,21 @@ def _require_flag(value, flag: str, mode: str):
     return value
 
 
+# each mode's flags and defaults; flags parse to None when absent, so a flag
+# given to the other mode is seen and refused
+_MODE_FLAGS = {
+    "2d": {"strips": None, "half_side": None, "period": 1, "strip_width": None, "depth": 1},
+    "1d": {"map": None, "window": "0:1", "core": None, "margin": "0", "target": None},
+}
+
+
 def _cmd_horseshoe(args: argparse.Namespace) -> int:
+    for mode, flags in _MODE_FLAGS.items():
+        for dest, default in flags.items():
+            if getattr(args, dest) is None:
+                setattr(args, dest, default)
+            elif mode != args.mode:
+                raise DomainError(f"--{dest.replace('_', '-')} is not a --mode {args.mode} flag")
     if args.mode == "2d":
         model = build_model_2d(
             _require_flag(args.strips, "--strips", "2d"),
@@ -249,7 +263,7 @@ def _cmd_horseshoe(args: argparse.Namespace) -> int:
         return 0
 
     m = load_pwa(Path(_require_flag(args.map, "--map", "1d")).read_text())
-    window = parse_interval(_require_flag(args.window, "--window", "1d"))
+    window = parse_interval(args.window)
     core = parse_interval(args.core) if args.core else window
     report = detect_1d(m, window, core,
                        parse_rational(_require_flag(args.epsilon, "--epsilon", "1d")),
@@ -327,8 +341,9 @@ def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("-o", "--out", default=".", metavar="DIR",
                         help="output directory (created if missing)")
-    common.add_argument("--format", choices=("csv", "json"), default="csv",
-                        help="report file format")
+    reports = argparse.ArgumentParser(add_help=False, parents=[common])
+    reports.add_argument("--format", choices=("csv", "json"), default="csv",
+                         help="report file format")
 
     parser = argparse.ArgumentParser(
         prog="mdimlab",
@@ -346,7 +361,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--node-budget", type=int, default=DEFAULT_NODE_BUDGET)
     p.set_defaults(func=_cmd_build_fbeta)
 
-    p = sub.add_parser("estimate", parents=[common],
+    p = sub.add_parser("estimate", parents=[reports],
                        help="separation-growth ratio profile over scales")
     src = p.add_mutually_exclusive_group(required=True)
     src.add_argument("--model", help="staircase model or views file")
@@ -363,13 +378,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--strips", type=int, help="2d: number of horizontal slabs")
     p.add_argument("--half-side", help="2d: half side length of the square")
     p.add_argument("--epsilon", help="separation scale")
-    p.add_argument("--period", type=int, default=1, help="2d: stages in the cycle")
+    p.add_argument("--period", type=int, help="2d: stages in the cycle (default 1)")
     p.add_argument("--strip-width", help="2d: slab height (default: half the slack)")
-    p.add_argument("--depth", type=int, default=1, help="2d: recursion rounds")
+    p.add_argument("--depth", type=int, help="2d: recursion rounds (default 1)")
     p.add_argument("--map", help="1d: map file to scan")
-    p.add_argument("--window", default="0:1", help="1d: scan window")
+    p.add_argument("--window", help="1d: scan window (default 0:1)")
     p.add_argument("--core", help="1d: crossing target (default: the window)")
-    p.add_argument("--margin", default="0", help="1d: required crossing margin")
+    p.add_argument("--margin", help="1d: required crossing margin (default 0)")
     p.add_argument("--target", type=int, help="1d: fail (exit 5) below this lap count")
     p.set_defaults(func=_cmd_horseshoe)
 
@@ -386,7 +401,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--node-budget", type=int, default=DEFAULT_NODE_BUDGET)
     p.set_defaults(func=_cmd_implant)
 
-    p = sub.add_parser("sweep", parents=[common],
+    p = sub.add_parser("sweep", parents=[reports],
                        help="run an estimation profile from a config file")
     p.add_argument("--config", required=True, help="key = value config file")
     p.add_argument("--workers", type=int, default=1, metavar="N", help="worker processes")

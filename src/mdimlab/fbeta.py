@@ -38,6 +38,7 @@ from .reporting import CheckResult, VerificationSummary
 from .separation import MarkovBranch, MarkovView, verify_cylinder_separation
 
 ONE = Fraction(1)
+GAP_ORBIT_STEPS = 200           # orbit steps `verify_model` follows in each level's gap
 
 
 # === plans ===================================================================
@@ -342,7 +343,7 @@ def level_views(plan: FBetaPlan, pwa: PwaMap | None = None) -> tuple[MarkovView,
 
 # === verification ============================================================
 
-def verify_model(model: FBetaModel, gap_orbit_steps: int = 200) -> VerificationSummary:
+def verify_model(model: FBetaModel) -> VerificationSummary:
     """Re-check every structural promise of a built model, independently.
 
     Runs all checks and reports each; `first_failure` carries the offending
@@ -392,7 +393,7 @@ def verify_model(model: FBetaModel, gap_orbit_steps: int = 200) -> VerificationS
             ok, detail = False, f"level {lv.k}: f({x})={fx} not strictly between b and x"
             break
         prev = abs(x - lv.b)
-        for _ in range(gap_orbit_steps):
+        for _ in range(GAP_ORBIT_STEPS):
             x = eval_map(m, x)
             d = abs(x - lv.b)
             if d > prev or (prev > 0 and d == prev and x != lv.b):

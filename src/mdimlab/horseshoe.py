@@ -38,7 +38,7 @@ from .separation import _least_distances
 
 Interval = tuple[Fraction, Fraction]
 
-REP_CAP_2D = 4096               # default cap on certified representatives
+REP_CAP_2D = 4096               # cap on certified representatives
 
 
 # === 1-D lap detection =======================================================
@@ -402,7 +402,7 @@ def _itinerary_box(model: Horseshoe2DModel, itinerary: tuple[int, ...]) -> Inter
     return (y_lo, y_hi)
 
 
-def separated_bound_2d(model: Horseshoe2DModel, ell: int, rep_cap: int = REP_CAP_2D) -> Certificate2D:
+def separated_bound_2d(model: Horseshoe2DModel, ell: int) -> Certificate2D:
     """Materialize all N**(p*ell) itinerary boxes, pick the midpoint
     representative of each, and certify every pair (p*ell, epsilon)-separated
     by direct evaluation of the stage map."""
@@ -410,10 +410,8 @@ def separated_bound_2d(model: Horseshoe2DModel, ell: int, rep_cap: int = REP_CAP
         raise DomainError(f"ell must be >= 1, got {ell}")
     steps = model.p * ell
     total = model.N ** steps
-    if total > rep_cap:
-        raise ResourceError(
-            f"N**(p*ell) = {total} representatives exceed the cap {rep_cap}"
-        )
+    if total > REP_CAP_2D:
+        raise ResourceError(f"N**(p*ell) = {total} representatives exceed the cap {REP_CAP_2D}")
 
     itineraries = tuple(itertools.product(range(model.N), repeat=steps))
     orbits: list[list[tuple[Fraction, Fraction]]] = []
@@ -447,15 +445,15 @@ def separated_bound_2d(model: Horseshoe2DModel, ell: int, rep_cap: int = REP_CAP
                          tuple(per_min), min_pairwise)
 
 
-def ratio_lower_bound(model: Horseshoe2DModel, ell_max: int, rep_cap: int = REP_CAP_2D) -> float:
+def ratio_lower_bound(model: Horseshoe2DModel, ell_max: int) -> float:
     """Certified growth rate over |log epsilon|: builds the deepest
-    certificate that fits under `rep_cap` and returns
+    certificate that fits under `REP_CAP_2D` and returns
     log(count) / steps / |log epsilon|  (= log N / |log epsilon|)."""
     if ell_max < 1:
         raise DomainError(f"ell_max must be >= 1, got {ell_max}")
-    ell = max([l for l in range(1, ell_max + 1) if model.N ** (model.p * l) <= rep_cap],
+    ell = max([l for l in range(1, ell_max + 1) if model.N ** (model.p * l) <= REP_CAP_2D],
               default=1)
-    return separated_bound_2d(model, ell, rep_cap).ratio
+    return separated_bound_2d(model, ell).ratio
 
 
 # === serialization ===========================================================

@@ -13,9 +13,6 @@ from fractions import Fraction
 
 from .errors import DomainError, SerializationError
 
-Rational = Fraction  # canonical exactness carrier for the whole package
-
-
 # --- integer kernels -------------------------------------------------------
 
 def iroot(n: int, k: int) -> int:
@@ -25,10 +22,7 @@ def iroot(n: int, k: int) -> int:
     if n == 0 or k == 1:
         return n
     # start above the root, then Newton steps descend onto floor(n^(1/k))
-    if n.bit_length() < 900:
-        r = max(int(round(n ** (1.0 / k))), 1)
-    else:
-        r = 1 << (n.bit_length() // k + 1)
+    r = 1 << (n.bit_length() // k + 1)
     while True:
         if r**k <= n < (r + 1) ** k:
             return r

@@ -359,14 +359,6 @@ class MarkovView:
     def branch_count(self) -> int:
         return len(self.branches)
 
-    def branch_image(self, idx: int, x: Fraction) -> Fraction:
-        """Value of branch idx at x in its domain (affine onto the core)."""
-        br = self.branches[idx]
-        t = (x - br.lo) / (br.hi - br.lo)
-        if br.increasing:
-            return self.core_lo + t * (self.core_hi - self.core_lo)
-        return self.core_hi - t * (self.core_hi - self.core_lo)
-
     def branch_pullback(self, idx: int, lo: Fraction, hi: Fraction) -> tuple[Fraction, Fraction]:
         """Preimage inside branch idx of a subinterval [lo, hi] of the core."""
         br = self.branches[idx]
@@ -384,20 +376,15 @@ def cylinder_interval(view: MarkovView, itinerary: tuple[int, ...]) -> tuple[Fra
     return lo, hi
 
 
-def cylinder_representatives(
-    view: MarkovView, n: int, cap: int = REPRESENTATIVE_CAP
-) -> list[tuple[tuple[int, ...], Fraction]]:
+def cylinder_representatives(view: MarkovView, n: int) -> list[tuple[tuple[int, ...], Fraction]]:
     """(itinerary, cylinder midpoint) for every depth-n itinerary."""
     total = view.branch_count**n
-    if total > cap:
+    if total > REPRESENTATIVE_CAP:
         raise ResourceError(
-            f"{total} depth-{n} cylinders exceed the representative cap {cap}"
+            f"{total} depth-{n} cylinders exceed the representative cap {REPRESENTATIVE_CAP}"
         )
-    reps = []
-    for itinerary in product(range(view.branch_count), repeat=n):
-        lo, hi = cylinder_interval(view, itinerary)
-        reps.append((itinerary, (lo + hi) / 2))
-    return reps
+    return [(w, sum(cylinder_interval(view, w)) / 2)
+            for w in product(range(view.branch_count), repeat=n)]
 
 
 def count_cylinders(view: MarkovView, n: int, epsilon: Fraction | None = None) -> CountRecord:
@@ -415,14 +402,13 @@ def count_cylinders(view: MarkovView, n: int, epsilon: Fraction | None = None) -
     return CountRecord(n, eps, view.branch_count**n, METHOD_CYLINDER)
 
 
-def verify_cylinder_separation(
-    view: MarkovView, n: int, cap: int = REPRESENTATIVE_CAP
-) -> Fraction:
+def verify_cylinder_separation(view: MarkovView, n: int) -> Fraction:
     """Min pairwise d_n over depth-n representatives; must beat the scale.
 
-    Orbits walk the branches, exact with an attached map too: at time t the
-    representative of w lies in the cylinder of w[t:], inside branch w_t's
-    domain, where ``MarkovView`` checked that the map equals the branch.
+    The orbit of the representative of w is [mid C(w[t:]) for t < n]:
+    branch w_t maps C(w[t:]) affinely onto C(w[t+1:]), so it maps midpoint
+    to midpoint.  With an attached map these are the map's orbits too, since
+    ``MarkovView`` checked that the map equals each branch on its domain.
     Raises ContractError for a missing scale and for a failed certificate,
     which falsifies the view's declared contract (never VerificationError).
     """
@@ -430,13 +416,9 @@ def verify_cylinder_separation(
         raise ContractError("view declares no separation scale to certify against")
     if n < 1:
         raise DomainError(f"verify_cylinder_separation needs n >= 1, got {n}")
-    orbits = []
-    for itinerary, x in cylinder_representatives(view, n, cap):
-        out = [x]
-        for idx in itinerary[:-1]:
-            out.append(view.branch_image(idx, out[-1]))
-        orbits.append(out)
-    best = min(_least_distances(orbits))
+    # depth n first, so the cap refuses before anything is built
+    mids = [dict(cylinder_representatives(view, d)) for d in range(n, 0, -1)]
+    best = min(_least_distances([[mids[t][w[t:]] for t in range(n)] for w in mids[0]]))
     if best is None:          # one branch, one representative: nothing to separate
         return view.core_hi - view.core_lo
     if best <= view.separation_scale:
@@ -506,10 +488,6 @@ def rate_from_records(
     return ScaleRate(epsilon, tuple(records), h_hat, max_step, ratio, n_window, method)
 
 
-def _count_job(job: tuple) -> CountRecord:
-    return count_at(*job)
-
-
 def rate_at_scale(
     source: PwaMap | MarkovView,
     epsilon: Fraction,
@@ -572,9 +550,9 @@ def mdim_profile(
     ]
     if workers > 1 and method != METHOD_CYLINDER:
         with futures.ProcessPoolExecutor(min(workers, len(jobs))) as pool:
-            records = list(pool.map(_count_job, jobs))
+            records = list(pool.map(count_at, *zip(*jobs)))
     else:
-        records = [_count_job(job) for job in jobs]
+        records = [count_at(*job) for job in jobs]
     width = n_max - n_min + 1
     entries = tuple(
         rate_from_records(eps, records[i * width : (i + 1) * width], n_window, method)

@@ -227,6 +227,36 @@ def test_horseshoe_1d_exits_5_below_target(tmp_path, capsys, tent):
     assert "below target 3" in err
 
 
+@pytest.mark.parametrize("flag,value", [
+    ("--map", "missing.txt"), ("--window", "0:1"), ("--core", "1/4:3/4"), ("--margin", "0"),
+    ("--target", "99"),
+])
+def test_horseshoe_2d_refuses_the_1d_flags(tmp_path, capsys, flag, value):
+    # a flag is refused even when its value is the 1-D default
+    code, out, err = run(
+        capsys, "horseshoe", "--mode", "2d", "--strips", "4", "--half-side", "1/2",
+        "--epsilon", "1/16", flag, value, "-o", str(tmp_path / "out"),
+    )
+    assert (code, out) == (2, "")
+    assert err == f"error: {flag} is not a --mode 2d flag\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("flag,value", [
+    ("--strips", "9"), ("--half-side", "1/2"), ("--period", "1"), ("--strip-width", "1/8"),
+    ("--depth", "7"),
+])
+def test_horseshoe_1d_refuses_the_2d_flags(tmp_path, capsys, tent, flag, value):
+    (tmp_path / "tent.txt").write_text(dump_pwa(tent))
+    code, out, err = run(
+        capsys, "horseshoe", "--mode", "1d", "--map", str(tmp_path / "tent.txt"),
+        "--epsilon", "1/8", flag, value, "-o", str(tmp_path / "out"),
+    )
+    assert (code, out) == (2, "")
+    assert err == f"error: {flag} is not a --mode 1d flag\n"
+    assert not (tmp_path / "out").exists()
+
+
 # === implant ==================================================================
 
 def write_implant_inputs(tmp_path, identity, half_plan):
@@ -363,6 +393,40 @@ def test_only_sweep_takes_a_worker_count(tmp_path, capsys, argv):
     assert captured.err.startswith("usage: mdimlab")
     assert "unrecognized arguments: --workers -3" in captured.err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["build-fbeta", "horseshoe", "implant"])
+def test_only_the_report_commands_take_a_format(tmp_path, capsys, identity, half_plan, command):
+    # each command line runs with exit 0 once --format is dropped
+    write_implant_inputs(tmp_path, identity, half_plan)
+    argv = {
+        "build-fbeta": ["build-fbeta", "--beta", "1/2", "-o", str(tmp_path / "out")],
+        "horseshoe": ["horseshoe", "--mode", "2d", "--strips", "4", "--half-side", "1/2",
+                      "--epsilon", "1/16", "-o", str(tmp_path / "out")],
+        "implant": implant_argv(tmp_path, tmp_path / "host.txt"),
+    }[command]
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--format", "json"])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == ""
+    assert captured.err.startswith("usage: mdimlab")
+    assert "unrecognized arguments: --format json" in captured.err
+    assert not (tmp_path / "out").exists()
+
+
+def test_sweep_writes_a_json_report(tmp_path, capsys, tent):
+    (tmp_path / "tent.txt").write_text(dump_pwa(tent))
+    (tmp_path / "greedy.cfg").write_text(GREEDY_SWEEP_CONFIG)
+    code, out, err = run(
+        capsys, "sweep", "--config", str(tmp_path / "greedy.cfg"), "--format", "json",
+        "-o", str(tmp_path / "out"),
+    )
+    assert code == 0 and err == ""
+    assert "upper 0.142814182297" in out
+    assert sorted(p.name for p in (tmp_path / "out").iterdir()) == ["sweep.json"]
+    report = json.loads((tmp_path / "out" / "sweep.json").read_text())
+    assert sorted(report) == ["entries", "lower", "upper"]
+    assert [e["epsilon"] for e in report["entries"]] == ["1/10", "1/20"]
 
 
 def test_sweep_rejects_an_unknown_config_key(tmp_path, capsys):

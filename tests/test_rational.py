@@ -1,0 +1,59 @@
+"""Integer kernels of the rational layer: floor k-th roots and floor
+rational powers, held to their defining inequalities."""
+from __future__ import annotations
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from mdimlab import DomainError
+from mdimlab.rational import floor_pow, iroot
+
+F = Fraction
+
+# a bit length from 0 to 3000 first, then a value of about that size, so
+# small and very large radicands are both drawn often
+radicands = st.integers(0, 3000).flatmap(lambda bits: st.integers(0, 2**bits))
+
+
+@settings(max_examples=300, deadline=None)
+@given(radicands, st.integers(1, 64))
+@example(2**899 - 1, 2)
+@example(2**900, 3)
+@example(2**1100 + 1, 64)
+@example(1, 64)
+@example(10**30, 1)
+def test_iroot_is_the_floor_root(n, k):
+    r = iroot(n, k)
+    assert r >= 0
+    assert r**k <= n < (r + 1) ** k
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 2**200), st.integers(1, 64))
+def test_iroot_is_exact_at_and_just_below_perfect_powers(r, k):
+    assert iroot(r**k, k) == r
+    assert iroot(r**k - 1, k) == r - 1
+
+
+@pytest.mark.parametrize("n,k", [(-1, 2), (4, 0)])
+def test_iroot_rejects_a_negative_radicand_or_a_zero_index(n, k):
+    with pytest.raises(DomainError, match="iroot needs"):
+        iroot(n, k)
+
+
+positive_fractions = st.fractions(min_value=F(1, 10**6), max_value=10**6, max_denominator=10**6)
+
+
+@settings(max_examples=200, deadline=None)
+@given(positive_fractions, st.integers(0, 64), st.integers(1, 64))
+@example(F(4), 1, 2)
+@example(F(1, 3), 5, 7)
+def test_floor_pow_is_the_floor_power(x, p, q):
+    # m = floor(x**(p/q)) exactly when m**q <= x**p < (m+1)**q
+    m = floor_pow(x, F(p, q))
+    num, den = x.numerator**p, x.denominator**p
+    assert m >= 0
+    assert m**q * den <= num < (m + 1) ** q * den

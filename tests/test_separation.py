@@ -2,6 +2,7 @@
 profiles, report export, and the Markov-view text format."""
 from __future__ import annotations
 
+import dataclasses
 import math
 import random
 import tracemalloc
@@ -9,9 +10,10 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import mdimlab.separation
 from conftest import random_boundary_fixed_pwa, random_pwa
 from mdimlab import (
     ContractError,
@@ -50,6 +52,7 @@ from mdimlab.separation import (
     METHOD_EXHAUSTIVE,
     EXHAUSTIVE_POINT_CAP,
     METHOD_GREEDY,
+    REPRESENTATIVE_CAP,
     _scaled_orbits,
     count_at,
     cylinder_interval,
@@ -274,6 +277,20 @@ def test_one_branch_certificate_is_the_core_length(view, n):
     assert verify_cylinder_separation(view, n) == view.core_hi - view.core_lo
 
 
+def test_cylinder_cap_refuses_before_building_a_representative(monkeypatch):
+    # 142 branches give 20,164 depth-2 cylinders, just over the cap
+    assert 141**2 <= REPRESENTATIVE_CAP < 142**2
+    branches = tuple(MarkovBranch(F(2 * i, 284), F(2 * i + 1, 284), True) for i in range(142))
+    view = MarkovView(F(0), F(1), branches, F(1, 1000))
+    built = []
+    monkeypatch.setattr(mdimlab.separation, "cylinder_interval", lambda *args: built.append(args))
+    for refuse in (cylinder_representatives, verify_cylinder_separation):
+        with pytest.raises(ResourceError, match=f"^20164 depth-2 cylinders exceed the"
+                                                f" representative cap {REPRESENTATIVE_CAP}$"):
+            refuse(view, 2)
+    assert built == []
+
+
 def test_cylinder_widths_shrink_geometrically(half_model):
     view = half_model.view(0)
     for depth in (1, 2, 3):
@@ -420,6 +437,58 @@ def test_cylinder_certificate_is_the_least_pairwise_dn(beta, k, level, n):
     (loaded,) = load_views(dump_views([view]))
     assert loaded.map is None
     assert verify_cylinder_separation(loaded, n) == least
+
+
+def forward_walk_certificate(view: MarkovView, n: int) -> Fraction:
+    """Least pairwise d_n over the depth-n representatives, each orbit walked
+    forward from its cylinder midpoint by the affine branch formula."""
+    width = view.core_hi - view.core_lo
+    rows = []
+    for itinerary, x in cylinder_representatives(view, n):
+        row = [x]
+        for idx in itinerary[:-1]:
+            br = view.branches[idx]
+            t = (row[-1] - br.lo) / (br.hi - br.lo)
+            row.append(view.core_lo + t * width if br.increasing else view.core_hi - t * width)
+        rows.append(row)
+    if len(rows) == 1:
+        return width
+    return min(max(abs(a - b) for a, b in zip(r, s)) for r, s in combinations(rows, 2))
+
+
+def realizing_map(view: MarkovView) -> PwaMap:
+    """A map equal to every branch on its domain and affine in between."""
+    nodes = [(F(0), view.core_lo)]
+    for br in view.branches:
+        ends = (view.core_lo, view.core_hi) if br.increasing else (view.core_hi, view.core_lo)
+        nodes += [(br.lo, ends[0]), (br.hi, ends[1])]
+    return PwaMap.from_nodes(nodes + [(F(1), view.core_lo)])
+
+
+# (2B + 2 sorted cut points over 1/96, B directions): the outer two cuts bound
+# the core, the inner ones bound B branches with positive gaps inside it
+branch_layouts = st.integers(1, 5).flatmap(lambda b: st.tuples(
+    st.lists(st.integers(0, 96), min_size=2 * b + 2, max_size=2 * b + 2, unique=True),
+    st.lists(st.booleans(), min_size=b, max_size=b),
+))
+
+
+@settings(max_examples=40, deadline=None)
+@given(branch_layouts, st.integers(1, 3))
+@example(([10, 20, 70, 90], [False]), 3)                   # one branch: the core length
+@example(([0, 1, 40, 50, 95, 96], [True, False]), 3)       # an up and a down branch
+def test_cylinder_certificate_matches_the_forward_walk(layout, n):
+    cuts, ups = layout
+    cuts = [F(c, 96) for c in sorted(cuts)]
+    inner = cuts[1:-1]
+    branches = tuple(MarkovBranch(lo, hi, up) for lo, hi, up in zip(inner[::2], inner[1::2], ups))
+    gaps = [b.lo - a.hi for a, b in zip(branches, branches[1:])]
+    view = MarkovView(cuts[0], cuts[-1], branches, min(gaps, default=F(1)) / 2)
+    with_map = dataclasses.replace(view, map=realizing_map(view))
+    (loaded,) = load_views(dump_views([with_map]))
+    expected = forward_walk_certificate(view, n)
+    for v in (view, with_map, loaded):
+        assert verify_cylinder_separation(v, n) == expected
 
 
 # === rates and profiles =======================================================
