@@ -183,6 +183,7 @@ def _cmd_build_fbeta(args: argparse.Namespace) -> int:
         args.levels - 1,
         seed_a1=parse_rational(args.seed_a1),
         variant_full=args.variant == "full",
+        node_budget=args.node_budget,
     )
     model = build_fbeta(plan, node_budget=args.node_budget)
     out = _out_dir(args)
@@ -286,7 +287,7 @@ def _cmd_horseshoe(args: argparse.Namespace) -> int:
 
 def _cmd_implant(args: argparse.Namespace) -> int:
     host = load_pwa(Path(args.host).read_text())
-    fplan = load_plan(Path(args.plan).read_text())
+    fplan = load_plan(Path(args.plan).read_text(), args.node_budget)
     profile = load_pwa(Path(args.profile).read_text()) if args.profile else None
     plan = SurgeryPlan(
         host,

@@ -25,6 +25,7 @@ that endpoint and must be requested explicitly.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import zip_longest
@@ -99,8 +100,9 @@ def _feasible(ell: int, gamma: Fraction, beta: Fraction) -> bool:
     return 4 * floor_pow(Fraction(ell) / gamma, beta) + 1 <= ell
 
 
-def _min_feasible_odd(gamma: Fraction, beta: Fraction, ell_prev: int) -> int:
-    """Smallest odd ell > ell_prev with 4*floor((ell/gamma)^beta) + 1 <= ell.
+def _min_feasible_odd(gamma: Fraction, beta: Fraction, ell_prev: int, room: float) -> int:
+    """Smallest odd ell > ell_prev with 4*floor((ell/gamma)^beta) + 1 <= ell,
+    or a lower bound on it once its level no longer fits in ``room`` nodes.
 
     A linear scan would take ~10^9 steps at beta near 1, so once the scan
     enters the certainly-infeasible region we bisect its right edge instead:
@@ -113,12 +115,12 @@ def _min_feasible_odd(gamma: Fraction, beta: Fraction, ell_prev: int) -> int:
     if ell % 2 == 0:
         ell += 1
     while not _surely_infeasible(ell, gamma, p, q):
-        if _feasible(ell, gamma, beta):
+        if _level_nodes(ell) > room or _feasible(ell, gamma, beta):
             return ell
         ell += 2
     lo = ell
     hi = lo
-    while _surely_infeasible(hi, gamma, p, q):
+    while _level_nodes(hi) <= room and _surely_infeasible(hi, gamma, p, q):
         hi = 2 * hi + 1
     while hi - lo > 2:
         mid = lo + (hi - lo) // 4 * 2
@@ -129,9 +131,17 @@ def _min_feasible_odd(gamma: Fraction, beta: Fraction, ell_prev: int) -> int:
         else:
             hi = mid
     ell = hi
-    while not _feasible(ell, gamma, beta):
+    while not (_level_nodes(ell) > room or _feasible(ell, gamma, beta)):
         ell += 2
     return ell
+
+
+def _level_nodes(ell: int) -> int:
+    return 2 * ell + 6
+
+
+def _estimate_nodes(levels: list[FBetaLevel] | tuple[FBetaLevel, ...]) -> int:
+    return sum(_level_nodes(lv.ell) for lv in levels) + 2
 
 
 def plan_sequences(
@@ -139,12 +149,13 @@ def plan_sequences(
     K: int,
     seed_a1: Fraction = Fraction(1, 2),
     variant_full: bool = False,
+    node_budget: int | None = None,
 ) -> FBetaPlan:
     """Deterministic level constants for the target ratio beta.
 
     Free choices are pinned: a_1 = seed_a1, a_{2k+1} = a_{2k}/2 afterwards
     (midpoint rule), ell_k minimal feasible odd, b_k the gap midpoint, and
-    a_{2k+2} = eps_k closing the recursion.
+    a_{2k+2} = eps_k closing the recursion; ResourceError past ``node_budget``.
     """
     beta = Fraction(beta)
     seed_a1 = Fraction(seed_a1)
@@ -167,10 +178,12 @@ def plan_sequences(
     ell_prev = 1
     for k in range(K + 1):
         gamma = a_even - a_odd
-        if variant_full:
-            ell = ell_prev + 2
-        else:
-            ell = _min_feasible_odd(gamma, beta, ell_prev)
+        used = _estimate_nodes(levels)
+        room = math.inf if node_budget is None else node_budget - used
+        ell = ell_prev + 2 if variant_full else _min_feasible_odd(gamma, beta, ell_prev, room)
+        if _level_nodes(ell) > room:
+            raise ResourceError(f"this plan needs at least {used + _level_nodes(ell)} nodes"
+                                f" by level {k}, over the budget of {node_budget}")
         i_sel = floor_pow(Fraction(ell) / gamma, beta)
         eps = gamma / ell
         b = (eps + a_odd) / 2                      # midpoint of G_k = [a_{2k+2}, a_{2k+1}]
@@ -228,17 +241,13 @@ class _NodeSink:
     def push(self, x: Fraction, y: Fraction) -> None:
         if self.nodes:
             lx, ly = self.nodes[-1]
-            if x == lx:
+            if x <= lx:
+                if x < lx:
+                    raise ContractError(f"assembly out of order at x={x} after {lx}")
                 if y != ly:
                     raise ContractError(f"assembly discontinuity at x={x}: {ly} vs {y}")
                 return
-            if x < lx:
-                raise ContractError(f"assembly out of order at x={x} after {lx}")
         self.nodes.append((x, y))
-
-
-def _estimate_nodes(plan: FBetaPlan) -> int:
-    return sum(2 * lv.ell + 6 for lv in plan.levels) + 2
 
 
 def build_fbeta(plan: FBetaPlan, node_budget: int = DEFAULT_NODE_BUDGET) -> FBetaModel:
@@ -249,7 +258,7 @@ def build_fbeta(plan: FBetaPlan, node_budget: int = DEFAULT_NODE_BUDGET) -> FBet
     level-0 top excursions into plateaus at height 1, where the gap above
     the top core degenerates to the single point {1}).
     """
-    est = _estimate_nodes(plan)
+    est = _estimate_nodes(plan.levels)
     if est > node_budget:
         raise ResourceError(
             f"building this plan needs about {est} nodes,"
@@ -286,6 +295,13 @@ def _push_gap(sink: _NodeSink, g_l: Fraction, g_r: Fraction, b: Fraction) -> Non
     sink.push(g_r, g_r)
 
 
+def _half_steps(lv: FBetaLevel) -> Callable[[int], Fraction]:
+    """t -> c(t/2) = a_odd + t*eps/2, one Fraction from integer numerators."""
+    den = 2 * math.lcm(lv.a_odd.denominator, lv.eps.denominator)
+    a0, e = int(lv.a_odd * den), int(lv.eps * den) // 2
+    return lambda t: Fraction(a0 + t * e, den)
+
+
 def _push_level(
     sink: _NodeSink,
     plan: FBetaPlan,
@@ -293,49 +309,47 @@ def _push_level(
     top_peak: Fraction,
     branch_table: list[BranchEntry],
 ) -> None:
-    c = lambda j: lv.a_odd + j * lv.eps                # noqa: E731 subdivision points
-    sink.push(c(0), lv.a_odd)
+    h = _half_steps(lv)
+    c = [h(2 * j) for j in range(lv.ell + 1)]          # subdivision points
+    sink.push(c[0], lv.a_odd)
     if plan.variant_full:
         for j in range(1, lv.ell + 1):
             up = j % 2 == 1
-            sink.push(c(j), lv.a_even if up else lv.a_odd)
-            branch_table.append(BranchEntry(lv.k, j, up, c(j - 1), c(j)))
+            sink.push(c[j], lv.a_even if up else lv.a_odd)
+            branch_table.append(BranchEntry(lv.k, j, up, c[j - 1], c[j]))
         return
     limit = 4 * lv.i_sel + 1
     for j in range(1, limit + 1):
         r = (j - 1) % 4
         if r == 0:                                     # increasing full branch
-            sink.push(c(j), lv.a_even)
-            branch_table.append(BranchEntry(lv.k, j, True, c(j - 1), c(j)))
+            sink.push(c[j], lv.a_even)
+            branch_table.append(BranchEntry(lv.k, j, True, c[j - 1], c[j]))
         elif r == 1:                                   # excursion up into G_{k-1}
-            sink.push((c(j - 1) + c(j)) / 2, top_peak)
-            sink.push(c(j), lv.a_even)
+            sink.push(h(2 * j - 1), top_peak)
+            sink.push(c[j], lv.a_even)
         elif r == 2:                                   # decreasing full branch
-            sink.push(c(j), lv.a_odd)
-            branch_table.append(BranchEntry(lv.k, j, False, c(j - 1), c(j)))
+            sink.push(c[j], lv.a_odd)
+            branch_table.append(BranchEntry(lv.k, j, False, c[j - 1], c[j]))
         else:                                          # excursion down into G_k
-            sink.push((c(j - 1) + c(j)) / 2, lv.b)
-            sink.push(c(j), lv.a_odd)
+            sink.push(h(2 * j - 1), lv.b)
+            sink.push(c[j], lv.a_odd)
     if lv.ell > limit:                                 # wide excursion to the core top
-        sink.push((c(limit) + c(lv.ell)) / 2, top_peak)
-        sink.push(c(lv.ell), lv.a_even)
+        sink.push(h(limit + lv.ell), top_peak)
+        sink.push(c[lv.ell], lv.a_even)
 
 
 def level_views(plan: FBetaPlan, pwa: PwaMap | None = None) -> tuple[MarkovView, ...]:
     """One full-branch view per level from the plan's layout, checked against `pwa` if given."""
     views = []
     for lv in plan.levels:
+        h = _half_steps(lv)
         if plan.variant_full:
-            branches = tuple(
-                MarkovBranch(lv.a_odd + (j - 1) * lv.eps, lv.a_odd + j * lv.eps, j % 2 == 1)
-                for j in range(1, lv.ell + 1)
-            )
+            branches = tuple(MarkovBranch(h(2 * j - 2), h(2 * j), j % 2 == 1)
+                             for j in range(1, lv.ell + 1))
             scale = None                               # touching domains: no certificate
         else:
-            branches = tuple(
-                MarkovBranch(lv.a_odd + 4 * i * lv.eps, lv.a_odd + (4 * i + 1) * lv.eps, True)
-                for i in range(lv.i_sel + 1)
-            )
+            branches = tuple(MarkovBranch(h(8 * i), h(8 * i + 2), True)
+                             for i in range(lv.i_sel + 1))
             scale = lv.eps                             # domain gaps are 3*eps > eps
         views.append(MarkovView(lv.a_odd, lv.a_even, branches, scale, pwa, label=f"level {lv.k}"))
     return tuple(views)
@@ -483,8 +497,8 @@ def dump_plan(plan: FBetaPlan) -> str:
     return "\n".join(lines) + "\n"
 
 
-def load_plan(text: str) -> FBetaPlan:
-    """Parse and re-derive: the stored level table must match the scan."""
+def load_plan(text: str, node_budget: int | None = None) -> FBetaPlan:
+    """Parse and re-derive (under ``node_budget``): the stored level table must match the scan."""
     lines = body_lines(text, PLAN_HEADER)
     level_lines = [ln for ln in lines if ln.startswith("level ")]
     fields = read_fields([ln for ln in lines if not ln.startswith("level ")],
@@ -497,7 +511,7 @@ def load_plan(text: str) -> FBetaPlan:
         raise SerializationError(f"plan variant must be 'none' or 'full', got {variant!r}")
     if len(level_lines) != K + 1:
         raise SerializationError(f"expected {K + 1} level lines, found {len(level_lines)}")
-    plan = plan_sequences(beta, K, seed, variant == "full")
+    plan = plan_sequences(beta, K, seed, variant == "full", node_budget)
     stored = dump_plan(plan).splitlines()
     for ln in level_lines:
         if ln not in stored:
@@ -523,7 +537,7 @@ def load_model(text: str) -> FBetaModel:
     if lines[:1] != ["[plan]"]:
         raise SerializationError("model file has no [plan] section after its header")
     end = next((i for i in range(1, len(lines)) if lines[i].startswith("[")), len(lines))
-    model = build_fbeta(load_plan("\n".join(lines[1:end])))
+    model = build_fbeta(load_plan("\n".join(lines[1:end]), DEFAULT_NODE_BUDGET))
     want_lines = dump_model(model).splitlines()[1:]
     for have, want in zip_longest(lines, want_lines, fillvalue="end of file"):
         if have != want:

@@ -6,13 +6,20 @@ x strictly increasing from 0 to 1, all values inside [0,1], and no three
 consecutive collinear nodes (normalization drops redundant middles), so two
 maps are equal as functions iff their node tuples are equal.
 
+Evaluation reads a private integer table, built on first use and never
+compared, hashed or pickled: node keys floor(x_i·2^s), s = 2·(bits of the
+largest x denominator) + 1, and per piece y = (a·x + b)/d, reduced.  No entry
+uses an lcm over the map, so nodes need not share a small common denominator.
+
 Everything here is exact; no operation touches floating point.
 """
 from __future__ import annotations
 
+import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import DomainError, ResourceError, SerializationError
 from .rational import body_lines, format_rational, parse_rational
@@ -71,6 +78,22 @@ class PwaMap:
             kept.append(k)
         return PwaMap(tuple(xs[k] for k in kept), tuple(ys[k] for k in kept))
 
+    @cached_property
+    def _table(self) -> tuple[int, list[int], list[tuple[int, int, int]]]:
+        xr = [x.as_integer_ratio() for x in self.xs]
+        yr = [y.as_integer_ratio() for y in self.ys]
+        shift = 2 * max(m for _, m in xr).bit_length() + 1
+        pieces = []
+        for (n0, m0), (n1, m1), (u0, v0), (u1, v1) in zip(xr, xr[1:], yr, yr[1:]):
+            dx, dy = n1 * m0 - n0 * m1, u1 * v0 - u0 * v1
+            a, b, d = dy * m0 * m1, u0 * v1 * dx - dy * m1 * n0, v0 * v1 * dx
+            g = math.gcd(a, b, d)
+            pieces.append((a // g, b // g, d // g))
+        return shift, [(n << shift) // m for n, m in xr], pieces
+
+    def __getstate__(self) -> dict:
+        return {"xs": self.xs, "ys": self.ys}     # the node table is derived
+
     def __call__(self, x: Fraction) -> Fraction:
         return eval_map(self, x)
 
@@ -82,13 +105,8 @@ class PwaMap:
         return list(zip(self.xs, self.ys))
 
     def max_abs_slope(self) -> Fraction:
-        """Lipschitz constant: the largest |slope| over all segments."""
-        best = ZERO
-        for i in range(len(self.xs) - 1):
-            s = abs((self.ys[i + 1] - self.ys[i]) / (self.xs[i + 1] - self.xs[i]))
-            if s > best:
-                best = s
-        return best
+        """Lipschitz constant: the largest |slope| a/d over all pieces."""
+        return max(Fraction(abs(a), d) for a, _, d in self._table[2])
 
 
 def identity_map() -> PwaMap:
@@ -110,41 +128,38 @@ def tent_map() -> PwaMap:
 
 def eval_map(m: PwaMap, x: Fraction) -> Fraction:
     """Exact value of the map at x (linear interpolation between nodes)."""
-    x = Fraction(x)
-    if not ZERO <= x <= ONE:
-        raise DomainError(f"eval argument {x} outside [0,1]")
-    if len(m.xs) == 1:
-        return m.ys[0]
-    i = bisect_right(m.xs, x) - 1
-    if i == len(m.xs) - 1:       # x == 1
-        return m.ys[-1]
-    x0, x1 = m.xs[i], m.xs[i + 1]
-    y0, y1 = m.ys[i], m.ys[i + 1]
-    return y0 + (y1 - y0) * (x - x0) / (x1 - x0)
+    return _values(m, (x,))[0]
 
 
 def eval_sorted(m: PwaMap, xs: list[Fraction]) -> list[Fraction]:
-    """Exact values at ascending points of [0,1], equal to ``eval_map`` at
-    each: one pointer walks the nodes once, so the cost is O(points + nodes)."""
+    """Exact values at ascending points of [0,1], equal to ``eval_map`` at each."""
+    return _values(m, xs)
+
+
+def _values(m: PwaMap, xs: list[Fraction] | tuple[Fraction, ...]) -> list[Fraction]:
+    """Values at ascending points; a key shared with node i needs one exact compare."""
+    shift, keys, pieces = m._table
     out: list[Fraction] = []
-    last = len(m.xs) - 1
     i = 0
-    prev = ZERO
+    pp, pq = 0, 1
     for x in xs:
-        x = Fraction(x)
-        if not ZERO <= x <= ONE:
+        x = x if type(x) is Fraction else Fraction(x)
+        p, q = x.as_integer_ratio()
+        if not 0 <= p <= q:
             raise DomainError(f"eval argument {x} outside [0,1]")
-        if x < prev:
-            raise DomainError(f"eval points must ascend: {prev} then {x}")
-        prev = x
-        while i < last and m.xs[i + 1] <= x:
-            i += 1
-        if i == last or m.xs[i] == x:
-            out.append(m.ys[i])
-        else:
-            x0, x1 = m.xs[i], m.xs[i + 1]
-            y0, y1 = m.ys[i], m.ys[i + 1]
-            out.append(y0 + (y1 - y0) * (x - x0) / (x1 - x0))
+        if p * pq < pp * q:
+            raise DomainError(f"eval points must ascend: {Fraction(pp, pq)} then {x}")
+        pp, pq = p, q
+        k = (p << shift) // q
+        i = bisect_right(keys, k, i) - 1
+        if k == keys[i]:
+            n, d0 = m.xs[i].as_integer_ratio()
+            if (p, q) == (n, d0):             # x is a node (x == 1 is the last one)
+                out.append(m.ys[i])
+                continue
+            i -= p * d0 < n * q               # x lies just below node i
+        a, b, d = pieces[i]
+        out.append(Fraction(a * p + b * q, d * q))
     return out
 
 
@@ -213,20 +228,13 @@ def fixed_points(m: PwaMap) -> list[tuple[Fraction, Fraction]]:
     every self-map of [0,1] (intermediate value theorem on m(x) − x).
     """
     raw: list[tuple[Fraction, Fraction]] = []
-    if len(m.xs) == 1:
-        return [(m.ys[0], m.ys[0])]
-    for i in range(len(m.xs) - 1):
-        x0, x1 = m.xs[i], m.xs[i + 1]
-        g0, g1 = m.ys[i] - x0, m.ys[i + 1] - x1
-        if g0 == 0 and g1 == 0:
+    for x0, x1, (a, b, d) in zip(m.xs, m.xs[1:], m._table[2]):
+        if a != d:                      # m(x) − x = ((a − d)·x + b)/d has one root
+            x = Fraction(-b, a - d)
+            if x0 <= x <= x1:
+                raw.append((x, x))
+        elif b == 0:                    # the piece is the identity
             raw.append((x0, x1))
-        elif g0 == 0:
-            raw.append((x0, x0))
-        elif g1 == 0:
-            raw.append((x1, x1))
-        elif (g0 < 0) != (g1 < 0):
-            x = x0 + (x1 - x0) * g0 / (g0 - g1)
-            raw.append((x, x))
     raw.sort()
     merged: list[tuple[Fraction, Fraction]] = []
     for lo, hi in raw:

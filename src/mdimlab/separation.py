@@ -17,8 +17,8 @@ algorithm under d_n, so counts are produced three ways and labeled by method:
 The greedy and exhaustive counts decide d_n(x,y) > eps on integer orbits
 over one denominator D_k per time k; both separated-family certificates
 (cylinders here, planar in ``horseshoe``) share ``_least_distances``, which
-compares whole orbits as integers over one common denominator.
-``orbit`` and ``dn_distance`` stay the independent pointwise path.
+compares whole orbits as integers over one common denominator.  All of these,
+``orbit`` and ``dn_distance`` too, read the map's integer node table (``pwa``).
 
 Rates h(f,eps) are least-squares slopes of log(count) against n over a
 window, with the max single-step increment reported alongside as a second
@@ -124,25 +124,14 @@ def _scaled_orbits(
 ) -> tuple[list[list[int]], list[int]]:
     """Orbits of ``points`` as integers: entry k of each orbit is f^k(x)·D_k.
 
-    The denominators are D_k = D_0·M^k, with D_0 the lcm of the points'
-    denominators.  With x-nodes X_i/L and y-nodes over one common
-    denominator, piece i is y = (a_i·x·L + b_i)/d_i for a reduced integer
-    triple, and M is the lcm of the d_i, so one step is
-    v -> (a_i·L·v + b_i·D_k)·(M/d_i), exact.  The piece holding v/D_k is
-    found by bisecting the integer X_i for floor(v·L/D_k).  Returns the
-    orbits, in the order of ``points``, and [D_0, ..., D_{n-1}].
+    D_k = D_0·M^k, with D_0 the lcm of the points' denominators and M that of
+    the pieces' d_i in the map's integer table (module ``pwa``); one exact step
+    is v -> (a_i·v + b_i·D_k)·(M/d_i), piece i found by the node keys as in
+    ``pwa``.  Returns the orbits, in the order of ``points``, and [D_0, ...].
     """
     if n < 1:
         raise DomainError(f"orbit needs n >= 1, got {n}")
-    big_l = math.lcm(*(x.denominator for x in m.xs))
-    big_k = math.lcm(*(y.denominator for y in m.ys))
-    xs = [x.numerator * (big_l // x.denominator) for x in m.xs]
-    ys = [y.numerator * (big_k // y.denominator) for y in m.ys]
-    pieces = []
-    for x0, x1, y0, y1 in zip(xs, xs[1:], ys, ys[1:]):
-        a, b, d = (y1 - y0) * big_l, y0 * (x1 - x0) - (y1 - y0) * x0, big_k * (x1 - x0)
-        g = math.gcd(a, b, d)
-        pieces.append((a // g, b // g, d // g))
+    shift, keys, pieces = m._table
     big_m = math.lcm(*(d for _, _, d in pieces))
     table = [(a * (big_m // d), b * (big_m // d)) for a, b, d in pieces]
     last = len(table)               # x = 1 falls in the last piece
@@ -156,7 +145,10 @@ def _scaled_orbits(
             raise DomainError(f"eval argument {x} outside [0,1]")
         out = [v]
         for d in dens[:-1]:
-            a, b = table[bisect_right(xs, v * big_l // d, 0, last) - 1]
+            k = (v << shift) // d
+            i = bisect_right(keys, k, 0, last) - 1
+            i -= k == keys[i] and v * m.xs[i].denominator < m.xs[i].numerator * d
+            a, b = table[i]
             v = a * v + b * d
             out.append(v)
         orbits.append(out)

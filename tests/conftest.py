@@ -3,6 +3,7 @@ acceptance recorder whose PASS/FAIL lines are echoed in the terminal summary."""
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
 from fractions import Fraction
 
 import pytest
@@ -32,6 +33,56 @@ def random_boundary_fixed_pwa(
     nodes += [(Fraction(x, denom), Fraction(rng.randint(0, denom), denom)) for x in interior]
     nodes += [(Fraction(1), Fraction(1))]
     return PwaMap.from_nodes(nodes)
+
+
+def prime_denominator_pwa(rng: random.Random, nodes: int, first_prime: int = 1009) -> PwaMap:
+    """A map whose interior nodes each sit on their own prime denominator:
+    x_i = i/N + 1/(2N·p_i) and y_i = r_i/p_i, so no small denominator is
+    shared by all nodes and the lcm of the x denominators has about
+    ``nodes`` times the digits of one prime."""
+    primes: list[int] = []
+    c = first_prime
+    while len(primes) < nodes:
+        if all(c % d for d in range(2, int(c**0.5) + 1)):
+            primes.append(c)
+        c += 1
+    pts = [(Fraction(0), Fraction(rng.randrange(primes[0]), primes[0]))]
+    for i, p in enumerate(primes[1:-1], 1):
+        pts.append((Fraction(i, nodes) + Fraction(1, 2 * nodes * p), Fraction(rng.randrange(p), p)))
+    pts.append((Fraction(1), Fraction(rng.randrange(primes[-1]), primes[-1])))
+    return PwaMap.from_nodes(pts)
+
+
+def near_nodes(m: PwaMap, offset: Fraction = Fraction(1, 10**12)) -> list[Fraction]:
+    """Every node and the points ``offset`` on either side of it inside [0, 1]."""
+    return sorted({y for x in m.xs for y in (x - offset, x, x + offset) if 0 <= y <= 1})
+
+
+# === reference evaluation =====================================================
+# The library evaluates maps, orbits and the counting kernels through one
+# integer node table per map; the cross-checks hold them to this plain
+# Fraction interpolation, which shares none of that code.
+
+def value_at(m: PwaMap, x: Fraction) -> Fraction:
+    """y0 + (y1 - y0)(x - x0)/(x1 - x0) on the node segment [x0, x1] holding x."""
+    x = Fraction(x)
+    assert 0 <= x <= 1, x
+    i = min(bisect_right(m.xs, x), len(m.xs) - 1)
+    x0, x1, y0, y1 = m.xs[i - 1], m.xs[i], m.ys[i - 1], m.ys[i]
+    return y0 + (y1 - y0) * (x - x0) / (x1 - x0)
+
+
+def orbit_values(m: PwaMap, x: Fraction, n: int) -> list[Fraction]:
+    """[x, f(x), ..., f^{n-1}(x)] by ``value_at``."""
+    out = [Fraction(x)]
+    for _ in range(n - 1):
+        out.append(value_at(m, out[-1]))
+    return out
+
+
+def dn_reference(m: PwaMap, x: Fraction, y: Fraction, n: int) -> Fraction:
+    """d_n(x, y) = max over the first n iterates of |f^k(x) - f^k(y)|, by ``value_at``."""
+    return max(abs(a - b) for a, b in zip(orbit_values(m, x, n), orbit_values(m, y, n)))
 
 
 # === reference objects ========================================================

@@ -3,14 +3,20 @@ driven in-process through main()."""
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 import mdimlab.cli
 import mdimlab.surgery
 from mdimlab import (
-    dump_model, dump_plan, dump_pwa, dump_views, load_plan, load_pwa, load_views, plan_sequences,
+    dump_model, dump_plan, dump_pwa, dump_views, identity_map, load_plan, load_pwa, load_views,
+    plan_sequences,
 )
 from mdimlab.cli import main
 
@@ -51,6 +57,62 @@ def test_build_fbeta_exponent_one_needs_the_variant_flag(tmp_path, capsys):
     code, _, err = run(capsys, "build-fbeta", "--beta", "1", "-o", str(tmp_path))
     assert code == 2
     assert "dense variant" in err
+
+
+def run_fresh(*argv: str) -> subprocess.CompletedProcess:
+    """The CLI in a new interpreter, which must finish within 10 s."""
+    env = dict(os.environ, PYTHONPATH=str(Path(mdimlab.cli.__file__).parents[1]))
+    start = time.monotonic()
+    done = subprocess.run([sys.executable, "-m", "mdimlab.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert time.monotonic() - start < 10
+    return done
+
+
+# the level-0 ell of 49/50 has 45 digits; planning level 1 alone would run for
+# minutes, so planning under the node budget must refuse it at level 0
+OVER_BUDGET_AT_LEVEL_0 = ("error: this plan needs at least 1048582 nodes by level 0,"
+                          " over the budget of 1000000\n")
+
+
+@pytest.mark.parametrize("beta", ["49/50", "19/20"])
+def test_build_fbeta_stops_planning_at_the_first_level_over_the_budget(tmp_path, beta):
+    done = run_fresh("build-fbeta", "--beta", beta, "--levels", "2", "-o", str(tmp_path))
+    assert done.returncode == 2 and done.stdout == ""
+    assert done.stderr == OVER_BUDGET_AT_LEVEL_0
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["implant", "estimate"])
+def test_loaded_plans_are_planned_under_the_node_budget(tmp_path, command):
+    # a hand-written plan: the level lines are only compared after planning
+    plan = ("fbeta-plan v1\nbeta = 49/50\nK = 1\nseed_a1 = 1/2\n"
+            "level 0: dummy\nlevel 1: dummy\n")
+    (tmp_path / "plan.txt").write_text(plan)
+    (tmp_path / "model.txt").write_text("fbeta-model v1\n[plan]\n" + plan)
+    (tmp_path / "host.txt").write_text(dump_pwa(identity_map()))
+    if command == "implant":
+        done = run_fresh(*implant_argv(tmp_path, tmp_path / "host.txt"))
+    else:
+        done = run_fresh("estimate", "--model", str(tmp_path / "model.txt"),
+                         "-o", str(tmp_path / "out"))
+    assert done.returncode == 2 and done.stdout == ""
+    assert done.stderr == OVER_BUDGET_AT_LEVEL_0
+    assert not (tmp_path / "out").exists()
+
+
+def test_build_fbeta_budget_counts_the_levels_above(tmp_path, capsys):
+    # levels 0 and 1 of beta 1/2 cut their cores into 29 and 1,853 pieces,
+    # about 2 + (2*29 + 6) + (2*1853 + 6) = 3,778 nodes: that budget fits,
+    # one less is refused before anything is written
+    code, _, err = run(capsys, "build-fbeta", "--beta", "1/2", "--levels", "2",
+                       "--node-budget", "3777", "-o", str(tmp_path))
+    assert code == 2
+    assert err == "error: this plan needs at least 3778 nodes by level 1, over the budget of 3777\n"
+    assert list(tmp_path.iterdir()) == []
+    code, _, err = run(capsys, "build-fbeta", "--beta", "1/2", "--levels", "2",
+                       "--node-budget", "3778", "-o", str(tmp_path))
+    assert code == 0 and err == ""
 
 
 # === estimate =================================================================

@@ -232,6 +232,17 @@ def test_build_respects_the_node_budget():
         build_fbeta(plan_sequences(F(1, 2), 2))
 
 
+def test_planning_under_a_budget_stops_at_the_first_level_that_cannot_fit():
+    # a budget that fits plans the same levels as no budget at all
+    assert plan_sequences(F(5, 11), 1, node_budget=10**6) == plan_sequences(F(5, 11), 1)
+    with pytest.raises(ResourceError, match="by level 2, over the budget of 1000000"):
+        plan_sequences(F(1, 2), 2, node_budget=10**6)
+    # the dense variant: 2 + (2*3 + 6) + (2*5 + 6) = 30 nodes for two levels
+    assert plan_sequences(F(1), 1, variant_full=True, node_budget=30).K == 1
+    with pytest.raises(ResourceError, match="at least 30 nodes by level 1, over the budget of 29"):
+        plan_sequences(F(1), 1, variant_full=True, node_budget=29)
+
+
 def test_dense_variant_builds_and_verifies():
     model = build_fbeta(plan_sequences(F(1), 1, variant_full=True))
     summary = verify_model(model)

@@ -2,6 +2,9 @@
 uniform distance, fixed points, canonical form, and text round-trips."""
 from __future__ import annotations
 
+import copy
+import math
+import pickle
 import random
 from fractions import Fraction
 
@@ -9,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_pwa
+from conftest import near_nodes, prime_denominator_pwa, random_pwa, value_at
 from mdimlab import (
     DomainError,
     PwaMap,
@@ -79,7 +82,7 @@ def test_compose_constant_absorbs(tent):
 
 def reference_compose(outer: PwaMap, inner: PwaMap) -> list[tuple[Fraction, Fraction]]:
     """outer∘inner by collecting every breakpoint in a set, sorting it and
-    evaluating both maps pointwise."""
+    evaluating both maps pointwise by the reference interpolation."""
     breaks = set(inner.xs)
     for (x0, y0), (x1, y1) in zip(inner.nodes(), inner.nodes()[1:]):
         lo, hi = sorted((y0, y1))
@@ -87,7 +90,7 @@ def reference_compose(outer: PwaMap, inner: PwaMap) -> list[tuple[Fraction, Frac
             if lo < b < hi:
                 breaks.add(x0 + (b - y0) * (x1 - x0) / (y1 - y0))
     return reference_normalise(
-        [(x, eval_map(outer, eval_map(inner, x))) for x in sorted(breaks)]
+        [(x, value_at(outer, value_at(inner, x))) for x in sorted(breaks)]
     )
 
 
@@ -202,6 +205,27 @@ def test_fixed_points_nonempty_on_many_random_maps():
             assert eval_map(m, hi) == hi
             mid = (lo + hi) / 2
             assert eval_map(m, mid) == mid
+
+
+@settings(max_examples=80, deadline=None)
+@given(seeds, st.integers(0, 12))
+def test_fixed_points_and_slopes_match_the_node_segments(seed, interior):
+    rng = random.Random(seed)
+    m = PwaMap.from_nodes([(x, x if rng.random() < 0.4 else y)
+                           for x, y in mixed_pwa(rng, interior).nodes()])
+    segments = list(zip(m.nodes(), m.nodes()[1:]))
+    assert m.max_abs_slope() == max(abs((y1 - y0) / (x1 - x0)) for (x0, y0), (x1, y1) in segments)
+    # m(x) - x vanishes on a segment iff it is zero at both ends or changes sign
+    intervals = fixed_points(m)
+    for (x0, y0), (x1, y1) in segments:
+        g0, g1 = y0 - x0, y1 - x1
+        if g0 == g1 == 0:
+            assert any(lo <= x0 and x1 <= hi for lo, hi in intervals)
+        elif g0 * g1 <= 0:
+            x = x0 + (x1 - x0) * g0 / (g0 - g1)
+            assert any(lo <= x <= hi for lo, hi in intervals)
+    assert all(value_at(m, lo) == lo and value_at(m, hi) == hi for lo, hi in intervals)
+    assert all(a[1] < b[0] for a, b in zip(intervals, intervals[1:]))
 
 
 # === canonical form ===========================================================
@@ -345,6 +369,71 @@ def test_eval_sorted_rejects_points_outside_the_domain_or_out_of_order(tent):
         eval_sorted(tent, [F(0), F(5, 4)])
     with pytest.raises(DomainError, match="ascend"):
         eval_sorted(tent, [F(1, 2), F(1, 4)])
+
+
+@settings(max_examples=80, deadline=None)
+@given(seeds, st.integers(0, 12),
+       st.lists(st.fractions(min_value=0, max_value=1, max_denominator=200), max_size=12))
+def test_evaluation_matches_a_plain_fraction_interpolation(seed, interior, extra):
+    m = mixed_pwa(random.Random(seed), interior)
+    big_l = math.lcm(*(x.denominator for x in m.xs))
+    # map nodes, both ends, and points off the nodes' common denominator
+    off_grid = [F(j, 3 * big_l + 1) for j in (1, big_l, 3 * big_l)]
+    points = [*m.xs, F(0), F(1), *off_grid, *extra]
+    assert any(big_l % x.denominator for x in points)
+    assert [eval_map(m, x) for x in points] == [value_at(m, x) for x in points]
+    xs = sorted(points)
+    assert eval_sorted(m, xs) == [value_at(m, x) for x in xs]
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_evaluation_on_maps_without_a_common_denominator(seed):
+    rng = random.Random(seed)
+    primes = prime_denominator_pwa(rng, 60)
+    assert math.lcm(*(x.denominator for x in primes.xs)).bit_length() > 500
+    # Farey neighbours k/(2k+1): nodes about 1/(4k^2) apart on 11 denominators
+    cluster = PwaMap.from_nodes([(F(0), F(1, 2))]
+                                + [(F(k, 2 * k + 1), F(rng.randrange(98), 97)) for k in range(50, 61)]
+                                + [(F(1), F(1, 3))])
+    for m in (primes, cluster):
+        # nodes and points a hair off them share the nodes' table keys
+        points = near_nodes(m) + [F(j, 97) for j in range(98)]
+        assert [eval_map(m, x) for x in points] == [value_at(m, x) for x in points]
+        xs = sorted(set(points))
+        assert eval_sorted(m, xs) == [value_at(m, x) for x in xs]
+    # every table entry is built from its own nodes, so none grows with the lcm
+    _, keys, pieces = primes._table
+    assert max(v.bit_length() for v in keys + [abs(c) for t in pieces for c in t]) < 128
+
+
+@pytest.mark.parametrize("points,message", [
+    ([F(0), F(5, 4)], "eval argument 5/4 outside [0,1]"),
+    ([F(-1, 3)], "eval argument -1/3 outside [0,1]"),
+    ([F(1, 2), F(1, 4)], "eval points must ascend: 1/2 then 1/4"),
+])
+def test_evaluation_error_texts(tent, points, message):
+    with pytest.raises(DomainError) as exc:
+        eval_sorted(tent, points)
+    assert str(exc.value) == message
+    if len(points) == 1:
+        with pytest.raises(DomainError) as exc:
+            eval_map(tent, points[0])
+        assert str(exc.value) == message
+
+
+def test_a_map_with_its_node_table_built_behaves_like_a_fresh_one(half_model):
+    for m in (tent_map(), mixed_pwa(random.Random(5), 9), half_model.map):
+        eval_map(m, F(1, 3))
+        eval_sorted(m, [F(0), F(1)])
+        fresh = PwaMap(m.xs, m.ys)
+        assert "_table" in vars(m) and "_table" not in vars(fresh)
+        assert m == fresh and hash(m) == hash(fresh) and repr(m) == repr(fresh)
+        assert pickle.dumps(m) == pickle.dumps(fresh)
+        back = pickle.loads(pickle.dumps(m))
+        assert back == m and "_table" not in vars(back)
+        assert eval_map(back, F(1, 3)) == eval_map(m, F(1, 3))
+        assert copy.deepcopy(m) == m
+        assert dump_pwa(m) == dump_pwa(fresh)
 
 
 # === serialization ============================================================

@@ -14,7 +14,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import mdimlab.separation
-from conftest import random_boundary_fixed_pwa, random_pwa
+from conftest import (
+    dn_reference, near_nodes, orbit_values, prime_denominator_pwa, random_boundary_fixed_pwa,
+    random_pwa,
+)
 from mdimlab import (
     ContractError,
     CountRecord,
@@ -156,7 +159,7 @@ def test_greedy_is_maximal_within_its_grid(tent):
     for p in points:
         if p in chosen:
             continue
-        assert any(dn_distance(tent, p, s, 2) <= eps for s in chosen)
+        assert any(dn_reference(tent, p, s, 2) <= eps for s in chosen)
 
 
 # === exhaustive counting ======================================================
@@ -187,7 +190,7 @@ def test_exhaustive_matches_a_direct_subset_scan(seed, n, eps):
     best = 0
     for r in range(len(points), 0, -1):
         if any(
-            all(dn_distance(m, a, b, n) > eps for a, b in combinations(sub, 2))
+            all(dn_reference(m, a, b, n) > eps for a, b in combinations(sub, 2))
             for sub in combinations(points, r)
         ):
             best = r
@@ -197,11 +200,11 @@ def test_exhaustive_matches_a_direct_subset_scan(seed, n, eps):
 
 def reference_mask_scan(m: PwaMap, n: int, eps: Fraction, points: list[Fraction]) -> int:
     """Largest separated subset by testing every subset mask, with adjacency
-    from pointwise dn_distance."""
+    from the reference d_n."""
     k = len(points)
     adj = [0] * k
     for i, j in combinations(range(k), 2):
-        if dn_distance(m, points[i], points[j], n) > eps:
+        if dn_reference(m, points[i], points[j], n) > eps:
             adj[i] |= 1 << j
             adj[j] |= 1 << i
     best = 1 if k else 0
@@ -344,14 +347,15 @@ def test_view_accepts_map_nodes_at_the_branch_ends():
 
 # === exact integer orbits =====================================================
 # The greedy and exhaustive counts and map-attached cylinder certificates run
-# on scaled integer orbits; these tests hold them to the pointwise Fraction
-# path (orbit, dn_distance) written independently of it.
+# on scaled integer orbits; these tests hold them, and the pointwise path
+# (orbit, dn_distance) that reads the same node table, to the reference
+# interpolation in conftest, written apart from the library.
 
 def reference_greedy(m: PwaMap, n: int, eps: Fraction, points: list[Fraction]) -> list[Fraction]:
-    """Greedy left-to-right separated subset, comparing every pair by dn_distance."""
+    """Greedy left-to-right separated subset, comparing every pair by the reference d_n."""
     chosen: list[Fraction] = []
     for x in sorted(points):
-        if all(dn_distance(m, x, s, n) > eps for s in chosen):
+        if all(dn_reference(m, x, s, n) > eps for s in chosen):
             chosen.append(x)
     return chosen
 
@@ -373,14 +377,23 @@ def test_integer_orbits_equal_pointwise_orbits(seed, n, points):
     m = random_pwa(rng)
     # map nodes, both ends and mixed denominators
     points = points + list(m.xs) + [F(0), F(1), F(1, 3), F(5, 7)]
-    assert kernel_orbit_values(m, points, n) == [orbit(m, x, n) for x in points]
+    expected = [orbit_values(m, x, n) for x in points]
+    assert kernel_orbit_values(m, points, n) == expected
+    assert [orbit(m, x, n) for x in points] == expected
+    assert dn_distance(m, points[0], points[-1], n) == dn_reference(m, points[0], points[-1], n)
+
+
+def test_integer_orbits_on_a_map_without_a_common_denominator():
+    m = prime_denominator_pwa(random.Random(4), 30)
+    points = near_nodes(m)
+    assert kernel_orbit_values(m, points, 3) == [orbit_values(m, x, 3) for x in points]
 
 
 def test_integer_orbits_stay_exact_over_thirty_steps():
     rng = random.Random(11)
     m = random_pwa(rng, max_interior=4, denom=24)
     points = [F(1, 3), F(2, 7), F(13, 24), F(1)]
-    assert kernel_orbit_values(m, points, 30) == [orbit(m, x, 30) for x in points]
+    assert kernel_orbit_values(m, points, 30) == [orbit_values(m, x, 30) for x in points]
 
 
 def test_integer_orbits_reject_points_off_the_unit_interval(tent):
@@ -431,7 +444,8 @@ def test_cylinder_certificate_is_the_least_pairwise_dn(beta, k, level, n):
     view = build_fbeta(plan_sequences(beta, k)).view(level)
     assert view.map is not None
     reps = [x for _, x in cylinder_representatives(view, n)]
-    least = min(dn_distance(view.map, x, y, n) for x, y in combinations(reps, 2))
+    orbits = [orbit_values(view.map, x, n) for x in reps]
+    least = min(max(abs(a - b) for a, b in zip(ox, oy)) for ox, oy in combinations(orbits, 2))
     assert verify_cylinder_separation(view, n) == least
     # the branch-geometry path of a loaded view (no map) agrees
     (loaded,) = load_views(dump_views([view]))
