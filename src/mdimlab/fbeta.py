@@ -251,12 +251,21 @@ class _NodeSink:
 
 
 def build_fbeta(plan: FBetaPlan, node_budget: int = DEFAULT_NODE_BUDGET) -> FBetaModel:
+    """The assembled map, its branch table, and one level view per level
+    checked against the map."""
+    pwa, branch_table = assemble_fbeta(plan, node_budget)
+    return FBetaModel(plan, pwa, branch_table, level_views(plan, pwa))
+
+
+def assemble_fbeta(
+    plan: FBetaPlan, node_budget: int = DEFAULT_NODE_BUDGET
+) -> tuple[PwaMap, tuple[BranchEntry, ...]]:
     """Assemble the map bottom-up: identity tail, then gap + level per k.
 
     Every piece boundary is asserted continuous during assembly; the final
     node list is canonicalized by the PwaMap constructor (which also merges
     level-0 top excursions into plateaus at height 1, where the gap above
-    the top core degenerates to the single point {1}).
+    the top core degenerates to the single point {1}).  Builds no level view.
     """
     est = _estimate_nodes(plan.levels)
     if est > node_budget:
@@ -276,8 +285,7 @@ def build_fbeta(plan: FBetaPlan, node_budget: int = DEFAULT_NODE_BUDGET) -> FBet
         _push_level(sink, plan, lv, top_peak, branch_table)
     if sink.nodes[-1] != (ONE, ONE):
         raise ContractError(f"assembly did not end at (1,1): {sink.nodes[-1]}")
-    pwa = PwaMap.from_nodes(sink.nodes)
-    return FBetaModel(plan, pwa, tuple(branch_table), level_views(plan, pwa))
+    return PwaMap.from_nodes(sink.nodes), tuple(branch_table)
 
 
 def _push_gap(sink: _NodeSink, g_l: Fraction, g_r: Fraction, b: Fraction) -> None:

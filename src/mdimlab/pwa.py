@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -82,14 +83,14 @@ class PwaMap:
     def _table(self) -> tuple[int, list[int], list[tuple[int, int, int]]]:
         xr = [x.as_integer_ratio() for x in self.xs]
         yr = [y.as_integer_ratio() for y in self.ys]
-        shift = 2 * max(m for _, m in xr).bit_length() + 1
+        shift, keys = _node_keys(xr)
         pieces = []
         for (n0, m0), (n1, m1), (u0, v0), (u1, v1) in zip(xr, xr[1:], yr, yr[1:]):
             dx, dy = n1 * m0 - n0 * m1, u1 * v0 - u0 * v1
             a, b, d = dy * m0 * m1, u0 * v1 * dx - dy * m1 * n0, v0 * v1 * dx
             g = math.gcd(a, b, d)
             pieces.append((a // g, b // g, d // g))
-        return shift, [(n << shift) // m for n, m in xr], pieces
+        return shift, keys, pieces
 
     def __getstate__(self) -> dict:
         return {"xs": self.xs, "ys": self.ys}     # the node table is derived
@@ -211,13 +212,32 @@ def iterate(m: PwaMap, n: int, node_budget: int = DEFAULT_NODE_BUDGET) -> PwaMap
     return result
 
 
+def merge_nodes(*seqs: Sequence[Fraction]) -> list[Fraction]:
+    """The ascending union of ascending point lists, equal to
+    ``sorted(set().union(*seqs))``, ordered and deduplicated by the integer
+    keys of ``_node_keys``, so no two points are compared."""
+    points = [x for seq in seqs for x in seq]
+    _, keys = _node_keys([x.as_integer_ratio() for x in points])
+    by_key = dict(zip(keys, points))
+    return [by_key[k] for k in sorted(by_key)]
+
+
+def _node_keys(ratios: list[tuple[int, int]]) -> tuple[int, list[int]]:
+    """The shift s = 2·(bits of the largest denominator D) + 1 and the keys
+    floor(x·2^s) of the points x = n/d given as (n, d).  Two distinct points
+    differ by at least 1/D² > 2/2^s, so their keys differ and keep their
+    order; a point that is not in the list may share a key with one that is."""
+    shift = 2 * max(d for _, d in ratios).bit_length() + 1
+    return shift, [(n << shift) // d for n, d in ratios]
+
+
 def sup_distance(a: PwaMap, b: PwaMap) -> Fraction:
     """Exact C0 distance max_x |a(x) − b(x)|.
 
     The difference is piecewise affine with breakpoints in the merged node
     set, so the max is attained at one of those points.
     """
-    merged = sorted(set(a.xs) | set(b.xs))
+    merged = merge_nodes(a.xs, b.xs)
     return max(abs(u - v) for u, v in zip(eval_sorted(a, merged), eval_sorted(b, merged)))
 
 

@@ -16,17 +16,25 @@ from .errors import DomainError, SerializationError
 # --- integer kernels -------------------------------------------------------
 
 def iroot(n: int, k: int) -> int:
-    """Floor k-th root of a nonnegative integer, by Newton iteration."""
+    """Floor k-th root of a nonnegative integer, by bisection.
+
+    With b the bit length of n and e = (b - 1)//k, the root r satisfies
+    2^e <= r < 2^(e+1), so e + 1 halvings of that range find it, one k-th
+    power each.
+    """
     if n < 0 or k < 1:
         raise DomainError(f"iroot needs n >= 0 and k >= 1, got n={n}, k={k}")
     if n == 0 or k == 1:
         return n
-    # start above the root, then Newton steps descend onto floor(n^(1/k))
-    r = 1 << (n.bit_length() // k + 1)
-    while True:
-        if r**k <= n < (r + 1) ** k:
-            return r
-        r = max(((k - 1) * r + n // r ** (k - 1)) // k, 1)
+    e = (n.bit_length() - 1) // k
+    lo, hi = 1 << e, 1 << (e + 1)                      # lo**k <= n < hi**k
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if mid**k <= n:
+            lo = mid
+        else:
+            hi = mid
+    return lo
 
 
 def floor_pow(x: Fraction, exponent: Fraction) -> int:

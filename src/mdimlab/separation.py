@@ -41,7 +41,7 @@ from .errors import (
     ResourceError,
     SerializationError,
 )
-from .pwa import PwaMap, eval_map
+from .pwa import PwaMap, eval_map, eval_sorted
 from .rational import body_lines, format_interval, format_rational, parse_interval, parse_rational
 
 METHOD_GREEDY = "greedy-grid"
@@ -329,23 +329,35 @@ class MarkovView:
                     )
             prev_hi = br.hi
         if self.map is not None:
-            for br in self.branches:
-                self._check_branch_against_map(br)
+            self._check_against_map()
 
-    def _check_branch_against_map(self, br: MarkovBranch) -> None:
-        lo_v, hi_v = eval_map(self.map, br.lo), eval_map(self.map, br.hi)
-        want = (self.core_lo, self.core_hi) if br.increasing else (self.core_hi, self.core_lo)
-        if (lo_v, hi_v) != want:
-            raise ContractError(
-                f"branch [{br.lo}, {br.hi}] does not map onto the core:"
-                f" endpoint values ({lo_v}, {hi_v}), expected {want}"
-            )
-        # the least node above lo; it exists, since lo < hi <= 1 = xs[-1]
-        x = self.map.xs[bisect_right(self.map.xs, br.lo)]
-        if x < br.hi:
-            raise ContractError(
-                f"branch [{br.lo}, {br.hi}] is not affine: map node at {x}"
-            )
+    def _check_against_map(self) -> None:
+        """Each branch equals the map on its domain: its end values are the
+        core ends, and no map node lies strictly inside it.  The ends of all
+        branches ascend, so one ``eval_sorted`` values them, and each branch's
+        least node above lo is found by a ``bisect_right`` that starts at the
+        previous branch's.  The error names the first failing branch in
+        branch order."""
+        m = self.map
+        ends = [x for br in self.branches for x in (br.lo, br.hi)]
+        values = eval_sorted(m, ends[:bisect_right(ends, 1)])
+        i = 0
+        for k, br in enumerate(self.branches):
+            got = tuple(values[2 * k:2 * k + 2])
+            if len(got) < 2:                  # an end past 1: eval_map raises there
+                got = (eval_map(m, br.lo), eval_map(m, br.hi))
+            want = (self.core_lo, self.core_hi) if br.increasing else (self.core_hi, self.core_lo)
+            if got != want:
+                raise ContractError(
+                    f"branch [{br.lo}, {br.hi}] does not map onto the core:"
+                    f" endpoint values ({got[0]}, {got[1]}), expected {want}"
+                )
+            # the least node above lo; it exists, since lo < hi <= 1 = xs[-1]
+            i = bisect_right(m.xs, br.lo, i)
+            if m.xs[i] < br.hi:
+                raise ContractError(
+                    f"branch [{br.lo}, {br.hi}] is not affine: map node at {m.xs[i]}"
+                )
 
     @property
     def branch_count(self) -> int:

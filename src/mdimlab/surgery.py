@@ -14,17 +14,26 @@ equals the host exactly; on the inner window h3 is exactly the rescaled
 implant, so separated-set counts transport through A with the window length
 as scale factor.  Everything stays piecewise affine because on the profile
 collars both blended maps agree (they are the identity there).
+
+`implant` assembles only the staircase map (`assemble_fbeta`), never its
+level views; `transported_views` checks each view once, against the blended
+map.  Merged node sets come from `pwa.merge_nodes`, which orders points by
+integer keys, so no step here sorts Fractions.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
+from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
 from .errors import ContractError, DomainError, SerializationError, VerificationError
-from .fbeta import FBetaPlan, build_fbeta, level_views, load_plan
-from .pwa import DEFAULT_NODE_BUDGET, PwaMap, constant_map, eval_sorted, identity_map, load_pwa
+from .fbeta import FBetaPlan, assemble_fbeta, level_views, load_plan
+from .pwa import (
+    DEFAULT_NODE_BUDGET, PwaMap, constant_map, eval_sorted, identity_map, load_pwa, merge_nodes,
+)
 from .rational import (
     body_lines, format_interval, format_rational, parse_interval, parse_rational, read_fields,
 )
@@ -79,22 +88,34 @@ def make_bump(inner: Interval, outer: Interval) -> PwaMap:
     return PwaMap.from_nodes(nodes)
 
 
+def _affine_into(lo: Fraction, hi: Fraction) -> Callable[[Fraction], Fraction]:
+    """A: x -> lo + x·(hi - lo), each image one Fraction of integer numerators."""
+    (ln, ld), (hn, hd) = lo.as_integer_ratio(), hi.as_integer_ratio()
+    start, span, den = ln * hd, hn * ld - ln * hd, ld * hd
+
+    def move(x: Fraction) -> Fraction:
+        p, q = x.as_integer_ratio()
+        return Fraction(start * q + p * span, den * q)
+
+    return move
+
+
 def conjugate_into_interval(m: PwaMap, lo: Fraction, hi: Fraction) -> PwaMap:
     """A o m o A^{-1} on [lo, hi] (A the increasing affine bijection from
     [0, 1]), extended by the identity outside.  The extension is continuous
     only when m fixes both endpoints, so that is required."""
     if not (0 <= lo < hi <= 1):
         raise DomainError(f"target {format_interval(lo, hi)} is not a subinterval of [0, 1]")
-    if m(Fraction(0)) != 0 or m(Fraction(1)) != 1:
+    if m.ys[0] != 0 or m.ys[-1] != 1:                  # the values at x = 0 and x = 1
         raise ContractError(
             "conjugated map must fix 0 and 1 so the identity extension is continuous; "
-            f"got m(0) = {format_rational(m(Fraction(0)))}, m(1) = {format_rational(m(Fraction(1)))}"
+            f"got m(0) = {format_rational(m.ys[0])}, m(1) = {format_rational(m.ys[-1])}"
         )
-    scale = hi - lo
+    move = _affine_into(lo, hi)
     nodes: list[tuple[Fraction, Fraction]] = []
     if lo > 0:
         nodes.append((Fraction(0), Fraction(0)))
-    nodes += [(lo + x * scale, lo + y * scale) for x, y in m.nodes()]
+    nodes += [(move(x), move(y)) for x, y in m.nodes()]
     if hi < 1:
         nodes.append((Fraction(1), Fraction(1)))
     return PwaMap.from_nodes(nodes)
@@ -105,18 +126,20 @@ def blend_with_profile(base: PwaMap, insert: PwaMap, profile: PwaMap) -> PwaMap:
 
     The blend is piecewise affine only when, on every merged piece, the
     profile is constant or the two maps differ by a constant; anything else
-    would square a slope."""
-    xs = sorted(set(base.xs) | set(insert.xs) | set(profile.xs))
+    would square a slope.  Where the profile is 0 the blend is the base value,
+    where it is 1 the insert value; the map difference is taken only at the
+    ends of pieces on which the profile varies."""
+    xs = merge_nodes(base.xs, insert.xs, profile.xs)
     chi = eval_sorted(profile, xs)
-    base_ys = eval_sorted(base, xs)
-    diffs = [v - u for u, v in zip(base_ys, eval_sorted(insert, xs))]
+    us, vs = eval_sorted(base, xs), eval_sorted(insert, xs)
     for i in range(len(xs) - 1):
-        if chi[i] != chi[i + 1] and diffs[i] != diffs[i + 1]:
+        if chi[i] != chi[i + 1] and vs[i] - us[i] != vs[i + 1] - us[i + 1]:
             raise ContractError(
                 f"blend is not piecewise affine on {format_interval(xs[i], xs[i + 1])}: "
                 "the profile and the map difference both vary there"
             )
-    return PwaMap.from_nodes([(x, u + c * d) for x, u, c, d in zip(xs, base_ys, chi, diffs)])
+    ys = [u if c == 0 else v if c == 1 else u + c * (v - u) for u, v, c in zip(us, vs, chi)]
+    return PwaMap.from_nodes(list(zip(xs, ys)))
 
 
 # === implant plans ===========================================================
@@ -149,7 +172,8 @@ def _require(cond: bool, message: str) -> None:
 def _agree_on(a: PwaMap, b: PwaMap, lo: Fraction, hi: Fraction) -> bool:
     """Exact equality on [lo, hi]: both maps are affine between consecutive
     points of {lo, hi} and their breakpoints inside, so those points decide."""
-    xs = sorted({lo, hi} | {x for x in a.xs + b.xs if lo < x < hi})
+    inside = [m.xs[bisect_right(m.xs, lo):bisect_left(m.xs, hi)] for m in (a, b)]
+    xs = merge_nodes((lo, hi), *inside)
     return eval_sorted(a, xs) == eval_sorted(b, xs)
 
 
@@ -186,16 +210,17 @@ def _check_plan(plan: SurgeryPlan) -> None:
 def implant(plan: SurgeryPlan, node_budget: int = DEFAULT_NODE_BUDGET) -> PwaMap:
     """Blend a rescaled copy of the planned map into the host's flat spot.
 
-    Checks the plan, builds the map, blends, and re-verifies the three
-    promises: the host is untouched off the outer window, the inner window
-    carries an exact rescaled copy, and the inner window is invariant.
+    Checks the plan, assembles the staircase map (no level views), blends,
+    and re-verifies the three promises: the host is untouched off the outer
+    window, the inner window carries an exact rescaled copy, and the inner
+    window is invariant.
     """
     _check_plan(plan)
     profile = plan.chi if plan.chi is not None else make_bump(plan.J_hat, plan.J_tilde)
     _check_profile(profile, plan.J_hat, plan.J_tilde)
 
-    model = build_fbeta(plan.fbeta_plan, node_budget)
-    insert = conjugate_into_interval(model.map, *plan.J_hat)
+    staircase, _ = assemble_fbeta(plan.fbeta_plan, node_budget)
+    insert = conjugate_into_interval(staircase, *plan.J_hat)
     blended = blend_with_profile(plan.host, insert, profile)
 
     _verify_implant(blended, plan, insert)
@@ -211,9 +236,11 @@ def _verify_implant(blended: PwaMap, plan: SurgeryPlan, insert: PwaMap) -> None:
     if not _agree_on(blended, insert, h_lo, h_hi):
         broken.append(f"inner window {format_interval(h_lo, h_hi)} does not carry the exact "
                       "rescaled copy")
-    inner_values = [y for x, y in blended.nodes() if h_lo < x < h_hi]
+    (ln, ld), (hn, hd) = h_lo.as_integer_ratio(), h_hi.as_integer_ratio()
+    inner = blended.ys[bisect_right(blended.xs, h_lo):bisect_left(blended.xs, h_hi)]
     if (blended(h_lo) != h_lo or blended(h_hi) != h_hi
-            or any(not h_lo <= y <= h_hi for y in inner_values)):
+            or any(not (ln * d <= n * ld and n * hd <= hn * d)
+                   for n, d in (y.as_integer_ratio() for y in inner))):
         broken.append(f"inner window {format_interval(h_lo, h_hi)} is not invariant")
     if broken:
         raise VerificationError("; ".join(broken))
@@ -231,12 +258,11 @@ def transport_markov_view(
     and the separation scale all rescale by hi - lo."""
     if not (0 <= lo < hi <= 1):
         raise DomainError(f"target {format_interval(lo, hi)} is not a subinterval of [0, 1]")
-    scale = hi - lo
-    move = lambda x: lo + x * scale
+    move = _affine_into(lo, hi)
     branches = tuple(
         MarkovBranch(move(b.lo), move(b.hi), b.increasing) for b in view.branches
     )
-    sep = None if view.separation_scale is None else view.separation_scale * scale
+    sep = None if view.separation_scale is None else view.separation_scale * (hi - lo)
     label = f"{view.label} in {format_interval(lo, hi)}" if view.label else ""
     return MarkovView(move(view.core_lo), move(view.core_hi), branches, sep, mapped, label)
 

@@ -13,12 +13,14 @@ from pathlib import Path
 import pytest
 
 import mdimlab.cli
+import mdimlab.fbeta
 import mdimlab.surgery
 from mdimlab import (
     dump_model, dump_plan, dump_pwa, dump_views, identity_map, load_plan, load_pwa, load_views,
     plan_sequences,
 )
 from mdimlab.cli import main
+from mdimlab.separation import MarkovView
 
 F = Fraction
 
@@ -352,16 +354,29 @@ def test_implant_writes_the_blended_map_and_views(tmp_path, capsys, identity, ha
 
 
 def test_implant_builds_the_staircase_once(tmp_path, capsys, monkeypatch, identity, half_plan):
-    plans = []
-    for module in (mdimlab.surgery, mdimlab.cli):
-        def counted(plan, *rest, real=module.build_fbeta, **kwargs):
+    # every assembly, direct or through build_fbeta, passes one of these two names
+    plans, staircases, view_maps = [], [], []
+    for module in (mdimlab.fbeta, mdimlab.surgery):
+        def counted(plan, *rest, real=module.assemble_fbeta, **kwargs):
             plans.append(plan)
-            return real(plan, *rest, **kwargs)
-        monkeypatch.setattr(module, "build_fbeta", counted)
+            built = real(plan, *rest, **kwargs)
+            staircases.append(built[0])
+            return built
+        monkeypatch.setattr(module, "assemble_fbeta", counted)
+    check_view = MarkovView.__post_init__
+
+    def recorded(view):
+        view_maps.append(view.map)
+        check_view(view)
+    monkeypatch.setattr(MarkovView, "__post_init__", recorded)
     write_implant_inputs(tmp_path, identity, half_plan)
     code, _, err = run(capsys, *implant_argv(tmp_path, tmp_path / "host.txt"))
     assert code == 0 and err == ""
     assert plans == [half_plan]
+    # the views are checked against the blended map only, never the staircase
+    blended = load_pwa((tmp_path / "out" / "implanted.txt").read_text())
+    assert [vm for vm in view_maps if vm is not None] == [blended, blended]
+    assert staircases[0] not in view_maps
 
 
 @pytest.mark.parametrize("command", ["estimate", "implant"])

@@ -2,6 +2,7 @@
 rational powers, held to their defining inequalities."""
 from __future__ import annotations
 
+import time
 from fractions import Fraction
 
 import pytest
@@ -36,6 +37,34 @@ def test_iroot_is_the_floor_root(n, k):
 def test_iroot_is_exact_at_and_just_below_perfect_powers(r, k):
     assert iroot(r**k, k) == r
     assert iroot(r**k - 1, k) == r - 1
+
+
+def newton_root(n: int, k: int) -> int:
+    """Floor k-th root by Newton steps from above, the reference for the
+    bisecting ``iroot``."""
+    if n == 0 or k == 1:
+        return n
+    r = 1 << (n.bit_length() // k + 1)
+    while not r**k <= n < (r + 1) ** k:
+        r = max(((k - 1) * r + n // r ** (k - 1)) // k, 1)
+    return r
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 3000).flatmap(lambda bits: st.integers(0, 2**bits - 1)), st.integers(1, 64))
+@example(2**56, 8)             # a perfect power: the root is the low end 2^7
+@example(2**56 - 1, 8)         # just below it: the root is 2^7 - 1, the top of [2^6, 2^7)
+def test_iroot_agrees_with_newton_steps(n, k):
+    assert iroot(n, k) == newton_root(n, k)
+
+
+def test_iroot_of_a_huge_radicand_with_a_large_index_is_fast():
+    # 19 halvings of [2^18, 2^19); Newton from above would creep down by a
+    # factor 9999/10000 a step, 6,353 steps
+    start = time.perf_counter()
+    r = iroot(3000001**8399, 10000)
+    assert time.perf_counter() - start < 0.5
+    assert r**10000 <= 3000001**8399 < (r + 1) ** 10000
 
 
 @pytest.mark.parametrize("n,k", [(-1, 2), (4, 0)])

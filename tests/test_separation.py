@@ -345,6 +345,54 @@ def test_view_accepts_map_nodes_at_the_branch_ends():
     assert view.branch_count == 3
 
 
+# four quarter-width pieces over the core [0, 1]: up, down with a kink at
+# 3/8, up with a kink at 5/8, and a last one that ends at 1/2, off the core
+KINKED = PwaMap.from_nodes([
+    (F(0), F(0)), (F(1, 4), F(1)), (F(3, 8), F(1, 3)), (F(1, 2), F(0)),
+    (F(5, 8), F(1, 3)), (F(3, 4), F(1)), (F(1), F(1, 2)),
+])
+QUARTERS = [(F(0), F(1, 4)), (F(1, 4), F(1, 2)), (F(1, 2), F(3, 4)), (F(3, 4), F(1))]
+
+
+@pytest.mark.parametrize("layout,message", [
+    # every branch after the first fails too; the error names the first
+    ({0: True, 1: False, 2: True, 3: False}, "branch [1/4, 1/2] is not affine: map node at 3/8"),
+    ({0: False, 1: False, 2: True, 3: False},
+     "branch [0, 1/4] does not map onto the core: endpoint values (0, 1),"
+     " expected (Fraction(1, 1), Fraction(0, 1))"),
+    ({1: True, 2: True, 3: False},
+     "branch [1/4, 1/2] does not map onto the core: endpoint values (1, 0),"
+     " expected (Fraction(0, 1), Fraction(1, 1))"),
+    ({0: True, 2: True, 3: False}, "branch [1/2, 3/4] is not affine: map node at 5/8"),
+    ({0: True, 3: False},
+     "branch [3/4, 1] does not map onto the core: endpoint values (1, 1/2),"
+     " expected (Fraction(1, 1), Fraction(0, 1))"),
+], ids=["node-then-more", "first-endpoints", "endpoints-before-node", "node-then-endpoints",
+        "last-endpoints"])
+def test_view_check_names_the_first_failing_branch(layout, message):
+    branches = tuple(MarkovBranch(*QUARTERS[i], up) for i, up in layout.items())
+    with pytest.raises(ContractError) as err:
+        MarkovView(F(0), F(1), branches, None, KINKED)
+    assert str(err.value) == message
+
+
+def test_view_check_finds_a_node_just_above_the_branch_start():
+    # 997/3000 lies just below the node 1/3 and shares its table key floor(32·x) = 10
+    peak = PwaMap.from_nodes([(F(0), F(0)), (F(1, 3), F(1)), (F(1), F(0))])
+    branch = MarkovBranch(F(997, 3000), F(1, 2), False)
+    with pytest.raises(ContractError, match=r"^branch \[997/3000, 1/2\] is not affine: map node at 1/3$"):
+        MarkovView(F(3, 4), F(997, 1000), (branch,), None, peak)
+
+
+def test_view_check_evaluates_a_branch_past_1_in_branch_order():
+    # the first branch misses the core before the second one leaves [0, 1]
+    branches = (MarkovBranch(F(0), F(1, 4), False), MarkovBranch(F(3, 4), F(5, 4), True))
+    with pytest.raises(ContractError, match=r"^branch \[0, 1/4\] does not map onto the core"):
+        MarkovView(F(0), F(1), branches, None, KINKED)
+    with pytest.raises(DomainError, match="eval argument 5/4 outside"):
+        MarkovView(F(0), F(1), branches[1:], None, KINKED)
+
+
 # === exact integer orbits =====================================================
 # The greedy and exhaustive counts and map-attached cylinder certificates run
 # on scaled integer orbits; these tests hold them, and the pointwise path

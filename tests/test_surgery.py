@@ -4,10 +4,14 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import prime_denominator_pwa, random_boundary_fixed_pwa, random_pwa, value_at
 from mdimlab import (
     ContractError,
     DomainError,
@@ -33,8 +37,8 @@ from mdimlab import (
     verify_cylinder_separation,
 )
 from mdimlab.pwa import PwaMap
-from mdimlab.separation import METHOD_CYLINDER
-from mdimlab.surgery import _verify_implant
+from mdimlab.separation import METHOD_CYLINDER, MarkovBranch, MarkovView
+from mdimlab.surgery import _agree_on, _verify_implant
 
 F = Fraction
 
@@ -131,8 +135,140 @@ def test_blend_carries_the_insert_on_the_inner_window(half_model, identity):
 
 def test_blend_rejects_a_profile_that_would_square_slopes(tent, identity):
     chi = make_bump((F(2, 5), F(3, 5)), (F(7, 20), F(13, 20)))
-    with pytest.raises(ContractError, match="not piecewise affine on 7/20:2/5:"):
+    with pytest.raises(ContractError) as err:
         blend_with_profile(tent, identity, chi)
+    assert str(err.value) == ("blend is not piecewise affine on 7/20:2/5: the profile and the"
+                              " map difference both vary there")
+
+
+# === the implant path against a plain Fraction reference ======================
+# The library merges node sets by integer keys, moves points with integer
+# numerators and evaluates through node tables; these references sort
+# Fraction sets and interpolate with conftest's value_at instead.
+
+seeds = st.integers(0, 10**9)
+kinds = st.sampled_from(["small", "prime"])
+
+
+def host_map(rng: random.Random, kind: str, flat: tuple[Fraction, Fraction] | None = None) -> PwaMap:
+    """A random map, on the 1/24 grid or on its own primes; the identity on ``flat`` if given."""
+    m = random_pwa(rng) if kind == "small" else prime_denominator_pwa(rng, rng.randint(2, 9))
+    if flat is None:
+        return m
+    lo, hi = flat
+    return PwaMap.from_nodes([(x, y) for x, y in m.nodes() if x < lo] + [(lo, lo), (hi, hi)]
+                             + [(x, y) for x, y in m.nodes() if x > hi])
+
+
+def fixing_map(rng: random.Random, kind: str) -> PwaMap:
+    """A random map fixing 0 and 1, so it conjugates into a window."""
+    if kind == "small":
+        return random_boundary_fixed_pwa(rng)
+    inner = prime_denominator_pwa(rng, rng.randint(3, 9)).nodes()[1:-1]
+    return PwaMap.from_nodes([(F(0), F(0)), *inner, (F(1), F(1))])
+
+
+def nested_windows(rng: random.Random) -> tuple[tuple[Fraction, Fraction], tuple[Fraction, Fraction]]:
+    """(inner, outer) windows with ends on one large prime denominator."""
+    p = rng.choice([1009, 7919, 104729])
+    t_lo, h_lo, h_hi, t_hi = sorted(F(k, p) for k in rng.sample(range(1, p), 4))
+    return (h_lo, h_hi), (t_lo, t_hi)
+
+
+def conjugate_reference(m: PwaMap, lo: Fraction, hi: Fraction) -> PwaMap:
+    nodes = [(F(0), F(0))] if lo > 0 else []
+    nodes += [(lo + x * (hi - lo), lo + y * (hi - lo)) for x, y in m.nodes()]
+    nodes += [(F(1), F(1))] if hi < 1 else []
+    return PwaMap.from_nodes(nodes)
+
+
+def blend_reference(base: PwaMap, insert: PwaMap, profile: PwaMap) -> PwaMap | str:
+    """(1 - chi)·base + chi·insert at every merged node, or the refusal text."""
+    xs = sorted(set(base.xs) | set(insert.xs) | set(profile.xs))
+    chi = [value_at(profile, x) for x in xs]
+    diffs = [value_at(insert, x) - value_at(base, x) for x in xs]
+    for i in range(len(xs) - 1):
+        if chi[i] != chi[i + 1] and diffs[i] != diffs[i + 1]:
+            a, b = xs[i], xs[i + 1]
+            return (f"blend is not piecewise affine on {a.numerator}/{a.denominator}:"
+                    f"{b.numerator}/{b.denominator}: "
+                    "the profile and the map difference both vary there")
+    return PwaMap.from_nodes([(x, value_at(base, x) + c * d) for x, c, d in zip(xs, chi, diffs)])
+
+
+def agree_reference(a: PwaMap, b: PwaMap, lo: Fraction, hi: Fraction) -> bool:
+    xs = {lo, hi} | {x for x in a.xs + b.xs if lo < x < hi}
+    return all(value_at(a, x) == value_at(b, x) for x in xs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seeds, kinds, kinds)
+def test_sup_distance_matches_a_fraction_reference(seed, kind_a, kind_b):
+    rng = random.Random(seed)
+    a, b = host_map(rng, kind_a), host_map(rng, kind_b)
+    want = max(abs(value_at(a, x) - value_at(b, x)) for x in sorted(set(a.xs) | set(b.xs)))
+    assert sup_distance(a, b) == want == sup_distance(b, a)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seeds, kinds)
+def test_conjugation_and_transport_match_a_fraction_reference(seed, kind):
+    rng = random.Random(seed)
+    m = fixing_map(rng, kind)
+    (lo, hi), (t_lo, t_hi) = nested_windows(rng)
+    for window in ((lo, hi), (F(0), hi), (lo, F(1)), (t_lo, t_hi)):
+        assert dump_pwa(conjugate_into_interval(m, *window)) == dump_pwa(conjugate_reference(m, *window))
+    end = F(rng.randrange(1, 1013), 1013)
+    view = MarkovView(F(0), F(1), (MarkovBranch(end / 2, end, False),), end / 3)
+    moved = transport_markov_view(view, lo, hi)
+    assert moved.branches == (MarkovBranch(lo + end / 2 * (hi - lo), lo + end * (hi - lo), False),)
+    assert (moved.core_lo, moved.core_hi, moved.separation_scale) == (lo, hi, end / 3 * (hi - lo))
+
+
+@settings(max_examples=80, deadline=None)
+@given(seeds, kinds, kinds, st.booleans(), st.sampled_from([F(1), F(1, 2), F(355, 1009)]))
+def test_blend_matches_a_fraction_reference(seed, kind_host, kind_insert, flat, top):
+    rng = random.Random(seed)
+    inner, outer = nested_windows(rng)
+    base = host_map(rng, kind_host, outer if flat else None)
+    insert = conjugate_into_interval(fixing_map(rng, kind_insert), *inner)
+    # the trapezoid of make_bump when top is 1; a lower plateau mixes the maps
+    profile = PwaMap.from_nodes([(F(0), F(0)), (outer[0], F(0)), (inner[0], top),
+                                 (inner[1], top), (outer[1], F(0)), (F(1), F(0))])
+    want = blend_reference(base, insert, profile)
+    if isinstance(want, str):
+        with pytest.raises(ContractError) as err:
+            blend_with_profile(base, insert, profile)
+        assert str(err.value) == want
+    else:
+        assert dump_pwa(blend_with_profile(base, insert, profile)) == dump_pwa(want)
+    if flat:                        # both maps are the identity on the collars
+        assert not isinstance(want, str)
+
+
+@settings(max_examples=80, deadline=None)
+@given(seeds, kinds, st.sampled_from(["inside", "from 0", "to 1", "whole", "point"]),
+       st.sampled_from(["other", "same", "bent"]))
+def test_agree_on_matches_a_fraction_reference(seed, kind, window, relation):
+    rng = random.Random(seed)
+    a = host_map(rng, kind)
+    (h_lo, h_hi), _ = nested_windows(rng)
+    lo, hi = {"inside": (h_lo, h_hi), "from 0": (0, h_hi), "to 1": (h_lo, 1), "whole": (0, 1),
+              "point": (h_lo, h_lo)}[window]
+    b = host_map(rng, kind)
+    if relation != "other":         # b follows a on [lo, hi] and b's own nodes elsewhere
+        inside = [(x, y) for x, y in a.nodes() if lo < x < hi]
+        if relation == "bent" and hi > lo:   # ... but for one kink of its own inside
+            x = lo + (hi - lo) * F(rng.randrange(1, 1000), 1000)
+            inside = sorted({*inside, (x, value_at(a, x) + (F(-1, 10**9) if value_at(a, x) else
+                                                             F(1, 10**9)))})
+        b = PwaMap.from_nodes(
+            [(x, y) for x, y in b.nodes() if x < lo] + [(F(lo), value_at(a, lo))] + inside
+            + ([(F(hi), value_at(a, hi))] if hi > lo else [])
+            + [(x, y) for x, y in b.nodes() if x > hi])
+    assert _agree_on(a, b, lo, hi) == agree_reference(a, b, lo, hi)
+    if relation != "other":
+        assert _agree_on(a, b, lo, hi) == (relation == "same" or hi == lo)
 
 
 # === implant preconditions ====================================================
@@ -242,6 +378,20 @@ def test_implant_verification_catches_a_tampered_blend(implanted, half_model):
     nodes[k] = (nodes[k][0], nodes[k][1] + F(1, 10**6))
     with pytest.raises(VerificationError, match="1/4:3/4 does not carry the exact rescaled"):
         _verify_implant(PwaMap.from_nodes(nodes), plan, insert)
+
+
+def test_implant_verification_catches_an_inner_value_outside_the_window(implanted, half_model):
+    plan, blended = implanted
+    insert = conjugate_into_interval(half_model.map, *plan.J_hat)
+    # the staircase's top nodes sit exactly on the window's upper end, which is allowed
+    assert F(3, 4) in blended.ys
+    _verify_implant(blended, plan, insert)
+    nodes = blended.nodes()
+    k = next(i for i, (x, y) in enumerate(nodes) if F(1, 4) < x < F(3, 4) and y == F(3, 4))
+    for escaped in (F(3, 4) + F(1, 10**9), F(1, 4) - F(1, 10**9)):
+        nodes[k] = (nodes[k][0], escaped)
+        with pytest.raises(VerificationError, match="inner window 1/4:3/4 is not invariant$"):
+            _verify_implant(PwaMap.from_nodes(nodes), plan, insert)
 
 
 def test_implant_verification_catches_a_leak_between_breakpoints(implanted, half_model):
