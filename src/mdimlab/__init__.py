@@ -34,6 +34,7 @@ from .horseshoe import (
     certificate_to_csv,
     detect_1d,
     dump_model_2d,
+    full_lap_view,
     interval_distance,
     load_model_2d,
     monotone_laps,

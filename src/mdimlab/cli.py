@@ -44,10 +44,11 @@ from .horseshoe import (
     certificate_to_csv,
     detect_1d,
     dump_model_2d,
+    full_lap_view,
     separated_bound_2d,
     verify_conditions,
 )
-from .pwa import DEFAULT_NODE_BUDGET, PWA_HEADER, PwaMap, dump_pwa, load_pwa, sup_distance
+from .pwa import DEFAULT_NODE_BUDGET, PWA_HEADER, dump_pwa, load_pwa, sup_distance
 from .rational import (
     format_interval, format_rational, parse_interval, parse_rational, read_fields, split_header,
 )
@@ -56,8 +57,6 @@ from .separation import (
     METHOD_CYLINDER,
     METHOD_GREEDY,
     VIEWS_HEADER,
-    MarkovBranch,
-    MarkovView,
     check_scales,
     dump_views,
     load_views,
@@ -90,20 +89,6 @@ def _parse_scales(text: str) -> list[Fraction]:
     return [parse_rational(tok) for tok in text.split(",") if tok.strip()]
 
 
-def _full_lap_view(m: PwaMap) -> MarkovView:
-    """Markov view made of the map's monotone laps crossing all of [0, 1]
-    (each lap must be a single affine piece, which the view re-checks)."""
-    zero, one = Fraction(0), Fraction(1)
-    report = detect_1d(m, (zero, one), (zero, one), zero)
-    if report.count == 0:
-        raise ContractError(
-            "map has no monotone lap crossing [0, 1]; the cylinder method needs "
-            "full laps — use the greedy method instead"
-        )
-    branches = tuple(MarkovBranch(l.lo, l.hi, l.increasing) for l in report.laps)
-    return MarkovView(zero, one, branches, None, m, label="full laps")
-
-
 def _resolve_sources(
     text: str,
     method: str,
@@ -116,7 +101,7 @@ def _resolve_sources(
         m = load_pwa(text)
         if scales is None:
             raise ContractError("estimating a bare map needs --scales")
-        return (_full_lap_view(m) if method == METHOD_CYLINDER else m), scales
+        return (full_lap_view(m) if method == METHOD_CYLINDER else m), scales
 
     if header == MODEL_HEADER:
         model = load_model(text)

@@ -34,7 +34,7 @@ from .rational import (
     read_fields,
 )
 from .reporting import CheckResult, VerificationSummary
-from .separation import _least_distances
+from .separation import MarkovBranch, MarkovView, _least_distances
 
 Interval = tuple[Fraction, Fraction]
 
@@ -156,6 +156,20 @@ def detect_1d(
     )
     margin = min((min(c_lo - lap.img_lo, lap.img_hi - c_hi) for lap in selected), default=None)
     return Horseshoe1DReport(interval, core, len(selected), tuple(selected), min_sep, margin)
+
+
+def full_lap_view(m: PwaMap) -> MarkovView:
+    """Markov view made of the map's monotone laps crossing all of [0, 1]
+    (each lap must be a single affine piece, which the view re-checks)."""
+    zero, one = Fraction(0), Fraction(1)
+    report = detect_1d(m, (zero, one), (zero, one), zero)
+    if report.count == 0:
+        raise ContractError(
+            "map has no monotone lap crossing [0, 1]; the cylinder method needs "
+            "full laps — use the greedy method instead"
+        )
+    branches = tuple(MarkovBranch(l.lo, l.hi, l.increasing) for l in report.laps)
+    return MarkovView(zero, one, branches, None, m, label="full laps")
 
 
 # === 2-D baker model =========================================================

@@ -16,7 +16,7 @@ Everything here is exact; no operation touches floating point.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
@@ -165,30 +165,42 @@ def _values(m: PwaMap, xs: list[Fraction] | tuple[Fraction, ...]) -> list[Fracti
 
 
 def compose(outer: PwaMap, inner: PwaMap) -> PwaMap:
-    """Exact outer∘inner by one ordered walk over inner's segments.
+    """Exact outer∘inner by one ordered walk over inner's nodes.
 
-    Each segment [x0, x1] gives its left node, valued by ``eval_map`` on
-    outer, then the preimage of every outer node strictly between its end
-    values y0 and y1, in x order (descending outer index when inner
-    decreases), valued by that outer node itself.  Between two consecutive
-    points inner is affine with image inside one affine piece of outer, so
-    the result is affine there; ``from_nodes`` rechecks the x order.
+    Each inner value y is placed among outer's nodes by its node key (one
+    exact compare on a shared key) and valued on outer's node or piece
+    there.  Before each inner node come the preimages x0 + (u − y0)(x1 −
+    x0)/(y1 − y0) of the outer nodes u strictly between the values y0, y1
+    at the ends of the segment that ends there, in x order, each one integer
+    fraction valued by its node.  Between two consecutive points inner is
+    affine with image inside one affine piece of outer, so the result is
+    affine there; ``from_nodes`` rechecks the x order.
     """
+    shift, keys, pieces = outer._table
     oxs, oys = outer.xs, outer.ys
     nodes: list[tuple[Fraction, Fraction]] = []
-    for i in range(len(inner.xs) - 1):
-        x0, x1 = inner.xs[i], inner.xs[i + 1]
-        y0, y1 = inner.ys[i], inner.ys[i + 1]
-        nodes.append((x0, eval_map(outer, y0)))
-        if y0 < y1:
-            js = range(bisect_right(oxs, y0), bisect_left(oxs, y1))
-        elif y0 > y1:
-            js = range(bisect_left(oxs, y0) - 1, bisect_right(oxs, y1) - 1, -1)
+    for x, y in zip(inner.xs, inner.ys):
+        (p1, q1), (s1, t1) = x.as_integer_ratio(), y.as_integer_ratio()
+        k = (s1 << shift) // t1
+        lo = hi = bisect_right(keys, k)             # outer nodes < y, <= y
+        if keys[lo - 1] == k:                       # y shares its key with node lo − 1
+            n, d = oxs[lo - 1].as_integer_ratio()
+            lo, hi = lo - (s1 * d <= n * t1), hi - (s1 * d < n * t1)
+        if nodes:
+            dy = s1 * t0 - s0 * t1
+            # the outer nodes strictly between y0 and y1, in x order (none when flat)
+            js = range(hi0, lo) if dy > 0 else range(lo0 - 1, hi - 1, -1)
+            # at u = un/ud, x = (f·ud + (un·t0 − s0·ud)·c)/(ud·e)
+            c, e, f = (p1 * q0 - p0 * q1) * t1, q0 * q1 * dy, p0 * q1 * dy
+            for j in js:
+                un, ud = oxs[j].as_integer_ratio()
+                nodes.append((Fraction(f * ud + (un * t0 - s0 * ud) * c, ud * e), oys[j]))
+        if lo < hi:
+            nodes.append((x, oys[lo]))
         else:
-            continue
-        run = (x1 - x0) / (y1 - y0)
-        nodes += [(x0 + (oxs[j] - y0) * run, oys[j]) for j in js]
-    nodes.append((inner.xs[-1], eval_map(outer, inner.ys[-1])))
+            a, b, d = pieces[lo - 1]
+            nodes.append((x, Fraction(a * s1 + b * t1, d * t1)))
+        p0, q0, s0, t0, lo0, hi0 = p1, q1, s1, t1, lo, hi
     return PwaMap.from_nodes(nodes)
 
 

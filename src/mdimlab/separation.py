@@ -15,7 +15,7 @@ algorithm under d_n, so counts are produced three ways and labeled by method:
                          the branch family declares a separation scale.
 
 The greedy and exhaustive counts decide d_n(x,y) > eps on integer orbits
-over one denominator D_k per time k; both separated-family certificates
+over one denominator per count; both separated-family certificates
 (cylinders here, planar in ``horseshoe``) share ``_least_distances``, which
 compares whole orbits as integers over one common denominator.  All of these,
 ``orbit`` and ``dn_distance`` too, read the map's integer node table (``pwa``).
@@ -32,7 +32,7 @@ from concurrent import futures
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from operator import sub
+from operator import mul, sub
 
 from .errors import (
     ContractError,
@@ -119,84 +119,84 @@ def dn_distance(m: PwaMap, x: Fraction, y: Fraction, n: int) -> Fraction:
 
 # === greedy / exhaustive counting ===========================================
 
-def _scaled_orbits(
-    m: PwaMap, points: list[Fraction], n: int
-) -> tuple[list[list[int]], list[int]]:
-    """Orbits of ``points`` as integers: entry k of each orbit is f^k(x)·D_k.
-
-    D_k = D_0·M^k, with D_0 the lcm of the points' denominators and M that of
-    the pieces' d_i in the map's integer table (module ``pwa``); one exact step
-    is v -> (a_i·v + b_i·D_k)·(M/d_i), piece i found by the node keys as in
-    ``pwa``.  Returns the orbits, in the order of ``points``, and [D_0, ...].
-    """
+def _scaled_orbits(m: PwaMap, nums, den: int, n: int) -> tuple[list[list[int]], int]:
+    """Orbits of the points v/den, v in ``nums``, as integer numerators over
+    one denominator D = den·M^(n−1), M the lcm of the pieces' d_i in the map's
+    integer table (module ``pwa``).  Entry k is exact over den·M^k by the step
+    v -> (a_i·v + b_i·den·M^k)·(M/d_i), piece i found by the node keys as in
+    ``pwa``, then scaled by M^(n−1−k).  Returns the orbits and D."""
     if n < 1:
         raise DomainError(f"orbit needs n >= 1, got {n}")
     shift, keys, pieces = m._table
     big_m = math.lcm(*(d for _, _, d in pieces))
     table = [(a * (big_m // d), b * (big_m // d)) for a, b, d in pieces]
     last = len(table)               # x = 1 falls in the last piece
-    points = [Fraction(x) for x in points]
-    den0 = math.lcm(*(x.denominator for x in points))
-    dens = [den0 * big_m**k for k in range(n)]
+    dens = [den * big_m**k for k in range(n - 1)]
+    scales = [big_m**k for k in range(n - 1, -1, -1)]
     orbits = []
-    for x in points:
-        v = x.numerator * (den0 // x.denominator)
-        if n > 1 and not 0 <= v <= den0:
-            raise DomainError(f"eval argument {x} outside [0,1]")
+    for v in nums:
+        if n > 1 and not 0 <= v <= den:
+            raise DomainError(f"eval argument {Fraction(v, den)} outside [0,1]")
         out = [v]
-        for d in dens[:-1]:
+        for d in dens:
             k = (v << shift) // d
             i = bisect_right(keys, k, 0, last) - 1
             i -= k == keys[i] and v * m.xs[i].denominator < m.xs[i].numerator * d
             a, b = table[i]
             v = a * v + b * d
             out.append(v)
-        orbits.append(out)
-    return orbits, dens
+        orbits.append(list(map(mul, out, scales)))
+    return orbits, den * big_m ** (n - 1)
 
 
-def _thresholds(epsilon: Fraction, dens: list[int]) -> list[int]:
-    """floor(eps·D_k) per time: an integer gap |A − B| over D_k is at most
-    eps exactly when it is at most this."""
-    return [epsilon.numerator * d // epsilon.denominator for d in dens]
+def _over_one_denominator(points: list[Fraction]) -> tuple[list[int], int]:
+    """The points as integer numerators over the lcm of their denominators."""
+    ratios = [Fraction(x).as_integer_ratio() for x in points]
+    den = math.lcm(*(d for _, d in ratios))
+    return [p * (den // d) for p, d in ratios], den
+
+
+def _greedy_select(m: PwaMap, n: int, epsilon: Fraction, nums, den: int) -> list[int]:
+    """Indices of the greedy left-to-right (n,eps)-separated subset of the
+    ascending points v/den, v in ``nums``.  All orbits share one denominator
+    D, so d_n <= eps exactly when the integer gap is at most floor(eps·D);
+    d_n >= |x − y| skips selected points more than eps away in x."""
+    orbits, big_d = _scaled_orbits(m, nums, den, n)
+    limit = epsilon.numerator * big_d // epsilon.denominator
+    chosen: list[int] = []
+    for i, o in enumerate(orbits):
+        ok = True
+        for j in reversed(chosen):
+            s = orbits[j]
+            if o[0] - s[0] > limit:
+                break               # this and all earlier points are far in x
+            if max(map(abs, map(sub, o, s))) <= limit:
+                ok = False
+                break
+        if ok:
+            chosen.append(i)
+    return chosen
 
 
 def greedy_separated_points(
     m: PwaMap, n: int, epsilon: Fraction, points: list[Fraction]
 ) -> list[Fraction]:
-    """Greedy left-to-right maximal (n,eps)-separated subset of sorted points.
-
-    Uses d_n >= |x - y| to skip orbit comparisons against selected points more
-    than eps away in the x-coordinate.
-    """
+    """Greedy left-to-right maximal (n,eps)-separated subset of sorted points."""
     if epsilon <= 0:
         raise DomainError(f"epsilon must be positive, got {epsilon}")
     pts = sorted(points)
-    orbits, dens = _scaled_orbits(m, pts, n)
-    limits = _thresholds(epsilon, dens)
-    selected: list[Fraction] = []
-    selected_orbits: list[list[int]] = []
-    for x, ox in zip(pts, orbits):
-        ok = True
-        for os_ in reversed(selected_orbits):
-            if ox[0] - os_[0] > limits[0]:
-                break               # this and all earlier points are far in x
-            if all(abs(a - b) <= t for a, b, t in zip(ox, os_, limits)):
-                ok = False
-                break
-        if ok:
-            selected.append(x)
-            selected_orbits.append(ox)
-    return selected
+    return [pts[i] for i in _greedy_select(m, n, epsilon, *_over_one_denominator(pts))]
 
 
-def _grid_points(grid: Fraction, cap: int, what: str) -> list[Fraction]:
-    """The uniform grid {0, g, 2g, ...} ∩ [0,1], refused with ResourceError
-    before anything is built when it would hold more than ``cap`` points."""
-    count = int(1 / grid) + 1
+def _grid(grid: Fraction, cap: int, what: str) -> tuple[range, int]:
+    """Numerators and denominator of the uniform grid {0, g, 2g, ...} ∩ [0,1],
+    refused with ResourceError before any point is built when it would hold
+    more than ``cap`` points."""
+    p, q = grid.as_integer_ratio()
+    count = q // p + 1
     if count > cap:
         raise ResourceError(f"{what} capped at {cap} points, got {count}")
-    return [grid * j for j in range(count)]
+    return range(0, count * p, p), q
 
 
 def count_separated_greedy(
@@ -216,8 +216,7 @@ def count_separated_greedy(
         raise GridPrecisionError(
             f"grid resolution {grid} is coarser than epsilon/4 = {epsilon / 4}"
         )
-    points = _grid_points(grid, GREEDY_GRID_CAP, "greedy grid")
-    selected = greedy_separated_points(m, n, epsilon, points)
+    selected = _greedy_select(m, n, epsilon, *_grid(grid, GREEDY_GRID_CAP, "greedy grid"))
     return CountRecord(n, epsilon, len(selected), METHOD_GREEDY, grid)
 
 
@@ -225,15 +224,14 @@ def max_separated_subset(
     m: PwaMap, n: int, epsilon: Fraction, points: list[Fraction]
 ) -> int:
     """Exact maximum (n,eps)-separated subset size of an explicit point set."""
-    pts = sorted(points)
-    k = len(pts)
-    orbits, dens = _scaled_orbits(m, pts, n)
-    limits = _thresholds(epsilon, dens)
+    k = len(points)
+    orbits, big_d = _scaled_orbits(m, *_over_one_denominator(points), n)
+    limit = epsilon.numerator * big_d // epsilon.denominator
     # adjacency bitmasks: bit j of adj[i] set iff d_n(p_i, p_j) > eps
     adj = [0] * k
     for i in range(k):
         for j in range(i + 1, k):
-            if any(abs(a - b) > t for a, b, t in zip(orbits[i], orbits[j], limits)):
+            if max(map(abs, map(sub, orbits[i], orbits[j]))) > limit:
                 adj[i] |= 1 << j
                 adj[j] |= 1 << i
     return _max_clique(adj, (1 << k) - 1, 0, 0)
@@ -465,7 +463,8 @@ def count_at(
         if not isinstance(source, PwaMap):
             raise DomainError("exhaustive method needs a PwaMap source")
         g = grid or Fraction(1, EXHAUSTIVE_POINT_CAP - 1)
-        points = _grid_points(g, EXHAUSTIVE_POINT_CAP, "exhaustive scan")
+        nums, den = _grid(g, EXHAUSTIVE_POINT_CAP, "exhaustive scan")
+        points = [Fraction(v, den) for v in nums]
         return count_separated_exhaustive(source, n, epsilon, points)
     raise DomainError(f"unknown method {method!r}")
 

@@ -137,6 +137,61 @@ def test_compose_crosses_many_outer_nodes_in_order(inner_nodes):
         assert eval_map(composed, x) == eval_map(outer, eval_map(inner, x))
 
 
+@pytest.mark.parametrize("seed", range(6))
+def test_compose_matches_the_reference_on_prime_denominator_maps(seed):
+    rng = random.Random(seed)
+    outer = prime_denominator_pwa(rng, 9)
+    inner = prime_denominator_pwa(rng, 7, first_prime=2003)
+    assert compose(outer, inner).nodes() == reference_compose(outer, inner)
+    assert compose(inner, outer).nodes() == reference_compose(inner, outer)
+
+
+def node_key(m: PwaMap, x: Fraction) -> int:
+    shift = m._table[0]
+    return (x.numerator << shift) // x.denominator
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_compose_places_inner_values_on_and_next_to_outer_nodes(seed):
+    rng = random.Random(seed)
+    outer = prime_denominator_pwa(rng, 9)
+    # every outer node and the points 10^-12 either side of it; inside (0, 1)
+    # each of those shares its node's key, so only the exact compare places it
+    values = near_nodes(outer)
+    off = F(1, 10**12)
+    assert all(node_key(outer, x + d) == node_key(outer, x)
+               for x in outer.xs[1:-1] for d in (-off, off))
+    rng.shuffle(values)
+    inner = PwaMap.from_nodes([(F(i, len(values) - 1), v) for i, v in enumerate(values)])
+    assert compose(outer, inner).nodes() == reference_compose(outer, inner)
+
+
+@pytest.mark.parametrize("inner_nodes", [
+    [(F(0), F(2, 5)), (F(1), F(2, 5))],                                      # constant
+    [(F(0), F(1, 3)), (F(1, 4), F(1, 3)), (F(1, 2), F(4, 5)), (F(1), F(4, 5))],  # flat, up, flat
+    [(F(0), F(1)), (F(1, 3), F(1)), (F(2, 3), F(0)), (F(1), F(0))],          # flat at both ends
+])
+def test_compose_with_constant_inner_pieces(inner_nodes):
+    outer = prime_denominator_pwa(random.Random(3), 12)
+    inner = PwaMap.from_nodes(inner_nodes)
+    assert compose(outer, inner).nodes() == reference_compose(outer, inner)
+    flat_on_node = PwaMap.from_nodes([(F(0), outer.xs[5]), (F(1), outer.xs[5])])
+    assert compose(outer, flat_on_node) == constant_map(outer.ys[5])
+
+
+@pytest.mark.parametrize("inner_nodes", [
+    [(F(0), F(1)), (F(1), F(0))],
+    [(F(0), F(1)), (F(1, 3), F(0)), (F(2, 3), F(1)), (F(1), F(0))],
+    [(F(0), F(1)), (F(1, 2), F(0)), (F(1), F(1, 2))],
+])
+def test_compose_decreasing_pieces_cross_many_outer_nodes(inner_nodes):
+    outer = prime_denominator_pwa(random.Random(9), 40)
+    inner = PwaMap.from_nodes(inner_nodes)
+    composed = compose(outer, inner)
+    assert composed.nodes() == reference_compose(outer, inner)
+    assert composed.node_count >= outer.node_count
+
+
 def test_compose_matches_pointwise_on_a_grid(tent):
     composed = compose(tent, tent)
     for j in range(65):
@@ -146,6 +201,13 @@ def test_compose_matches_pointwise_on_a_grid(tent):
 
 def test_iterate_zero_gives_identity(tent):
     assert iterate(tent, 0) == identity_map()
+
+
+@pytest.mark.parametrize("k", range(13))
+def test_iterate_tent_is_the_sawtooth(tent, k):
+    it = iterate(tent, k)
+    assert it.xs == tuple(F(j, 2**k) for j in range(2**k + 1))
+    assert it.ys == tuple(F(j % 2) for j in range(2**k + 1))
 
 
 def test_iterate_two_equals_composition(tent):

@@ -36,6 +36,7 @@ from mdimlab import (
     count_separated_greedy,
     dn_distance,
     dump_views,
+    full_lap_view,
     identity_map,
     iterate,
     load_views,
@@ -128,15 +129,19 @@ def test_greedy_rejects_coarse_grids(tent):
         count_separated_greedy(tent, 1, F(1, 10), F(1, 20))
 
 
-@pytest.mark.parametrize("grid", [F(1, GREEDY_GRID_CAP), F(1, 10**9)])
+@pytest.mark.parametrize("grid", [
+    F(1, GREEDY_GRID_CAP), F(1, 10**9), F(1, 10**12), F(3, 10**12 + 1),
+])
 def test_greedy_refuses_a_grid_over_the_cap_before_building_it(tent, grid):
+    count = int(1 / grid) + 1
     tracemalloc.start()
     try:
-        with pytest.raises(ResourceError, match=f"capped at {GREEDY_GRID_CAP} points"):
+        with pytest.raises(ResourceError) as info:
             count_separated_greedy(tent, 1, F(1, 10), grid)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    assert str(info.value) == f"greedy grid capped at {GREEDY_GRID_CAP} points, got {count}"
     assert peak < 10**6  # bytes; a million-point grid takes about 100 MB
 
 
@@ -409,8 +414,9 @@ def reference_greedy(m: PwaMap, n: int, eps: Fraction, points: list[Fraction]) -
 
 
 def kernel_orbit_values(m: PwaMap, points: list[Fraction], n: int) -> list[list[Fraction]]:
-    orbits, dens = _scaled_orbits(m, points, n)
-    return [[F(v, d) for v, d in zip(o, dens)] for o in orbits]
+    den = math.lcm(*(F(x).denominator for x in points))
+    orbits, big_d = _scaled_orbits(m, [int(F(x) * den) for x in points], den, n)
+    return [[F(v, big_d) for v in o] for o in orbits]
 
 
 unit_points = st.lists(
@@ -446,9 +452,9 @@ def test_integer_orbits_stay_exact_over_thirty_steps():
 
 def test_integer_orbits_reject_points_off_the_unit_interval(tent):
     with pytest.raises(DomainError, match="outside"):
-        _scaled_orbits(tent, [F(1, 2), F(5, 4)], 2)
+        _scaled_orbits(tent, [2, 5], 4, 2)
     with pytest.raises(DomainError, match="n >= 1"):
-        _scaled_orbits(tent, [F(1, 2)], 0)
+        _scaled_orbits(tent, [2], 4, 0)
 
 
 @settings(max_examples=60, deadline=None)
@@ -459,6 +465,38 @@ def test_greedy_selection_matches_a_reference_greedy(seed, n, eps, points):
     m = random_pwa(rng)
     points = sorted(set(points + list(m.xs)))
     assert greedy_separated_points(m, n, eps, points) == reference_greedy(m, n, eps, points)
+
+
+def explicit_grid(grid: Fraction) -> list[Fraction]:
+    """The uniform grid {0, g, 2g, ...} ∩ [0,1] as Fractions."""
+    return [grid * j for j in range(int(1 / grid) + 1)]
+
+
+@pytest.mark.parametrize("seed,nodes", [(1, 4), (2, 7), (5, 12)])
+@pytest.mark.parametrize("n,eps,grid", [
+    (1, F(1, 10), F(1, 40)), (2, F(1, 10), F(1, 40)), (3, F(1, 7), F(1, 29)),
+])
+def test_greedy_count_matches_a_reference_greedy_on_prime_denominator_maps(
+    seed, nodes, n, eps, grid
+):
+    m = prime_denominator_pwa(random.Random(seed), nodes)
+    chosen = reference_greedy(m, n, eps, explicit_grid(grid))
+    assert count_separated_greedy(m, n, eps, grid).count == len(chosen)
+    assert greedy_separated_points(m, n, eps, explicit_grid(grid)) == chosen
+
+
+@pytest.mark.parametrize("grid,eps", [
+    (F(2, 9), F(8, 9)), (F(2, 11), F(8, 11)), (F(3, 40), F(3, 10)), (F(3, 40), F(2, 5)),
+    (F(5, 97), F(1, 4)),
+])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_greedy_count_on_grids_whose_step_numerator_is_not_one(grid, eps, n):
+    maps = [tent_map(), identity_map(), random_pwa(random.Random(7)),
+            prime_denominator_pwa(random.Random(8), 6)]
+    for m in maps:
+        rec = count_separated_greedy(m, n, eps, grid)
+        assert rec.count == len(reference_greedy(m, n, eps, explicit_grid(grid)))
+        assert rec.grid_resolution == grid
 
 
 # f = (0,0) (1/3,1) (1,1/7): slope -9/7 on the right piece, so 1/2 and 3/5
@@ -682,6 +720,60 @@ def test_greedy_sits_between_exhaustive_bounds(tent):
         mid = count_separated_greedy(tent, n, eps, F(1, 11)).count
         upper = count_separated_exhaustive(tent, n, eps, points).count
         assert lower <= mid <= upper
+
+
+# Differential checks between the cylinder and exhaustive methods: depth-n
+# representatives at pairwise d_n > eps form an (n, eps)-separated set, so the
+# exact count over any point set that holds them is at least B^n.
+
+def full_lap_zigzag(rng: random.Random, laps: int) -> PwaMap:
+    """A map of ``laps`` affine laps, each onto all of [0, 1], up and down in
+    turn, breaking on the 1/97 grid."""
+    xs = [F(0), *(F(x, 97) for x in sorted(rng.sample(range(1, 97), laps - 1))), F(1)]
+    first = rng.randint(0, 1)
+    return PwaMap.from_nodes([(x, F((first + i) % 2)) for i, x in enumerate(xs)])
+
+
+def with_extra_points(rng: random.Random, reps: list[Fraction]) -> list[Fraction]:
+    """``reps`` and then points of the 1/97 grid, EXHAUSTIVE_POINT_CAP in all."""
+    extra = sorted({F(rng.randint(0, 97), 97) for _ in range(20)} - set(reps))
+    return reps + extra[:EXHAUSTIVE_POINT_CAP - len(reps)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(seeds, st.integers(2, 14), st.integers(1, 3))
+def test_exhaustive_count_over_full_lap_representatives_reaches_the_cylinder_count(
+    seed, laps, n
+):
+    rng = random.Random(seed)
+    m = full_lap_zigzag(rng, laps)
+    view = full_lap_view(m)
+    assert view.branch_count == laps
+    n = min(n, max(k for k in (1, 2, 3) if laps**k <= EXHAUSTIVE_POINT_CAP))
+    reps = [x for _, x in cylinder_representatives(view, n)]
+    points = with_extra_points(rng, reps)
+    least = min(dn_reference(m, x, y, n) for x, y in combinations(reps, 2))
+    for eps in (least / 2, least * (1 - F(1, 10**6))):
+        cylinders = count_cylinders(view, n, eps).count
+        assert count_separated_exhaustive(m, n, eps, points).count >= cylinders
+    # at the least distance itself two representatives are not separated
+    assert count_separated_exhaustive(m, n, least, reps).count < laps**n
+
+
+@pytest.mark.parametrize("beta,k,level,n", [
+    (F(1, 4), 1, 0, 3), (F(1, 4), 1, 1, 1), (F(1, 3), 1, 0, 2), (F(1, 3), 1, 1, 1),
+    (F(2, 5), 0, 0, 1), (F(5, 11), 0, 0, 1), (F(1, 2), 1, 0, 1),
+])
+def test_exhaustive_count_over_certified_representatives_reaches_the_cylinder_count(
+    beta, k, level, n
+):
+    view = build_fbeta(plan_sequences(beta, k)).view(level)
+    eps = view.separation_scale
+    verify_cylinder_separation(view, n)
+    reps = [x for _, x in cylinder_representatives(view, n)]
+    points = with_extra_points(random.Random(level), reps)
+    assert (count_separated_exhaustive(view.map, n, eps, points).count
+            >= count_cylinders(view, n).count)
 
 
 @settings(max_examples=30, deadline=None)
