@@ -38,10 +38,9 @@ from .horseshoe import (
     interval_distance,
     load_model_2d,
     monotone_laps,
-    orbit_2d,
-    plane_distance,
     ratio_lower_bound,
     separated_bound_2d,
+    slab_view,
     verify_conditions,
 )
 from .pwa import (

@@ -10,7 +10,8 @@ N horizontal slabs of height w are stretched affinely onto N full-height
 vertical strips of width w (alternating orientation), and p identical
 stages are chained cyclically.  Running the recursion for ell rounds yields
 N**(p*ell) orbit segments that are pairwise (p*ell, epsilon)-separated in
-the sup metric; the geometry is exact rational arithmetic throughout, so
+the sup metric: y is read off the cylinders of the Markov view ``slab_view``
+and x steps by ``apply_branch``, in exact rational arithmetic throughout, so
 every certificate is re-checkable by direct evaluation.
 """
 
@@ -34,7 +35,7 @@ from .rational import (
     read_fields,
 )
 from .reporting import CheckResult, VerificationSummary
-from .separation import MarkovBranch, MarkovView, _least_distances
+from .separation import MarkovBranch, MarkovView, _least_distances, cylinder_orbits
 
 Interval = tuple[Fraction, Fraction]
 
@@ -221,12 +222,6 @@ class Horseshoe2DModel:
         off = self.offsets[j]
         return ((off, off + self.width), (-self.delta, self.delta))
 
-    def slab_index(self, y: Fraction) -> int:
-        for j, off in enumerate(self.offsets):
-            if off <= y <= off + self.width:
-                return j
-        raise DomainError(f"y = {format_rational(y)} lies in no horizontal slab")
-
     def apply_branch(self, j: int, point: tuple[Fraction, Fraction]) -> tuple[Fraction, Fraction]:
         """Affine branch j: squeeze x onto the strip, stretch y across it."""
         x, y = point
@@ -236,24 +231,17 @@ class Horseshoe2DModel:
         y2 = -self.delta + span if self.orientations[j] == 1 else self.delta - span
         return (x2, y2)
 
-    def apply(self, point: tuple[Fraction, Fraction]) -> tuple[Fraction, Fraction]:
-        """One step of the stage map (defined on the union of the slabs)."""
-        return self.apply_branch(self.slab_index(point[1]), point)
 
-
-def plane_distance(a: tuple[Fraction, Fraction], b: tuple[Fraction, Fraction]) -> Fraction:
-    """Sup metric on the plane (keeps every certificate rational)."""
-    return max(abs(a[0] - b[0]), abs(a[1] - b[1]))
-
-
-def orbit_2d(model: Horseshoe2DModel, point: tuple[Fraction, Fraction], n: int) -> list[tuple[Fraction, Fraction]]:
-    """Positions at times 0..n-1 under the stage map."""
-    if n < 1:
-        raise DomainError(f"orbit length must be >= 1, got {n}")
-    pts = [point]
-    for _ in range(n - 1):
-        pts.append(model.apply(pts[-1]))
-    return pts
+def slab_view(model: Horseshoe2DModel) -> MarkovView:
+    """The y-dynamics as a Markov view on [-delta, delta] (no scale, no map):
+    branch j is slab j's y-range, increasing iff orientation j is +1.  Besides
+    the view's refusals, slabs leaving the square raise ContractError."""
+    d = model.delta
+    view = MarkovView(-d, d, tuple(MarkovBranch(off, off + model.width, o == 1)
+                                   for off, o in zip(model.offsets, model.orientations)))
+    if view.branches[0].lo < -d or view.branches[-1].hi > d:
+        raise ContractError("slabs leave the square")
+    return view
 
 
 def build_model_2d(
@@ -394,32 +382,11 @@ class Certificate2D:
         return math.inf if la == 0 else math.log(self.count) / self.steps / la
 
 
-def _itinerary_box(model: Horseshoe2DModel, itinerary: tuple[int, ...]) -> Interval:
-    """Pull the slab constraints back through the y-dynamics: the points
-    visiting slab itinerary[t] at every time t form a full-width strip
-    [-delta, delta] x (returned y-interval)."""
-    y_lo, y_hi = -model.delta, model.delta
-    for depth, j in enumerate(reversed(itinerary)):
-        off, w, d = model.offsets[j], model.width, model.delta
-        if model.orientations[j] == 1:
-            a = off + (y_lo + d) * w / (2 * d)
-            b = off + (y_hi + d) * w / (2 * d)
-        else:
-            a = off + (d - y_hi) * w / (2 * d)
-            b = off + (d - y_lo) * w / (2 * d)
-        y_lo, y_hi = a, b
-        if y_lo >= y_hi:
-            raise VerificationError(
-                f"empty itinerary box at depth {depth} for itinerary "
-                f"{'-'.join(str(s) for s in itinerary)}: coherence violated"
-            )
-    return (y_lo, y_hi)
-
-
 def separated_bound_2d(model: Horseshoe2DModel, ell: int) -> Certificate2D:
-    """Materialize all N**(p*ell) itinerary boxes, pick the midpoint
-    representative of each, and certify every pair (p*ell, epsilon)-separated
-    by direct evaluation of the stage map."""
+    """Certify one representative per depth-(p*ell) itinerary w pairwise
+    (p*ell, epsilon)-separated by direct evaluation: y_t is the midpoint of
+    C(w[t:]) in ``slab_view``, x_0 = 0 and x_{t+1} is ``apply_branch``'s x.
+    Geometry the view refuses raises VerificationError with its reason."""
     if ell < 1:
         raise DomainError(f"ell must be >= 1, got {ell}")
     steps = model.p * ell
@@ -427,27 +394,24 @@ def separated_bound_2d(model: Horseshoe2DModel, ell: int) -> Certificate2D:
     if total > REP_CAP_2D:
         raise ResourceError(f"N**(p*ell) = {total} representatives exceed the cap {REP_CAP_2D}")
 
-    itineraries = tuple(itertools.product(range(model.N), repeat=steps))
-    orbits: list[list[tuple[Fraction, Fraction]]] = []
-    for itin in itineraries:
-        y_lo, y_hi = _itinerary_box(model, itin)
-        rep = (Fraction(0), (y_lo + y_hi) / 2)
-        pts = orbit_2d(model, rep, steps)
-        for t, pos in enumerate(pts):
-            if model.slab_index(pos[1]) != itin[t]:
-                raise VerificationError(
-                    f"representative of {'-'.join(str(s) for s in itin)} "
-                    f"left its slab at step {t}"
-                )
-        orbits.append(pts)
+    try:
+        view = slab_view(model)
+    except ContractError as exc:
+        raise VerificationError(f"slab view refused: {exc}") from None
+    orbits, rows = cylinder_orbits(view, steps), []
+    for itin, ys in orbits.items():
+        row = [Fraction(0), ys[0]]                  # x_0, y_0, x_1, y_1, ...
+        for j, y in zip(itin, ys[1:]):
+            row += (model.apply_branch(j, (row[-2], row[-1]))[0], y)
+        rows.append(row)
 
     # sup over time of the plane's sup metric = max over the flat row
-    per_min = _least_distances([[v for pos in pts for v in pos] for pts in orbits])
+    per_min = _least_distances(rows)
     i = next((i for i, d in enumerate(per_min) if d is not None and d <= model.epsilon), None)
     if i is not None:
         # no row before i has a close partner, so scanning rows in order stops at i
         for k in range(i + 1, total):
-            dist = max(plane_distance(a, b) for a, b in zip(orbits[i], orbits[k]))
+            dist = max(abs(a - b) for a, b in zip(rows[i], rows[k]))
             if dist <= model.epsilon:
                 raise VerificationError(
                     f"representatives {i} and {k} are only {format_rational(dist)} "
@@ -455,8 +419,8 @@ def separated_bound_2d(model: Horseshoe2DModel, ell: int) -> Certificate2D:
                 )
 
     min_pairwise = min((m for m in per_min if m is not None), default=None)
-    return Certificate2D(model, ell, steps, total, itineraries, tuple(o[0] for o in orbits),
-                         tuple(per_min), min_pairwise)
+    return Certificate2D(model, ell, steps, total, tuple(orbits),
+                         tuple((r[0], r[1]) for r in rows), tuple(per_min), min_pairwise)
 
 
 def ratio_lower_bound(model: Horseshoe2DModel, ell_max: int) -> float:

@@ -16,7 +16,8 @@ algorithm under d_n, so counts are produced three ways and labeled by method:
 
 The greedy and exhaustive counts decide d_n(x,y) > eps on integer orbits
 over one denominator per count; both separated-family certificates
-(cylinders here, planar in ``horseshoe``) share ``_least_distances``, which
+(cylinders here, planar in ``horseshoe``) read their orbits off cylinder
+midpoints (``cylinder_orbits``) and share ``_least_distances``, which
 compares whole orbits as integers over one common denominator.  All of these,
 ``orbit`` and ``dn_distance`` too, read the map's integer node table (``pwa``).
 
@@ -29,7 +30,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from concurrent import futures
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import product
 from operator import mul, sub
@@ -135,7 +136,7 @@ def _scaled_orbits(m: PwaMap, nums, den: int, n: int) -> tuple[list[list[int]], 
     scales = [big_m**k for k in range(n - 1, -1, -1)]
     orbits = []
     for v in nums:
-        if n > 1 and not 0 <= v <= den:
+        if not 0 <= v <= den:
             raise DomainError(f"eval argument {Fraction(v, den)} outside [0,1]")
         out = [v]
         for d in dens:
@@ -389,6 +390,15 @@ def cylinder_representatives(view: MarkovView, n: int) -> list[tuple[tuple[int, 
             for w in product(range(view.branch_count), repeat=n)]
 
 
+def cylinder_orbits(view: MarkovView, n: int) -> dict[tuple[int, ...], list[Fraction]]:
+    """The orbit [mid C(w[t:]) for t < n] of the representative of every
+    depth-n itinerary w (n >= 1), in itinerary order.  Branch w_t maps
+    C(w[t:]) affinely onto C(w[t+1:]), so it maps midpoint to midpoint."""
+    # depth n first, so the cap refuses before anything is built
+    mids = [dict(cylinder_representatives(view, d)) for d in range(n, 0, -1)]
+    return {w: [mids[t][w[t:]] for t in range(n)] for w in mids[0]}
+
+
 def count_cylinders(view: MarkovView, n: int, epsilon: Fraction | None = None) -> CountRecord:
     """Exact depth-n cylinder count B^n for a full-branch Markov view.
 
@@ -407,10 +417,9 @@ def count_cylinders(view: MarkovView, n: int, epsilon: Fraction | None = None) -
 def verify_cylinder_separation(view: MarkovView, n: int) -> Fraction:
     """Min pairwise d_n over depth-n representatives; must beat the scale.
 
-    The orbit of the representative of w is [mid C(w[t:]) for t < n]:
-    branch w_t maps C(w[t:]) affinely onto C(w[t+1:]), so it maps midpoint
-    to midpoint.  With an attached map these are the map's orbits too, since
-    ``MarkovView`` checked that the map equals each branch on its domain.
+    The rows are ``cylinder_orbits``.  With an attached map these are the
+    map's orbits too, since ``MarkovView`` checked that the map equals each
+    branch on its domain.
     Raises ContractError for a missing scale and for a failed certificate,
     which falsifies the view's declared contract (never VerificationError).
     """
@@ -418,9 +427,7 @@ def verify_cylinder_separation(view: MarkovView, n: int) -> Fraction:
         raise ContractError("view declares no separation scale to certify against")
     if n < 1:
         raise DomainError(f"verify_cylinder_separation needs n >= 1, got {n}")
-    # depth n first, so the cap refuses before anything is built
-    mids = [dict(cylinder_representatives(view, d)) for d in range(n, 0, -1)]
-    best = min(_least_distances([[mids[t][w[t:]] for t in range(n)] for w in mids[0]]))
+    best = min(_least_distances(list(cylinder_orbits(view, n).values())))
     if best is None:          # one branch, one representative: nothing to separate
         return view.core_hi - view.core_lo
     if best <= view.separation_scale:
@@ -450,7 +457,10 @@ def count_at(
     grid: Fraction | None = None,
 ) -> CountRecord:
     """One (n, epsilon) count by the named method — the unit of work that
-    profiles and sweeps fan out over."""
+    profiles and sweeps fan out over.  A grid, when given, must lie in
+    (0, 1]; the exhaustive record carries the grid it scanned."""
+    if grid is not None and not 0 < grid <= 1:
+        raise DomainError(f"grid resolution must lie in (0, 1], got {grid}")
     if method == METHOD_CYLINDER:
         if not isinstance(source, MarkovView):
             raise DomainError("cylinder method needs a MarkovView source")
@@ -458,14 +468,14 @@ def count_at(
     if method == METHOD_GREEDY:
         if not isinstance(source, PwaMap):
             raise DomainError("greedy method needs a PwaMap source")
-        return count_separated_greedy(source, n, epsilon, grid or epsilon / 4)
+        return count_separated_greedy(source, n, epsilon, epsilon / 4 if grid is None else grid)
     if method == METHOD_EXHAUSTIVE:
         if not isinstance(source, PwaMap):
             raise DomainError("exhaustive method needs a PwaMap source")
-        g = grid or Fraction(1, EXHAUSTIVE_POINT_CAP - 1)
+        g = Fraction(1, EXHAUSTIVE_POINT_CAP - 1) if grid is None else grid
         nums, den = _grid(g, EXHAUSTIVE_POINT_CAP, "exhaustive scan")
-        points = [Fraction(v, den) for v in nums]
-        return count_separated_exhaustive(source, n, epsilon, points)
+        record = count_separated_exhaustive(source, n, epsilon, [Fraction(v, den) for v in nums])
+        return replace(record, grid_resolution=g)
     raise DomainError(f"unknown method {method!r}")
 
 

@@ -85,6 +85,51 @@ def dn_reference(m: PwaMap, x: Fraction, y: Fraction, n: int) -> Fraction:
     return max(abs(a - b) for a, b in zip(orbit_values(m, x, n), orbit_values(m, y, n)))
 
 
+# === reference baker stage map ================================================
+# The library reads slab-model orbits off Markov-view cylinders; the
+# cross-checks walk the stage map forward point by point instead.
+
+def slab_of(model, y: Fraction) -> int | None:
+    """The first slab whose y-range holds y, or None in a gap."""
+    return next((j for j, off in enumerate(model.offsets) if off <= y <= off + model.width), None)
+
+
+def stage_map(model, point: tuple[Fraction, Fraction]) -> tuple[Fraction, Fraction]:
+    """One step of the stage map: slab j squeezes x onto [off_j, off_j + w]
+    and stretches y across [-delta, delta], flipped when orientation j is -1."""
+    x, y = point
+    d, w = model.delta, model.width
+    j = slab_of(model, y)
+    assert j is not None, f"y = {y} lies in no slab"
+    off = model.offsets[j]
+    span = (y - off) * 2 * d / w
+    return (off + (x + d) * w / (2 * d), -d + span if model.orientations[j] == 1 else d - span)
+
+
+def stage_orbit(model, point: tuple[Fraction, Fraction], n: int) -> list[tuple[Fraction, Fraction]]:
+    """Positions at times 0..n-1 under ``stage_map``."""
+    pts = [point]
+    for _ in range(n - 1):
+        pts.append(stage_map(model, pts[-1]))
+    return pts
+
+
+def itinerary_point(model, itinerary: tuple[int, ...]) -> tuple[Fraction, Fraction]:
+    """(0, y) with y the midpoint of the heights whose stage orbit visits slab
+    itinerary[t] at each time t, found by inverting the stretch slab by slab."""
+    d, w = model.delta, model.width
+    lo, hi = -d, d
+    for j in reversed(itinerary):
+        off, up = model.offsets[j], model.orientations[j] == 1
+        lo, hi = sorted(off + ((v + d) if up else (d - v)) * w / (2 * d) for v in (lo, hi))
+    return (Fraction(0), (lo + hi) / 2)
+
+
+def plane_dn(a: list[tuple[Fraction, Fraction]], b: list[tuple[Fraction, Fraction]]) -> Fraction:
+    """Sup over time of the plane's sup metric between two orbits."""
+    return max(max(abs(p[0] - q[0]), abs(p[1] - q[1])) for p, q in zip(a, b))
+
+
 # === reference objects ========================================================
 
 @pytest.fixture(scope="session")

@@ -231,6 +231,19 @@ def test_estimate_greedy_grid_over_the_cap_exits_2(tmp_path, capsys, identity):
     assert "greedy grid capped at 1000000 points, got 1000000001" in err
 
 
+@pytest.mark.parametrize("grid", ["0", "-1/13", "2"])
+def test_estimate_grid_outside_the_unit_interval_exits_2(tmp_path, capsys, tent, grid):
+    # --grid 0 used to fall back to the default epsilon/4 grid and exit 0
+    (tmp_path / "tent.txt").write_text(dump_pwa(tent))
+    code, _, err = run(
+        capsys, "estimate", "--map", str(tmp_path / "tent.txt"), "--method", "greedy",
+        "--scales", "1/10", "--n-window", "1:2", f"--grid={grid}", "-o", str(tmp_path),
+    )
+    assert code == 2
+    assert "grid resolution must lie in (0, 1]" in err
+    assert not (tmp_path / "report.csv").exists()
+
+
 # === horseshoe ================================================================
 
 def test_horseshoe_2d_certifies_the_reference_model(tmp_path, capsys):

@@ -4,15 +4,17 @@ from __future__ import annotations
 
 import dataclasses
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from conftest import itinerary_point, plane_dn, slab_of, stage_map, stage_orbit
 from mdimlab import (
     ContractError,
     DomainError,
+    Horseshoe2DModel,
     PwaMap,
     ResourceError,
     SerializationError,
@@ -25,12 +27,12 @@ from mdimlab import (
     interval_distance,
     load_model_2d,
     monotone_laps,
-    orbit_2d,
-    plane_distance,
     ratio_lower_bound,
     separated_bound_2d,
+    slab_view,
     verify_conditions,
 )
+from mdimlab.separation import cylinder_interval, cylinder_orbits
 
 F = Fraction
 
@@ -180,30 +182,32 @@ def test_branch_arithmetic_lands_in_the_strip():
             assert abs(y1) == model.delta            # corners land on the rim
 
 
-def test_apply_routes_points_through_their_slab():
+def test_apply_branch_is_the_reference_stage_map_on_its_slab():
     model = reference_model()
-    point = (F(0), model.offsets[2] + model.width / 2)
-    assert model.slab_index(point[1]) == 2
-    assert model.apply(point) == model.apply_branch(2, point)
-    with pytest.raises(DomainError, match="no horizontal slab"):
-        model.slab_index(F(0))                       # 0 falls in the gap above slab 1
+    for j, off in enumerate(model.offsets):
+        for y in (off, off + model.width / 3, off + model.width):
+            for x in (-model.delta, F(1, 7), model.delta):
+                assert model.apply_branch(j, (x, y)) == stage_map(model, (x, y))
+    assert slab_of(model, F(0)) is None              # 0 falls in the gap above slab 1
 
 
-def test_plane_distance_is_the_sup_norm():
-    assert plane_distance((F(0), F(0)), (F(1, 4), F(-1, 2))) == F(1, 2)
-
-
-def test_orbit_2d_tracks_the_stage_map():
-    # arbitrary slab points may fall into a gap after one step; certificate
-    # representatives are exactly the points whose images stay in slabs
-    model = reference_model()
-    cert = separated_bound_2d(model, 1)
-    for itin, rep in zip(cert.itineraries, cert.points):
-        pts = orbit_2d(model, rep, 2)
-        assert pts[0] == rep
-        assert pts[1] == model.apply(rep) == model.apply_branch(itin[0], rep)
-    with pytest.raises(DomainError, match="orbit length"):
-        orbit_2d(model, cert.points[0], 0)
+def test_slab_view_is_the_y_dynamics():
+    model = dataclasses.replace(reference_model(), orientations=(-1, -1, 1, 1))
+    view = slab_view(model)
+    assert (view.core_lo, view.core_hi) == (-model.delta, model.delta)
+    assert [(b.lo, b.hi, b.increasing) for b in view.branches] == [
+        (off, off + model.width, o == 1) for off, o in zip(model.offsets, model.orientations)
+    ]
+    assert view.separation_scale is None and view.map is None
+    # every cylinder is the y-range whose stage orbit follows its itinerary:
+    # both ends follow it, and its midpoint orbit is the one read off the view
+    ys = cylinder_orbits(view, 3)
+    for itin in product(range(model.N), repeat=3):
+        for y in cylinder_interval(view, itin):
+            orbit = stage_orbit(model, (F(0), y), 3)
+            assert [slab_of(model, pos[1]) for pos in orbit] == list(itin)
+        mid = itinerary_point(model, itin)
+        assert [pos[1] for pos in stage_orbit(model, mid, 3)] == ys[itin]
 
 
 # === geometry verification ====================================================
@@ -273,8 +277,8 @@ def test_certificate_representatives_follow_their_itineraries():
     model = reference_model()
     cert = separated_bound_2d(model, 1)
     for itinerary, point in zip(cert.itineraries, cert.points):
-        for t, pos in enumerate(orbit_2d(model, point, cert.steps)):
-            assert model.slab_index(pos[1]) == itinerary[t]
+        orbit = stage_orbit(model, point, cert.steps)
+        assert tuple(slab_of(model, pos[1]) for pos in orbit) == itinerary
 
 
 def test_single_strip_certificate_has_nothing_to_separate():
@@ -286,20 +290,39 @@ def test_single_strip_certificate_has_nothing_to_separate():
 
 def test_overlapping_slabs_are_caught_during_certification():
     model = reference_model()
-    # two identical slabs: itineraries through slab 1 resolve to slab 0
+    # two identical slabs: a stage orbit through slab 1 would resolve to slab 0
     broken = dataclasses.replace(
         model, offsets=(model.offsets[0], model.offsets[0],
                         model.offsets[2], model.offsets[3]),
     )
-    with pytest.raises(VerificationError, match="left its slab"):
+    with pytest.raises(VerificationError, match="overlap"):
         separated_bound_2d(broken, 1)
 
 
 def test_collapsed_strips_are_caught_during_certification():
     broken = dataclasses.replace(reference_model(), width=F(0))
     assert not verify_conditions(broken).ok
-    with pytest.raises(VerificationError, match="empty itinerary box"):
+    with pytest.raises(VerificationError, match="degenerate branch domain"):
         separated_bound_2d(broken, 1)
+
+
+def test_disjoint_slabs_out_of_order_are_refused():
+    model = reference_model()
+    swapped = dataclasses.replace(
+        model, offsets=(model.offsets[1], model.offsets[0]) + model.offsets[2:],
+    )
+    assert not verify_conditions(swapped).ok         # fails slab-gaps
+    with pytest.raises(VerificationError, match="slab view refused"):
+        separated_bound_2d(swapped, 1)
+
+
+def test_slabs_leaving_the_square_are_refused():
+    # a slab above the square sends cylinder midpoints out of their slabs
+    model = reference_model()
+    high = dataclasses.replace(model, offsets=model.offsets[:3] + (F(7, 16),))
+    assert not verify_conditions(high).ok
+    with pytest.raises(VerificationError, match="slabs leave the square"):
+        separated_bound_2d(high, 1)
 
 
 def test_representatives_exactly_epsilon_apart_are_not_separated():
@@ -326,30 +349,53 @@ def test_a_failed_certificate_names_the_first_close_pair_in_row_order():
 def _first_close_pair(orbits, epsilon):
     """The failure text of a row-by-row scan over all pairs, or None."""
     for i, k in combinations(range(len(orbits)), 2):
-        dist = max(plane_distance(a, b) for a, b in zip(orbits[i], orbits[k]))
+        dist = plane_dn(orbits[i], orbits[k])
         if dist <= epsilon:
             return (f"representatives {i} and {k} are only {format_rational(dist)} "
                     f"apart in d_{len(orbits[i])} (epsilon = {format_rational(epsilon)})")
     return None
 
 
-@settings(max_examples=40, deadline=None)
+@st.composite
+def uneven_slabs(draw, n, p, delta, share):
+    """Slabs of height 2*delta/n*share with uneven (possibly zero) gaps and
+    mixed orientations; epsilon is a placeholder for the test to set."""
+    width = 2 * delta / n * share
+    weights = draw(st.lists(st.integers(0, 8), min_size=n + 1, max_size=n + 1))
+    unit = (2 * delta - n * width) / (sum(weights) or 1)
+    offsets = [-delta + weights[0] * unit]
+    for g in weights[1:-1]:
+        offsets.append(offsets[-1] + width + g * unit)
+    orientations = draw(st.lists(st.sampled_from((1, -1)), min_size=n, max_size=n))
+    return Horseshoe2DModel(n, p, delta, width, width, tuple(offsets), tuple(orientations))
+
+
+@settings(max_examples=60, deadline=None)
 @given(
     st.integers(1, 4), st.integers(1, 2), st.integers(1, 2),
     st.fractions(min_value="1/8", max_value=2, max_denominator=16),
     st.fractions(min_value="1/64", max_value="63/64", max_denominator=64),
-    st.integers(0, 10**6),
+    st.integers(0, 10**6), st.data(),
 )
-def test_certificate_minima_match_a_brute_force_scan(n, p, ell, delta, share, pick):
+def test_certificate_minima_match_a_brute_force_scan(n, p, ell, delta, share, pick, data):
     assume(n ** (p * ell) <= 64)
-    model = build_model_2d(n, delta, 2 * delta / n * share, p)   # n*epsilon < 2*delta
-    cert = separated_bound_2d(model, ell)
-    orbits = [orbit_2d(model, point, cert.steps) for point in cert.points]
+    uneven = data.draw(st.booleans())
+    if uneven:
+        model = data.draw(uneven_slabs(n, p, delta, share))
+    else:
+        model = build_model_2d(n, delta, 2 * delta / n * share, p)   # n*epsilon < 2*delta
+    steps = p * ell
+    points = [itinerary_point(model, w) for w in product(range(n), repeat=steps)]
+    orbits = [stage_orbit(model, point, steps) for point in points]
     brute = [
-        min((max(plane_distance(a, b) for a, b in zip(mine, other))
-             for j, other in enumerate(orbits) if j != i), default=None)
+        min((plane_dn(mine, other) for j, other in enumerate(orbits) if j != i), default=None)
         for i, mine in enumerate(orbits)
     ]
+    if uneven:
+        # certify below the least brute-force distance
+        model = dataclasses.replace(model, epsilon=min((d for d in brute if d), default=F(1)) / 2)
+    cert = separated_bound_2d(model, ell)
+    assert list(cert.points) == points
     assert list(cert.per_point_min) == brute
     assert cert.min_pairwise == min((d for d in brute if d is not None), default=None)
     if cert.count > 1:

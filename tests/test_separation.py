@@ -156,6 +156,21 @@ def test_exhaustive_count_refuses_a_grid_over_the_cap_before_building_it(tent):
     assert peak < 10**6  # bytes; the 100,001-point grid takes about 10 MB
 
 
+@pytest.mark.parametrize("grid", [F(0), F(-1, 13), F(2)])
+@pytest.mark.parametrize("method", [METHOD_GREEDY, METHOD_EXHAUSTIVE])
+def test_count_at_refuses_a_grid_outside_the_unit_interval(tent, grid, method):
+    # a zero grid used to fall back to the default, and 2 to scan one point
+    with pytest.raises(DomainError, match=r"grid resolution must lie in \(0, 1\]"):
+        count_at(tent, 1, F(1, 10), method, grid=grid)
+
+
+def test_exhaustive_count_at_records_the_grid_it_scanned(tent):
+    default = count_at(tent, 1, F(1, 10), METHOD_EXHAUSTIVE)
+    assert (default.count, default.grid_resolution) == (7, F(1, EXHAUSTIVE_POINT_CAP - 1))
+    rec = count_at(tent, 1, F(1, 10), METHOD_EXHAUSTIVE, grid=F(1, 4))
+    assert (rec.count, rec.grid_resolution) == (5, F(1, 4))     # 0, 1/4, ..., 1
+
+
 def test_greedy_is_maximal_within_its_grid(tent):
     # no unselected grid point can be added: greedy sets are inclusion-maximal
     eps, grid = F(1, 4), F(1, 16)
@@ -453,8 +468,19 @@ def test_integer_orbits_stay_exact_over_thirty_steps():
 def test_integer_orbits_reject_points_off_the_unit_interval(tent):
     with pytest.raises(DomainError, match="outside"):
         _scaled_orbits(tent, [2, 5], 4, 2)
+    with pytest.raises(DomainError, match="outside"):
+        _scaled_orbits(tent, [2, 5], 4, 1)
     with pytest.raises(DomainError, match="n >= 1"):
         _scaled_orbits(tent, [2], 4, 0)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_counts_reject_points_off_the_unit_interval_at_every_n(tent, n):
+    points = [F(0), F(5, 4), F(-3)]
+    with pytest.raises(DomainError, match="outside"):
+        count_separated_exhaustive(tent, n, F(1, 10), points)
+    with pytest.raises(DomainError, match="outside"):
+        greedy_separated_points(tent, n, F(1, 10), points)
 
 
 @settings(max_examples=60, deadline=None)
