@@ -11,8 +11,9 @@ vertical strips of width w (alternating orientation), and p identical
 stages are chained cyclically.  Running the recursion for ell rounds yields
 N**(p*ell) orbit segments that are pairwise (p*ell, epsilon)-separated in
 the sup metric: y is read off the cylinders of the Markov view ``slab_view``
-and x steps by ``apply_branch``, in exact rational arithmetic throughout, so
-every certificate is re-checkable by direct evaluation.
+and x steps by ``apply_branch`` once per itinerary prefix, in exact rational
+arithmetic throughout, so every certificate is re-checkable by direct
+evaluation.
 """
 
 from __future__ import annotations
@@ -382,6 +383,28 @@ class Certificate2D:
         return math.inf if la == 0 else math.log(self.count) / self.steps / la
 
 
+def _orbit_rows(model: Horseshoe2DModel, view: MarkovView, steps: int
+                ) -> tuple[list[tuple[int, ...]], list[list[Fraction]]]:
+    """The itineraries of depth ``steps`` and their orbit rows
+    [y_0, x_1, y_1, ..., x_{steps-1}, y_{steps-1}] (x_0 = 0 on every row, so it
+    is left out).  y_t is read off ``view``'s cylinders; x_t depends only on
+    the prefix w[:t], so it is stepped by ``apply_branch`` once per prefix:
+    layer t lists every length-t prefix in ``product`` order, and w's prefix
+    has index (index of w) // N^(steps−t)."""
+    orbits, n = cylinder_orbits(view, steps), model.N
+    xs = [[Fraction(0)]]
+    for _ in range(steps - 1):     # x_{t+1} does not depend on y_t: any y in slab j does
+        xs.append([model.apply_branch(j, (x, model.offsets[j]))[0]
+                   for x in xs[-1] for j in range(n)])
+    rows = []
+    for i, ys in enumerate(orbits.values()):
+        row = [ys[0]]
+        for t in range(1, steps):
+            row += (xs[t][i // n ** (steps - t)], ys[t])
+        rows.append(row)
+    return list(orbits), rows
+
+
 def separated_bound_2d(model: Horseshoe2DModel, ell: int) -> Certificate2D:
     """Certify one representative per depth-(p*ell) itinerary w pairwise
     (p*ell, epsilon)-separated by direct evaluation: y_t is the midpoint of
@@ -398,12 +421,7 @@ def separated_bound_2d(model: Horseshoe2DModel, ell: int) -> Certificate2D:
         view = slab_view(model)
     except ContractError as exc:
         raise VerificationError(f"slab view refused: {exc}") from None
-    orbits, rows = cylinder_orbits(view, steps), []
-    for itin, ys in orbits.items():
-        row = [Fraction(0), ys[0]]                  # x_0, y_0, x_1, y_1, ...
-        for j, y in zip(itin, ys[1:]):
-            row += (model.apply_branch(j, (row[-2], row[-1]))[0], y)
-        rows.append(row)
+    itineraries, rows = _orbit_rows(model, view, steps)
 
     # sup over time of the plane's sup metric = max over the flat row
     per_min = _least_distances(rows)
@@ -419,8 +437,8 @@ def separated_bound_2d(model: Horseshoe2DModel, ell: int) -> Certificate2D:
                 )
 
     min_pairwise = min((m for m in per_min if m is not None), default=None)
-    return Certificate2D(model, ell, steps, total, tuple(orbits),
-                         tuple((r[0], r[1]) for r in rows), tuple(per_min), min_pairwise)
+    return Certificate2D(model, ell, steps, total, tuple(itineraries),
+                         tuple((Fraction(0), r[0]) for r in rows), tuple(per_min), min_pairwise)
 
 
 def ratio_lower_bound(model: Horseshoe2DModel, ell_max: int) -> float:

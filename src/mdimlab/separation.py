@@ -15,11 +15,13 @@ algorithm under d_n, so counts are produced three ways and labeled by method:
                          the branch family declares a separation scale.
 
 The greedy and exhaustive counts decide d_n(x,y) > eps on integer orbits
-over one denominator per count; both separated-family certificates
-(cylinders here, planar in ``horseshoe``) read their orbits off cylinder
-midpoints (``cylinder_orbits``) and share ``_least_distances``, which
-compares whole orbits as integers over one common denominator.  All of these,
-``orbit`` and ``dn_distance`` too, read the map's integer node table (``pwa``).
+over one denominator per count, reading the map's integer node table
+(``pwa``), as do ``orbit`` and ``dn_distance``.  Both separated-family
+certificates (cylinders here, planar in ``horseshoe``) read their orbits off
+cylinder midpoints built on the itinerary tree, one affine step per cylinder
+(``cylinder_orbits``), and share ``_least_distances``: exact least distances
+of integer rows over one common denominator, swept in order of the first
+entry and pruned where the first entries alone are too far apart.
 
 Rates h(f,eps) are least-squares slopes of log(count) against n over a
 window, with the max single-step increment reported alongside as a second
@@ -269,15 +271,43 @@ def count_separated_exhaustive(
 
 def _least_distances(rows: list[list[Fraction]]) -> list[Fraction | None]:
     """Each row's exact least sup-norm distance to any other row (None for a
-    lone row), comparing plain integers over the lcm of all denominators."""
+    lone row), comparing plain integers over the lcm of all denominators.
+
+    The rows are swept in order of their first entry.  Two rows are at least
+    as far apart as their first entries, so a row's scan right, then left,
+    stops at the first row whose first entry is its current best or more
+    away.  A distance found scanning right lowers both rows' bests; scanning
+    left skips the rows whose right scan already reached this one."""
     den = math.lcm(*(v.denominator for row in rows for v in row))
     ints = [[v.numerator * (den // v.denominator) for v in row] for row in rows]
-    best: list[float | int] = [math.inf] * len(ints)
-    for i, a in enumerate(ints):
-        dists = [max(map(abs, map(sub, a, b))) for b in ints[i + 1:]]
-        best[i] = min([best[i], *dists])
-        best[i + 1:] = map(min, best[i + 1:], dists)
-    return [None if d == math.inf else Fraction(d, den) for d in best]
+    order = sorted(range(len(ints)), key=lambda i: ints[i][0])
+    ints = [ints[i] for i in order]
+    firsts = [a[0] for a in ints]
+    k = len(ints)
+    best: list[float | int] = [math.inf] * k
+    reach = [0] * k                 # where each row's right scan stopped
+    for p, a in enumerate(ints):
+        a0, low, q = firsts[p], best[p], p + 1
+        while q < k and firsts[q] - a0 < low:
+            d = max(map(abs, map(sub, a, ints[q])))
+            if d < low:
+                low = d
+            if d < best[q]:
+                best[q] = d
+            q += 1
+        reach[p] = q
+        for q in range(p - 1, -1, -1):
+            if a0 - firsts[q] >= low:
+                break
+            if reach[q] <= p:
+                d = max(map(abs, map(sub, a, ints[q])))
+                if d < low:
+                    low = d
+        best[p] = low
+    out: list[Fraction | None] = [None] * k
+    for i, d in zip(order, best):
+        out[i] = None if d == math.inf else Fraction(d, den)
+    return out
 
 
 # === full-branch Markov views ===============================================
@@ -362,41 +392,53 @@ class MarkovView:
     def branch_count(self) -> int:
         return len(self.branches)
 
-    def branch_pullback(self, idx: int, lo: Fraction, hi: Fraction) -> tuple[Fraction, Fraction]:
-        """Preimage inside branch idx of a subinterval [lo, hi] of the core."""
-        br = self.branches[idx]
-        s = (br.hi - br.lo) / (self.core_hi - self.core_lo)
-        if br.increasing:
-            return (br.lo + (lo - self.core_lo) * s, br.lo + (hi - self.core_lo) * s)
-        return (br.lo + (self.core_hi - hi) * s, br.lo + (self.core_hi - lo) * s)
+
+def _branch_inverse(view: MarkovView, br: MarkovBranch) -> tuple[Fraction, Fraction]:
+    """(slope, offset) of the affine map from the core onto ``br``'s domain
+    that inverts the branch."""
+    s = (br.hi - br.lo) / (view.core_hi - view.core_lo)
+    if br.increasing:
+        return s, br.lo - view.core_lo * s
+    return -s, br.lo + view.core_hi * s
 
 
-def cylinder_interval(view: MarkovView, itinerary: tuple[int, ...]) -> tuple[Fraction, Fraction]:
-    """The interval of points following the given branch itinerary."""
-    lo, hi = view.core_lo, view.core_hi
-    for idx in reversed(itinerary):
-        lo, hi = view.branch_pullback(idx, lo, hi)
-    return lo, hi
-
-
-def cylinder_representatives(view: MarkovView, n: int) -> list[tuple[tuple[int, ...], Fraction]]:
-    """(itinerary, cylinder midpoint) for every depth-n itinerary."""
+def _cylinder_layers(view: MarkovView, n: int) -> list[list[Fraction]]:
+    """Cylinder midpoints by depth: layer d lists mid C(w) for every depth-d
+    itinerary w in ``product`` order, d = 0..n.  The inverse of branch w_0
+    maps C(w[1:]) onto C(w), midpoint to midpoint, so each midpoint is one
+    multiply-add on the layer above.  Refuses a depth over the cap and a
+    branch domain outside the core (whose cylinders would leave the branches)
+    before anything is built."""
     total = view.branch_count**n
     if total > REPRESENTATIVE_CAP:
         raise ResourceError(
             f"{total} depth-{n} cylinders exceed the representative cap {REPRESENTATIVE_CAP}"
         )
-    return [(w, sum(cylinder_interval(view, w)) / 2)
-            for w in product(range(view.branch_count), repeat=n)]
+    lo, hi = view.core_lo, view.core_hi
+    for br in view.branches:
+        if br.lo < lo or br.hi > hi:
+            raise ContractError(f"branch [{br.lo}, {br.hi}] leaves the core [{lo}, {hi}]")
+    inverses = [_branch_inverse(view, br) for br in view.branches]
+    layers = [[(lo + hi) / 2]]
+    for _ in range(n):
+        layers.append([s * mid + c for s, c in inverses for mid in layers[-1]])
+    return layers
+
+
+def cylinder_representatives(view: MarkovView, n: int) -> list[tuple[tuple[int, ...], Fraction]]:
+    """(itinerary, cylinder midpoint) for every depth-n itinerary."""
+    return list(zip(product(range(view.branch_count), repeat=n), _cylinder_layers(view, n)[n]))
 
 
 def cylinder_orbits(view: MarkovView, n: int) -> dict[tuple[int, ...], list[Fraction]]:
     """The orbit [mid C(w[t:]) for t < n] of the representative of every
     depth-n itinerary w (n >= 1), in itinerary order.  Branch w_t maps
-    C(w[t:]) affinely onto C(w[t+1:]), so it maps midpoint to midpoint."""
-    # depth n first, so the cap refuses before anything is built
-    mids = [dict(cylinder_representatives(view, d)) for d in range(n, 0, -1)]
-    return {w: [mids[t][w[t:]] for t in range(n)] for w in mids[0]}
+    C(w[t:]) affinely onto C(w[t+1:]), so it maps midpoint to midpoint; the
+    index of w[t:] in its layer is w's index modulo B^(n−t)."""
+    layers = _cylinder_layers(view, n)
+    sizes = [view.branch_count ** (n - t) for t in range(n)]
+    return {w: [layers[n - t][i % size] for t, size in enumerate(sizes)]
+            for i, w in enumerate(product(range(view.branch_count), repeat=n))}
 
 
 def count_cylinders(view: MarkovView, n: int, epsilon: Fraction | None = None) -> CountRecord:
@@ -419,9 +461,11 @@ def verify_cylinder_separation(view: MarkovView, n: int) -> Fraction:
 
     The rows are ``cylinder_orbits``.  With an attached map these are the
     map's orbits too, since ``MarkovView`` checked that the map equals each
-    branch on its domain.
-    Raises ContractError for a missing scale and for a failed certificate,
-    which falsifies the view's declared contract (never VerificationError).
+    branch on its domain and the cylinder build that each domain lies in
+    the core.
+    Raises ContractError for a missing scale, for a branch domain outside the
+    core and for a failed certificate, which falsifies the view's declared
+    contract (never VerificationError).
     """
     if view.separation_scale is None:
         raise ContractError("view declares no separation scale to certify against")

@@ -85,6 +85,36 @@ def dn_reference(m: PwaMap, x: Fraction, y: Fraction, n: int) -> Fraction:
     return max(abs(a - b) for a, b in zip(orbit_values(m, x, n), orbit_values(m, y, n)))
 
 
+# === reference cylinders and pairwise minima ==================================
+# The library builds cylinder midpoints on the itinerary tree, one affine
+# step per cylinder, and prunes its pairwise sweep; the cross-checks pull
+# each cylinder back branch by branch and compare every pair instead.
+
+def branch_pullback(view, idx: int, lo: Fraction, hi: Fraction) -> tuple[Fraction, Fraction]:
+    """Preimage inside branch idx of a subinterval [lo, hi] of the core."""
+    br = view.branches[idx]
+    s = (br.hi - br.lo) / (view.core_hi - view.core_lo)
+    if br.increasing:
+        return (br.lo + (lo - view.core_lo) * s, br.lo + (hi - view.core_lo) * s)
+    return (br.lo + (view.core_hi - hi) * s, br.lo + (view.core_hi - lo) * s)
+
+
+def cylinder_interval(view, itinerary: tuple[int, ...]) -> tuple[Fraction, Fraction]:
+    """The interval of points following the given branch itinerary."""
+    lo, hi = view.core_lo, view.core_hi
+    for idx in reversed(itinerary):
+        lo, hi = branch_pullback(view, idx, lo, hi)
+    return lo, hi
+
+
+def least_distances_reference(rows: list[list[Fraction]]) -> list[Fraction | None]:
+    """Each row's least sup-norm distance to any other row, over all pairs
+    (None for a lone row)."""
+    return [min((max(abs(a - b) for a, b in zip(row, other))
+                 for j, other in enumerate(rows) if j != i), default=None)
+            for i, row in enumerate(rows)]
+
+
 # === reference baker stage map ================================================
 # The library reads slab-model orbits off Markov-view cylinders; the
 # cross-checks walk the stage map forward point by point instead.

@@ -10,7 +10,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import itinerary_point, plane_dn, slab_of, stage_map, stage_orbit
+from conftest import (
+    cylinder_interval, itinerary_point, plane_dn, slab_of, stage_map, stage_orbit,
+)
 from mdimlab import (
     ContractError,
     DomainError,
@@ -32,7 +34,8 @@ from mdimlab import (
     slab_view,
     verify_conditions,
 )
-from mdimlab.separation import cylinder_interval, cylinder_orbits
+from mdimlab.horseshoe import _orbit_rows
+from mdimlab.separation import cylinder_orbits
 
 F = Fraction
 
@@ -405,6 +408,27 @@ def test_certificate_minima_match_a_brute_force_scan(n, p, ell, delta, share, pi
         with pytest.raises(VerificationError) as info:
             separated_bound_2d(dataclasses.replace(model, epsilon=epsilon), ell)
         assert str(info.value) == _first_close_pair(orbits, epsilon)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(1, 4), st.integers(1, 4),
+    st.fractions(min_value="1/8", max_value=2, max_denominator=16),
+    st.fractions(min_value="1/64", max_value="63/64", max_denominator=64), st.data(),
+)
+def test_rows_from_memoised_x_equal_rows_stepped_by_apply_branch(n, steps, delta, share, data):
+    assume(n**steps <= 256)
+    model = data.draw(uneven_slabs(n, 1, delta, share))
+    view = slab_view(model)
+    itineraries, rows = _orbit_rows(model, view, steps)
+    orbits = cylinder_orbits(view, steps)
+    assert itineraries == list(orbits) == list(product(range(n), repeat=steps))
+    for (itin, ys), row in zip(orbits.items(), rows):
+        # x stepped by apply_branch along each representative's own orbit
+        stepped = [F(0), ys[0]]
+        for j, y in zip(itin, ys[1:]):
+            stepped += (model.apply_branch(j, (stepped[-2], stepped[-1]))[0], y)
+        assert row == stepped[1:]
 
 
 def test_ratio_lower_bound_examples():

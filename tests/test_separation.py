@@ -7,7 +7,7 @@ import math
 import random
 import tracemalloc
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 from hypothesis import example, given, settings
@@ -15,8 +15,8 @@ from hypothesis import strategies as st
 
 import mdimlab.separation
 from conftest import (
-    dn_reference, near_nodes, orbit_values, prime_denominator_pwa, random_boundary_fixed_pwa,
-    random_pwa,
+    cylinder_interval, dn_reference, least_distances_reference, near_nodes, orbit_values,
+    prime_denominator_pwa, random_boundary_fixed_pwa, random_pwa,
 )
 from mdimlab import (
     ContractError,
@@ -57,9 +57,10 @@ from mdimlab.separation import (
     EXHAUSTIVE_POINT_CAP,
     METHOD_GREEDY,
     REPRESENTATIVE_CAP,
+    _least_distances,
     _scaled_orbits,
     count_at,
-    cylinder_interval,
+    cylinder_orbits,
     cylinder_representatives,
     greedy_separated_points,
     max_separated_subset,
@@ -291,7 +292,7 @@ def test_cylinder_representatives_are_certified_separated(half_model):
 
 
 @pytest.mark.parametrize("view", [
-    MarkovView(F(1, 4), F(3, 4), (MarkovBranch(F(1, 8), F(7, 8), True),), F(1, 100)),
+    MarkovView(F(1, 4), F(3, 4), (MarkovBranch(F(3, 8), F(5, 8), True),), F(1, 100)),
     MarkovView(F(0), F(1), (MarkovBranch(F(0), F(1), True),), F(1, 2), identity_map()),
 ], ids=["geometry-only", "identity-map"])
 @pytest.mark.parametrize("n", [1, 3])
@@ -300,14 +301,32 @@ def test_one_branch_certificate_is_the_core_length(view, n):
     assert verify_cylinder_separation(view, n) == view.core_hi - view.core_lo
 
 
+def test_certificate_refuses_branches_outside_the_core():
+    # both branches map onto the core [0, 1/2] and the map check passes, but
+    # [3/4, 1] is not inside the core: the representative of (1, 1) would be
+    # 19/16, off the interval, and the certificate used to return 3/4
+    m = PwaMap.from_nodes([(F(0), F(0)), (F(1, 4), F(1, 2)), (F(3, 4), F(0)), (F(1), F(1, 2))])
+    view = MarkovView(F(0), F(1, 2), (MarkovBranch(F(0), F(1, 4), True),
+                                      MarkovBranch(F(3, 4), F(1), True)), F(1, 10), m)
+    for refuse in (cylinder_orbits, cylinder_representatives, verify_cylinder_separation):
+        with pytest.raises(ContractError, match=r"^branch \[3/4, 1\] leaves the core \[0, 1/2\]$"):
+            refuse(view, 2)
+    # a lone branch poking out of its core is refused at every depth
+    wide = MarkovView(F(1, 4), F(3, 4), (MarkovBranch(F(1, 8), F(7, 8), True),), F(1, 100))
+    for n in (1, 3):
+        with pytest.raises(ContractError, match=r"branch \[1/8, 7/8\] leaves the core \[1/4, 3/4\]"):
+            verify_cylinder_separation(wide, n)
+
+
 def test_cylinder_cap_refuses_before_building_a_representative(monkeypatch):
     # 142 branches give 20,164 depth-2 cylinders, just over the cap
     assert 141**2 <= REPRESENTATIVE_CAP < 142**2
     branches = tuple(MarkovBranch(F(2 * i, 284), F(2 * i + 1, 284), True) for i in range(142))
     view = MarkovView(F(0), F(1), branches, F(1, 1000))
+    # every midpoint is built by a branch inverse, so none may be taken
     built = []
-    monkeypatch.setattr(mdimlab.separation, "cylinder_interval", lambda *args: built.append(args))
-    for refuse in (cylinder_representatives, verify_cylinder_separation):
+    monkeypatch.setattr(mdimlab.separation, "_branch_inverse", lambda *args: built.append(args))
+    for refuse in (cylinder_orbits, cylinder_representatives, verify_cylinder_separation):
         with pytest.raises(ResourceError, match=f"^20164 depth-2 cylinders exceed the"
                                                 f" representative cap {REPRESENTATIVE_CAP}$"):
             refuse(view, 2)
@@ -615,6 +634,42 @@ def test_cylinder_certificate_matches_the_forward_walk(layout, n):
     expected = forward_walk_certificate(view, n)
     for v in (view, with_map, loaded):
         assert verify_cylinder_separation(v, n) == expected
+
+
+@settings(max_examples=40, deadline=None)
+@given(branch_layouts, st.integers(1, 4))
+@example(([0, 10, 30, 31, 60, 96], [False, True]), 4)       # uneven widths, down then up
+def test_tree_built_orbits_match_the_pullback_chain(layout, n):
+    cuts, ups = layout
+    cuts = [F(c, 96) for c in sorted(cuts)]
+    inner = cuts[1:-1]
+    view = MarkovView(cuts[0], cuts[-1], tuple(
+        MarkovBranch(lo, hi, up) for lo, hi, up in zip(inner[::2], inner[1::2], ups)))
+    n = min(n, max(k for k in (1, 2, 3, 4) if view.branch_count**k <= 256))
+    orbits = cylinder_orbits(view, n)
+    assert list(orbits) == list(product(range(view.branch_count), repeat=n))
+    for w, row in orbits.items():
+        assert row == [sum(cylinder_interval(view, w[t:])) / 2 for t in range(n)]
+    assert cylinder_representatives(view, n) == [(w, row[0]) for w, row in orbits.items()]
+
+
+# === the pairwise kernel =======================================================
+
+kernel_values = st.builds(F, st.integers(-8, 8), st.sampled_from([1, 2, 3, 5]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda width: st.lists(
+    st.lists(kernel_values, min_size=width, max_size=width), min_size=1, max_size=14)))
+@example([[F(1, 3)]])                                                   # one row
+@example([[F(0), F(1)], [F(1, 2), F(-1)]])                              # two rows
+@example([[F(0), F(2)], [F(1), F(2)], [F(2), F(2)], [F(3), F(2)]])      # ties
+@example([[F(1), F(0)], [F(1), F(5)], [F(1), F(-2)], [F(1), F(9, 2)]])  # one first entry
+@example([[F(1, 2), F(3)], [F(-1), F(7)], [F(1, 2), F(3)], [F(4), F(0)]])  # a duplicate row
+@example([[F(0), F(0)], [F(1, 10), F(0)], [F(1, 2), F(0)]])             # found scanning left
+@example([[F(-5), F(-1, 3)], [F(-9, 2), F(-3)], [F(-1), F(-7, 5)]])     # negative entries
+def test_pruned_kernel_matches_all_pairs(rows):
+    assert _least_distances(rows) == least_distances_reference(rows)
 
 
 # === rates and profiles =======================================================
