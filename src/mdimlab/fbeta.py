@@ -108,7 +108,10 @@ def _min_feasible_odd(gamma: Fraction, beta: Fraction, ell_prev: int, room: floa
     enters the certainly-infeasible region we bisect its right edge instead:
     (ell/gamma)^beta is concave in ell and (ell+3)/4 affine, so the region
     where the first dominates the second is a single interval and bisection
-    on the certificate is rigorous.
+    on the certificate is rigorous.  Under a finite ``room`` one probe comes
+    first: when the region reaches top - 2, top the first doubling whose
+    level leaves the room, it covers every probe the search would make, and
+    the search would return top.
     """
     p, q = beta.numerator, beta.denominator
     ell = max(ell_prev + 2, 3)
@@ -119,6 +122,12 @@ def _min_feasible_odd(gamma: Fraction, beta: Fraction, ell_prev: int, room: floa
             return ell
         ell += 2
     lo = ell
+    if room < math.inf:
+        top = lo
+        while _level_nodes(top) <= room:
+            top = 2 * top + 1
+        if top > lo and _surely_infeasible(top - 2, gamma, p, q):
+            return top
     hi = lo
     while _level_nodes(hi) <= room and _surely_infeasible(hi, gamma, p, q):
         hi = 2 * hi + 1
@@ -505,8 +514,10 @@ def dump_plan(plan: FBetaPlan) -> str:
     return "\n".join(lines) + "\n"
 
 
-def load_plan(text: str, node_budget: int | None = None) -> FBetaPlan:
-    """Parse and re-derive (under ``node_budget``): the stored level table must match the scan."""
+def load_plan(text: str, node_budget: int = DEFAULT_NODE_BUDGET) -> FBetaPlan:
+    """Parse and re-derive under ``node_budget`` (a plan whose levels need
+    more nodes is refused with ResourceError while it is planned): the stored
+    level table must match the scan."""
     lines = body_lines(text, PLAN_HEADER)
     level_lines = [ln for ln in lines if ln.startswith("level ")]
     fields = read_fields([ln for ln in lines if not ln.startswith("level ")],
@@ -545,7 +556,7 @@ def load_model(text: str) -> FBetaModel:
     if lines[:1] != ["[plan]"]:
         raise SerializationError("model file has no [plan] section after its header")
     end = next((i for i in range(1, len(lines)) if lines[i].startswith("[")), len(lines))
-    model = build_fbeta(load_plan("\n".join(lines[1:end]), DEFAULT_NODE_BUDGET))
+    model = build_fbeta(load_plan("\n".join(lines[1:end])))
     want_lines = dump_model(model).splitlines()[1:]
     for have, want in zip_longest(lines, want_lines, fillvalue="end of file"):
         if have != want:

@@ -205,14 +205,6 @@ class Horseshoe2DModel:
         if any(o not in (-1, 1) for o in self.orientations):
             raise DomainError("orientation flags must be +1 or -1")
 
-    @property
-    def alpha(self) -> float:
-        """Exponent with N = floor((1/epsilon)^(alpha * 2)) on the square."""
-        la = abs(math.log(self.epsilon))
-        if la == 0:
-            return 0.0 if self.N == 1 else math.inf
-        return math.log(self.N) / (2 * la)
-
     def slab(self, j: int) -> tuple[Interval, Interval]:
         """Horizontal slab j as (x-range, y-range)."""
         off = self.offsets[j]
@@ -235,14 +227,11 @@ class Horseshoe2DModel:
 
 def slab_view(model: Horseshoe2DModel) -> MarkovView:
     """The y-dynamics as a Markov view on [-delta, delta] (no scale, no map):
-    branch j is slab j's y-range, increasing iff orientation j is +1.  Besides
-    the view's refusals, slabs leaving the square raise ContractError."""
+    branch j is slab j's y-range, increasing iff orientation j is +1.  The
+    view refuses, with ContractError, slabs that overlap or leave the square."""
     d = model.delta
-    view = MarkovView(-d, d, tuple(MarkovBranch(off, off + model.width, o == 1)
+    return MarkovView(-d, d, tuple(MarkovBranch(off, off + model.width, o == 1)
                                    for off, o in zip(model.offsets, model.orientations)))
-    if view.branches[0].lo < -d or view.branches[-1].hi > d:
-        raise ContractError("slabs leave the square")
-    return view
 
 
 def build_model_2d(

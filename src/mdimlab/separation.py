@@ -223,23 +223,6 @@ def count_separated_greedy(
     return CountRecord(n, epsilon, len(selected), METHOD_GREEDY, grid)
 
 
-def max_separated_subset(
-    m: PwaMap, n: int, epsilon: Fraction, points: list[Fraction]
-) -> int:
-    """Exact maximum (n,eps)-separated subset size of an explicit point set."""
-    k = len(points)
-    orbits, big_d = _scaled_orbits(m, *_over_one_denominator(points), n)
-    limit = epsilon.numerator * big_d // epsilon.denominator
-    # adjacency bitmasks: bit j of adj[i] set iff d_n(p_i, p_j) > eps
-    adj = [0] * k
-    for i in range(k):
-        for j in range(i + 1, k):
-            if max(map(abs, map(sub, orbits[i], orbits[j]))) > limit:
-                adj[i] |= 1 << j
-                adj[j] |= 1 << i
-    return _max_clique(adj, (1 << k) - 1, 0, 0)
-
-
 def _max_clique(adj: list[int], cand: int, size: int, best: int) -> int:
     """Largest clique among the ``cand`` bits, grown from one of ``size``:
     branch on the top candidate (taken, then dropped), pruning any branch
@@ -261,12 +244,19 @@ def count_separated_exhaustive(
         raise DomainError(f"count_separated_exhaustive needs n >= 1, got {n}")
     if not points:
         raise DomainError("point set must be nonempty")
-    if len(points) > EXHAUSTIVE_POINT_CAP:
-        raise ResourceError(
-            f"exhaustive scan capped at {EXHAUSTIVE_POINT_CAP} points,"
-            f" got {len(points)}"
-        )
-    return CountRecord(n, epsilon, max_separated_subset(m, n, epsilon, points), METHOD_EXHAUSTIVE)
+    k = len(points)
+    if k > EXHAUSTIVE_POINT_CAP:
+        raise ResourceError(f"exhaustive scan capped at {EXHAUSTIVE_POINT_CAP} points, got {k}")
+    orbits, big_d = _scaled_orbits(m, *_over_one_denominator(points), n)
+    limit = epsilon.numerator * big_d // epsilon.denominator
+    # adjacency bitmasks: bit j of adj[i] set iff d_n(p_i, p_j) > eps
+    adj = [0] * k
+    for i in range(k):
+        for j in range(i + 1, k):
+            if max(map(abs, map(sub, orbits[i], orbits[j]))) > limit:
+                adj[i] |= 1 << j
+                adj[j] |= 1 << i
+    return CountRecord(n, epsilon, _max_clique(adj, (1 << k) - 1, 0, 0), METHOD_EXHAUSTIVE)
 
 
 def _least_distances(rows: list[list[Fraction]]) -> list[Fraction | None]:
@@ -324,9 +314,12 @@ class MarkovView:
     """A family of affine full branches onto a common core interval.
 
     Each branch maps [lo, hi] affinely ONTO [core_lo, core_hi] (increasing or
-    decreasing).  When ``separation_scale`` is set, the branch domains must
-    have pairwise gaps strictly above it — that is what certifies cylinder
-    representatives as separated.  ``map`` optionally ties the view to the
+    decreasing).  The constructor holds the three premises that certify
+    cylinder representatives as separated, and refuses a view that breaks
+    one with ContractError: the branch domains ascend, and their gaps are
+    strictly above ``separation_scale`` when one is set; every branch is full
+    and affine; and every branch domain lies inside the core, so each
+    cylinder lies inside its branch.  ``map`` optionally ties the view to the
     PwaMap realizing it, in which case each branch is checked to equal the
     map on its domain, so orbits along the branches are the map's orbits.
     """
@@ -357,24 +350,28 @@ class MarkovView:
                         f" separation scale {self.separation_scale}"
                     )
             prev_hi = br.hi
+        # the domains ascend, so only the outermost two ends can leave the core
+        first, last = self.branches[0], self.branches[-1]
+        out = first if first.lo < self.core_lo else last if last.hi > self.core_hi else None
+        if out is not None:
+            raise ContractError(
+                f"branch [{out.lo}, {out.hi}] leaves the core [{self.core_lo}, {self.core_hi}]"
+            )
         if self.map is not None:
             self._check_against_map()
 
     def _check_against_map(self) -> None:
         """Each branch equals the map on its domain: its end values are the
         core ends, and no map node lies strictly inside it.  The ends of all
-        branches ascend, so one ``eval_sorted`` values them, and each branch's
-        least node above lo is found by a ``bisect_right`` that starts at the
-        previous branch's.  The error names the first failing branch in
-        branch order."""
+        branches ascend, so one ``eval_sorted`` values them (or raises
+        DomainError for an end outside [0, 1]), and each branch's least node
+        above lo is found by a ``bisect_right`` that starts at the previous
+        branch's.  The error names the first failing branch in branch order."""
         m = self.map
-        ends = [x for br in self.branches for x in (br.lo, br.hi)]
-        values = eval_sorted(m, ends[:bisect_right(ends, 1)])
+        values = eval_sorted(m, [x for br in self.branches for x in (br.lo, br.hi)])
         i = 0
         for k, br in enumerate(self.branches):
             got = tuple(values[2 * k:2 * k + 2])
-            if len(got) < 2:                  # an end past 1: eval_map raises there
-                got = (eval_map(m, br.lo), eval_map(m, br.hi))
             want = (self.core_lo, self.core_hi) if br.increasing else (self.core_hi, self.core_lo)
             if got != want:
                 raise ContractError(
@@ -406,20 +403,16 @@ def _cylinder_layers(view: MarkovView, n: int) -> list[list[Fraction]]:
     """Cylinder midpoints by depth: layer d lists mid C(w) for every depth-d
     itinerary w in ``product`` order, d = 0..n.  The inverse of branch w_0
     maps C(w[1:]) onto C(w), midpoint to midpoint, so each midpoint is one
-    multiply-add on the layer above.  Refuses a depth over the cap and a
-    branch domain outside the core (whose cylinders would leave the branches)
-    before anything is built."""
+    multiply-add on the layer above; the view holds every branch domain
+    inside the core, so every cylinder lies inside its branch.  Refuses a
+    depth over the cap before anything is built."""
     total = view.branch_count**n
     if total > REPRESENTATIVE_CAP:
         raise ResourceError(
             f"{total} depth-{n} cylinders exceed the representative cap {REPRESENTATIVE_CAP}"
         )
-    lo, hi = view.core_lo, view.core_hi
-    for br in view.branches:
-        if br.lo < lo or br.hi > hi:
-            raise ContractError(f"branch [{br.lo}, {br.hi}] leaves the core [{lo}, {hi}]")
     inverses = [_branch_inverse(view, br) for br in view.branches]
-    layers = [[(lo + hi) / 2]]
+    layers = [[(view.core_lo + view.core_hi) / 2]]
     for _ in range(n):
         layers.append([s * mid + c for s, c in inverses for mid in layers[-1]])
     return layers
@@ -460,12 +453,10 @@ def verify_cylinder_separation(view: MarkovView, n: int) -> Fraction:
     """Min pairwise d_n over depth-n representatives; must beat the scale.
 
     The rows are ``cylinder_orbits``.  With an attached map these are the
-    map's orbits too, since ``MarkovView`` checked that the map equals each
-    branch on its domain and the cylinder build that each domain lies in
-    the core.
-    Raises ContractError for a missing scale, for a branch domain outside the
-    core and for a failed certificate, which falsifies the view's declared
-    contract (never VerificationError).
+    map's orbits too, since ``MarkovView`` checked that each branch domain
+    lies in the core and that the map equals each branch on its domain.
+    Raises ContractError for a missing scale and for a failed certificate,
+    which falsifies the view's declared contract (never VerificationError).
     """
     if view.separation_scale is None:
         raise ContractError("view declares no separation scale to certify against")

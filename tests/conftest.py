@@ -162,6 +162,12 @@ def plane_dn(a: list[tuple[Fraction, Fraction]], b: list[tuple[Fraction, Fractio
 
 # === reference objects ========================================================
 
+# a hand-written 49/50 plan: its level lines are only compared after planning,
+# and planning level 0 under the default node budget already refuses it
+OVER_BUDGET_PLAN = ("fbeta-plan v1\nbeta = 49/50\nK = 1\nseed_a1 = 1/2\n"
+                    "level 0: dummy\nlevel 1: dummy\n")
+
+
 @pytest.fixture(scope="session")
 def tent() -> PwaMap:
     return tent_map()

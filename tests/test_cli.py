@@ -12,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import OVER_BUDGET_PLAN
 import mdimlab.cli
 import mdimlab.fbeta
 import mdimlab.surgery
@@ -85,13 +86,22 @@ def test_build_fbeta_stops_planning_at_the_first_level_over_the_budget(tmp_path,
     assert list(tmp_path.iterdir()) == []
 
 
+def test_a_hopeless_plan_is_refused_in_one_probe(tmp_path):
+    # every odd ell below the first over-budget doubling is surely infeasible
+    # at 99999/100000, so one probe of a big power settles level 0
+    start = time.monotonic()
+    done = run_fresh("build-fbeta", "--beta", "99999/100000", "--levels", "3",
+                     "-o", str(tmp_path))
+    assert time.monotonic() - start < 4
+    assert done.returncode == 2 and done.stdout == ""
+    assert done.stderr == OVER_BUDGET_AT_LEVEL_0
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("command", ["implant", "estimate"])
 def test_loaded_plans_are_planned_under_the_node_budget(tmp_path, command):
-    # a hand-written plan: the level lines are only compared after planning
-    plan = ("fbeta-plan v1\nbeta = 49/50\nK = 1\nseed_a1 = 1/2\n"
-            "level 0: dummy\nlevel 1: dummy\n")
-    (tmp_path / "plan.txt").write_text(plan)
-    (tmp_path / "model.txt").write_text("fbeta-model v1\n[plan]\n" + plan)
+    (tmp_path / "plan.txt").write_text(OVER_BUDGET_PLAN)
+    (tmp_path / "model.txt").write_text("fbeta-model v1\n[plan]\n" + OVER_BUDGET_PLAN)
     (tmp_path / "host.txt").write_text(dump_pwa(identity_map()))
     if command == "implant":
         done = run_fresh(*implant_argv(tmp_path, tmp_path / "host.txt"))
@@ -185,6 +195,23 @@ def test_estimate_rejects_a_view_with_an_empty_label(tmp_path, capsys):
     )
     assert code == 2
     assert "bad view line" in err
+
+
+# gaps well above the scale and full branches, but neither branch lies in the core
+OFF_CORE_VIEWS = ("markov-views v1\nview core 1/2:1/1 scale 1/100\n"
+                  "branch up 0:1/8\nbranch up 1/4:3/8\n")
+
+
+@pytest.mark.parametrize("command", ["estimate", "sweep"])
+def test_views_with_branches_outside_the_core_are_refused(tmp_path, capsys, command):
+    (tmp_path / "views.txt").write_text(OFF_CORE_VIEWS)
+    (tmp_path / "views.cfg").write_text("source = views.txt\nmethod = cylinder\nscales = 1/100\n")
+    argv = (["estimate", "--model", str(tmp_path / "views.txt")] if command == "estimate"
+            else ["sweep", "--config", str(tmp_path / "views.cfg")])
+    code, out, err = run(capsys, *argv, "-o", str(tmp_path / "out"))
+    assert (code, out) == (2, "")
+    assert err == "error: branch [0, 1/8] leaves the core [1/2, 1]\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_estimate_missing_file_exits_3(tmp_path, capsys):

@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import OVER_BUDGET_PLAN
 from mdimlab import (
     ContractError,
     DomainError,
@@ -241,6 +242,11 @@ def test_planning_under_a_budget_stops_at_the_first_level_that_cannot_fit():
     assert plan_sequences(F(1), 1, variant_full=True, node_budget=30).K == 1
     with pytest.raises(ResourceError, match="at least 30 nodes by level 1, over the budget of 29"):
         plan_sequences(F(1), 1, variant_full=True, node_budget=29)
+
+
+def test_plan_loads_are_planned_under_the_default_node_budget():
+    with pytest.raises(ResourceError, match="needs at least 1048582 nodes by level 0"):
+        load_plan(OVER_BUDGET_PLAN)
 
 
 def test_dense_variant_builds_and_verifies():

@@ -136,7 +136,6 @@ def test_build_reference_model_geometry():
     assert model.width == F(1, 8)
     assert model.offsets == (F(-1, 2), F(-5, 24), F(1, 12), F(3, 8))
     assert model.orientations == (1, -1, 1, -1)
-    assert model.alpha == pytest.approx(0.25)       # log 4 / (2 log 16)
     # slabs tile flush against both edges with uniform gaps of 1/6
     assert model.offsets[0] == -model.delta
     assert model.offsets[-1] + model.width == model.delta
@@ -324,7 +323,8 @@ def test_slabs_leaving_the_square_are_refused():
     model = reference_model()
     high = dataclasses.replace(model, offsets=model.offsets[:3] + (F(7, 16),))
     assert not verify_conditions(high).ok
-    with pytest.raises(VerificationError, match="slabs leave the square"):
+    with pytest.raises(VerificationError, match=r"^slab view refused: branch \[7/16, 9/16\]"
+                                                r" leaves the core \[-1/2, 1/2\]$"):
         separated_bound_2d(high, 1)
 
 

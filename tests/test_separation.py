@@ -63,7 +63,6 @@ from mdimlab.separation import (
     cylinder_orbits,
     cylinder_representatives,
     greedy_separated_points,
-    max_separated_subset,
 )
 
 F = Fraction
@@ -246,7 +245,7 @@ THIRTEENTHS = [F(j, 13) for j in range(EXHAUSTIVE_POINT_CAP)]
 @given(seeds, st.integers(1, 4), st.fractions(min_value="1/13", max_value="1/2", max_denominator=60))
 def test_exhaustive_matches_a_mask_scan_at_the_point_cap(seed, n, eps):
     m = random_pwa(random.Random(seed), max_interior=5, denom=13)
-    assert max_separated_subset(m, n, eps, THIRTEENTHS) == reference_mask_scan(
+    assert count_separated_exhaustive(m, n, eps, THIRTEENTHS).count == reference_mask_scan(
         m, n, eps, THIRTEENTHS
     )
 
@@ -302,20 +301,20 @@ def test_one_branch_certificate_is_the_core_length(view, n):
 
 
 def test_certificate_refuses_branches_outside_the_core():
-    # both branches map onto the core [0, 1/2] and the map check passes, but
-    # [3/4, 1] is not inside the core: the representative of (1, 1) would be
-    # 19/16, off the interval, and the certificate used to return 3/4
+    # both branches map onto the core [0, 1/2], but [3/4, 1] is not inside
+    # it: the representative of (1, 1) would be 19/16, off the interval, so
+    # the view itself is refused, before its map is checked
     m = PwaMap.from_nodes([(F(0), F(0)), (F(1, 4), F(1, 2)), (F(3, 4), F(0)), (F(1), F(1, 2))])
-    view = MarkovView(F(0), F(1, 2), (MarkovBranch(F(0), F(1, 4), True),
-                                      MarkovBranch(F(3, 4), F(1), True)), F(1, 10), m)
-    for refuse in (cylinder_orbits, cylinder_representatives, verify_cylinder_separation):
-        with pytest.raises(ContractError, match=r"^branch \[3/4, 1\] leaves the core \[0, 1/2\]$"):
-            refuse(view, 2)
-    # a lone branch poking out of its core is refused at every depth
-    wide = MarkovView(F(1, 4), F(3, 4), (MarkovBranch(F(1, 8), F(7, 8), True),), F(1, 100))
-    for n in (1, 3):
-        with pytest.raises(ContractError, match=r"branch \[1/8, 7/8\] leaves the core \[1/4, 3/4\]"):
-            verify_cylinder_separation(wide, n)
+    with pytest.raises(ContractError, match=r"^branch \[3/4, 1\] leaves the core \[0, 1/2\]$"):
+        MarkovView(F(0), F(1, 2), (MarkovBranch(F(0), F(1, 4), True),
+                                   MarkovBranch(F(3, 4), F(1), True)), F(1, 10), m)
+    # a lone branch poking out of its core on both sides
+    with pytest.raises(ContractError, match=r"^branch \[1/8, 7/8\] leaves the core \[1/4, 3/4\]$"):
+        MarkovView(F(1, 4), F(3, 4), (MarkovBranch(F(1, 8), F(7, 8), True),), F(1, 100))
+    # when both outer branches leave, the first is named
+    with pytest.raises(ContractError, match=r"^branch \[0, 1/8\] leaves the core \[1/4, 3/4\]$"):
+        MarkovView(F(1, 4), F(3, 4), (MarkovBranch(F(0), F(1, 8), True),
+                                      MarkovBranch(F(7, 8), F(1), True)))
 
 
 def test_cylinder_cap_refuses_before_building_a_representative(monkeypatch):
@@ -416,20 +415,25 @@ def test_view_check_names_the_first_failing_branch(layout, message):
 
 
 def test_view_check_finds_a_node_just_above_the_branch_start():
-    # 997/3000 lies just below the node 1/3 and shares its table key floor(32·x) = 10
-    peak = PwaMap.from_nodes([(F(0), F(0)), (F(1, 3), F(1)), (F(1), F(0))])
+    # 997/3000 lies just below the node 1/3 and shares its table key
+    # floor(128·x) = 42; the map takes 1 and 0 at the branch ends, as a falling branch needs
+    m = PwaMap.from_nodes([(F(0), F(0)), (F(1, 4), F(1)), (F(1, 3), F(1)), (F(1, 2), F(0)),
+                           (F(1), F(0))])
+    shift, keys, _ = m._table
+    assert keys == [0, 32, 42, 64, 128] and F(997, 3000) * 2**shift // 1 == 42
     branch = MarkovBranch(F(997, 3000), F(1, 2), False)
     with pytest.raises(ContractError, match=r"^branch \[997/3000, 1/2\] is not affine: map node at 1/3$"):
-        MarkovView(F(3, 4), F(997, 1000), (branch,), None, peak)
+        MarkovView(F(0), F(1), (branch,), None, m)
 
 
-def test_view_check_evaluates_a_branch_past_1_in_branch_order():
-    # the first branch misses the core before the second one leaves [0, 1]
-    branches = (MarkovBranch(F(0), F(1, 4), False), MarkovBranch(F(3, 4), F(5, 4), True))
-    with pytest.raises(ContractError, match=r"^branch \[0, 1/4\] does not map onto the core"):
-        MarkovView(F(0), F(1), branches, None, KINKED)
+def test_view_check_refuses_a_branch_past_1():
+    branch = MarkovBranch(F(3, 4), F(5, 4), True)
+    # inside [0, 1] as a core, the branch is refused before the map is read
+    with pytest.raises(ContractError, match=r"^branch \[3/4, 5/4\] leaves the core \[0, 1\]$"):
+        MarkovView(F(0), F(1), (branch,), None, KINKED)
+    # a core reaching past 1 holds it, and the map cannot value its end
     with pytest.raises(DomainError, match="eval argument 5/4 outside"):
-        MarkovView(F(0), F(1), branches[1:], None, KINKED)
+        MarkovView(F(0), F(5, 4), (branch,), None, KINKED)
 
 
 # === exact integer orbits =====================================================
@@ -952,6 +956,12 @@ def test_views_loader_rejects_an_empty_label():
         load_views(text)
     with pytest.raises(SerializationError, match="bad view line"):
         load_views(text.replace(" label", " label   "))
+
+
+def test_views_loader_refuses_branches_outside_the_core():
+    text = "markov-views v1\nview core 1/2:1/1 scale 1/100\nbranch up 0:1/8\nbranch up 1/4:3/8\n"
+    with pytest.raises(ContractError, match=r"^branch \[0, 1/8\] leaves the core \[1/2, 1\]$"):
+        load_views(text)
 
 
 @pytest.mark.parametrize("body", [

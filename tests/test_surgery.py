@@ -11,10 +11,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import prime_denominator_pwa, random_boundary_fixed_pwa, random_pwa, value_at
+from conftest import (
+    OVER_BUDGET_PLAN, prime_denominator_pwa, random_boundary_fixed_pwa, random_pwa, value_at,
+)
 from mdimlab import (
     ContractError,
     DomainError,
+    ResourceError,
     SerializationError,
     SurgeryPlan,
     VerificationError,
@@ -479,6 +482,15 @@ def test_surgery_plan_with_custom_profile_needs_a_profile_reference(implanted):
     custom = dataclasses.replace(plan, chi=make_bump(plan.J_hat, plan.J_tilde))
     with pytest.raises(SerializationError, match="pass chi_ref"):
         dump_surgery_plan(custom, "host.txt", "fplan.txt")
+
+
+def test_surgery_plan_loads_its_plan_under_the_default_node_budget(tmp_path, implanted):
+    plan, _ = implanted
+    (tmp_path / "host.txt").write_text(dump_pwa(plan.host))
+    (tmp_path / "fplan.txt").write_text(OVER_BUDGET_PLAN)
+    text = dump_surgery_plan(plan, "host.txt", "fplan.txt")
+    with pytest.raises(ResourceError, match="needs at least 1048582 nodes by level 0"):
+        load_surgery_plan(text, tmp_path)
 
 
 def test_surgery_plan_loader_rejects_bad_input(tmp_path):
