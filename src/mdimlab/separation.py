@@ -16,12 +16,19 @@ algorithm under d_n, so counts are produced three ways and labeled by method:
 
 The greedy and exhaustive counts decide d_n(x,y) > eps on integer orbits
 over one denominator per count, reading the map's integer node table
-(``pwa``), as do ``orbit`` and ``dn_distance``.  Both separated-family
-certificates (cylinders here, planar in ``horseshoe``) read their orbits off
-cylinder midpoints built on the itinerary tree, one affine step per cylinder
-(``cylinder_orbits``), and share ``_least_distances``: exact least distances
-of integer rows over one common denominator, swept in order of the first
-entry and pruned where the first entries alone are too far apart.
+(``pwa``), as do ``orbit`` and ``dn_distance``.  The greedy count pushes its
+grid through the map as runs, integer progressions that split at the map's
+nodes and so stay inside one piece at every depth (``_affine_runs``).
+Inside a run d_n is the index gap times the run's widest step, so past a
+run's first eps in x the greedy picks one ``range`` by stride, and only the
+points within eps of a run's ends get an orbit and a pointwise check.
+
+Both separated-family certificates (cylinders here, planar in
+``horseshoe``) read their orbits off cylinder midpoints built on the
+itinerary tree, one affine step per cylinder (``cylinder_orbits``), and
+share ``_least_distances``: exact least distances of integer rows over one
+common denominator, swept in order of the first entry and pruned where the
+first entries alone are too far apart.
 
 Rates h(f,eps) are least-squares slopes of log(count) against n over a
 window, with the max single-step increment reported alongside as a second
@@ -30,11 +37,11 @@ growth proxy; ratios h/|log eps| feed the mean-dimension profiles.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
-from concurrent import futures
+from bisect import bisect_left, bisect_right
+from collections.abc import Callable
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from itertools import product
+from itertools import chain, product
 from operator import mul, sub
 
 from .errors import (
@@ -122,18 +129,34 @@ def dn_distance(m: PwaMap, x: Fraction, y: Fraction, n: int) -> Fraction:
 
 # === greedy / exhaustive counting ===========================================
 
-def _scaled_orbits(m: PwaMap, nums, den: int, n: int) -> tuple[list[list[int]], int]:
-    """Orbits of the points v/den, v in ``nums``, as integer numerators over
-    one denominator D = den·M^(n−1), M the lcm of the pieces' d_i in the map's
-    integer table (module ``pwa``).  Entry k is exact over den·M^k by the step
-    v -> (a_i·v + b_i·den·M^k)·(M/d_i), piece i found by the node keys as in
-    ``pwa``, then scaled by M^(n−1−k).  Returns the orbits and D."""
+def _integer_steps(
+    m: PwaMap, n: int
+) -> tuple[int, list[tuple[int, int]], Callable[[int, int], int]]:
+    """The integer form of one step of the map, for orbits of length n >= 1:
+    M, the lcm of the pieces' d_i in the map's integer table (module
+    ``pwa``); each piece's step (a_i·M/d_i, b_i·M/d_i), which sends v/d to
+    (a_i·v + b_i·d)/(d·M) exactly; and ``piece(v, d)``, the piece of v/d
+    found by the node keys as in ``pwa`` (x = 1 falls in the last piece)."""
     if n < 1:
         raise DomainError(f"orbit needs n >= 1, got {n}")
     shift, keys, pieces = m._table
     big_m = math.lcm(*(d for _, _, d in pieces))
     table = [(a * (big_m // d), b * (big_m // d)) for a, b, d in pieces]
-    last = len(table)               # x = 1 falls in the last piece
+    last, xs = len(table), m.xs
+
+    def piece(v: int, d: int) -> int:
+        k = (v << shift) // d
+        i = bisect_right(keys, k, 0, last) - 1
+        return i - (k == keys[i] and v * xs[i].denominator < xs[i].numerator * d)
+
+    return big_m, table, piece
+
+
+def _scaled_orbits(m: PwaMap, nums, den: int, n: int) -> tuple[list[list[int]], int]:
+    """Orbits of the points v/den, v in ``nums``, as integer numerators over
+    one denominator D = den·M^(n−1) (``_integer_steps``).  Entry k is exact
+    over den·M^k, then scaled by M^(n−1−k).  Returns the orbits and D."""
+    big_m, table, piece = _integer_steps(m, n)
     dens = [den * big_m**k for k in range(n - 1)]
     scales = [big_m**k for k in range(n - 1, -1, -1)]
     orbits = []
@@ -142,14 +165,45 @@ def _scaled_orbits(m: PwaMap, nums, den: int, n: int) -> tuple[list[list[int]], 
             raise DomainError(f"eval argument {Fraction(v, den)} outside [0,1]")
         out = [v]
         for d in dens:
-            k = (v << shift) // d
-            i = bisect_right(keys, k, 0, last) - 1
-            i -= k == keys[i] and v * m.xs[i].denominator < m.xs[i].numerator * d
-            a, b = table[i]
+            a, b = table[piece(v, d)]
             v = a * v + b * d
             out.append(v)
         orbits.append(list(map(mul, out, scales)))
     return orbits, den * big_m ** (n - 1)
+
+
+def _affine_runs(m: PwaMap, runs, den: int, n: int) -> tuple[list[tuple[int, ...]], int]:
+    """Push runs of points through the map n − 1 times.  A run (first index,
+    count, start, step) holds the points (start + i·step)/den, i < count;
+    at depth k its points' f^k-values are (start_k + i·step_k)/(den·M^k), and
+    each run carries a fifth entry, its widest step max_{i<=k} |step_i|·M^(k−i).
+    A run whose two ends lie in one piece maps to one run by that piece's
+    step; one that crosses nodes splits at each, by one floor division, into
+    runs in index order (a point on a node goes to either side: the map is
+    continuous).  Runs never outnumber points.  Returns the runs at depth
+    n − 1 and D = den·M^(n−1)."""
+    big_m, table, piece = _integer_steps(m, n)
+    nodes = [x.as_integer_ratio() for x in m.xs]
+    runs = [(first, count, start, step, abs(step)) for first, count, start, step in runs]
+    d = den
+    for _ in range(n - 1):
+        out = []
+        for first, count, start, step, wide in runs:
+            wide *= big_m
+            p0, p1 = piece(start, d), piece(start + (count - 1) * step, d)
+            s = 1 if p1 > p0 else -1
+            cuts = [0]
+            for q in range(p0 + s, p1 + s, s):
+                u, w = nodes[max(q, q - s)]     # the node between pieces q − s and q
+                cuts.append((u * d - start * w) // (step * w) + 1)
+            cuts.append(count)
+            for q, i, j in zip(range(p0, p1 + s, s), cuts, cuts[1:]):
+                if i < j:
+                    a, b = table[q]
+                    out.append((first + i, j - i, a * (start + i * step) + b * d, a * step,
+                                max(wide, abs(a * step))))
+        runs, d = out, d * big_m
+    return runs, d
 
 
 def _over_one_denominator(points: list[Fraction]) -> tuple[list[int], int]:
@@ -159,25 +213,53 @@ def _over_one_denominator(points: list[Fraction]) -> tuple[list[int], int]:
     return [p * (den // d) for p, d in ratios], den
 
 
-def _greedy_select(m: PwaMap, n: int, epsilon: Fraction, nums, den: int) -> list[int]:
+def _greedy_select(m: PwaMap, n: int, epsilon: Fraction, nums, den: int, runs) -> list[int]:
     """Indices of the greedy left-to-right (n,eps)-separated subset of the
-    ascending points v/den, v in ``nums``.  All orbits share one denominator
-    D, so d_n <= eps exactly when the integer gap is at most floor(eps·D);
-    d_n >= |x − y| skips selected points more than eps away in x."""
-    orbits, big_d = _scaled_orbits(m, nums, den, n)
+    ascending points v/den, v in ``nums``, given as runs (first index, count,
+    start, step) of ``nums`` (``_affine_runs``): the uniform grid is one run,
+    any other point list one run per point.
+
+    All orbits share one denominator D, so d_n <= eps exactly when the
+    integer gap is at most L = floor(eps·D); and d_n >= |x − y|, so a point
+    is compared only with chosen points at most eps away in x.  Inside one
+    run at depth n − 1 every orbit entry is affine in the index, so two of
+    its points j, j' are exactly |j − j'|·w apart in d_n, w the run's widest
+    step.  Hence a point more than eps in x past its run's start is compared
+    only within its run, and is chosen iff it lies at least r = L // w + 1
+    indices past the last chosen point (a last choice before the run lies
+    more than eps away in x, and w is at least the index spacing in x, so
+    this holds there too): that stretch of the run is one ``range``.  Only
+    each run's head (its points within eps in x of its start) and tail
+    (within eps of its end) get integer orbits, in one batch, and the head
+    is checked pointwise against the chosen points, all of them heads or
+    tails, within eps in x."""
+    runs, big_d = _affine_runs(m, runs, den, n)
     limit = epsilon.numerator * big_d // epsilon.denominator
+    near = limit // (big_d // den)          # at most eps apart in x: v − v' <= near
+    spans = []
+    for first, count, *_ in runs:
+        end = first + count
+        head = bisect_right(nums, nums[first] + near, first, end)
+        tail = max(head, bisect_left(nums, nums[end - 1] - near, first, end))
+        spans.append((first, head, tail, end))
+    edges = [i for first, head, tail, end in spans
+             for i in chain(range(first, head), range(tail, end))]
+    rows = dict(zip(edges, _scaled_orbits(m, [nums[i] for i in edges], den, n)[0]))
     chosen: list[int] = []
-    for i, o in enumerate(orbits):
-        ok = True
-        for j in reversed(chosen):
-            s = orbits[j]
-            if o[0] - s[0] > limit:
-                break               # this and all earlier points are far in x
-            if max(map(abs, map(sub, o, s))) <= limit:
-                ok = False
-                break
-        if ok:
-            chosen.append(i)
+    for (first, head, _, end), (*_, wide) in zip(spans, runs):
+        for i in range(first, head):
+            o, x, ok = rows[i], nums[i], True
+            for j in reversed(chosen):
+                if x - nums[j] > near:
+                    break           # this and all earlier points are far in x
+                if max(map(abs, map(sub, o, rows[j]))) <= limit:
+                    ok = False
+                    break
+            if ok:
+                chosen.append(i)
+        if head < end:
+            r = limit // wide + 1
+            chosen.extend(range(max(head, chosen[-1] + r), end, r))
     return chosen
 
 
@@ -188,7 +270,9 @@ def greedy_separated_points(
     if epsilon <= 0:
         raise DomainError(f"epsilon must be positive, got {epsilon}")
     pts = sorted(points)
-    return [pts[i] for i in _greedy_select(m, n, epsilon, *_over_one_denominator(pts))]
+    nums, den = _over_one_denominator(pts)
+    runs = [(i, 1, v, 0) for i, v in enumerate(nums)]
+    return [pts[i] for i in _greedy_select(m, n, epsilon, nums, den, runs)]
 
 
 def _grid(grid: Fraction, cap: int, what: str) -> tuple[range, int]:
@@ -219,7 +303,8 @@ def count_separated_greedy(
         raise GridPrecisionError(
             f"grid resolution {grid} is coarser than epsilon/4 = {epsilon / 4}"
         )
-    selected = _greedy_select(m, n, epsilon, *_grid(grid, GREEDY_GRID_CAP, "greedy grid"))
+    nums, den = _grid(grid, GREEDY_GRID_CAP, "greedy grid")
+    selected = _greedy_select(m, n, epsilon, nums, den, [(0, len(nums), 0, nums.step)])
     return CountRecord(n, epsilon, len(selected), METHOD_GREEDY, grid)
 
 
@@ -597,6 +682,8 @@ def mdim_profile(
         for n in range(n_min, n_max + 1)
     ]
     if workers > 1 and method != METHOD_CYLINDER:
+        from concurrent import futures     # imported only where a pool runs
+
         with futures.ProcessPoolExecutor(min(workers, len(jobs))) as pool:
             records = list(pool.map(count_at, *zip(*jobs)))
     else:

@@ -7,7 +7,7 @@ import math
 import random
 import tracemalloc
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import accumulate, combinations, product
 
 import pytest
 from hypothesis import example, given, settings
@@ -57,6 +57,7 @@ from mdimlab.separation import (
     EXHAUSTIVE_POINT_CAP,
     METHOD_GREEDY,
     REPRESENTATIVE_CAP,
+    _affine_runs,
     _least_distances,
     _scaled_orbits,
     count_at,
@@ -546,6 +547,109 @@ def test_greedy_count_on_grids_whose_step_numerator_is_not_one(grid, eps, n):
         rec = count_separated_greedy(m, n, eps, grid)
         assert rec.count == len(reference_greedy(m, n, eps, explicit_grid(grid)))
         assert rec.grid_resolution == grid
+
+
+# === greedy counts on affine runs ============================================
+# The greedy count pushes its grid through the map as runs, arithmetic
+# progressions that stay inside one piece at every depth, chooses by stride
+# inside each run and checks only run edges pointwise; these tests hold the
+# counts to the pairwise reference greedy and pin the runs themselves.
+
+def grid_runs(m: PwaMap, n: int, grid: Fraction) -> tuple[list[tuple[int, ...]], int]:
+    """The greedy grid's runs at depth n − 1 and their denominator D."""
+    p, q = grid.as_integer_ratio()
+    return _affine_runs(m, [(0, q // p + 1, 0, p)], q, n)
+
+
+def assert_greedy_matches_the_reference(m: PwaMap, n: int, eps: Fraction, grid: Fraction) -> None:
+    assert count_separated_greedy(m, n, eps, grid).count == len(
+        reference_greedy(m, n, eps, explicit_grid(grid)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(seeds, st.booleans(), st.integers(1, 6),
+       st.fractions(min_value="1/8", max_value="1/2", max_denominator=16), st.integers(4, 9))
+def test_greedy_count_on_runs_matches_a_reference_greedy(seed, prime, n, eps, k):
+    rng = random.Random(seed)
+    m = prime_denominator_pwa(rng, rng.randint(2, 5)) if prime else random_pwa(rng)
+    # eps/k has step numerator eps.numerator / gcd(eps.numerator, k), often not 1
+    assert_greedy_matches_the_reference(m, n, eps, eps / k)
+
+
+FLAT_PIECE_MAP = PwaMap.from_nodes([(F(0), F(0)), (F(1, 3), F(1, 2)), (F(2, 3), F(1, 2)),
+                                     (F(1), F(1))])
+DECREASING_MAP = PwaMap.from_nodes([(F(0), F(1)), (F(2, 5), F(1, 5)), (F(1), F(0))])
+# nodes on the 1/40 grid, 1 among them, and a piece of each orientation
+NODES_ON_GRID_MAP = PwaMap.from_nodes([(F(0), F(1, 2)), (F(1, 4), F(1)), (F(1, 2), F(0)),
+                                       (F(3, 4), F(3, 4)), (F(1), F(1, 4))])
+
+
+@pytest.mark.parametrize("m,eps,grid", [
+    (constant_map(F(2, 5)), F(1, 10), F(1, 40)),
+    (FLAT_PIECE_MAP, F(1, 10), F(1, 40)),
+    (DECREASING_MAP, F(1, 10), F(1, 40)),
+    (DECREASING_MAP, F(3, 20), F(3, 80)),
+    (NODES_ON_GRID_MAP, F(1, 10), F(1, 40)),
+    (NODES_ON_GRID_MAP, F(1, 8), F(1, 36)),
+])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_greedy_count_on_runs_on_explicit_maps(m, eps, grid, n):
+    assert_greedy_matches_the_reference(m, n, eps, grid)
+
+
+def test_runs_after_a_flat_piece_have_step_zero():
+    runs, _ = grid_runs(FLAT_PIECE_MAP, 2, F(1, 40))
+    flat = [r for r in runs if r[3] == 0]
+    # the grid points 14/40 .. 26/40 lie inside the flat piece (1/3, 2/3)
+    assert [(first, count) for first, count, *_ in flat] == [(14, 13)]
+    assert all(r[4] > 0 for r in flat)      # the widest step keeps time 0's spacing
+    for n in (3, 4):
+        assert all(r[3] == 0 for r in grid_runs(constant_map(F(2, 5)), n, F(1, 40))[0])
+
+
+def test_runs_split_on_nodes_and_cover_the_grid_in_index_order():
+    for m in (NODES_ON_GRID_MAP, DECREASING_MAP, tent_map()):
+        for n in range(1, 6):
+            runs, big_d = grid_runs(m, n, F(1, 40))
+            assert [r[0] for r in runs] == list(accumulate([0] + [r[1] for r in runs[:-1]]))
+            assert sum(r[1] for r in runs) == 41
+            # every run is affine at its final depth: its points' f^(n−1)-values
+            for first, count, start, step, _ in runs:
+                want = [orbit_values(m, F(first + i, 40), n)[-1] for i in range(count)]
+                assert [F(start + i * step, big_d) for i in range(count)] == want
+
+
+@settings(max_examples=40, deadline=None)
+@given(seeds, st.integers(1, 5), st.data())
+def test_points_of_one_run_are_their_index_gap_times_the_widest_step_apart(seed, n, data):
+    m = random_pwa(random.Random(seed))
+    runs, big_d = grid_runs(m, n, F(1, 60))
+    first, count, _, _, wide = data.draw(st.sampled_from(runs))
+    i = data.draw(st.integers(first, first + count - 1))
+    j = data.draw(st.integers(first, first + count - 1))
+    assert dn_reference(m, F(i, 60), F(j, 60), n) == F(abs(i - j) * wide, big_d)
+
+
+def test_a_run_shorter_than_its_head():
+    # nodes every 1/25 on the 1/100 grid: runs of at most 5 points, while a
+    # head holds the 5 points within eps = 1/25 of its run's start
+    zigzag = PwaMap.from_nodes([(F(j, 25), F(j % 2)) for j in range(26)])
+    runs, _ = grid_runs(zigzag, 2, F(1, 100))
+    assert min(r[1] for r in runs) < 5
+    for n in (1, 2, 3):
+        assert_greedy_matches_the_reference(zigzag, n, F(1, 25), F(1, 100))
+
+
+def test_tent_runs_approach_points_at_depth_twelve(tent):
+    runs, _ = grid_runs(tent, 12, F(1, 40))
+    assert 30 < len(runs) <= 41
+    assert_greedy_matches_the_reference(tent, 12, F(1, 10), F(1, 40))
+    assert_greedy_matches_the_reference(tent, 12, F(1, 8), F(1, 36))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_tent_runs_on_the_1_4000_grid_double_at_each_depth(tent, n):
+    assert len(grid_runs(tent, n, F(1, 4000))[0]) == 2 ** (n - 1)
 
 
 # f = (0,0) (1/3,1) (1,1/7): slope -9/7 on the right piece, so 1/2 and 3/5
