@@ -38,7 +38,6 @@ from .horseshoe import (
     interval_distance,
     load_model_2d,
     monotone_laps,
-    ratio_lower_bound,
     separated_bound_2d,
     slab_view,
     verify_conditions,
@@ -80,14 +79,12 @@ from .separation import (
     load_views,
     mdim_profile,
     orbit,
-    rate_at_scale,
     report_to_csv,
     report_to_json,
     verify_cylinder_separation,
 )
 from .surgery import (
     SurgeryPlan,
-    blend_with_profile,
     conjugate_into_interval,
     dump_surgery_plan,
     flatten_fixed_point,

@@ -31,7 +31,7 @@ from fractions import Fraction
 from itertools import zip_longest
 
 from .errors import ContractError, DomainError, ResourceError, SerializationError
-from .pwa import DEFAULT_NODE_BUDGET, PwaMap, eval_map, dump_pwa
+from .pwa import DEFAULT_NODE_BUDGET, PwaMap, dump_pwa, eval_map, eval_sorted
 from .rational import (
     body_lines, floor_pow, format_interval, format_rational, parse_int, parse_rational, read_fields,
 )
@@ -389,12 +389,13 @@ def verify_model(model: FBetaModel) -> VerificationSummary:
     check("endpoints-fixed", eval_map(m, Fraction(0)) == 0 and eval_map(m, ONE) == ONE,
           f"f(0)={eval_map(m, Fraction(0))}, f(1)={eval_map(m, ONE)}")
 
+    # the table ascends (levels are assembled bottom-up), so one pass values it
+    ends = eval_sorted(m, [x for e in model.branch_table for x in (e.lo, e.hi)])
     bad = next(
         (
-            e for e in model.branch_table
-            if (eval_map(m, e.lo), eval_map(m, e.hi))
-            != ((plan.levels[e.level].a_odd, plan.levels[e.level].a_even) if e.increasing
-                else (plan.levels[e.level].a_even, plan.levels[e.level].a_odd))
+            e for e, got in zip(model.branch_table, zip(ends[::2], ends[1::2]))
+            if got != ((plan.levels[e.level].a_odd, plan.levels[e.level].a_even) if e.increasing
+                       else (plan.levels[e.level].a_even, plan.levels[e.level].a_odd))
         ),
         None,
     )
@@ -423,9 +424,8 @@ def verify_model(model: FBetaModel) -> VerificationSummary:
         if not lv.b < fx < x:
             ok, detail = False, f"level {lv.k}: f({x})={fx} not strictly between b and x"
             break
-        prev = abs(x - lv.b)
+        prev, x = abs(x - lv.b), fx
         for _ in range(GAP_ORBIT_STEPS):
-            x = eval_map(m, x)
             d = abs(x - lv.b)
             if d > prev or (prev > 0 and d == prev and x != lv.b):
                 ok, detail = False, f"level {lv.k}: gap distance stalled at {d}"
@@ -433,7 +433,9 @@ def verify_model(model: FBetaModel) -> VerificationSummary:
             if not g_l <= x <= g_r:
                 ok, detail = False, f"level {lv.k}: orbit left the gap at {x}"
                 break
-            prev = d
+            if x == lv.b:                              # fixed, so every later step passes
+                break
+            prev, x = d, eval_map(m, x)
         if not ok:
             break
     check("gap-dynamics", ok, detail)
@@ -447,10 +449,9 @@ def verify_model(model: FBetaModel) -> VerificationSummary:
     for lv in plan.levels:
         lo_bound = lv.eps                              # bottom of the gap below
         hi_bound = plan.levels[lv.k - 1].a_odd if lv.k >= 1 else ONE
-        step = max(1, lv.ell // 64)
-        for j in range(1, lv.ell + 1, step):
-            mid = lv.a_odd + (2 * j - 1) * lv.eps / 2
-            v = eval_map(m, mid)
+        js = range(1, lv.ell + 1, max(1, lv.ell // 64))
+        values = eval_sorted(m, [lv.a_odd + (2 * j - 1) * lv.eps / 2 for j in js])
+        for j, v in zip(js, values):
             if not lo_bound <= v <= hi_bound:
                 ok, detail = False, f"level {lv.k} j={j}: value {v} escapes"
                 break

@@ -430,17 +430,6 @@ def separated_bound_2d(model: Horseshoe2DModel, ell: int) -> Certificate2D:
                          tuple((Fraction(0), r[0]) for r in rows), tuple(per_min), min_pairwise)
 
 
-def ratio_lower_bound(model: Horseshoe2DModel, ell_max: int) -> float:
-    """Certified growth rate over |log epsilon|: builds the deepest
-    certificate that fits under `REP_CAP_2D` and returns
-    log(count) / steps / |log epsilon|  (= log N / |log epsilon|)."""
-    if ell_max < 1:
-        raise DomainError(f"ell_max must be >= 1, got {ell_max}")
-    ell = max([l for l in range(1, ell_max + 1) if model.N ** (model.p * l) <= REP_CAP_2D],
-              default=1)
-    return separated_bound_2d(model, ell).ratio
-
-
 # === serialization ===========================================================
 
 MODEL2D_HEADER = "horseshoe-2d v1"

@@ -137,10 +137,14 @@ def eval_sorted(m: PwaMap, xs: list[Fraction]) -> list[Fraction]:
     return _values(m, xs)
 
 
-def _values(m: PwaMap, xs: list[Fraction] | tuple[Fraction, ...]) -> list[Fraction]:
-    """Values at ascending points; a key shared with node i needs one exact compare."""
+def _values(m: PwaMap, xs: Sequence[Fraction], pairs: bool = False) -> list:
+    """Values at ascending points: a node's own value, else (a·p + b·q)/(d·q)
+    on the piece through x = p/q.  With ``pairs`` each value is that integer
+    (numerator, denominator) pair, unreduced off the nodes, for callers that
+    compare by cross-multiplication; else a Fraction.  A key shared with
+    node i needs one exact compare."""
     shift, keys, pieces = m._table
-    out: list[Fraction] = []
+    out: list = []
     i = 0
     pp, pq = 0, 1
     for x in xs:
@@ -155,12 +159,12 @@ def _values(m: PwaMap, xs: list[Fraction] | tuple[Fraction, ...]) -> list[Fracti
         i = bisect_right(keys, k, i) - 1
         if k == keys[i]:
             n, d0 = m.xs[i].as_integer_ratio()
-            if (p, q) == (n, d0):             # x is a node (x == 1 is the last one)
-                out.append(m.ys[i])
+            if p == n and q == d0:            # x is a node (x == 1 is the last one)
+                out.append(m.ys[i].as_integer_ratio() if pairs else m.ys[i])
                 continue
             i -= p * d0 < n * q               # x lies just below node i
         a, b, d = pieces[i]
-        out.append(Fraction(a * p + b * q, d * q))
+        out.append((a * p + b * q, d * q) if pairs else Fraction(a * p + b * q, d * q))
     return out
 
 
@@ -247,10 +251,16 @@ def sup_distance(a: PwaMap, b: PwaMap) -> Fraction:
     """Exact C0 distance max_x |a(x) − b(x)|.
 
     The difference is piecewise affine with breakpoints in the merged node
-    set, so the max is attained at one of those points.
+    set, so the max is attained at one of those points.  The differences are
+    integer pairs compared by cross-multiplication; one Fraction is built.
     """
     merged = merge_nodes(a.xs, b.xs)
-    return max(abs(u - v) for u, v in zip(eval_sorted(a, merged), eval_sorted(b, merged)))
+    best, best_d = 0, 1
+    for (un, ud), (vn, vd) in zip(_values(a, merged, True), _values(b, merged, True)):
+        n, d = abs(un * vd - vn * ud), ud * vd
+        if n * best_d > best * d:
+            best, best_d = n, d
+    return Fraction(best, best_d)
 
 
 def fixed_points(m: PwaMap) -> list[tuple[Fraction, Fraction]]:

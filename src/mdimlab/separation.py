@@ -421,20 +421,25 @@ class MarkovView:
             raise ContractError(f"degenerate core [{self.core_lo}, {self.core_hi}]")
         if not self.branches:
             raise ContractError("a Markov view needs at least one branch")
-        prev_hi = None
+        # the gaps are decided on integer (numerator, denominator) pairs
+        scale = self.separation_scale
+        sn, sd = (0, 1) if scale is None else scale.as_integer_ratio()
+        prev = None
         for br in self.branches:
-            if br.lo >= br.hi:
+            (ln, ld), (hn, hd) = br.lo.as_integer_ratio(), br.hi.as_integer_ratio()
+            if ln * hd >= hn * ld:
                 raise ContractError(f"degenerate branch domain [{br.lo}, {br.hi}]")
-            if prev_hi is not None:
-                gap = br.lo - prev_hi
-                if gap < 0:
+            if prev is not None:
+                pn, pd = prev
+                gn, gd = ln * pd - pn * ld, ld * pd         # gap = lo - previous hi
+                if gn < 0:
                     raise ContractError("branch domains overlap")
-                if self.separation_scale is not None and gap <= self.separation_scale:
+                if scale is not None and gn * sd <= sn * gd:
                     raise ContractError(
-                        f"branch domain gap {gap} not above the declared"
-                        f" separation scale {self.separation_scale}"
+                        f"branch domain gap {Fraction(gn, gd)} not above the declared"
+                        f" separation scale {scale}"
                     )
-            prev_hi = br.hi
+            prev = hn, hd
         # the domains ascend, so only the outermost two ends can leave the core
         first, last = self.branches[0], self.branches[-1]
         out = first if first.lo < self.core_lo else last if last.hi > self.core_hi else None
@@ -450,10 +455,12 @@ class MarkovView:
         core ends, and no map node lies strictly inside it.  The ends of all
         branches ascend, so one ``eval_sorted`` values them (or raises
         DomainError for an end outside [0, 1]), and each branch's least node
-        above lo is found by a ``bisect_right`` that starts at the previous
-        branch's.  The error names the first failing branch in branch order."""
+        above lo is found by the map's integer node keys, as ``eval_sorted``
+        does, from the previous branch's.  The error names the first failing
+        branch in branch order."""
         m = self.map
         values = eval_sorted(m, [x for br in self.branches for x in (br.lo, br.hi)])
+        shift, keys, _ = m._table
         i = 0
         for k, br in enumerate(self.branches):
             got = tuple(values[2 * k:2 * k + 2])
@@ -463,9 +470,17 @@ class MarkovView:
                     f"branch [{br.lo}, {br.hi}] does not map onto the core:"
                     f" endpoint values ({got[0]}, {got[1]}), expected {want}"
                 )
-            # the least node above lo; it exists, since lo < hi <= 1 = xs[-1]
-            i = bisect_right(m.xs, br.lo, i)
-            if m.xs[i] < br.hi:
+            # the least node above lo; it exists, since lo < hi <= 1 = xs[-1].
+            # Nodes past lo's key lie above lo; one node may share its key.
+            p, q = br.lo.as_integer_ratio()
+            key = (p << shift) // q
+            i = bisect_right(keys, key, i)
+            if keys[i - 1] == key:
+                n, d = m.xs[i - 1].as_integer_ratio()
+                i -= p * d < n * q
+            n, d = m.xs[i].as_integer_ratio()
+            hn, hd = br.hi.as_integer_ratio()
+            if n * hd < hn * d:
                 raise ContractError(
                     f"branch [{br.lo}, {br.hi}] is not affine: map node at {m.xs[i]}"
                 )
@@ -619,17 +634,6 @@ def rate_from_records(
     log_eps = abs(math.log(epsilon))
     ratio = min(max(h_hat / log_eps, 0.0), 1.0)
     return ScaleRate(epsilon, tuple(records), h_hat, max_step, ratio, n_window, method)
-
-
-def rate_at_scale(
-    source: PwaMap | MarkovView,
-    epsilon: Fraction,
-    n_window: tuple[int, int],
-    method: str,
-    grid: Fraction | None = None,
-) -> ScaleRate:
-    """Entropy-at-scale estimate from counts over n in [n_min, n_max]."""
-    return mdim_profile([source], [epsilon], n_window, method, grid).entries[0]
 
 
 def check_scales(scales: list[Fraction]) -> None:

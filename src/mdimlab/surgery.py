@@ -1,24 +1,25 @@
 """Local surgery on interval maps: flatten a fixed point into a fixed
-interval, then blend a rescaled copy of a high-complexity map into the flat.
+interval, then splice a rescaled copy of a high-complexity map into the flat.
 
 Pipeline: `flatten_fixed_point` turns a fixed point P of the host into a
-fixed interval (the host is untouched outside a collar); `make_bump` builds
-the trapezoid profile chi (1 on the inner window, 0 off the outer window);
-`implant` forms
+fixed interval J (the host is untouched outside a collar); `implant` forms
 
     h3(x) = (1 - chi(x)) * host(x) + chi(x) * (A o g~ o A^{-1})(x)
 
-where A is the increasing affine bijection of [0, 1] onto the inner window
-and g~ extends the implanted map by the identity.  Off the outer window h3
-equals the host exactly; on the inner window h3 is exactly the rescaled
+where A is the increasing affine bijection of [0, 1] onto the inner window,
+g~ extends the implanted map by the identity, and chi is a profile that is 1
+on the inner window and 0 off the outer one (`make_bump` builds the
+trapezoid).  On the profile's collars both maps are the identity, since the
+host fixes J and J contains the outer window, so h3 is a splice: the host
+below the inner window, the rescaled copy on it, the host above it, for
+every valid chi (the argument is in `implant`).  Off the outer window h3
+equals the host exactly; on the inner window it is exactly the rescaled
 implant, so separated-set counts transport through A with the window length
-as scale factor.  Everything stays piecewise affine because on the profile
-collars both blended maps agree (they are the identity there).
+as scale factor.
 
 `implant` assembles only the staircase map (`assemble_fbeta`), never its
-level views; `transported_views` checks each view once, against the blended
-map.  Merged node sets come from `pwa.merge_nodes`, which orders points by
-integer keys, so no step here sorts Fractions.
+level views; `transported_views` checks each view once, against the implanted
+map.  Maps are compared on integer value pairs by cross-multiplication.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from pathlib import Path
 from .errors import ContractError, DomainError, SerializationError, VerificationError
 from .fbeta import FBetaPlan, assemble_fbeta, level_views, load_plan
 from .pwa import (
-    DEFAULT_NODE_BUDGET, PwaMap, constant_map, eval_sorted, identity_map, load_pwa, merge_nodes,
+    DEFAULT_NODE_BUDGET, PwaMap, _values, constant_map, identity_map, load_pwa, merge_nodes,
 )
 from .rational import (
     body_lines, format_interval, format_rational, parse_interval, parse_rational, read_fields,
@@ -121,27 +122,6 @@ def conjugate_into_interval(m: PwaMap, lo: Fraction, hi: Fraction) -> PwaMap:
     return PwaMap.from_nodes(nodes)
 
 
-def blend_with_profile(base: PwaMap, insert: PwaMap, profile: PwaMap) -> PwaMap:
-    """(1 - profile) * base + profile * insert, node-exact.
-
-    The blend is piecewise affine only when, on every merged piece, the
-    profile is constant or the two maps differ by a constant; anything else
-    would square a slope.  Where the profile is 0 the blend is the base value,
-    where it is 1 the insert value; the map difference is taken only at the
-    ends of pieces on which the profile varies."""
-    xs = merge_nodes(base.xs, insert.xs, profile.xs)
-    chi = eval_sorted(profile, xs)
-    us, vs = eval_sorted(base, xs), eval_sorted(insert, xs)
-    for i in range(len(xs) - 1):
-        if chi[i] != chi[i + 1] and vs[i] - us[i] != vs[i + 1] - us[i + 1]:
-            raise ContractError(
-                f"blend is not piecewise affine on {format_interval(xs[i], xs[i + 1])}: "
-                "the profile and the map difference both vary there"
-            )
-    ys = [u if c == 0 else v if c == 1 else u + c * (v - u) for u, v, c in zip(us, vs, chi)]
-    return PwaMap.from_nodes(list(zip(xs, ys)))
-
-
 # === implant plans ===========================================================
 
 @dataclass(frozen=True)
@@ -174,7 +154,8 @@ def _agree_on(a: PwaMap, b: PwaMap, lo: Fraction, hi: Fraction) -> bool:
     points of {lo, hi} and their breakpoints inside, so those points decide."""
     inside = [m.xs[bisect_right(m.xs, lo):bisect_left(m.xs, hi)] for m in (a, b)]
     xs = merge_nodes((lo, hi), *inside)
-    return eval_sorted(a, xs) == eval_sorted(b, xs)
+    return all(un * vd == vn * ud
+               for (un, ud), (vn, vd) in zip(_values(a, xs, True), _values(b, xs, True)))
 
 
 def _check_profile(profile: PwaMap, inner: Interval, outer: Interval) -> None:
@@ -208,23 +189,39 @@ def _check_plan(plan: SurgeryPlan) -> None:
 
 
 def implant(plan: SurgeryPlan, node_budget: int = DEFAULT_NODE_BUDGET) -> PwaMap:
-    """Blend a rescaled copy of the planned map into the host's flat spot.
+    """Splice a rescaled copy of the planned map into the host's flat spot.
 
-    Checks the plan, assembles the staircase map (no level views), blends,
-    and re-verifies the three promises: the host is untouched off the outer
-    window, the inner window carries an exact rescaled copy, and the inner
-    window is invariant.
+    Checks the plan (and a custom profile), assembles the staircase map (no
+    level views), splices, and re-verifies the three promises: the host is
+    untouched off the outer window, the inner window carries an exact
+    rescaled copy, and the inner window is invariant.
+
+    The splice is the blend (1 − chi)·host + chi·insert of the module
+    docstring for every profile the checks accept: the host fixes J, which
+    contains the outer window (`_check_plan`); the insert is the identity
+    off the inner window; chi is 1 on the inner window and 0 off the outer
+    one.  So the blend is the host off the outer window, the insert on the
+    inner one, and on each collar between them the identity, as both maps
+    are: the map through the host's nodes below the inner window, its ends
+    (fixed by both maps), the insert's nodes inside it and the host's nodes
+    above it.  No profile value enters, so the default trapezoid is never
+    built; ``from_nodes`` drops the nodes the splice leaves collinear.
     """
     _check_plan(plan)
-    profile = plan.chi if plan.chi is not None else make_bump(plan.J_hat, plan.J_tilde)
-    _check_profile(profile, plan.J_hat, plan.J_tilde)
+    if plan.chi is not None:
+        _check_profile(plan.chi, plan.J_hat, plan.J_tilde)
 
     staircase, _ = assemble_fbeta(plan.fbeta_plan, node_budget)
-    insert = conjugate_into_interval(staircase, *plan.J_hat)
-    blended = blend_with_profile(plan.host, insert, profile)
+    lo, hi = plan.J_hat
+    insert = conjugate_into_interval(staircase, lo, hi)
+    host = plan.host
+    inside = insert.nodes()[bisect_right(insert.xs, lo):bisect_left(insert.xs, hi)]
+    spliced = PwaMap.from_nodes(host.nodes()[:bisect_left(host.xs, lo)]
+                                + [(lo, lo), *inside, (hi, hi)]
+                                + host.nodes()[bisect_right(host.xs, hi):])
 
-    _verify_implant(blended, plan, insert)
-    return blended
+    _verify_implant(spliced, plan, insert)
+    return spliced
 
 
 def _verify_implant(blended: PwaMap, plan: SurgeryPlan, insert: PwaMap) -> None:

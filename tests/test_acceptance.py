@@ -30,9 +30,8 @@ from mdimlab import (
     eval_map,
     implant,
     iterate,
+    mdim_profile,
     plan_sequences,
-    rate_at_scale,
-    ratio_lower_bound,
     separated_bound_2d,
     sup_distance,
     transported_views,
@@ -67,7 +66,7 @@ def test_criterion_1_staircase_ratios_track_the_exponent(acceptance):
         machinery_ok &= verify_model(model).ok
         for k, view in enumerate(model.views[:2]):
             machinery_ok &= count_cylinders(view, 1).count == plan.branch_count(k)
-            rate = rate_at_scale(view, plan.level(k).eps, (1, 3), METHOD_CYLINDER)
+            rate = mdim_profile([view], [plan.level(k).eps], (1, 3), METHOD_CYLINDER).entries[0]
             machinery_ok &= rate.ratio == pytest.approx(ratios[k], rel=1e-9)
         slowest = max(slowest, time.perf_counter() - start)
 
@@ -89,12 +88,12 @@ def test_criterion_2_low_complexity_ratios_vanish(acceptance, tent, identity):
     tent_ratios = []
     exact = True
     for eps in scales:
-        rate = rate_at_scale(tent_view, eps, (2, 6), METHOD_CYLINDER)
+        rate = mdim_profile([tent_view], [eps], (2, 6), METHOD_CYLINDER).entries[0]
         exact &= abs(rate.ratio - math.log(2) / abs(math.log(eps))) < 1e-12
         tent_ratios.append(rate.ratio)
 
     identity_flat = all(
-        rate_at_scale(identity, eps, (1, 3), METHOD_GREEDY, grid=eps / 4).ratio == 0.0
+        mdim_profile([identity], [eps], (1, 3), METHOD_GREEDY, grid=eps / 4).entries[0].ratio == 0.0
         for eps in scales
     )
     elapsed = time.perf_counter() - start
@@ -158,7 +157,7 @@ def test_criterion_4_implant_is_exact_and_carries_the_exponent(acceptance, ident
     views = transported_views(plan, blended)
     certified = verify_cylinder_separation(views[0], 2) > views[0].separation_scale
     ratios = [
-        rate_at_scale(v, v.separation_scale, (1, 3), METHOD_CYLINDER).ratio
+        mdim_profile([v], [v.separation_scale], (1, 3), METHOD_CYLINDER).entries[0].ratio
         for v in views
     ]
     elapsed = time.perf_counter() - start
@@ -246,7 +245,7 @@ def test_criterion_6_computable_core_of_the_genericity_statement(acceptance):
 
     packing_threshold()
     saturated = build_model_2d(16, F(1), F(1, 16), 1)
-    rated = ratio_lower_bound(saturated, 1)
+    rated = separated_bound_2d(saturated, 1).ratio
     elapsed = time.perf_counter() - start
 
     ok = rated == 1.0 and elapsed < 30.0

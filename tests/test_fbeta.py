@@ -10,9 +10,11 @@ import pytest
 
 from conftest import OVER_BUDGET_PLAN
 from mdimlab import (
+    CheckResult,
     ContractError,
     DomainError,
     FBetaModel,
+    PwaMap,
     ResourceError,
     SerializationError,
     build_fbeta,
@@ -272,6 +274,43 @@ def test_verify_model_catches_a_wrong_map(half_model):
     summary = verify_model(broken)
     assert not summary.ok
     assert summary.first_failure.name == "branches-onto-core"
+
+
+def edited_map(m: PwaMap, nodes: dict) -> PwaMap:
+    """``m`` with the given nodes set (x -> y), added where x is not a node."""
+    return PwaMap.from_nodes(sorted({**dict(m.nodes()), **nodes}.items()))
+
+
+# hand-broken half_model maps: the failing check and its exact detail text
+# (level 0: core [1/2, 1], eps 1/58, gap [1/58, 1/2] around b = 15/58)
+BROKEN_MAPS = {
+    # the increasing branch [53/58, 27/29] ends at 99/100 instead of the core top
+    "one-branch-misses": ({F(27, 29): F(99, 100)}, "branches-onto-core",
+                          "level 0 j=25 misses the core endpoints"),
+    # ... and the first branch of level 1 too, which comes first in the table
+    "first-branch-named": ({F(27, 29): F(99, 100), F(927, 107474): F(1, 59)},
+                           "branches-onto-core", "level 1 j=1 misses the core endpoints"),
+    # the midpoint of level 0's first subinterval drops below the gap under it
+    "level-0-escapes": ({F(59, 116): F(0)}, "level-range", "level 0 j=1: value 0 escapes"),
+    # level 1 samples every 28th subinterval; j=29 jumps above the gap over it
+    "level-1-escapes": ({F(1, 116) + F(57, 2 * 214948): F(1)}, "level-range",
+                        "level 1 j=29: value 1 escapes"),
+    "gap-midpoint-moves": ({F(15, 58): F(8, 29)}, "gap-dynamics", "level 0: b=15/58 not fixed"),
+    # the right quarter-point 51/116 goes to 11/29, which is made fixed
+    "gap-orbit-stalls": ({F(15, 58): F(15, 58), F(11, 29): F(11, 29), F(51, 116): F(11, 29)},
+                         "gap-dynamics",
+                         "level 0: gap distance stalled at 7/58"),
+}
+
+
+@pytest.mark.parametrize("key", BROKEN_MAPS)
+def test_verify_model_names_the_broken_promise(half_model, key):
+    nodes, name, detail = BROKEN_MAPS[key]
+    broken = FBetaModel(half_model.plan, edited_map(half_model.map, nodes),
+                        half_model.branch_table, half_model.views)
+    summary = verify_model(broken)
+    assert summary.first_failure == CheckResult(name, False, detail)
+    assert [c.name for c in summary.checks] == list(EXPECTED_CHECKS)
 
 
 # === serialization ============================================================

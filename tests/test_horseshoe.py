@@ -29,7 +29,6 @@ from mdimlab import (
     interval_distance,
     load_model_2d,
     monotone_laps,
-    ratio_lower_bound,
     separated_bound_2d,
     slab_view,
     verify_conditions,
@@ -431,10 +430,10 @@ def test_rows_from_memoised_x_equal_rows_stepped_by_apply_branch(n, steps, delta
         assert row == stepped[1:]
 
 
-def test_ratio_lower_bound_examples():
-    assert ratio_lower_bound(build_model_2d(16, F(1), F(1, 16), 1), 1) == pytest.approx(1.0)
-    assert ratio_lower_bound(reference_model(), 2) == pytest.approx(0.5)
-    assert ratio_lower_bound(build_model_2d(1, F(1, 2), F(1, 4), 1), 3) == 0.0
+def test_certificate_ratio_examples():
+    assert separated_bound_2d(build_model_2d(16, F(1), F(1, 16), 1), 1).ratio == pytest.approx(1.0)
+    assert separated_bound_2d(reference_model(), 2).ratio == pytest.approx(0.5)
+    assert separated_bound_2d(build_model_2d(1, F(1, 2), F(1, 4), 1), 3).ratio == 0.0
 
 
 @settings(max_examples=60, deadline=None)

@@ -43,7 +43,6 @@ from mdimlab import (
     mdim_profile,
     orbit,
     plan_sequences,
-    rate_at_scale,
     report_to_csv,
     report_to_json,
     tent_map,
@@ -350,6 +349,27 @@ def test_view_rejects_gaps_at_or_below_the_declared_scale():
         )
 
 
+@pytest.mark.parametrize("second, scale, message", [
+    ((F(1, 2), F(3, 4)), F(1, 4), "branch domain gap 1/4 not above the declared separation"
+                                  " scale 1/4"),
+    ((F(1, 2) + F(1, 4 * 10**9), F(3, 4)), F(1, 4), None),
+    ((F(1, 4), F(1, 2)), None, None),
+    ((F(1, 4) - F(1, 10**9), F(1, 2)), None, "branch domains overlap"),
+    ((F(1, 4) - F(1, 10**9), F(1, 2)), F(1, 100), "branch domains overlap"),
+    ((F(1, 4), F(1, 2)), F(1, 100), "branch domain gap 0 not above the declared separation"
+                                    " scale 1/100"),
+], ids=["gap-equals-scale", "gap-just-above", "touching-no-scale", "overlap",
+        "overlap-with-scale", "touching-with-scale"])
+def test_view_gap_premise_at_its_boundaries(second, scale, message):
+    branches = (MarkovBranch(F(0), F(1, 4), True), MarkovBranch(*second, False))
+    if message is None:
+        assert MarkovView(F(0), F(1), branches, scale).branch_count == 2
+    else:
+        with pytest.raises(ContractError) as err:
+            MarkovView(F(0), F(1), branches, scale)
+        assert str(err.value) == message
+
+
 def test_view_rejects_branches_that_miss_the_core(tent):
     with pytest.raises(ContractError, match="does not map onto the core"):
         MarkovView(F(0), F(1), (MarkovBranch(F(0), F(1, 4), True),), None, tent)
@@ -425,6 +445,33 @@ def test_view_check_finds_a_node_just_above_the_branch_start():
     branch = MarkovBranch(F(997, 3000), F(1, 2), False)
     with pytest.raises(ContractError, match=r"^branch \[997/3000, 1/2\] is not affine: map node at 1/3$"):
         MarkovView(F(0), F(1), (branch,), None, m)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 10**9), st.sampled_from([24, 1009]),
+       st.sampled_from(["a + tiny", "c - tiny", "c", "inside"]), st.booleans())
+def test_view_check_finds_the_least_node_above_the_branch_start(seed, denom, start, kink):
+    # the map climbs to a plateau at 1 on [a, c], falls to 0 at e (with a
+    # kink strictly inside [c, e] if asked) and wanders on either side; the
+    # falling branch [lo, e] maps onto the core [0, 1] for every lo in [a, c].
+    # Starts 10^-9 off a or c mostly share a node key with a or c
+    rng = random.Random(seed)
+    a, c, e = sorted(F(k, denom) for k in rng.sample(range(1, denom), 3))
+    nodes = [(F(0), F(rng.randrange(denom), denom)), (a, F(1)), (c, F(1)), (e, F(0)),
+             (F(1), F(rng.randrange(denom), denom))]
+    if kink:
+        nodes.append((c + (e - c) * F(rng.randrange(1, 100), 100), F(rng.randrange(1, denom), denom)))
+    m = PwaMap.from_nodes(sorted(nodes))
+    lo = {"a + tiny": a + F(1, 10**9), "c - tiny": c - F(1, 10**9), "c": c,
+          "inside": a + (c - a) * F(rng.randrange(1, 1000), 1000)}[start]
+    inside = [x for x in m.xs if lo < x < e]
+    branch = MarkovBranch(lo, e, False)
+    if inside:
+        with pytest.raises(ContractError) as err:
+            MarkovView(F(0), F(1), (branch,), None, m)
+        assert str(err.value) == f"branch [{lo}, {e}] is not affine: map node at {min(inside)}"
+    else:
+        assert MarkovView(F(0), F(1), (branch,), None, m).map == m
 
 
 def test_view_check_refuses_a_branch_past_1():
@@ -783,28 +830,28 @@ def test_pruned_kernel_matches_all_pairs(rows):
 # === rates and profiles =======================================================
 
 def test_rate_identity_is_flat(identity):
-    entry = rate_at_scale(identity, F(1, 10), (1, 3), METHOD_GREEDY, F(1, 40))
+    entry = mdim_profile([identity], [F(1, 10)], (1, 3), METHOD_GREEDY, F(1, 40)).entries[0]
     assert entry.h_hat == 0.0
     assert entry.ratio == 0.0
 
 
 def test_rate_tent_cylinder_gives_log_two():
-    entry = rate_at_scale(tent_view(), F(1, 100), (2, 8), METHOD_CYLINDER)
+    entry = mdim_profile([tent_view()], [F(1, 100)], (2, 8), METHOD_CYLINDER).entries[0]
     assert entry.h_hat == pytest.approx(math.log(2), abs=1e-12)
     assert entry.max_step == pytest.approx(math.log(2), abs=1e-12)
 
 
 def test_rate_staircase_level_zero(half_model):
-    entry = rate_at_scale(half_model.view(0), F(1, 58), (1, 4), METHOD_CYLINDER)
+    entry = mdim_profile([half_model.view(0)], [F(1, 58)], (1, 4), METHOD_CYLINDER).entries[0]
     assert entry.h_hat == pytest.approx(math.log(8), abs=1e-12)
     assert entry.ratio == pytest.approx(math.log(8) / math.log(58), abs=1e-12)
 
 
 def test_rate_window_validation(identity):
     with pytest.raises(DomainError):
-        rate_at_scale(identity, F(1, 10), (3, 3), METHOD_GREEDY, F(1, 40))
+        mdim_profile([identity], [F(1, 10)], (3, 3), METHOD_GREEDY, F(1, 40))
     with pytest.raises(DomainError):
-        rate_at_scale(identity, F(3, 2), (1, 3), METHOD_GREEDY, F(1, 40))
+        mdim_profile([identity], [F(3, 2)], (1, 3), METHOD_GREEDY, F(1, 40))
 
 
 def test_profile_identity_is_zero(identity):

@@ -1,5 +1,6 @@
 """Local surgery: flattening a fixed point, bump profiles, affine
-conjugation, exact blending, full implants, and transported views."""
+conjugation, the implant splice against the profile blend, full implants,
+and transported views."""
 from __future__ import annotations
 
 import dataclasses
@@ -21,7 +22,6 @@ from mdimlab import (
     SerializationError,
     SurgeryPlan,
     VerificationError,
-    blend_with_profile,
     build_fbeta,
     conjugate_into_interval,
     dump_plan,
@@ -32,8 +32,8 @@ from mdimlab import (
     implant,
     load_surgery_plan,
     make_bump,
+    mdim_profile,
     plan_sequences,
-    rate_at_scale,
     sup_distance,
     transport_markov_view,
     transported_views,
@@ -119,31 +119,6 @@ def test_conjugation_rejects_a_degenerate_target(identity):
         conjugate_into_interval(identity, F(3, 4), F(1, 4))
 
 
-# === blending =================================================================
-
-def test_blend_with_a_zero_profile_returns_the_base(tent, identity):
-    zero = PwaMap.from_nodes([(F(0), F(0)), (F(1), F(0))])
-    assert blend_with_profile(tent, identity, zero) == tent
-
-
-def test_blend_carries_the_insert_on_the_inner_window(half_model, identity):
-    chi = make_bump((F(2, 5), F(3, 5)), (F(7, 20), F(13, 20)))
-    insert = conjugate_into_interval(half_model.map, F(2, 5), F(3, 5))
-    blended = blend_with_profile(identity, insert, chi)
-    for x in (F(2, 5), F(9, 20), F(1, 2), F(3, 5)):
-        assert eval_map(blended, x) == eval_map(insert, x)
-    for x in (F(0), F(7, 20), F(13, 20), F(1)):
-        assert eval_map(blended, x) == x
-
-
-def test_blend_rejects_a_profile_that_would_square_slopes(tent, identity):
-    chi = make_bump((F(2, 5), F(3, 5)), (F(7, 20), F(13, 20)))
-    with pytest.raises(ContractError) as err:
-        blend_with_profile(tent, identity, chi)
-    assert str(err.value) == ("blend is not piecewise affine on 7/20:2/5: the profile and the"
-                              " map difference both vary there")
-
-
 # === the implant path against a plain Fraction reference ======================
 # The library merges node sets by integer keys, moves points with integer
 # numerators and evaluates through node tables; these references sort
@@ -185,17 +160,13 @@ def conjugate_reference(m: PwaMap, lo: Fraction, hi: Fraction) -> PwaMap:
     return PwaMap.from_nodes(nodes)
 
 
-def blend_reference(base: PwaMap, insert: PwaMap, profile: PwaMap) -> PwaMap | str:
-    """(1 - chi)·base + chi·insert at every merged node, or the refusal text."""
+def blend_reference(base: PwaMap, insert: PwaMap, profile: PwaMap) -> PwaMap:
+    """(1 - chi)·base + chi·insert at every merged node, which must be
+    piecewise affine: on no merged piece may chi and insert − base both vary."""
     xs = sorted(set(base.xs) | set(insert.xs) | set(profile.xs))
     chi = [value_at(profile, x) for x in xs]
     diffs = [value_at(insert, x) - value_at(base, x) for x in xs]
-    for i in range(len(xs) - 1):
-        if chi[i] != chi[i + 1] and diffs[i] != diffs[i + 1]:
-            a, b = xs[i], xs[i + 1]
-            return (f"blend is not piecewise affine on {a.numerator}/{a.denominator}:"
-                    f"{b.numerator}/{b.denominator}: "
-                    "the profile and the map difference both vary there")
+    assert all(c0 == c1 or d0 == d1 for c0, c1, d0, d1 in zip(chi, chi[1:], diffs, diffs[1:]))
     return PwaMap.from_nodes([(x, value_at(base, x) + c * d) for x, c, d in zip(xs, chi, diffs)])
 
 
@@ -204,13 +175,28 @@ def agree_reference(a: PwaMap, b: PwaMap, lo: Fraction, hi: Fraction) -> bool:
     return all(value_at(a, x) == value_at(b, x) for x in xs)
 
 
-@settings(max_examples=60, deadline=None)
-@given(seeds, kinds, kinds)
-def test_sup_distance_matches_a_fraction_reference(seed, kind_a, kind_b):
+def nearby_map(rng: random.Random, a: PwaMap, relation: str) -> PwaMap:
+    """``a`` but for its value at 1 ("at 1"), or but for one kink 1/10^9 off
+    ``a`` strictly inside one of its pieces ("in a piece")."""
+    if relation == "at 1":
+        return PwaMap.from_nodes(a.nodes()[:-1] + [(F(1), F(rng.randint(0, 1009), 1009))])
+    j = rng.randrange(len(a.xs) - 1)
+    x = a.xs[j] + (a.xs[j + 1] - a.xs[j]) * F(rng.randrange(1, 1000), 1000)
+    y = value_at(a, x) + (F(-1, 10**9) if value_at(a, x) else F(1, 10**9))
+    return PwaMap.from_nodes(sorted(a.nodes() + [(x, y)]))
+
+
+@settings(max_examples=80, deadline=None)
+@given(seeds, kinds, kinds, st.sampled_from(["other", "at 1", "in a piece"]))
+def test_sup_distance_matches_a_fraction_reference(seed, kind_a, kind_b, relation):
     rng = random.Random(seed)
     a, b = host_map(rng, kind_a), host_map(rng, kind_b)
+    if relation != "other":
+        b = nearby_map(rng, a, relation)
     want = max(abs(value_at(a, x) - value_at(b, x)) for x in sorted(set(a.xs) | set(b.xs)))
     assert sup_distance(a, b) == want == sup_distance(b, a)
+    if relation == "in a piece":
+        assert want == F(1, 10**9)
 
 
 @settings(max_examples=60, deadline=None)
@@ -229,29 +215,8 @@ def test_conjugation_and_transport_match_a_fraction_reference(seed, kind):
 
 
 @settings(max_examples=80, deadline=None)
-@given(seeds, kinds, kinds, st.booleans(), st.sampled_from([F(1), F(1, 2), F(355, 1009)]))
-def test_blend_matches_a_fraction_reference(seed, kind_host, kind_insert, flat, top):
-    rng = random.Random(seed)
-    inner, outer = nested_windows(rng)
-    base = host_map(rng, kind_host, outer if flat else None)
-    insert = conjugate_into_interval(fixing_map(rng, kind_insert), *inner)
-    # the trapezoid of make_bump when top is 1; a lower plateau mixes the maps
-    profile = PwaMap.from_nodes([(F(0), F(0)), (outer[0], F(0)), (inner[0], top),
-                                 (inner[1], top), (outer[1], F(0)), (F(1), F(0))])
-    want = blend_reference(base, insert, profile)
-    if isinstance(want, str):
-        with pytest.raises(ContractError) as err:
-            blend_with_profile(base, insert, profile)
-        assert str(err.value) == want
-    else:
-        assert dump_pwa(blend_with_profile(base, insert, profile)) == dump_pwa(want)
-    if flat:                        # both maps are the identity on the collars
-        assert not isinstance(want, str)
-
-
-@settings(max_examples=80, deadline=None)
 @given(seeds, kinds, st.sampled_from(["inside", "from 0", "to 1", "whole", "point"]),
-       st.sampled_from(["other", "same", "bent"]))
+       st.sampled_from(["other", "same", "bent", "at 1", "in a piece"]))
 def test_agree_on_matches_a_fraction_reference(seed, kind, window, relation):
     rng = random.Random(seed)
     a = host_map(rng, kind)
@@ -259,7 +224,9 @@ def test_agree_on_matches_a_fraction_reference(seed, kind, window, relation):
     lo, hi = {"inside": (h_lo, h_hi), "from 0": (0, h_hi), "to 1": (h_lo, 1), "whole": (0, 1),
               "point": (h_lo, h_lo)}[window]
     b = host_map(rng, kind)
-    if relation != "other":         # b follows a on [lo, hi] and b's own nodes elsewhere
+    if relation in ("at 1", "in a piece"):
+        b = nearby_map(rng, a, relation)
+    elif relation != "other":       # b follows a on [lo, hi] and b's own nodes elsewhere
         inside = [(x, y) for x, y in a.nodes() if lo < x < hi]
         if relation == "bent" and hi > lo:   # ... but for one kink of its own inside
             x = lo + (hi - lo) * F(rng.randrange(1, 1000), 1000)
@@ -270,8 +237,35 @@ def test_agree_on_matches_a_fraction_reference(seed, kind, window, relation):
             + ([(F(hi), value_at(a, hi))] if hi > lo else [])
             + [(x, y) for x, y in b.nodes() if x > hi])
     assert _agree_on(a, b, lo, hi) == agree_reference(a, b, lo, hi)
-    if relation != "other":
+    if relation in ("same", "bent"):
         assert _agree_on(a, b, lo, hi) == (relation == "same" or hi == lo)
+    elif relation == "at 1" and hi < a.xs[-2]:
+        assert _agree_on(a, b, lo, hi)
+
+
+# K = 0 staircases, two standard and one dense, so that each example is quick
+SPLICE_PLANS = (plan_sequences(F(3, 10), 0), plan_sequences(F(1, 2), 0),
+                plan_sequences(F(1), 0, variant_full=True))
+
+
+@settings(max_examples=40, deadline=None)
+@given(seeds, kinds, st.sampled_from(SPLICE_PLANS), st.booleans())
+def test_implant_is_the_blend_for_every_valid_profile(seed, kind, fplan, custom):
+    rng = random.Random(seed)
+    inner, outer = nested_windows(rng)
+    (h_lo, h_hi), (t_lo, t_hi) = inner, outer
+    flat = (rng.choice([t_lo, t_lo / 2, F(0)]), rng.choice([(1 + t_hi) / 2, F(1)]))
+    host = host_map(rng, kind, flat)
+    profile = make_bump(inner, outer)
+    if custom:                      # any values in [0, 1] on the two collars
+        collars = {lo + (hi - lo) * F(rng.randrange(1, 100), 100)
+                   for lo, hi in ((t_lo, h_lo), (h_hi, t_hi)) for _ in range(rng.randint(0, 3))}
+        profile = PwaMap.from_nodes(sorted(profile.nodes()
+                                           + [(x, F(rng.randint(0, 7), 7)) for x in collars]))
+    plan = SurgeryPlan(host, (flat[0] + flat[1]) / 2, flat, inner, outer, fplan, profile)
+    insert = conjugate_into_interval(build_fbeta(fplan).map, *inner)
+    want = dump_pwa(blend_reference(host, insert, profile))
+    assert dump_pwa(implant(plan)) == want == dump_pwa(implant(dataclasses.replace(plan, chi=None)))
 
 
 # === implant preconditions ====================================================
@@ -431,7 +425,7 @@ def test_transported_view_ratios_stay_near_the_design_exponent(implanted, half_m
     plan, blended = implanted
     views = transported_views(plan, blended)
     rates = [
-        rate_at_scale(v, v.separation_scale, (1, 4), METHOD_CYLINDER) for v in views
+        mdim_profile([v], [v.separation_scale], (1, 4), METHOD_CYLINDER).entries[0] for v in views
     ]
     assert rates[0].ratio == pytest.approx(math.log(8) / math.log(116))
     assert rates[1].ratio == pytest.approx(math.log(464) / math.log(429896))
