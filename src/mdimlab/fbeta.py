@@ -415,23 +415,21 @@ def verify_model(model: FBetaModel) -> VerificationSummary:
 
     ok, detail = True, "gap orbits land on b and stay"
     for lv in plan.levels:
-        g_l, g_r = lv.eps, lv.a_odd
         if eval_map(m, lv.b) != lv.b:
             ok, detail = False, f"level {lv.k}: b={lv.b} not fixed"
             break
-        x = g_r - (g_r - lv.b) / 4                     # right quarter-point of the gap
+        x = lv.a_odd - (lv.a_odd - lv.b) / 4           # right quarter-point of the gap
         fx = eval_map(m, x)
         if not lv.b < fx < x:
             ok, detail = False, f"level {lv.k}: f({x})={fx} not strictly between b and x"
             break
+        # b is the midpoint of the gap [eps, a_odd] and the orbit starts 3/4 of the
+        # half-gap from b; a step away from b fails, so no orbit leaves the gap
         prev, x = abs(x - lv.b), fx
         for _ in range(GAP_ORBIT_STEPS):
             d = abs(x - lv.b)
             if d > prev or (prev > 0 and d == prev and x != lv.b):
                 ok, detail = False, f"level {lv.k}: gap distance stalled at {d}"
-                break
-            if not g_l <= x <= g_r:
-                ok, detail = False, f"level {lv.k}: orbit left the gap at {x}"
                 break
             if x == lv.b:                              # fixed, so every later step passes
                 break
@@ -473,19 +471,23 @@ def verify_model(model: FBetaModel) -> VerificationSummary:
             ok, detail = False, f"level {lv.k}: ratio {ratio:.6f} outside beta ± {delta:.6f}"
     check("ratio-window", ok, detail)
 
-    ok, detail = True, "certified by direct d_n evaluation where family size allows"
-    for k in range(plan.K + 1):
-        view = model.views[k]
-        if view.separation_scale is None:
-            continue
-        b_count = view.branch_count
-        try:
-            if b_count <= 12:
-                verify_cylinder_separation(view, 2)
-            elif b_count <= 600:
-                verify_cylinder_separation(view, 1)
-        except ContractError as exc:
-            ok, detail = False, f"level {k}: {exc}"
+    # the view premises certify each level with a scale at every n; the
+    # pairwise minimum audits them where the family is small
+    ok, detail, certified, bare, audits = True, "", [], [], []
+    for k, view in enumerate(model.views):
+        scale, b_count = view.separation_scale, view.branch_count
+        (bare if scale is None else certified).append(f"level {k}")
+        n = 0 if scale is None else 2 if b_count <= 12 else 1 if b_count <= 600 else 0
+        if n:
+            audits.append(f"level {k} n={n}")
+            least = verify_cylinder_separation(view, n)
+            if ok and least <= scale:
+                ok, detail = False, f"level {k}: d_{n} audit minimum {least} <= scale {scale}"
+    if ok:
+        detail = "; ".join(filter(None, (
+            certified and f"{', '.join(certified)} certified by the view premises at every n;"
+                          f" d_n audit above the scale at {', '.join(audits) or 'no level'}",
+            bare and f"{', '.join(bare)} uncertified: no separation scale")))
     check("separation-certificate", ok, detail)
 
     return VerificationSummary(tuple(checks))

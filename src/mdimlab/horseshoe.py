@@ -10,10 +10,10 @@ N horizontal slabs of height w are stretched affinely onto N full-height
 vertical strips of width w (alternating orientation), and p identical
 stages are chained cyclically.  Running the recursion for ell rounds yields
 N**(p*ell) orbit segments that are pairwise (p*ell, epsilon)-separated in
-the sup metric: y is read off the cylinders of the Markov view ``slab_view``
-and x steps by ``apply_branch`` once per itinerary prefix, in exact rational
-arithmetic throughout, so every certificate is re-checkable by direct
-evaluation.
+the sup metric: y is read off the cylinders of the Markov view ``slab_view``,
+whose premises (slab gaps above epsilon) certify the separation, and x steps
+by ``apply_branch`` once per itinerary prefix, in exact rational arithmetic,
+so the least distances are exact audits by direct evaluation.
 """
 
 from __future__ import annotations
@@ -226,12 +226,13 @@ class Horseshoe2DModel:
 
 
 def slab_view(model: Horseshoe2DModel) -> MarkovView:
-    """The y-dynamics as a Markov view on [-delta, delta] (no scale, no map):
-    branch j is slab j's y-range, increasing iff orientation j is +1.  The
-    view refuses, with ContractError, slabs that overlap or leave the square."""
-    d = model.delta
-    return MarkovView(-d, d, tuple(MarkovBranch(off, off + model.width, o == 1)
-                                   for off, o in zip(model.offsets, model.orientations)))
+    """The y-dynamics as a Markov view on [-delta, delta] at scale epsilon, no
+    map: branch j is slab j's y-range, increasing iff orientation j is +1.
+    The view refuses, with ContractError, slabs that overlap, leave the
+    square or lie epsilon or less apart."""
+    branches = tuple(MarkovBranch(off, off + model.width, o == 1)
+                     for off, o in zip(model.offsets, model.orientations))
+    return MarkovView(-model.delta, model.delta, branches, model.epsilon)
 
 
 def build_model_2d(
@@ -351,8 +352,8 @@ def verify_conditions(model: Horseshoe2DModel) -> VerificationSummary:
 
 @dataclass(frozen=True)
 class Certificate2D:
-    """A family of representative points, one per depth-`steps` itinerary,
-    verified pairwise (steps, epsilon)-separated by direct orbit evaluation."""
+    """Representative points, one per depth-`steps` itinerary, (steps,
+    epsilon)-separated by the slab view's premises, with exact audited minima."""
 
     model: Horseshoe2DModel
     ell: int
@@ -395,10 +396,12 @@ def _orbit_rows(model: Horseshoe2DModel, view: MarkovView, steps: int
 
 
 def separated_bound_2d(model: Horseshoe2DModel, ell: int) -> Certificate2D:
-    """Certify one representative per depth-(p*ell) itinerary w pairwise
-    (p*ell, epsilon)-separated by direct evaluation: y_t is the midpoint of
-    C(w[t:]) in ``slab_view``, x_0 = 0 and x_{t+1} is ``apply_branch``'s x.
-    Geometry the view refuses raises VerificationError with its reason."""
+    """One representative per depth-(p*ell) itinerary w and its exact least
+    distance to the others: y_t is mid C(w[t:]) in ``slab_view``, x_0 = 0 and
+    x_{t+1} is ``apply_branch``'s x.  The rows hold the y-orbits, so the view's
+    premises certify the family (``MarkovView``) and the minima are audits.
+    Geometry the view refuses (slab gaps at or below epsilon among it) raises
+    VerificationError with its reason before any row is built."""
     if ell < 1:
         raise DomainError(f"ell must be >= 1, got {ell}")
     steps = model.p * ell
@@ -414,17 +417,6 @@ def separated_bound_2d(model: Horseshoe2DModel, ell: int) -> Certificate2D:
 
     # sup over time of the plane's sup metric = max over the flat row
     per_min = _least_distances(rows)
-    i = next((i for i, d in enumerate(per_min) if d is not None and d <= model.epsilon), None)
-    if i is not None:
-        # no row before i has a close partner, so scanning rows in order stops at i
-        for k in range(i + 1, total):
-            dist = max(abs(a - b) for a, b in zip(rows[i], rows[k]))
-            if dist <= model.epsilon:
-                raise VerificationError(
-                    f"representatives {i} and {k} are only {format_rational(dist)} "
-                    f"apart in d_{steps} (epsilon = {format_rational(model.epsilon)})"
-                )
-
     min_pairwise = min((m for m in per_min if m is not None), default=None)
     return Certificate2D(model, ell, steps, total, tuple(itineraries),
                          tuple((Fraction(0), r[0]) for r in rows), tuple(per_min), min_pairwise)

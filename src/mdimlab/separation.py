@@ -10,9 +10,9 @@ algorithm under d_n, so counts are produced three ways and labeled by method:
 * ``exhaustive-grid``  — exact maximum over an explicit point set (branch-
                          and-bound clique search, capped at 14 points);
 * ``cylinder-exact``   — branch-itinerary counts B^n for maps declared
-                         full-branch Markov on a marked core interval, with
-                         representative midpoints certified separated when
-                         the branch family declares a separation scale.
+                         full-branch Markov on a marked core interval, whose
+                         representative midpoints are separated at every n
+                         by the view's premises when it declares a scale.
 
 The greedy and exhaustive counts decide d_n(x,y) > eps on integer orbits
 over one denominator per count, reading the map's integer node table
@@ -23,11 +23,11 @@ Inside a run d_n is the index gap times the run's widest step, so past a
 run's first eps in x the greedy picks one ``range`` by stride, and only the
 points within eps of a run's ends get an orbit and a pointwise check.
 
-Both separated-family certificates (cylinders here, planar in
-``horseshoe``) read their orbits off cylinder midpoints built on the
-itinerary tree, one affine step per cylinder (``cylinder_orbits``), and
-share ``_least_distances``: exact least distances of integer rows over one
-common denominator, swept in order of the first entry and pruned where the
+Both separated families (cylinders here, planar in ``horseshoe``) are
+certified by the premises of a ``MarkovView``.  Their exact least distances
+are audits, read off cylinder midpoints built on the itinerary tree
+(``cylinder_orbits``) by one kernel, ``_least_distances``: integer rows over
+one denominator, swept in order of the first entry and pruned where the
 first entries alone are too far apart.
 
 Rates h(f,eps) are least-squares slopes of log(count) against n over a
@@ -399,14 +399,23 @@ class MarkovView:
     """A family of affine full branches onto a common core interval.
 
     Each branch maps [lo, hi] affinely ONTO [core_lo, core_hi] (increasing or
-    decreasing).  The constructor holds the three premises that certify
-    cylinder representatives as separated, and refuses a view that breaks
-    one with ContractError: the branch domains ascend, and their gaps are
-    strictly above ``separation_scale`` when one is set; every branch is full
-    and affine; and every branch domain lies inside the core, so each
-    cylinder lies inside its branch.  ``map`` optionally ties the view to the
-    PwaMap realizing it, in which case each branch is checked to equal the
-    map on its domain, so orbits along the branches are the map's orbits.
+    decreasing).  The constructor holds three premises and refuses a view
+    that breaks one with ContractError: the branch domains ascend, and their
+    gaps are strictly above ``separation_scale`` when one is set; every branch
+    is full and affine; and every branch domain lies inside the core, so each
+    cylinder lies inside its first branch.  ``map`` optionally ties the view
+    to the PwaMap realizing it, in which case each branch is checked to equal
+    the map on its domain, so orbits along the branches are the map's orbits.
+
+    The premises are the separation certificate.  Let the itineraries w, w'
+    of two depth-n representatives first differ at time t.  At time t the
+    orbits are at mid C(w[t:]) and mid C(w'[t:]), inside the branch domains
+    w_t != w'_t (a cylinder lies in its first branch), so they are at least
+    the least domain gap apart in d_n, and that gap is above the scale.  So
+    every view made with a scale is separated at every depth n, and
+    ``verify_cylinder_separation`` is an exact audit.  The planar rows
+    [y_0, x_1, y_1, ...] of ``horseshoe`` hold a slab view's y-orbits, so
+    the same argument covers them.
     """
 
     core_lo: Fraction
@@ -550,27 +559,21 @@ def count_cylinders(view: MarkovView, n: int, epsilon: Fraction | None = None) -
 
 
 def verify_cylinder_separation(view: MarkovView, n: int) -> Fraction:
-    """Min pairwise d_n over depth-n representatives; must beat the scale.
+    """The exact least pairwise d_n over the depth-n representatives, n >= 1
+    (the core length for one branch: nothing to separate).  It audits the
+    view's premises, which put it above the scale (``MarkovView``).
 
     The rows are ``cylinder_orbits``.  With an attached map these are the
     map's orbits too, since ``MarkovView`` checked that each branch domain
     lies in the core and that the map equals each branch on its domain.
-    Raises ContractError for a missing scale and for a failed certificate,
-    which falsifies the view's declared contract (never VerificationError).
+    Raises ContractError for a view that declares no scale.
     """
     if view.separation_scale is None:
         raise ContractError("view declares no separation scale to certify against")
     if n < 1:
         raise DomainError(f"verify_cylinder_separation needs n >= 1, got {n}")
     best = min(_least_distances(list(cylinder_orbits(view, n).values())))
-    if best is None:          # one branch, one representative: nothing to separate
-        return view.core_hi - view.core_lo
-    if best <= view.separation_scale:
-        raise ContractError(
-            f"representatives only {best} apart in d_{n},"
-            f" below the declared scale {view.separation_scale}"
-        )
-    return best
+    return view.core_hi - view.core_lo if best is None else best
 
 
 # === rates and profiles ======================================================

@@ -7,7 +7,10 @@ import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+import mdimlab.fbeta
 from conftest import OVER_BUDGET_PLAN
 from mdimlab import (
     CheckResult,
@@ -29,6 +32,7 @@ from mdimlab import (
     predicted_count,
     verify_model,
 )
+from mdimlab.pwa import DEFAULT_NODE_BUDGET
 from mdimlab.rational import floor_pow
 
 F = Fraction
@@ -77,6 +81,20 @@ def test_plan_level_table_recursion(half_plan):
         assert lv.i_sel == floor_pow(F(lv.ell) / lv.gamma, half_plan.beta)
         assert 4 * lv.i_sel + 1 <= lv.ell
         assert lv.eps == lv.gamma / lv.ell
+        assert lv.b == (lv.eps + lv.a_odd) / 2
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.fractions(min_value=0, max_value=1, max_denominator=12), st.integers(0, 2),
+       st.fractions(min_value="1/16", max_value="15/16", max_denominator=16))
+def test_every_planned_gap_attractor_is_its_gap_midpoint(beta, K, seed_a1):
+    # verify_model's gap-dynamics check rests on this: an orbit whose distance
+    # to the midpoint never grows cannot leave the gap
+    try:
+        plan = plan_sequences(beta, K, seed_a1, beta == 1, DEFAULT_NODE_BUDGET)
+    except ResourceError:
+        assume(False)
+    for lv in plan.levels:
         assert lv.b == (lv.eps + lv.a_odd) / 2
 
 
@@ -265,6 +283,27 @@ def test_verify_model_passes_and_names_every_check(half_model):
     summary = verify_model(half_model)
     assert summary.ok, summary.first_failure
     assert tuple(c.name for c in summary.checks) == EXPECTED_CHECKS
+
+
+def test_separation_certificate_names_the_certified_and_the_audited_levels(half_model):
+    # level 0 has 8 branches (audited at n = 2), level 1 has 464 (at n = 1)
+    assert verify_model(half_model).checks[-1] == CheckResult(
+        "separation-certificate", True,
+        "level 0, level 1 certified by the view premises at every n;"
+        " d_n audit above the scale at level 0 n=2, level 1 n=1")
+    dense = build_fbeta(plan_sequences(F(1), 1, variant_full=True))
+    assert verify_model(dense).checks[-1] == CheckResult(
+        "separation-certificate", True, "level 0, level 1 uncertified: no separation scale")
+
+
+def test_separation_audit_still_bites(half_model, monkeypatch):
+    # an audit minimum at the scale itself fails the check, naming the level
+    monkeypatch.setattr(mdimlab.fbeta, "verify_cylinder_separation",
+                        lambda view, n: view.separation_scale)
+    summary = verify_model(half_model)
+    assert summary.first_failure == CheckResult(
+        "separation-certificate", False, "level 0: d_2 audit minimum 1/58 <= scale 1/58")
+    assert [c.name for c in summary.checks] == list(EXPECTED_CHECKS)
 
 
 def test_verify_model_catches_a_wrong_map(half_model):

@@ -4,12 +4,13 @@ from __future__ import annotations
 
 import dataclasses
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import product
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import mdimlab.horseshoe
 from conftest import (
     cylinder_interval, itinerary_point, plane_dn, slab_of, stage_map, stage_orbit,
 )
@@ -25,7 +26,6 @@ from mdimlab import (
     certificate_to_csv,
     detect_1d,
     dump_model_2d,
-    format_rational,
     interval_distance,
     load_model_2d,
     monotone_laps,
@@ -199,7 +199,7 @@ def test_slab_view_is_the_y_dynamics():
     assert [(b.lo, b.hi, b.increasing) for b in view.branches] == [
         (off, off + model.width, o == 1) for off, o in zip(model.offsets, model.orientations)
     ]
-    assert view.separation_scale is None and view.map is None
+    assert view.separation_scale == model.epsilon and view.map is None
     # every cylinder is the y-range whose stage orbit follows its itinerary:
     # both ends follow it, and its midpoint orbit is the one read off the view
     ys = cylinder_orbits(view, 3)
@@ -328,34 +328,52 @@ def test_slabs_leaving_the_square_are_refused():
 
 
 def test_representatives_exactly_epsilon_apart_are_not_separated():
-    # at ell = 1 representatives 0 and 1 are exactly 7/24 apart in d_2
+    # at ell = 1 representatives 0 and 1 are exactly 7/24 apart in d_2, but
+    # the slab gaps of 1/6 are below that scale, so the view refuses first
     model = dataclasses.replace(reference_model(), epsilon=F(7, 24))
     with pytest.raises(VerificationError) as info:
         separated_bound_2d(model, 1)
     assert str(info.value) == (
-        "representatives 0 and 1 are only 7/24 apart in d_2 (epsilon = 7/24)"
+        "slab view refused: branch domain gap 1/6 not above the declared separation scale 7/24"
     )
 
 
-def test_a_failed_certificate_names_the_first_close_pair_in_row_order():
-    # slab midpoints -15/32, 1/32, 5/32: only slabs 1 and 2 are within 1/4
+def test_a_failed_certificate_names_the_first_close_slab_gap():
+    # slab gaps 7/16 and 1/16: only the second is within 1/4
     model = build_model_2d(3, F(1, 2), F(1, 4), 1, width=F(1, 16))
     uneven = dataclasses.replace(model, offsets=(F(-1, 2), F(0), F(1, 8)))
     with pytest.raises(VerificationError) as info:
         separated_bound_2d(uneven, 1)
     assert str(info.value) == (
-        "representatives 1 and 2 are only 1/8 apart in d_1 (epsilon = 1/4)"
+        "slab view refused: branch domain gap 1/16 not above the declared separation scale 1/4"
     )
 
 
-def _first_close_pair(orbits, epsilon):
-    """The failure text of a row-by-row scan over all pairs, or None."""
-    for i, k in combinations(range(len(orbits)), 2):
-        dist = plane_dn(orbits[i], orbits[k])
-        if dist <= epsilon:
-            return (f"representatives {i} and {k} are only {format_rational(dist)} "
-                    f"apart in d_{len(orbits[i])} (epsilon = {format_rational(epsilon)})")
-    return None
+def test_a_slab_gap_at_epsilon_is_refused_before_any_row_is_built(monkeypatch):
+    # the reference slabs are 1/6 apart; at epsilon = 1/6 the family is not
+    # certified, and 4**6 = 4,096 rows would be built for nothing
+    model = dataclasses.replace(reference_model(), epsilon=F(1, 6))
+    assert not verify_conditions(model).ok
+    built = []
+    monkeypatch.setattr(mdimlab.horseshoe, "_orbit_rows", lambda *args: built.append(args))
+    with pytest.raises(VerificationError) as info:
+        separated_bound_2d(model, 3)
+    assert str(info.value) == (
+        "slab view refused: branch domain gap 1/6 not above the declared separation scale 1/6"
+    )
+    assert built == []
+
+
+def _slab_gaps(model):
+    return [hi - lo - model.width for lo, hi in zip(model.offsets, model.offsets[1:])]
+
+
+def _view_refusal(model, epsilon):
+    """The slab view's refusal text at ``epsilon``: it names the first slab gap
+    at or below the scale (the slabs here never overlap)."""
+    gap = next(g for g in _slab_gaps(model) if g <= epsilon)
+    return (f"slab view refused: branch domain gap {gap} not above the declared"
+            f" separation scale {epsilon}")
 
 
 @st.composite
@@ -386,6 +404,18 @@ def test_certificate_minima_match_a_brute_force_scan(n, p, ell, delta, share, pi
         model = data.draw(uneven_slabs(n, p, delta, share))
     else:
         model = build_model_2d(n, delta, 2 * delta / n * share, p)   # n*epsilon < 2*delta
+    gaps = _slab_gaps(model)
+    if uneven and not all(gaps):
+        # touching slabs: no scale separates them, and the view says so
+        with pytest.raises(VerificationError) as info:
+            separated_bound_2d(model, ell)
+        assert str(info.value) == _view_refusal(model, model.epsilon)
+        return
+    if uneven:
+        # a scale below every gap, with n*epsilon <= the sum of the gaps, so
+        # the layout passes verify_conditions
+        model = dataclasses.replace(model, epsilon=min(gaps, default=F(1)) * max(n - 1, 1) / n)
+    assert verify_conditions(model).ok
     steps = p * ell
     points = [itinerary_point(model, w) for w in product(range(n), repeat=steps)]
     orbits = [stage_orbit(model, point, steps) for point in points]
@@ -393,20 +423,19 @@ def test_certificate_minima_match_a_brute_force_scan(n, p, ell, delta, share, pi
         min((plane_dn(mine, other) for j, other in enumerate(orbits) if j != i), default=None)
         for i, mine in enumerate(orbits)
     ]
-    if uneven:
-        # certify below the least brute-force distance
-        model = dataclasses.replace(model, epsilon=min((d for d in brute if d), default=F(1)) / 2)
     cert = separated_bound_2d(model, ell)
     assert list(cert.points) == points
     assert list(cert.per_point_min) == brute
     assert cert.min_pairwise == min((d for d in brute if d is not None), default=None)
     if cert.count > 1:
-        # at a scale no smaller than some representative's minimum the
-        # certificate fails, naming the pair a row-by-row scan meets first
+        # the view's proof, audited: the exact minimum is at least the least gap
+        assert cert.min_pairwise >= min(gaps) > model.epsilon
+        # so at a scale no smaller than some representative's minimum a slab
+        # gap is at or below the scale, and the view refuses
         epsilon = brute[pick % cert.count]
         with pytest.raises(VerificationError) as info:
             separated_bound_2d(dataclasses.replace(model, epsilon=epsilon), ell)
-        assert str(info.value) == _first_close_pair(orbits, epsilon)
+        assert str(info.value) == _view_refusal(model, epsilon)
 
 
 @settings(max_examples=40, deadline=None)
@@ -418,7 +447,9 @@ def test_certificate_minima_match_a_brute_force_scan(n, p, ell, delta, share, pi
 def test_rows_from_memoised_x_equal_rows_stepped_by_apply_branch(n, steps, delta, share, data):
     assume(n**steps <= 256)
     model = data.draw(uneven_slabs(n, 1, delta, share))
-    view = slab_view(model)
+    gaps = _slab_gaps(model)
+    assume(all(gaps))                               # a scale below every gap exists
+    view = slab_view(dataclasses.replace(model, epsilon=min(gaps, default=model.width) / 2))
     itineraries, rows = _orbit_rows(model, view, steps)
     orbits = cylinder_orbits(view, steps)
     assert itineraries == list(orbits) == list(product(range(n), repeat=steps))

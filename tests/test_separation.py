@@ -808,6 +808,22 @@ def test_tree_built_orbits_match_the_pullback_chain(layout, n):
     assert cylinder_representatives(view, n) == [(w, row[0]) for w, row in orbits.items()]
 
 
+@settings(max_examples=60, deadline=None)
+@given(branch_layouts.filter(lambda layout: len(layout[1]) >= 2), st.integers(1, 4))
+@example(([0, 10, 40, 41, 70, 96], [True, False]), 4)      # one gap of 1/96
+def test_the_audit_is_at_least_the_least_domain_gap(layout, n):
+    # the view's proof, audited: representatives whose itineraries first
+    # differ at time t are then in two branch domains, so at least the least
+    # gap apart, whatever the widths, gaps and orientations
+    cuts, ups = layout
+    cuts = [F(c, 96) for c in sorted(cuts)]
+    inner = cuts[1:-1]
+    branches = tuple(MarkovBranch(lo, hi, up) for lo, hi, up in zip(inner[::2], inner[1::2], ups))
+    least_gap = min(b.lo - a.hi for a, b in zip(branches, branches[1:]))
+    view = MarkovView(cuts[0], cuts[-1], branches, least_gap * (1 - F(1, 10**6)))
+    assert verify_cylinder_separation(view, n) >= least_gap
+
+
 # === the pairwise kernel =======================================================
 
 kernel_values = st.builds(F, st.integers(-8, 8), st.sampled_from([1, 2, 3, 5]))
