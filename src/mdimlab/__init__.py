@@ -90,7 +90,6 @@ from .surgery import (
     flatten_fixed_point,
     implant,
     load_surgery_plan,
-    make_bump,
     transport_markov_view,
     transported_views,
 )

@@ -273,7 +273,6 @@ def _cmd_horseshoe(args: argparse.Namespace) -> int:
 def _cmd_implant(args: argparse.Namespace) -> int:
     host = load_pwa(Path(args.host).read_text())
     fplan = load_plan(Path(args.plan).read_text(), args.node_budget)
-    profile = load_pwa(Path(args.profile).read_text()) if args.profile else None
     plan = SurgeryPlan(
         host,
         parse_rational(args.center),
@@ -281,7 +280,6 @@ def _cmd_implant(args: argparse.Namespace) -> int:
         parse_interval(args.inner),
         parse_interval(args.outer),
         fplan,
-        profile,
         parse_rational(args.budget) if args.budget else None,
     )
     blended = implant(plan, node_budget=args.node_budget)
@@ -383,7 +381,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--inner", required=True, help="window lo:hi receiving the copy")
     p.add_argument("--outer", required=True, help="window lo:hi where blending ends")
     p.add_argument("--budget", help="cap: outer window must be under budget/3")
-    p.add_argument("--profile", help="custom blend profile file (default: trapezoid)")
     p.add_argument("--node-budget", type=int, default=DEFAULT_NODE_BUDGET)
     p.set_defaults(func=_cmd_implant)
 

@@ -114,6 +114,8 @@ def orbit(m: PwaMap, x: Fraction, n: int) -> list[Fraction]:
     if n < 1:
         raise DomainError(f"orbit needs n >= 1, got {n}")
     out = [Fraction(x)]
+    if not 0 <= out[0] <= 1:
+        raise DomainError(f"eval argument {out[0]} outside [0,1]")
     for _ in range(n - 1):
         out.append(eval_map(m, out[-1]))
     return out
@@ -400,12 +402,13 @@ class MarkovView:
 
     Each branch maps [lo, hi] affinely ONTO [core_lo, core_hi] (increasing or
     decreasing).  The constructor holds three premises and refuses a view
-    that breaks one with ContractError: the branch domains ascend, and their
-    gaps are strictly above ``separation_scale`` when one is set; every branch
-    is full and affine; and every branch domain lies inside the core, so each
-    cylinder lies inside its first branch.  ``map`` optionally ties the view
-    to the PwaMap realizing it, in which case each branch is checked to equal
-    the map on its domain, so orbits along the branches are the map's orbits.
+    that breaks one with ContractError: the branch domains ascend, and a
+    ``separation_scale``, when one is set, is positive and below every gap
+    between them; every branch is full and affine; and every branch domain
+    lies inside the core, so each cylinder lies inside its first branch.
+    ``map`` optionally ties the view to the PwaMap realizing it, in which
+    case each branch is checked to equal the map on its domain, so orbits
+    along the branches are the map's orbits.
 
     The premises are the separation certificate.  Let the itineraries w, w'
     of two depth-n representatives first differ at time t.  At time t the
@@ -430,8 +433,10 @@ class MarkovView:
             raise ContractError(f"degenerate core [{self.core_lo}, {self.core_hi}]")
         if not self.branches:
             raise ContractError("a Markov view needs at least one branch")
-        # the gaps are decided on integer (numerator, denominator) pairs
         scale = self.separation_scale
+        if scale is not None and scale <= 0:
+            raise ContractError(f"separation scale must be positive, got {scale}")
+        # the gaps are decided on integer (numerator, denominator) pairs
         sn, sd = (0, 1) if scale is None else scale.as_integer_ratio()
         prev = None
         for br in self.branches:

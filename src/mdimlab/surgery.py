@@ -2,20 +2,14 @@
 interval, then splice a rescaled copy of a high-complexity map into the flat.
 
 Pipeline: `flatten_fixed_point` turns a fixed point P of the host into a
-fixed interval J (the host is untouched outside a collar); `implant` forms
-
-    h3(x) = (1 - chi(x)) * host(x) + chi(x) * (A o g~ o A^{-1})(x)
-
-where A is the increasing affine bijection of [0, 1] onto the inner window,
-g~ extends the implanted map by the identity, and chi is a profile that is 1
-on the inner window and 0 off the outer one (`make_bump` builds the
-trapezoid).  On the profile's collars both maps are the identity, since the
-host fixes J and J contains the outer window, so h3 is a splice: the host
-below the inner window, the rescaled copy on it, the host above it, for
-every valid chi (the argument is in `implant`).  Off the outer window h3
-equals the host exactly; on the inner window it is exactly the rescaled
-implant, so separated-set counts transport through A with the window length
-as scale factor.
+fixed interval J (the host is untouched outside a collar); `implant` splices
+A o g~ o A^{-1} into J, where A is the increasing affine bijection of [0, 1]
+onto the inner window and g~ extends the implanted map by the identity: the
+host below the inner window, the rescaled copy on it, the host above it.
+This is the paper's bump blend for every bump (the argument is in
+`implant`).  Off the outer window the result equals the host exactly; on the
+inner window it is exactly the rescaled implant, so separated-set counts
+transport through A with the window length as scale factor.
 
 `implant` assembles only the staircase map (`assemble_fbeta`), never its
 level views; `transported_views` checks each view once, against the implanted
@@ -33,7 +27,7 @@ from pathlib import Path
 from .errors import ContractError, DomainError, SerializationError, VerificationError
 from .fbeta import FBetaPlan, assemble_fbeta, level_views, load_plan
 from .pwa import (
-    DEFAULT_NODE_BUDGET, PwaMap, _values, constant_map, identity_map, load_pwa, merge_nodes,
+    DEFAULT_NODE_BUDGET, PwaMap, _values, identity_map, load_pwa, merge_nodes,
 )
 from .rational import (
     body_lines, format_interval, format_rational, parse_interval, parse_rational, read_fields,
@@ -67,25 +61,6 @@ def flatten_fixed_point(host: PwaMap, P: Fraction, rho: Fraction) -> PwaMap:
         (hi, host(hi)),
     ]
     nodes += [(x, y) for x, y in host.nodes() if x > hi]
-    return PwaMap.from_nodes(nodes)
-
-
-def make_bump(inner: Interval, outer: Interval) -> PwaMap:
-    """Trapezoid profile: 1 on `inner`, 0 off `outer`, affine collars."""
-    (h_lo, h_hi), (t_lo, t_hi) = inner, outer
-    if not (t_lo < h_lo < h_hi < t_hi):
-        raise DomainError(
-            f"inner window {format_interval(h_lo, h_hi)} must sit strictly inside "
-            f"outer window {format_interval(t_lo, t_hi)}"
-        )
-    if t_lo < 0 or t_hi > 1:
-        raise DomainError(f"outer window {format_interval(t_lo, t_hi)} leaves [0, 1]")
-    nodes: list[tuple[Fraction, Fraction]] = []
-    if t_lo > 0:
-        nodes.append((Fraction(0), Fraction(0)))
-    nodes += [(t_lo, Fraction(0)), (h_lo, Fraction(1)), (h_hi, Fraction(1)), (t_hi, Fraction(0))]
-    if t_hi < 1:
-        nodes.append((Fraction(1), Fraction(0)))
     return PwaMap.from_nodes(nodes)
 
 
@@ -129,9 +104,8 @@ class SurgeryPlan:
     """One implant: a host that already fixes the flat interval J pointwise,
     the nested windows, and the plan of the map to implant.
 
-    `chi` overrides the default trapezoid profile; `budget` (if given) caps
-    the outer window at a third of it, so three such edits stay within the
-    caller's distance budget.
+    `budget` (if given) caps the outer window at a third of it, so three
+    such edits stay within the caller's distance budget.
     """
 
     host: PwaMap
@@ -140,7 +114,6 @@ class SurgeryPlan:
     J_hat: Interval
     J_tilde: Interval
     fbeta_plan: FBetaPlan
-    chi: PwaMap | None = None
     budget: Fraction | None = None
 
 
@@ -156,16 +129,6 @@ def _agree_on(a: PwaMap, b: PwaMap, lo: Fraction, hi: Fraction) -> bool:
     xs = merge_nodes((lo, hi), *inside)
     return all(un * vd == vn * ud
                for (un, ud), (vn, vd) in zip(_values(a, xs, True), _values(b, xs, True)))
-
-
-def _check_profile(profile: PwaMap, inner: Interval, outer: Interval) -> None:
-    (h_lo, h_hi), (t_lo, t_hi) = inner, outer
-    zero, one = constant_map(0), constant_map(1)
-    _require(all(0 <= y <= 1 for y in profile.ys)
-             and _agree_on(profile, zero, 0, t_lo) and _agree_on(profile, zero, t_hi, 1)
-             and _agree_on(profile, one, h_lo, h_hi),
-             "profile must be exactly 1 on the inner window, exactly 0 off the outer "
-             "window, and valued in [0, 1]")
 
 
 def _check_plan(plan: SurgeryPlan) -> None:
@@ -191,25 +154,22 @@ def _check_plan(plan: SurgeryPlan) -> None:
 def implant(plan: SurgeryPlan, node_budget: int = DEFAULT_NODE_BUDGET) -> PwaMap:
     """Splice a rescaled copy of the planned map into the host's flat spot.
 
-    Checks the plan (and a custom profile), assembles the staircase map (no
-    level views), splices, and re-verifies the three promises: the host is
-    untouched off the outer window, the inner window carries an exact
-    rescaled copy, and the inner window is invariant.
+    Checks the plan, assembles the staircase map (no level views), splices,
+    and re-verifies the three promises: the host is untouched off the outer
+    window, the inner window carries an exact rescaled copy, and the inner
+    window is invariant.
 
-    The splice is the blend (1 − chi)·host + chi·insert of the module
-    docstring for every profile the checks accept: the host fixes J, which
-    contains the outer window (`_check_plan`); the insert is the identity
-    off the inner window; chi is 1 on the inner window and 0 off the outer
-    one.  So the blend is the host off the outer window, the insert on the
-    inner one, and on each collar between them the identity, as both maps
-    are: the map through the host's nodes below the inner window, its ends
-    (fixed by both maps), the insert's nodes inside it and the host's nodes
-    above it.  No profile value enters, so the default trapezoid is never
-    built; ``from_nodes`` drops the nodes the splice leaves collinear.
+    The splice is the paper's blend (1 − χ)·host + χ·insert for every bump
+    χ that is 1 on the inner window and 0 off the outer one.  The host
+    fixes J, which contains the outer window (`_check_plan`), and the insert
+    is the identity off the inner window.  So the blend is the host off the
+    outer window, the insert on the inner one, and on each collar between
+    them the identity, as both maps are, whatever χ is there: the map
+    through the host's nodes below the inner window, its ends (fixed by
+    both maps), the insert's nodes inside it and the host's nodes above it.
+    ``from_nodes`` drops the nodes the splice leaves collinear.
     """
     _check_plan(plan)
-    if plan.chi is not None:
-        _check_profile(plan.chi, plan.J_hat, plan.J_tilde)
 
     staircase, _ = assemble_fbeta(plan.fbeta_plan, node_budget)
     lo, hi = plan.J_hat
@@ -274,18 +234,11 @@ def transported_views(plan: SurgeryPlan, blended: PwaMap) -> tuple[MarkovView, .
 # === serialization ===========================================================
 
 SURGERY_HEADER = "surgery-plan v1"
-SURGERY_KEYS = ("host", "plan", "P", "J", "J-hat", "J-tilde", "chi", "budget")  # 6 required
+SURGERY_KEYS = ("host", "plan", "P", "J", "J-hat", "J-tilde", "budget")  # 6 required
 
 
-def dump_surgery_plan(
-    plan: SurgeryPlan,
-    host_ref: str,
-    plan_ref: str,
-    chi_ref: str | None = None,
-) -> str:
+def dump_surgery_plan(plan: SurgeryPlan, host_ref: str, plan_ref: str) -> str:
     """Text form referencing the host map and the build plan by path."""
-    if plan.chi is not None and chi_ref is None:
-        raise SerializationError("plan carries a custom profile: pass chi_ref")
     lines = [
         SURGERY_HEADER,
         f"host {host_ref}",
@@ -295,8 +248,6 @@ def dump_surgery_plan(
         f"J-hat {format_interval(*plan.J_hat)}",
         f"J-tilde {format_interval(*plan.J_tilde)}",
     ]
-    if chi_ref is not None:
-        lines.append(f"chi {chi_ref}")
     if plan.budget is not None:
         lines.append(f"budget {format_rational(plan.budget)}")
     return "\n".join(lines) + "\n"
@@ -323,6 +274,5 @@ def load_surgery_plan(text: str, base_dir: str | Path = ".") -> SurgeryPlan:
     j = parse_interval(fields["J"])
     j_hat = parse_interval(fields["J-hat"])
     j_tilde = parse_interval(fields["J-tilde"])
-    chi = load_pwa(_read_reference(base, fields, "chi")) if "chi" in fields else None
     budget = parse_rational(fields["budget"]) if "budget" in fields else None
-    return SurgeryPlan(host, point, j, j_hat, j_tilde, fplan, chi, budget)
+    return SurgeryPlan(host, point, j, j_hat, j_tilde, fplan, budget=budget)

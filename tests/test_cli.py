@@ -442,31 +442,18 @@ def test_implant_precondition_failure_exits_6(tmp_path, capsys, identity, half_p
     assert "nest strictly inside" in err
 
 
-PROFILE_REFUSAL = ("error: profile must be exactly 1 on the inner window, exactly 0 off the"
-                   " outer window, and valued in [0, 1]\n")
-
-
-@pytest.mark.parametrize("profile, refusal", [
-    ("0 0\n1/5 0\n1/4 1\n3/4 1\n4/5 0\n1 0\n", None),               # the trapezoid
-    ("0 0\n1/5 0\n9/40 1/3\n1/4 1\n3/4 1\n31/40 1\n4/5 0\n1 0\n", None),
-    ("0 0\n1/5 0\n1/4 1\n3/4 1\n4/5 1/10\n1 0\n", PROFILE_REFUSAL),   # not 0 at 4/5
-    ("0 0\n1/5 0\n1/4 1\n1/2 99/100\n3/4 1\n4/5 0\n1 0\n", PROFILE_REFUSAL),
-    ("0 0\n1/5 0\n9/40 1\n1/4 1\n3/4 1\n4/5 0\n1 0\n", None),       # 1 early is fine
-], ids=["trapezoid", "bent-collars", "leaks-outside", "dips-inside", "early-plateau"])
-def test_implant_profile_is_checked_but_does_not_change_the_map(tmp_path, capsys, identity,
-                                                                 half_plan, profile, refusal):
+def test_implant_takes_no_profile(tmp_path, capsys, identity, half_plan):
+    # the splice is the blend for every bump, so there is no profile to pass
     write_implant_inputs(tmp_path, identity, half_plan)
-    assert run(capsys, *implant_argv(tmp_path, tmp_path / "host.txt"))[0] == 0
-    default = (tmp_path / "out" / "implanted.txt").read_bytes()
-    (tmp_path / "chi.txt").write_text("pwa-map v1\n" + profile)
+    (tmp_path / "chi.txt").write_text("pwa-map v1\n0 0\n1/5 0\n1/4 1\n3/4 1\n4/5 0\n1 0\n")
     argv = implant_argv(tmp_path, tmp_path / "host.txt")
-    argv[-1] = str(tmp_path / "custom")
-    code, out, err = run(capsys, *argv, "--profile", str(tmp_path / "chi.txt"))
-    if refusal is None:
-        assert code == 0 and err == "" and "sup-distance 83/232" in out
-        assert (tmp_path / "custom" / "implanted.txt").read_bytes() == default
-    else:
-        assert (code, out, err) == (6, "", refusal)
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--profile", str(tmp_path / "chi.txt")])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == ""
+    assert captured.err.startswith("usage: mdimlab")
+    assert f"unrecognized arguments: --profile {tmp_path / 'chi.txt'}" in captured.err
+    assert not (tmp_path / "out").exists()
 
 
 # === sweep ====================================================================

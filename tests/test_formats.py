@@ -31,7 +31,6 @@ from mdimlab import (
     load_pwa,
     load_surgery_plan,
     load_views,
-    make_bump,
     plan_sequences,
     tent_map,
 )
@@ -42,7 +41,7 @@ F = Fraction
 SMALL_PLAN = plan_sequences(F(1, 2), 1)
 SURGERY_PLAN = SurgeryPlan(
     identity_map(), F(1, 2), (F(3, 20), F(17, 20)), (F(1, 4), F(3, 4)), (F(1, 5), F(4, 5)),
-    SMALL_PLAN, make_bump((F(1, 4), F(3, 4)), (F(1, 5), F(4, 5))), budget=F(2),
+    SMALL_PLAN, budget=F(2),
 )
 
 
@@ -52,7 +51,6 @@ def base_dir(tmp_path_factory):
     base = tmp_path_factory.mktemp("formats")
     (base / "host.txt").write_text(dump_pwa(SURGERY_PLAN.host))
     (base / "fplan.txt").write_text(dump_plan(SMALL_PLAN))
-    (base / "chi.txt").write_text(dump_pwa(SURGERY_PLAN.chi))
     (base / "tent.txt").write_text(dump_pwa(tent_map()))
     return base
 
@@ -84,7 +82,7 @@ KEY_VALUE_FORMATS = {
     "fbeta-plan": (dump_plan(SMALL_PLAN), " = ", "plan key", ("beta", "K", "seed_a1")),
     "horseshoe-2d": (dump_model_2d(build_model_2d(4, F(1, 2), F(1, 16), 2)), " ", "scalar",
                      ("N", "p", "delta", "epsilon", "width")),
-    "surgery-plan": (dump_surgery_plan(SURGERY_PLAN, "host.txt", "fplan.txt", "chi.txt"), " ",
+    "surgery-plan": (dump_surgery_plan(SURGERY_PLAN, "host.txt", "fplan.txt"), " ",
                      "field", ("host", "plan", "P", "J", "J-hat", "J-tilde")),
     "sweep-config": ("source = tent.txt\nmethod = cylinder\nscales = 1/10\nn-window = 1:2\n",
                      " = ", "config key", ("source", "method", "scales")),

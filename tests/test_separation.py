@@ -358,8 +358,10 @@ def test_view_rejects_gaps_at_or_below_the_declared_scale():
     ((F(1, 4) - F(1, 10**9), F(1, 2)), F(1, 100), "branch domains overlap"),
     ((F(1, 4), F(1, 2)), F(1, 100), "branch domain gap 0 not above the declared separation"
                                     " scale 1/100"),
+    ((F(1, 2), F(3, 4)), F(0), "separation scale must be positive, got 0"),
+    ((F(1, 4), F(1, 2)), F(-1, 100), "separation scale must be positive, got -1/100"),
 ], ids=["gap-equals-scale", "gap-just-above", "touching-no-scale", "overlap",
-        "overlap-with-scale", "touching-with-scale"])
+        "overlap-with-scale", "touching-with-scale", "zero-scale", "negative-scale"])
 def test_view_gap_premise_at_its_boundaries(second, scale, message):
     branches = (MarkovBranch(F(0), F(1, 4), True), MarkovBranch(*second, False))
     if message is None:
@@ -552,6 +554,10 @@ def test_counts_reject_points_off_the_unit_interval_at_every_n(tent, n):
         count_separated_exhaustive(tent, n, F(1, 10), points)
     with pytest.raises(DomainError, match="outside"):
         greedy_separated_points(tent, n, F(1, 10), points)
+    with pytest.raises(DomainError, match=r"^eval argument -1 outside \[0,1\]$"):
+        dn_distance(tent, F(-1), F(5), n)
+    with pytest.raises(DomainError, match=r"^eval argument 5/4 outside \[0,1\]$"):
+        orbit(tent, F(5, 4), n)
 
 
 @settings(max_examples=60, deadline=None)

@@ -1,6 +1,6 @@
-"""Local surgery: flattening a fixed point, bump profiles, affine
-conjugation, the implant splice against the profile blend, full implants,
-and transported views."""
+"""Local surgery: flattening a fixed point, affine conjugation, the
+implant splice against the bump blend, full implants, and transported
+views."""
 from __future__ import annotations
 
 import dataclasses
@@ -31,7 +31,6 @@ from mdimlab import (
     flatten_fixed_point,
     implant,
     load_surgery_plan,
-    make_bump,
     mdim_profile,
     plan_sequences,
     sup_distance,
@@ -40,6 +39,7 @@ from mdimlab import (
     verify_cylinder_separation,
 )
 from mdimlab.pwa import PwaMap
+from mdimlab.rational import format_interval
 from mdimlab.separation import METHOD_CYLINDER, MarkovBranch, MarkovView
 from mdimlab.surgery import _agree_on, _verify_implant
 
@@ -71,31 +71,6 @@ def test_flatten_rejects_bad_collars(tent):
         flatten_fixed_point(tent, F(2, 3), F(0))
     with pytest.raises(DomainError, match="leaves"):
         flatten_fixed_point(tent, F(2, 3), F(1, 2))
-
-
-# === bump profiles ============================================================
-
-def test_bump_profile_is_one_inside_and_zero_outside():
-    chi = make_bump((F(2, 5), F(3, 5)), (F(7, 20), F(13, 20)))
-    for x in (F(2, 5), F(1, 2), F(3, 5)):
-        assert eval_map(chi, x) == 1
-    for x in (F(0), F(7, 20), F(13, 20), F(1)):
-        assert eval_map(chi, x) == 0
-    assert eval_map(chi, F(19, 50)) == F(3, 5)  # on the rising collar
-
-
-def test_bump_profile_may_touch_the_domain_boundary():
-    chi = make_bump((F(2, 5), F(3, 5)), (F(0), F(1)))
-    assert eval_map(chi, F(0)) == 0
-    assert eval_map(chi, F(1, 5)) == F(1, 2)
-    assert eval_map(chi, F(1)) == 0
-
-
-def test_bump_profile_windows_must_nest():
-    with pytest.raises(DomainError, match="strictly inside"):
-        make_bump((F(7, 20), F(13, 20)), (F(2, 5), F(3, 5)))
-    with pytest.raises(DomainError, match="leaves"):
-        make_bump((F(1, 4), F(3, 4)), (F(1, 5), F(6, 5)))
 
 
 # === affine conjugation =======================================================
@@ -157,6 +132,25 @@ def conjugate_reference(m: PwaMap, lo: Fraction, hi: Fraction) -> PwaMap:
     nodes = [(F(0), F(0))] if lo > 0 else []
     nodes += [(lo + x * (hi - lo), lo + y * (hi - lo)) for x, y in m.nodes()]
     nodes += [(F(1), F(1))] if hi < 1 else []
+    return PwaMap.from_nodes(nodes)
+
+
+def make_bump(inner: tuple[Fraction, Fraction], outer: tuple[Fraction, Fraction]) -> PwaMap:
+    """Trapezoid bump: 1 on ``inner``, 0 off ``outer``, affine collars."""
+    (h_lo, h_hi), (t_lo, t_hi) = inner, outer
+    if not (t_lo < h_lo < h_hi < t_hi):
+        raise DomainError(
+            f"inner window {format_interval(h_lo, h_hi)} must sit strictly inside "
+            f"outer window {format_interval(t_lo, t_hi)}"
+        )
+    if t_lo < 0 or t_hi > 1:
+        raise DomainError(f"outer window {format_interval(t_lo, t_hi)} leaves [0, 1]")
+    nodes: list[tuple[Fraction, Fraction]] = []
+    if t_lo > 0:
+        nodes.append((Fraction(0), Fraction(0)))
+    nodes += [(t_lo, Fraction(0)), (h_lo, Fraction(1)), (h_hi, Fraction(1)), (t_hi, Fraction(0))]
+    if t_hi < 1:
+        nodes.append((Fraction(1), Fraction(0)))
     return PwaMap.from_nodes(nodes)
 
 
@@ -243,6 +237,29 @@ def test_agree_on_matches_a_fraction_reference(seed, kind, window, relation):
         assert _agree_on(a, b, lo, hi)
 
 
+def test_bump_profile_is_one_inside_and_zero_outside():
+    chi = make_bump((F(2, 5), F(3, 5)), (F(7, 20), F(13, 20)))
+    for x in (F(2, 5), F(1, 2), F(3, 5)):
+        assert eval_map(chi, x) == 1
+    for x in (F(0), F(7, 20), F(13, 20), F(1)):
+        assert eval_map(chi, x) == 0
+    assert eval_map(chi, F(19, 50)) == F(3, 5)  # on the rising collar
+
+
+def test_bump_profile_may_touch_the_domain_boundary():
+    chi = make_bump((F(2, 5), F(3, 5)), (F(0), F(1)))
+    assert eval_map(chi, F(0)) == 0
+    assert eval_map(chi, F(1, 5)) == F(1, 2)
+    assert eval_map(chi, F(1)) == 0
+
+
+def test_bump_profile_windows_must_nest():
+    with pytest.raises(DomainError, match="strictly inside"):
+        make_bump((F(7, 20), F(13, 20)), (F(2, 5), F(3, 5)))
+    with pytest.raises(DomainError, match="leaves"):
+        make_bump((F(1, 4), F(3, 4)), (F(1, 5), F(6, 5)))
+
+
 # K = 0 staircases, two standard and one dense, so that each example is quick
 SPLICE_PLANS = (plan_sequences(F(3, 10), 0), plan_sequences(F(1, 2), 0),
                 plan_sequences(F(1), 0, variant_full=True))
@@ -262,10 +279,9 @@ def test_implant_is_the_blend_for_every_valid_profile(seed, kind, fplan, custom)
                    for lo, hi in ((t_lo, h_lo), (h_hi, t_hi)) for _ in range(rng.randint(0, 3))}
         profile = PwaMap.from_nodes(sorted(profile.nodes()
                                            + [(x, F(rng.randint(0, 7), 7)) for x in collars]))
-    plan = SurgeryPlan(host, (flat[0] + flat[1]) / 2, flat, inner, outer, fplan, profile)
+    plan = SurgeryPlan(host, (flat[0] + flat[1]) / 2, flat, inner, outer, fplan)
     insert = conjugate_into_interval(build_fbeta(fplan).map, *inner)
-    want = dump_pwa(blend_reference(host, insert, profile))
-    assert dump_pwa(implant(plan)) == want == dump_pwa(implant(dataclasses.replace(plan, chi=None)))
+    assert dump_pwa(implant(plan)) == dump_pwa(blend_reference(host, insert, profile))
 
 
 # === implant preconditions ====================================================
@@ -446,36 +462,20 @@ def test_surgery_plan_round_trip(tmp_path, implanted):
     text = dump_surgery_plan(plan, "host.txt", "fplan.txt")
     assert load_surgery_plan(text, tmp_path) == plan
 
-    chi = make_bump(plan.J_hat, plan.J_tilde)
-    custom = dataclasses.replace(plan, chi=chi)
-    (tmp_path / "chi.txt").write_text(dump_pwa(chi))
-    text = dump_surgery_plan(custom, "host.txt", "fplan.txt", chi_ref="chi.txt")
-    assert load_surgery_plan(text, tmp_path) == custom
-
 
 @pytest.mark.parametrize("kind", ["missing", "directory"])
-@pytest.mark.parametrize("key,ref", [("host", "host.txt"), ("plan", "fplan.txt"),
-                                     ("chi", "chi.txt")])
+@pytest.mark.parametrize("key,ref", [("host", "host.txt"), ("plan", "fplan.txt")])
 def test_surgery_plan_loader_names_an_unreadable_reference(tmp_path, implanted, key, ref, kind):
     plan, _ = implanted
-    custom = dataclasses.replace(plan, chi=make_bump(plan.J_hat, plan.J_tilde))
-    (tmp_path / "host.txt").write_text(dump_pwa(custom.host))
-    (tmp_path / "fplan.txt").write_text(dump_plan(custom.fbeta_plan))
-    (tmp_path / "chi.txt").write_text(dump_pwa(custom.chi))
-    text = dump_surgery_plan(custom, "host.txt", "fplan.txt", chi_ref="chi.txt")
+    (tmp_path / "host.txt").write_text(dump_pwa(plan.host))
+    (tmp_path / "fplan.txt").write_text(dump_plan(plan.fbeta_plan))
+    text = dump_surgery_plan(plan, "host.txt", "fplan.txt")
     (tmp_path / ref).unlink()
     if kind == "directory":
         (tmp_path / ref).mkdir()
     with pytest.raises(SerializationError) as info:
         load_surgery_plan(text, tmp_path)
     assert str(info.value).startswith(f"{key} reference {str(tmp_path / ref)!r} cannot be read")
-
-
-def test_surgery_plan_with_custom_profile_needs_a_profile_reference(implanted):
-    plan, _ = implanted
-    custom = dataclasses.replace(plan, chi=make_bump(plan.J_hat, plan.J_tilde))
-    with pytest.raises(SerializationError, match="pass chi_ref"):
-        dump_surgery_plan(custom, "host.txt", "fplan.txt")
 
 
 def test_surgery_plan_loads_its_plan_under_the_default_node_budget(tmp_path, implanted):
@@ -499,7 +499,8 @@ def test_surgery_plan_loader_rejects_bad_input(tmp_path):
 @pytest.mark.parametrize("edit,message", [
     (lambda t: t + "foo 3\n", "unknown field 'foo'"),
     (lambda t: t.replace("budget 2/1", "budgte 1/2"), "unknown field 'budgte'"),
-], ids=["unknown-key", "misspelled-budget"])
+    (lambda t: t + "chi chi.txt\n", "unknown field 'chi'"),
+], ids=["unknown-key", "misspelled-budget", "profile"])
 def test_surgery_plan_loader_rejects_unknown_keys(tmp_path, implanted, edit, message):
     plan, _ = implanted
     (tmp_path / "host.txt").write_text(dump_pwa(plan.host))
