@@ -560,6 +560,15 @@ def test_counts_reject_points_off_the_unit_interval_at_every_n(tent, n):
         orbit(tent, F(5, 4), n)
 
 
+@pytest.mark.parametrize("x, n, want", [
+    (F(0), 1, [F(0)]), (F(1), 1, [F(1)]), (F(0), 2, [F(0), F(0)]), (F(1), 2, [F(1), F(0)]),
+], ids=["0-n1", "1-n1", "0-n2", "1-n2"])
+def test_orbit_and_dn_distance_accept_the_endpoints_at_every_n(tent, x, n, want):
+    # the domain check is closed: 0 and 1 themselves are points of [0, 1]
+    assert orbit(tent, x, n) == want
+    assert dn_distance(tent, x, 1 - x, n) == 1
+
+
 @settings(max_examples=60, deadline=None)
 @given(seeds, st.integers(1, 4),
        st.fractions(min_value="1/40", max_value="1/2", max_denominator=40), unit_points)
