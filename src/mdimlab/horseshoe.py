@@ -377,22 +377,19 @@ def _orbit_rows(model: Horseshoe2DModel, view: MarkovView, steps: int
                 ) -> tuple[list[tuple[int, ...]], list[list[Fraction]]]:
     """The itineraries of depth ``steps`` and their orbit rows
     [y_0, x_1, y_1, ..., x_{steps-1}, y_{steps-1}] (x_0 = 0 on every row, so it
-    is left out).  y_t is read off ``view``'s cylinders; x_t depends only on
-    the prefix w[:t], so it is stepped by ``apply_branch`` once per prefix:
-    layer t lists every length-t prefix in ``product`` order, and w's prefix
-    has index (index of w) // N^(steps−t)."""
-    orbits, n = cylinder_orbits(view, steps), model.N
+    is left out), in ``product`` order.  The y-rows are ``view``'s
+    ``cylinder_orbits``.  x_t depends only on the prefix w[:t], so the x-rows
+    grow along the prefixes by appending ``apply_branch``'s x, and the x-row
+    of a length-(steps−1) prefix serves the N itineraries that extend it."""
+    n = model.N
     xs = [[Fraction(0)]]
     for _ in range(steps - 1):     # x_{t+1} does not depend on y_t: any y in slab j does
-        xs.append([model.apply_branch(j, (x, model.offsets[j]))[0]
-                   for x in xs[-1] for j in range(n)])
-    rows = []
-    for i, ys in enumerate(orbits.values()):
-        row = [ys[0]]
-        for t in range(1, steps):
-            row += (xs[t][i // n ** (steps - t)], ys[t])
-        rows.append(row)
-    return list(orbits), rows
+        xs = [[*row, model.apply_branch(j, (row[-1], model.offsets[j]))[0]]
+              for row in xs for j in range(n)]
+    x_rows = (row for row in xs for _ in range(n))      # one per itinerary
+    rows = [[*itertools.chain.from_iterable(zip(x_row, ys))][1:]
+            for x_row, ys in zip(x_rows, cylinder_orbits(view, steps))]
+    return list(itertools.product(range(n), repeat=steps)), rows
 
 
 def separated_bound_2d(model: Horseshoe2DModel, ell: int) -> Certificate2D:

@@ -513,53 +513,53 @@ def _branch_inverse(view: MarkovView, br: MarkovBranch) -> tuple[Fraction, Fract
     return -s, br.lo + view.core_hi * s
 
 
-def _cylinder_layers(view: MarkovView, n: int) -> list[list[Fraction]]:
-    """Cylinder midpoints by depth: layer d lists mid C(w) for every depth-d
-    itinerary w in ``product`` order, d = 0..n.  The inverse of branch w_0
-    maps C(w[1:]) onto C(w), midpoint to midpoint, so each midpoint is one
-    multiply-add on the layer above; the view holds every branch domain
-    inside the core, so every cylinder lies inside its branch.  Refuses a
-    depth over the cap before anything is built."""
+def cylinder_orbits(view: MarkovView, n: int) -> list[list[Fraction]]:
+    """The orbit [mid C(w[t:]) for t < n] of the representative of every
+    depth-n itinerary w, as rows in ``product`` order.  Branch w_t maps
+    C(w[t:]) affinely onto C(w[t+1:]), midpoint to midpoint, so the rows grow
+    on the itinerary tree by prepending: the row of j·w' is the inverse of
+    branch j applied to the head of w''s row, then that row.  The view holds
+    every branch domain inside the core, so every cylinder lies inside its
+    branch.  Refuses a depth over the cap before anything is built."""
+    if n < 0:
+        raise DomainError(f"cylinder depth must be >= 0, got {n}")
     total = view.branch_count**n
     if total > REPRESENTATIVE_CAP:
         raise ResourceError(
             f"{total} depth-{n} cylinders exceed the representative cap {REPRESENTATIVE_CAP}"
         )
     inverses = [_branch_inverse(view, br) for br in view.branches]
-    layers = [[(view.core_lo + view.core_hi) / 2]]
+    rows = [[(view.core_lo + view.core_hi) / 2]]        # the depth-0 cylinder is the core
     for _ in range(n):
-        layers.append([s * mid + c for s, c in inverses for mid in layers[-1]])
-    return layers
+        rows = [[s * row[0] + c, *row] for s, c in inverses for row in rows]
+    return [row[:-1] for row in rows]     # at time n every orbit is at the core's midpoint
 
 
 def cylinder_representatives(view: MarkovView, n: int) -> list[tuple[tuple[int, ...], Fraction]]:
-    """(itinerary, cylinder midpoint) for every depth-n itinerary."""
-    return list(zip(product(range(view.branch_count), repeat=n), _cylinder_layers(view, n)[n]))
-
-
-def cylinder_orbits(view: MarkovView, n: int) -> dict[tuple[int, ...], list[Fraction]]:
-    """The orbit [mid C(w[t:]) for t < n] of the representative of every
-    depth-n itinerary w (n >= 1), in itinerary order.  Branch w_t maps
-    C(w[t:]) affinely onto C(w[t+1:]), so it maps midpoint to midpoint; the
-    index of w[t:] in its layer is w's index modulo B^(n−t)."""
-    layers = _cylinder_layers(view, n)
-    sizes = [view.branch_count ** (n - t) for t in range(n)]
-    return {w: [layers[n - t][i % size] for t, size in enumerate(sizes)]
-            for i, w in enumerate(product(range(view.branch_count), repeat=n))}
+    """(itinerary, cylinder midpoint) for every depth-n itinerary: the heads
+    of the ``cylinder_orbits`` rows, or the core's midpoint at depth 0."""
+    mid = (view.core_lo + view.core_hi) / 2
+    heads = [row[0] for row in cylinder_orbits(view, n)] if n else [mid]
+    return list(zip(product(range(view.branch_count), repeat=n), heads))
 
 
 def count_cylinders(view: MarkovView, n: int, epsilon: Fraction | None = None) -> CountRecord:
     """Exact depth-n cylinder count B^n for a full-branch Markov view.
 
     The record's scale is the view's declared separation scale unless an
-    explicit epsilon is passed (e.g. rating a non-separated family like the
-    tent's two touching branches at an external scale).
+    explicit epsilon is passed: at most the declared scale, which the
+    premises certify with every smaller one (ContractError above it), or any
+    epsilon for a view that declares none (e.g. rating a non-separated
+    family like the tent's two touching branches at an external scale).
     """
     if n < 0:
         raise DomainError(f"count_cylinders needs n >= 0, got {n}")
-    eps = epsilon if epsilon is not None else view.separation_scale
+    scale = view.separation_scale
+    eps = epsilon if epsilon is not None else scale
     if eps is None:
         raise DomainError("no scale: view declares none and no epsilon was passed")
+    if scale is not None and eps > scale:
+        raise ContractError(f"epsilon {eps} above the scale {scale} of view {view.label!r}")
     return CountRecord(n, eps, view.branch_count**n, METHOD_CYLINDER)
 
 
@@ -577,7 +577,7 @@ def verify_cylinder_separation(view: MarkovView, n: int) -> Fraction:
         raise ContractError("view declares no separation scale to certify against")
     if n < 1:
         raise DomainError(f"verify_cylinder_separation needs n >= 1, got {n}")
-    best = min(_least_distances(list(cylinder_orbits(view, n).values())))
+    best = min(_least_distances(cylinder_orbits(view, n)))
     return view.core_hi - view.core_lo if best is None else best
 
 
@@ -600,14 +600,16 @@ def count_at(
     grid: Fraction | None = None,
 ) -> CountRecord:
     """One (n, epsilon) count by the named method — the unit of work that
-    profiles and sweeps fan out over.  A grid, when given, must lie in
-    (0, 1]; the exhaustive record carries the grid it scanned."""
-    if grid is not None and not 0 < grid <= 1:
-        raise DomainError(f"grid resolution must lie in (0, 1], got {grid}")
+    profiles and sweeps fan out over.  Cylinder counts take no grid, others
+    one in (0, 1]; the exhaustive record carries the grid it scanned."""
     if method == METHOD_CYLINDER:
+        if grid is not None:
+            raise DomainError("cylinder counts take no grid")
         if not isinstance(source, MarkovView):
             raise DomainError("cylinder method needs a MarkovView source")
         return count_cylinders(source, n, epsilon)
+    if grid is not None and not 0 < grid <= 1:
+        raise DomainError(f"grid resolution must lie in (0, 1], got {grid}")
     if method == METHOD_GREEDY:
         if not isinstance(source, PwaMap):
             raise DomainError("greedy method needs a PwaMap source")

@@ -271,6 +271,29 @@ def test_estimate_grid_outside_the_unit_interval_exits_2(tmp_path, capsys, tent,
     assert not (tmp_path / "report.csv").exists()
 
 
+def test_estimate_refuses_a_scale_above_a_views_declared_one(tmp_path, capsys, half_model):
+    # two scales pair with the two views by position, so 1/3 goes to level 0,
+    # certified at 1/58 and below only
+    (tmp_path / "model.txt").write_text(dump_model(half_model))
+    code, out, err = run(capsys, "estimate", "--model", str(tmp_path / "model.txt"),
+                         "--scales", "1/3,1/4", "-o", str(tmp_path / "out"))
+    assert (code, out) == (2, "")
+    assert err == "error: epsilon 1/3 above the scale 1/58 of view 'level 0'\n"
+    assert not (tmp_path / "out" / "report.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["estimate", "sweep"])
+def test_the_cylinder_method_takes_no_grid(tmp_path, capsys, half_model, command):
+    # a cylinder count reads no grid, so one given to it is refused, not ignored
+    (tmp_path / "model.txt").write_text(dump_model(half_model))
+    (tmp_path / "grid.cfg").write_text(SWEEP_CONFIG + "grid = 1/400\n")
+    argv = (["estimate", "--model", str(tmp_path / "model.txt"), "--grid", "1/400"]
+            if command == "estimate" else ["sweep", "--config", str(tmp_path / "grid.cfg")])
+    code, out, err = run(capsys, *argv, "-o", str(tmp_path / "out"))
+    assert (code, out, err) == (2, "", "error: cylinder counts take no grid\n")
+    assert not (tmp_path / "out").exists()
+
+
 # === horseshoe ================================================================
 
 def test_horseshoe_2d_certifies_the_reference_model(tmp_path, capsys):

@@ -202,13 +202,14 @@ def test_slab_view_is_the_y_dynamics():
     assert view.separation_scale == model.epsilon and view.map is None
     # every cylinder is the y-range whose stage orbit follows its itinerary:
     # both ends follow it, and its midpoint orbit is the one read off the view
-    ys = cylinder_orbits(view, 3)
-    for itin in product(range(model.N), repeat=3):
+    rows = cylinder_orbits(view, 3)
+    assert len(rows) == model.N**3
+    for itin, ys in zip(product(range(model.N), repeat=3), rows):
         for y in cylinder_interval(view, itin):
             orbit = stage_orbit(model, (F(0), y), 3)
             assert [slab_of(model, pos[1]) for pos in orbit] == list(itin)
         mid = itinerary_point(model, itin)
-        assert [pos[1] for pos in stage_orbit(model, mid, 3)] == ys[itin]
+        assert [pos[1] for pos in stage_orbit(model, mid, 3)] == ys
 
 
 # === geometry verification ====================================================
@@ -452,8 +453,9 @@ def test_rows_from_memoised_x_equal_rows_stepped_by_apply_branch(n, steps, delta
     view = slab_view(dataclasses.replace(model, epsilon=min(gaps, default=model.width) / 2))
     itineraries, rows = _orbit_rows(model, view, steps)
     orbits = cylinder_orbits(view, steps)
-    assert itineraries == list(orbits) == list(product(range(n), repeat=steps))
-    for (itin, ys), row in zip(orbits.items(), rows):
+    assert itineraries == list(product(range(n), repeat=steps))
+    assert len(orbits) == len(rows) == n**steps
+    for itin, ys, row in zip(itineraries, orbits, rows):
         # x stepped by apply_branch along each representative's own orbit
         stepped = [F(0), ys[0]]
         for j, y in zip(itin, ys[1:]):

@@ -277,6 +277,26 @@ def test_cylinders_need_some_scale():
         count_cylinders(tent_view(), 3)
 
 
+def test_cylinder_counts_refuse_a_scale_above_the_declared_one(half_model):
+    view = half_model.view(0)                   # declared scale 1/58
+    for eps in (F(1, 58), F(1, 59), F(1, 1000)):
+        assert count_cylinders(view, 2, eps) == CountRecord(2, eps, 64, METHOD_CYLINDER)
+    for eps in (F(1, 57), F(1, 3)):
+        with pytest.raises(ContractError,
+                           match=rf"^epsilon {eps} above the scale 1/58 of view 'level 0'$"):
+            count_cylinders(view, 2, eps)
+    # the premises certify 1/58 and below, so nothing vouches for 8**n points at 1/3
+    with pytest.raises(ContractError, match=r"^epsilon 1/3 above the scale 1/58"):
+        mdim_profile([view], [F(1, 3)], (1, 4), METHOD_CYLINDER)
+
+
+@pytest.mark.parametrize("grid", [F(1, 400), F(1), F(2)])
+def test_cylinder_counts_take_no_grid(half_model, grid):
+    # a cylinder count reads no grid, so one given to it is refused, not ignored
+    with pytest.raises(DomainError, match=r"^cylinder counts take no grid$"):
+        count_at(half_model.view(0), 1, F(1, 58), METHOD_CYLINDER, grid)
+
+
 def test_cylinders_staircase_level_zero(half_model):
     view = half_model.view(0)
     rec = count_cylinders(view, 2)
@@ -330,6 +350,12 @@ def test_cylinder_cap_refuses_before_building_a_representative(monkeypatch):
                                                 f" representative cap {REPRESENTATIVE_CAP}$"):
             refuse(view, 2)
     assert built == []
+
+
+def test_cylinder_rows_refuse_a_negative_depth(half_model):
+    for build in (cylinder_orbits, cylinder_representatives):
+        with pytest.raises(DomainError, match=r"^cylinder depth must be >= 0, got -1$"):
+            build(half_model.view(0), -1)
 
 
 def test_cylinder_widths_shrink_geometrically(half_model):
@@ -807,8 +833,9 @@ def test_cylinder_certificate_matches_the_forward_walk(layout, n):
 
 
 @settings(max_examples=40, deadline=None)
-@given(branch_layouts, st.integers(1, 4))
+@given(branch_layouts, st.integers(0, 4))
 @example(([0, 10, 30, 31, 60, 96], [False, True]), 4)       # uneven widths, down then up
+@example(([0, 10, 30, 31, 60, 96], [False, True]), 0)       # [[]], and the core's midpoint
 def test_tree_built_orbits_match_the_pullback_chain(layout, n):
     cuts, ups = layout
     cuts = [F(c, 96) for c in sorted(cuts)]
@@ -817,10 +844,13 @@ def test_tree_built_orbits_match_the_pullback_chain(layout, n):
         MarkovBranch(lo, hi, up) for lo, hi, up in zip(inner[::2], inner[1::2], ups)))
     n = min(n, max(k for k in (1, 2, 3, 4) if view.branch_count**k <= 256))
     orbits = cylinder_orbits(view, n)
-    assert list(orbits) == list(product(range(view.branch_count), repeat=n))
-    for w, row in orbits.items():
+    itineraries = list(product(range(view.branch_count), repeat=n))
+    assert len(orbits) == len(itineraries)
+    for w, row in zip(itineraries, orbits):
         assert row == [sum(cylinder_interval(view, w[t:])) / 2 for t in range(n)]
-    assert cylinder_representatives(view, n) == [(w, row[0]) for w, row in orbits.items()]
+    # a representative is its cylinder's midpoint: the row's head, the core's at depth 0
+    assert cylinder_representatives(view, n) == [
+        (w, sum(cylinder_interval(view, w)) / 2) for w in itineraries]
 
 
 @settings(max_examples=60, deadline=None)
