@@ -87,7 +87,6 @@ from .surgery import (
     SurgeryPlan,
     conjugate_into_interval,
     dump_surgery_plan,
-    flatten_fixed_point,
     implant,
     load_surgery_plan,
     transport_markov_view,

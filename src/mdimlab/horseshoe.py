@@ -36,7 +36,7 @@ from .rational import (
     read_fields,
 )
 from .reporting import CheckResult, VerificationSummary
-from .separation import MarkovBranch, MarkovView, _least_distances, cylinder_orbits
+from .separation import MarkovBranch, MarkovView, _cylinder_rows, _least_distances
 
 Interval = tuple[Fraction, Fraction]
 
@@ -185,6 +185,10 @@ class Horseshoe2DModel:
     [offsets[j], offsets[j] + width] x [-delta, delta], flipping vertically
     when orientations[j] == -1.  All p stages share this geometry and are
     chained cyclically.
+
+    For N >= 2 it is no plane homeomorphism's restriction: a -1 branch flips
+    y only (Jacobian determinant -1), a +1 branch has determinant +1, and a
+    plane homeomorphism has one local degree everywhere.
     """
 
     N: int
@@ -374,11 +378,12 @@ class Certificate2D:
 
 
 def _orbit_rows(model: Horseshoe2DModel, view: MarkovView, steps: int
-                ) -> tuple[list[tuple[int, ...]], list[list[Fraction]]]:
+                ) -> tuple[list[tuple[int, ...]], list[list[int]], int]:
     """The itineraries of depth ``steps`` and their orbit rows
     [y_0, x_1, y_1, ..., x_{steps-1}, y_{steps-1}] (x_0 = 0 on every row, so it
-    is left out), in ``product`` order.  The y-rows are ``view``'s
-    ``cylinder_orbits``.  x_t depends only on the prefix w[:t], so the x-rows
+    is left out), in ``product`` order, as integer numerators over one
+    denominator, returned with them.  The y-rows are ``view``'s cylinder rows
+    (``_cylinder_rows``).  x_t depends only on the prefix w[:t], so the x-rows
     grow along the prefixes by appending ``apply_branch``'s x, and the x-row
     of a length-(steps−1) prefix serves the N itineraries that extend it."""
     n = model.N
@@ -386,10 +391,13 @@ def _orbit_rows(model: Horseshoe2DModel, view: MarkovView, steps: int
     for _ in range(steps - 1):     # x_{t+1} does not depend on y_t: any y in slab j does
         xs = [[*row, model.apply_branch(j, (row[-1], model.offsets[j]))[0]]
               for row in xs for j in range(n)]
-    x_rows = (row for row in xs for _ in range(n))      # one per itinerary
-    rows = [[*itertools.chain.from_iterable(zip(x_row, ys))][1:]
-            for x_row, ys in zip(x_rows, cylinder_orbits(view, steps))]
-    return list(itertools.product(range(n), repeat=steps)), rows
+    ys, y_den = _cylinder_rows(view, steps)
+    den = math.lcm(y_den, *(x.denominator for row in xs for x in row))
+    x_rows = [[x.numerator * (den // x.denominator) for x in row] for row in xs]
+    k = den // y_den
+    rows = [[*itertools.chain.from_iterable(zip(x_row, (y * k for y in y_row)))][1:]
+            for x_row, y_row in zip((row for row in x_rows for _ in range(n)), ys)]
+    return list(itertools.product(range(n), repeat=steps)), rows, den
 
 
 def separated_bound_2d(model: Horseshoe2DModel, ell: int) -> Certificate2D:
@@ -410,13 +418,14 @@ def separated_bound_2d(model: Horseshoe2DModel, ell: int) -> Certificate2D:
         view = slab_view(model)
     except ContractError as exc:
         raise VerificationError(f"slab view refused: {exc}") from None
-    itineraries, rows = _orbit_rows(model, view, steps)
+    itineraries, rows, den = _orbit_rows(model, view, steps)
 
     # sup over time of the plane's sup metric = max over the flat row
-    per_min = _least_distances(rows)
+    per_min = tuple(None if d is None else Fraction(d, den) for d in _least_distances(rows))
     min_pairwise = min((m for m in per_min if m is not None), default=None)
     return Certificate2D(model, ell, steps, total, tuple(itineraries),
-                         tuple((Fraction(0), r[0]) for r in rows), tuple(per_min), min_pairwise)
+                         tuple((Fraction(0), Fraction(r[0], den)) for r in rows), per_min,
+                         min_pairwise)
 
 
 # === serialization ===========================================================

@@ -105,10 +105,6 @@ class PwaMap:
     def nodes(self) -> list[tuple[Fraction, Fraction]]:
         return list(zip(self.xs, self.ys))
 
-    def max_abs_slope(self) -> Fraction:
-        """Lipschitz constant: the largest |slope| a/d over all pieces."""
-        return max(Fraction(abs(a), d) for a, _, d in self._table[2])
-
 
 def identity_map() -> PwaMap:
     return PwaMap((ZERO, ONE), (ZERO, ONE))

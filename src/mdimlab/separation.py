@@ -25,10 +25,10 @@ points within eps of a run's ends get an orbit and a pointwise check.
 
 Both separated families (cylinders here, planar in ``horseshoe``) are
 certified by the premises of a ``MarkovView``.  Their exact least distances
-are audits, read off cylinder midpoints built on the itinerary tree
-(``cylinder_orbits``) by one kernel, ``_least_distances``: integer rows over
-one denominator, swept in order of the first entry and pruned where the
-first entries alone are too far apart.
+are audits, read off cylinder midpoints built on the itinerary tree as
+integer rows over one denominator (``_cylinder_rows``) by one kernel,
+``_least_distances``, which sweeps the rows in order of their last entry and
+prunes where the last entries alone are too far apart.
 
 Rates h(f,eps) are least-squares slopes of log(count) against n over a
 window, with the max single-step increment reported alongside as a second
@@ -346,27 +346,26 @@ def count_separated_exhaustive(
     return CountRecord(n, epsilon, _max_clique(adj, (1 << k) - 1, 0, 0), METHOD_EXHAUSTIVE)
 
 
-def _least_distances(rows: list[list[Fraction]]) -> list[Fraction | None]:
-    """Each row's exact least sup-norm distance to any other row (None for a
-    lone row), comparing plain integers over the lcm of all denominators.
-
-    The rows are swept in order of their first entry.  Two rows are at least
-    as far apart as their first entries, so a row's scan right, then left,
-    stops at the first row whose first entry is its current best or more
-    away.  A distance found scanning right lowers both rows' bests; scanning
-    left skips the rows whose right scan already reached this one."""
-    den = math.lcm(*(v.denominator for row in rows for v in row))
-    ints = [[v.numerator * (den // v.denominator) for v in row] for row in rows]
-    order = sorted(range(len(ints)), key=lambda i: ints[i][0])
-    ints = [ints[i] for i in order]
-    firsts = [a[0] for a in ints]
-    k = len(ints)
+def _least_distances(rows: list[list[int]]) -> list[int | None]:
+    """Each integer row's exact least sup-norm distance to any other row
+    (None for a lone row).  Every entry bounds the sup distance from below,
+    so a sweep keyed on any entry is exact; this one keys on the last.  A
+    row's scan right, then left, stops at the first row whose last entry is
+    its current best or more away.  A distance found scanning right lowers
+    both rows' bests; scanning left skips the rows whose right scan already
+    reached this one.  A cylinder row's last entry is mid C(w_{n-1}), one of
+    B values, so a row's window is its last-branch group, and a neighbouring
+    group only while its best exceeds the gap between the groups' last entries."""
+    order = sorted(range(len(rows)), key=lambda i: rows[i][-1])
+    rows = [rows[i] for i in order]
+    lasts = [a[-1] for a in rows]
+    k = len(rows)
     best: list[float | int] = [math.inf] * k
     reach = [0] * k                 # where each row's right scan stopped
-    for p, a in enumerate(ints):
-        a0, low, q = firsts[p], best[p], p + 1
-        while q < k and firsts[q] - a0 < low:
-            d = max(map(abs, map(sub, a, ints[q])))
+    for p, a in enumerate(rows):
+        key, low, q = lasts[p], best[p], p + 1
+        while q < k and lasts[q] - key < low:
+            d = max(map(abs, map(sub, a, rows[q])))
             if d < low:
                 low = d
             if d < best[q]:
@@ -374,16 +373,16 @@ def _least_distances(rows: list[list[Fraction]]) -> list[Fraction | None]:
             q += 1
         reach[p] = q
         for q in range(p - 1, -1, -1):
-            if a0 - firsts[q] >= low:
+            if key - lasts[q] >= low:
                 break
             if reach[q] <= p:
-                d = max(map(abs, map(sub, a, ints[q])))
+                d = max(map(abs, map(sub, a, rows[q])))
                 if d < low:
                     low = d
         best[p] = low
-    out: list[Fraction | None] = [None] * k
+    out: list[int | None] = [None] * k
     for i, d in zip(order, best):
-        out[i] = None if d == math.inf else Fraction(d, den)
+        out[i] = None if d == math.inf else d
     return out
 
 
@@ -513,14 +512,20 @@ def _branch_inverse(view: MarkovView, br: MarkovBranch) -> tuple[Fraction, Fract
     return -s, br.lo + view.core_hi * s
 
 
-def cylinder_orbits(view: MarkovView, n: int) -> list[list[Fraction]]:
+def _cylinder_rows(view: MarkovView, n: int) -> tuple[list[list[int]], int]:
     """The orbit [mid C(w[t:]) for t < n] of the representative of every
-    depth-n itinerary w, as rows in ``product`` order.  Branch w_t maps
-    C(w[t:]) affinely onto C(w[t+1:]), midpoint to midpoint, so the rows grow
-    on the itinerary tree by prepending: the row of j·w' is the inverse of
-    branch j applied to the head of w''s row, then that row.  The view holds
-    every branch domain inside the core, so every cylinder lies inside its
-    branch.  Refuses a depth over the cap before anything is built."""
+    depth-n itinerary w, in ``product`` order, as integer rows over one
+    denominator, returned with them.  Branch w_t maps C(w[t:]) affinely onto
+    C(w[t+1:]), midpoint to midpoint, so the rows grow on the itinerary tree
+    by prepending: the row of j·w' is the inverse of branch j applied to the
+    head of w''s row, then that row.  The view holds every branch domain
+    inside the core, so every cylinder lies inside its branch.
+
+    The inverses are integer pairs (σ_j, γ_j) over one denominator D and
+    the core's midpoint is p/q, so a depth-d head lies over q·D^d and
+    prepending j is σ_j·head + γ_j·q·D^d.  Entry t is the depth-(n − t) head:
+    scaled by D^t, every entry lies over q·D^n.  Refuses a depth over the
+    cap before anything is built."""
     if n < 0:
         raise DomainError(f"cylinder depth must be >= 0, got {n}")
     total = view.branch_count**n
@@ -529,17 +534,30 @@ def cylinder_orbits(view: MarkovView, n: int) -> list[list[Fraction]]:
             f"{total} depth-{n} cylinders exceed the representative cap {REPRESENTATIVE_CAP}"
         )
     inverses = [_branch_inverse(view, br) for br in view.branches]
-    rows = [[(view.core_lo + view.core_hi) / 2]]        # the depth-0 cylinder is the core
+    big_d = math.lcm(*(v.denominator for pair in inverses for v in pair))
+    steps = [tuple(v.numerator * (big_d // v.denominator) for v in pair) for pair in inverses]
+    mid, den = ((view.core_lo + view.core_hi) / 2).as_integer_ratio()
+    rows = [[mid]]                  # the depth-0 cylinder is the core
     for _ in range(n):
-        rows = [[s * row[0] + c, *row] for s, c in inverses for row in rows]
-    return [row[:-1] for row in rows]     # at time n every orbit is at the core's midpoint
+        rows = [[s * row[0] + c * den, *row] for s, c in steps for row in rows]
+        den *= big_d
+    # at time n every orbit is at the core's midpoint: scaling drops it
+    scales = [big_d**t for t in range(n)]
+    return [list(map(mul, row, scales)) for row in rows], den
+
+
+def cylinder_orbits(view: MarkovView, n: int) -> list[list[Fraction]]:
+    """``_cylinder_rows`` as Fractions: the orbit of every depth-n
+    representative, in ``product`` order, refused over the cap unbuilt."""
+    rows, den = _cylinder_rows(view, n)
+    return [[Fraction(v, den) for v in row] for row in rows]
 
 
 def cylinder_representatives(view: MarkovView, n: int) -> list[tuple[tuple[int, ...], Fraction]]:
     """(itinerary, cylinder midpoint) for every depth-n itinerary: the heads
     of the ``cylinder_orbits`` rows, or the core's midpoint at depth 0."""
-    mid = (view.core_lo + view.core_hi) / 2
-    heads = [row[0] for row in cylinder_orbits(view, n)] if n else [mid]
+    rows, den = _cylinder_rows(view, n)
+    heads = [Fraction(row[0], den) for row in rows] if n else [(view.core_lo + view.core_hi) / 2]
     return list(zip(product(range(view.branch_count), repeat=n), heads))
 
 
@@ -568,17 +586,19 @@ def verify_cylinder_separation(view: MarkovView, n: int) -> Fraction:
     (the core length for one branch: nothing to separate).  It audits the
     view's premises, which put it above the scale (``MarkovView``).
 
-    The rows are ``cylinder_orbits``.  With an attached map these are the
-    map's orbits too, since ``MarkovView`` checked that each branch domain
-    lies in the core and that the map equals each branch on its domain.
-    Raises ContractError for a view that declares no scale.
+    The rows are ``cylinder_orbits``, read as integers (``_cylinder_rows``).
+    With an attached map these are the map's orbits too, since
+    ``MarkovView`` checked that each branch domain lies in the core and that
+    the map equals each branch on its domain.  Raises ContractError for a
+    view that declares no scale.
     """
     if view.separation_scale is None:
         raise ContractError("view declares no separation scale to certify against")
     if n < 1:
         raise DomainError(f"verify_cylinder_separation needs n >= 1, got {n}")
-    best = min(_least_distances(cylinder_orbits(view, n)))
-    return view.core_hi - view.core_lo if best is None else best
+    rows, den = _cylinder_rows(view, n)
+    best = min(_least_distances(rows))
+    return view.core_hi - view.core_lo if best is None else Fraction(best, den)
 
 
 # === rates and profiles ======================================================

@@ -1,11 +1,11 @@
-"""Local surgery on interval maps: flatten a fixed point into a fixed
-interval, then splice a rescaled copy of a high-complexity map into the flat.
+"""Local surgery on interval maps: splice a rescaled copy of a
+high-complexity map into an interval the host fixes pointwise.
 
-Pipeline: `flatten_fixed_point` turns a fixed point P of the host into a
-fixed interval J (the host is untouched outside a collar); `implant` splices
-A o g~ o A^{-1} into J, where A is the increasing affine bijection of [0, 1]
-onto the inner window and g~ extends the implanted map by the identity: the
-host below the inner window, the rescaled copy on it, the host above it.
+Pipeline: the host fixes an interval J pointwise (`implant` refuses a host
+that does not), and `implant` splices A o g~ o A^{-1} into J, where A is
+the increasing affine bijection of [0, 1] onto the inner window and g~
+extends the implanted map by the identity: the host below the inner window,
+the rescaled copy on it, the host above it.
 This is the paper's bump blend for every bump (the argument is in
 `implant`).  Off the outer window the result equals the host exactly; on the
 inner window it is exactly the rescaled implant, so separated-set counts
@@ -38,31 +38,6 @@ Interval = tuple[Fraction, Fraction]
 
 
 # === building blocks =========================================================
-
-def flatten_fixed_point(host: PwaMap, P: Fraction, rho: Fraction) -> PwaMap:
-    """Replace the host on [P - rho, P + rho] by the identity on the inner
-    half [P - rho/2, P + rho/2] with affine collars back to the host."""
-    if host(P) != P:
-        raise ContractError(
-            f"P = {format_rational(P)} is not fixed: host(P) = {format_rational(host(P))}"
-        )
-    if rho <= 0:
-        raise DomainError(f"collar radius must be positive, got {format_rational(rho)}")
-    if P - rho < 0 or P + rho > 1:
-        raise DomainError(
-            f"collar {format_interval(P - rho, P + rho)} leaves [0, 1]"
-        )
-    lo, hi = P - rho, P + rho
-    nodes = [(x, y) for x, y in host.nodes() if x < lo]
-    nodes += [
-        (lo, host(lo)),
-        (P - rho / 2, P - rho / 2),
-        (P + rho / 2, P + rho / 2),
-        (hi, host(hi)),
-    ]
-    nodes += [(x, y) for x, y in host.nodes() if x > hi]
-    return PwaMap.from_nodes(nodes)
-
 
 def _affine_into(lo: Fraction, hi: Fraction) -> Callable[[Fraction], Fraction]:
     """A: x -> lo + x·(hi - lo), each image one Fraction of integer numerators."""

@@ -107,9 +107,9 @@ def cylinder_interval(view, itinerary: tuple[int, ...]) -> tuple[Fraction, Fract
     return lo, hi
 
 
-def least_distances_reference(rows: list[list[Fraction]]) -> list[Fraction | None]:
-    """Each row's least sup-norm distance to any other row, over all pairs
-    (None for a lone row)."""
+def least_distances_reference(rows: list[list[int]]) -> list[int | None]:
+    """Each integer row's least sup-norm distance to any other row, over all
+    pairs (None for a lone row)."""
     return [min((max(abs(a - b) for a, b in zip(row, other))
                  for j, other in enumerate(rows) if j != i), default=None)
             for i, row in enumerate(rows)]

@@ -192,6 +192,21 @@ def test_apply_branch_is_the_reference_stage_map_on_its_slab():
     assert slab_of(model, F(0)) is None              # 0 falls in the gap above slab 1
 
 
+@pytest.mark.parametrize("model", [reference_model(), build_model_2d(3, F(1), F(1, 10), 1)],
+                         ids=["reference", "three-slabs"])
+def test_branch_jacobian_determinant_is_the_orientation(model):
+    # x shrinks by width/(2 delta) and y stretches by 2 delta/width, flipped
+    # on a -1 branch: the determinants differ in sign, so no plane
+    # homeomorphism restricts to the model
+    assert {-1, 1} <= set(model.orientations)
+    for j, orientation in enumerate(model.orientations):
+        corner = (-model.delta, model.offsets[j])
+        x0, y0 = model.apply_branch(j, corner)
+        x1, y1 = model.apply_branch(j, (corner[0] + 1, corner[1]))
+        x2, y2 = model.apply_branch(j, (corner[0], corner[1] + 1))
+        assert (x1 - x0) * (y2 - y0) - (x2 - x0) * (y1 - y0) == orientation
+
+
 def test_slab_view_is_the_y_dynamics():
     model = dataclasses.replace(reference_model(), orientations=(-1, -1, 1, 1))
     view = slab_view(model)
@@ -451,7 +466,7 @@ def test_rows_from_memoised_x_equal_rows_stepped_by_apply_branch(n, steps, delta
     gaps = _slab_gaps(model)
     assume(all(gaps))                               # a scale below every gap exists
     view = slab_view(dataclasses.replace(model, epsilon=min(gaps, default=model.width) / 2))
-    itineraries, rows = _orbit_rows(model, view, steps)
+    itineraries, rows, den = _orbit_rows(model, view, steps)
     orbits = cylinder_orbits(view, steps)
     assert itineraries == list(product(range(n), repeat=steps))
     assert len(orbits) == len(rows) == n**steps
@@ -460,7 +475,7 @@ def test_rows_from_memoised_x_equal_rows_stepped_by_apply_branch(n, steps, delta
         stepped = [F(0), ys[0]]
         for j, y in zip(itin, ys[1:]):
             stepped += (model.apply_branch(j, (stepped[-2], stepped[-1]))[0], y)
-        assert row == stepped[1:]
+        assert [F(v, den) for v in row] == stepped[1:]
 
 
 def test_certificate_ratio_examples():

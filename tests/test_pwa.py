@@ -305,7 +305,9 @@ def test_fixed_points_and_slopes_match_the_node_segments(seed, interior):
     m = PwaMap.from_nodes([(x, x if rng.random() < 0.4 else y)
                            for x, y in mixed_pwa(rng, interior).nodes()])
     segments = list(zip(m.nodes(), m.nodes()[1:]))
-    assert m.max_abs_slope() == max(abs((y1 - y0) / (x1 - x0)) for (x0, y0), (x1, y1) in segments)
+    # each piece of the integer table has its node segment's slope
+    assert [F(a, d) for a, _, d in m._table[2]] == [(y1 - y0) / (x1 - x0)
+                                                   for (x0, y0), (x1, y1) in segments]
     # m(x) - x vanishes on a segment iff it is zero at both ends or changes sign
     intervals = fixed_points(m)
     for (x0, y0), (x1, y1) in segments:
@@ -431,7 +433,8 @@ def test_composition_is_exact_pointwise(seed_f, seed_g, x):
 @given(seeds, unit_fractions, unit_fractions)
 def test_lipschitz_bound_from_max_slope(seed, x, y):
     f = random_pwa(random.Random(seed))
-    lip = f.max_abs_slope()
+    nodes = f.nodes()
+    lip = max(abs((y1 - y0) / (x1 - x0)) for (x0, y0), (x1, y1) in zip(nodes, nodes[1:]))
     assert abs(eval_map(f, x) - eval_map(f, y)) <= lip * abs(x - y)
 
 

@@ -57,6 +57,8 @@ from mdimlab.separation import (
     METHOD_GREEDY,
     REPRESENTATIVE_CAP,
     _affine_runs,
+    _branch_inverse,
+    _cylinder_rows,
     _least_distances,
     _scaled_orbits,
     count_at,
@@ -375,21 +377,25 @@ def test_view_rejects_gaps_at_or_below_the_declared_scale():
         )
 
 
-@pytest.mark.parametrize("second, scale, message", [
-    ((F(1, 2), F(3, 4)), F(1, 4), "branch domain gap 1/4 not above the declared separation"
-                                  " scale 1/4"),
-    ((F(1, 2) + F(1, 4 * 10**9), F(3, 4)), F(1, 4), None),
-    ((F(1, 4), F(1, 2)), None, None),
-    ((F(1, 4) - F(1, 10**9), F(1, 2)), None, "branch domains overlap"),
-    ((F(1, 4) - F(1, 10**9), F(1, 2)), F(1, 100), "branch domains overlap"),
-    ((F(1, 4), F(1, 2)), F(1, 100), "branch domain gap 0 not above the declared separation"
-                                    " scale 1/100"),
-    ((F(1, 2), F(3, 4)), F(0), "separation scale must be positive, got 0"),
-    ((F(1, 4), F(1, 2)), F(-1, 100), "separation scale must be positive, got -1/100"),
+@pytest.mark.parametrize("first, second, scale, message", [
+    ((F(0), F(1, 4)), (F(1, 2), F(3, 4)), F(1, 4),
+     "branch domain gap 1/4 not above the declared separation scale 1/4"),
+    ((F(0), F(1, 4)), (F(1, 2) + F(1, 4 * 10**9), F(3, 4)), F(1, 4), None),
+    ((F(0), F(1, 4)), (F(1, 4), F(1, 2)), None, None),
+    ((F(0), F(1, 4)), (F(1, 4) - F(1, 10**9), F(1, 2)), None, "branch domains overlap"),
+    ((F(0), F(1, 4)), (F(1, 4) - F(1, 10**9), F(1, 2)), F(1, 100), "branch domains overlap"),
+    # the gap's numerator over the product of denominators is -1 (1·2 − 1·3)
+    ((F(0), F(1, 2)), (F(1, 3), F(1)), None, "branch domains overlap"),
+    ((F(0), F(1, 4)), (F(1, 4), F(1, 2)), F(1, 100),
+     "branch domain gap 0 not above the declared separation scale 1/100"),
+    ((F(0), F(1, 4)), (F(1, 2), F(3, 4)), F(0), "separation scale must be positive, got 0"),
+    ((F(0), F(1, 4)), (F(1, 4), F(1, 2)), F(-1, 100),
+     "separation scale must be positive, got -1/100"),
 ], ids=["gap-equals-scale", "gap-just-above", "touching-no-scale", "overlap",
-        "overlap-with-scale", "touching-with-scale", "zero-scale", "negative-scale"])
-def test_view_gap_premise_at_its_boundaries(second, scale, message):
-    branches = (MarkovBranch(F(0), F(1, 4), True), MarkovBranch(*second, False))
+        "overlap-with-scale", "overlap-by-one", "touching-with-scale", "zero-scale",
+        "negative-scale"])
+def test_view_gap_premise_at_its_boundaries(first, second, scale, message):
+    branches = (MarkovBranch(*first, True), MarkovBranch(*second, False))
     if message is None:
         assert MarkovView(F(0), F(1), branches, scale).branch_count == 2
     else:
@@ -853,6 +859,34 @@ def test_tree_built_orbits_match_the_pullback_chain(layout, n):
         (w, sum(cylinder_interval(view, w)) / 2) for w in itineraries]
 
 
+@settings(max_examples=40, deadline=None)
+@given(branch_layouts, st.integers(0, 4))
+@example(([0, 10, 30, 31, 60, 96], [False, True]), 4)       # uneven widths, down then up
+@example(([0, 10, 30, 31, 60, 96], [False, True]), 0)       # [[]] over q alone
+def test_cylinder_rows_lie_over_q_times_d_to_the_n(layout, n):
+    # the integer core: the core's midpoint is p/q and the branch inverses
+    # share the denominator D, so every row lies over q·D^n
+    cuts, ups = layout
+    cuts = [F(c, 96) for c in sorted(cuts)]
+    inner = cuts[1:-1]
+    view = MarkovView(cuts[0], cuts[-1], tuple(
+        MarkovBranch(lo, hi, up) for lo, hi, up in zip(inner[::2], inner[1::2], ups)))
+    n = min(n, max(k for k in (1, 2, 3, 4) if view.branch_count**k <= 256))
+    rows, den = _cylinder_rows(view, n)
+    q = ((view.core_lo + view.core_hi) / 2).denominator
+    big_d = math.lcm(*(v.denominator for br in view.branches for v in _branch_inverse(view, br)))
+    assert den == q * big_d**n
+    assert all(type(v) is int for row in rows for v in row)
+    assert [[F(v, den) for v in row] for row in rows] == cylinder_orbits(view, n)
+
+
+def test_certify_view_audit_at_depth_three():
+    # 17^3 = 4,913 rows, about 12 M pairs, a scale where only the sweep is cheap
+    view = build_fbeta(plan_sequences(F(4, 11), 1)).view(1)
+    assert view.branch_count == 17
+    assert verify_cylinder_separation(view, 3) == F(1, 585) == verify_cylinder_separation(view, 1)
+
+
 @settings(max_examples=60, deadline=None)
 @given(branch_layouts.filter(lambda layout: len(layout[1]) >= 2), st.integers(1, 4))
 @example(([0, 10, 40, 41, 70, 96], [True, False]), 4)      # one gap of 1/96
@@ -871,20 +905,38 @@ def test_the_audit_is_at_least_the_least_domain_gap(layout, n):
 
 # === the pairwise kernel =======================================================
 
-kernel_values = st.builds(F, st.integers(-8, 8), st.sampled_from([1, 2, 3, 5]))
+kernel_values = st.integers(-12, 12)
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.integers(1, 4).flatmap(lambda width: st.lists(
     st.lists(kernel_values, min_size=width, max_size=width), min_size=1, max_size=14)))
-@example([[F(1, 3)]])                                                   # one row
-@example([[F(0), F(1)], [F(1, 2), F(-1)]])                              # two rows
-@example([[F(0), F(2)], [F(1), F(2)], [F(2), F(2)], [F(3), F(2)]])      # ties
-@example([[F(1), F(0)], [F(1), F(5)], [F(1), F(-2)], [F(1), F(9, 2)]])  # one first entry
-@example([[F(1, 2), F(3)], [F(-1), F(7)], [F(1, 2), F(3)], [F(4), F(0)]])  # a duplicate row
-@example([[F(0), F(0)], [F(1, 10), F(0)], [F(1, 2), F(0)]])             # found scanning left
-@example([[F(-5), F(-1, 3)], [F(-9, 2), F(-3)], [F(-1), F(-7, 5)]])     # negative entries
+@example([[5]])                                                  # one row
+@example([[3], [-1], [7], [2]])                                  # one-entry rows
+@example([[0, 1], [2, -1]])                                      # two rows
+@example([[0, 2], [5, 2], [-3, 2], [1, 2]])                      # one group: one last entry
+@example([[2, 0], [2, 1], [2, 2], [2, 3]])                       # ties
+@example([[3, 1], [7, -1], [3, 1], [0, 4]])                      # a duplicate row
+@example([[0, 5], [0, 0], [0, 1]])                               # found scanning left
+@example([[-5, -1], [-9, -3], [-1, -7], [-4, -6]])               # negative entries
 def test_pruned_kernel_matches_all_pairs(rows):
+    assert _least_distances(rows) == least_distances_reference(rows)
+
+
+@settings(max_examples=40, deadline=None)
+@given(branch_layouts, st.integers(1, 3))
+@example(([0, 1, 40, 50, 95, 96], [True, False]), 3)       # two groups, far apart
+@example(([10, 20, 70, 90], [False]), 2)                   # one branch: one row
+def test_pruned_kernel_matches_all_pairs_on_cylinder_rows(layout, n):
+    # cylinder rows share their last entry within a last-branch group, so the
+    # sweep's windows are whole groups: the case the last-entry key is for
+    cuts, ups = layout
+    cuts = [F(c, 96) for c in sorted(cuts)]
+    inner = cuts[1:-1]
+    view = MarkovView(cuts[0], cuts[-1], tuple(
+        MarkovBranch(lo, hi, up) for lo, hi, up in zip(inner[::2], inner[1::2], ups)))
+    rows, _ = _cylinder_rows(view, n)
+    assert len({row[-1] for row in rows}) == view.branch_count
     assert _least_distances(rows) == least_distances_reference(rows)
 
 

@@ -1,6 +1,5 @@
-"""Local surgery: flattening a fixed point, affine conjugation, the
-implant splice against the bump blend, full implants, and transported
-views."""
+"""Local surgery: affine conjugation, the implant splice against the bump
+blend, full implants, and transported views."""
 from __future__ import annotations
 
 import dataclasses
@@ -28,7 +27,6 @@ from mdimlab import (
     dump_pwa,
     dump_surgery_plan,
     eval_map,
-    flatten_fixed_point,
     implant,
     load_surgery_plan,
     mdim_profile,
@@ -44,33 +42,6 @@ from mdimlab.separation import METHOD_CYLINDER, MarkovBranch, MarkovView
 from mdimlab.surgery import _agree_on, _verify_implant
 
 F = Fraction
-
-
-# === flattening a fixed point =================================================
-
-def test_flatten_turns_the_tent_fixed_point_into_a_fixed_interval(tent):
-    flat = flatten_fixed_point(tent, F(2, 3), F(1, 10))
-    for x in (F(37, 60), F(2, 3), F(41, 60), F(43, 60)):
-        assert eval_map(flat, x) == x
-    for x in (F(0), F(1, 4), F(1, 2), F(17, 30), F(23, 30), F(9, 10), F(1)):
-        assert eval_map(flat, x) == eval_map(tent, x)
-    assert sup_distance(flat, tent) == F(3, 20)
-
-
-def test_flatten_is_a_no_op_on_the_identity(identity):
-    assert flatten_fixed_point(identity, F(1, 2), F(1, 4)) == identity
-
-
-def test_flatten_requires_a_fixed_point(tent):
-    with pytest.raises(ContractError, match="is not fixed"):
-        flatten_fixed_point(tent, F(1, 2), F(1, 10))
-
-
-def test_flatten_rejects_bad_collars(tent):
-    with pytest.raises(DomainError, match="positive"):
-        flatten_fixed_point(tent, F(2, 3), F(0))
-    with pytest.raises(DomainError, match="leaves"):
-        flatten_fixed_point(tent, F(2, 3), F(1, 2))
 
 
 # === affine conjugation =======================================================
