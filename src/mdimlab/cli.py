@@ -163,6 +163,8 @@ def _print_summary(summary: VerificationSummary) -> bool:
 # === build-fbeta =============================================================
 
 def _cmd_build_fbeta(args: argparse.Namespace) -> int:
+    if args.levels < 1:                    # plan_sequences names K = levels - 1
+        raise DomainError(f"--levels must be >= 1, got {args.levels}")
     plan = plan_sequences(
         parse_rational(args.beta),
         args.levels - 1,

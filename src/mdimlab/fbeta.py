@@ -112,11 +112,13 @@ def _min_feasible_odd(gamma: Fraction, beta: Fraction, ell_prev: int, room: floa
     first: when the region reaches top - 2, top the first doubling whose
     level leaves the room, it covers every probe the search would make, and
     the search would return top.
+
+    ``ell_prev`` is 1 or a return of this function, all odd, so ell stays odd;
+    in the bisection hi - lo > 2 means hi - lo >= 4 and lo < mid < hi.  Every
+    return is _feasible or needs more than ``room`` nodes.
     """
     p, q = beta.numerator, beta.denominator
-    ell = max(ell_prev + 2, 3)
-    if ell % 2 == 0:
-        ell += 1
+    ell = ell_prev + 2
     while not _surely_infeasible(ell, gamma, p, q):
         if _level_nodes(ell) > room or _feasible(ell, gamma, beta):
             return ell
@@ -133,8 +135,6 @@ def _min_feasible_odd(gamma: Fraction, beta: Fraction, ell_prev: int, room: floa
         hi = 2 * hi + 1
     while hi - lo > 2:
         mid = lo + (hi - lo) // 4 * 2
-        if mid == lo:
-            mid += 2
         if _surely_infeasible(mid, gamma, p, q):
             lo = mid
         else:
@@ -190,14 +190,13 @@ def plan_sequences(
         used = _estimate_nodes(levels)
         room = math.inf if node_budget is None else node_budget - used
         ell = ell_prev + 2 if variant_full else _min_feasible_odd(gamma, beta, ell_prev, room)
+        # below, unless variant_full, ell is _feasible: 4*i_sel + 1 <= ell
         if _level_nodes(ell) > room:
             raise ResourceError(f"this plan needs at least {used + _level_nodes(ell)} nodes"
                                 f" by level {k}, over the budget of {node_budget}")
         i_sel = floor_pow(Fraction(ell) / gamma, beta)
         eps = gamma / ell
         b = (eps + a_odd) / 2                      # midpoint of G_k = [a_{2k+2}, a_{2k+1}]
-        if not variant_full and not 4 * i_sel + 1 <= ell:
-            raise ContractError(f"level {k}: branch layout 4*{i_sel}+1 > ell={ell}")
         levels.append(FBetaLevel(k, a_even, a_odd, ell, i_sel, eps, b))
         a_even, a_odd = eps, eps / 2               # next core: a_{2k+2} = eps_k, midpoint rule
         ell_prev = ell

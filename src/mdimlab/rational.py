@@ -40,23 +40,17 @@ def iroot(n: int, k: int) -> int:
 def floor_pow(x: Fraction, exponent: Fraction) -> int:
     """Exact floor(x**exponent) for x > 0 and rational exponent >= 0.
 
-    Uses only integer arithmetic: with exponent p/q the answer is the unique
-    m with m**q * den(x)**p <= num(x)**p < (m+1)**q * den(x)**p.
+    Uses only integer arithmetic: with exponent p/q, N = num(x)**p and
+    D = den(x)**p, r = iroot(N // D, q) is the answer, r**q * D <= N <
+    (r+1)**q * D, with no correction: r**q <= N // D gives the left side, and
+    (r+1)**q >= N // D + 1 > N / D the right.
     """
     if x <= 0:
         raise DomainError(f"floor_pow needs x > 0, got {x}")
     p, q = exponent.numerator, exponent.denominator
     if p < 0:
         raise DomainError(f"floor_pow needs exponent >= 0, got {exponent}")
-    if p == 0:
-        return 1
-    big_n, big_d = x.numerator**p, x.denominator**p
-    r = iroot(big_n // big_d, q)
-    while (r + 1) ** q * big_d <= big_n:
-        r += 1
-    while r > 0 and r**q * big_d > big_n:
-        r -= 1
-    return r
+    return iroot(x.numerator**p // x.denominator**p, q)      # p = 0: iroot(1, 1) = 1
 
 
 # --- text form --------------------------------------------------------------

@@ -17,8 +17,8 @@ import mdimlab.cli
 import mdimlab.fbeta
 import mdimlab.surgery
 from mdimlab import (
-    dump_model, dump_plan, dump_pwa, dump_views, identity_map, load_plan, load_pwa, load_views,
-    plan_sequences,
+    count_separated_greedy, dump_model, dump_plan, dump_pwa, dump_views, full_lap_view,
+    identity_map, load_plan, load_pwa, load_views, plan_sequences,
 )
 from mdimlab.cli import main
 from mdimlab.separation import MarkovView
@@ -60,6 +60,16 @@ def test_build_fbeta_exponent_one_needs_the_variant_flag(tmp_path, capsys):
     code, _, err = run(capsys, "build-fbeta", "--beta", "1", "-o", str(tmp_path))
     assert code == 2
     assert "dense variant" in err
+
+
+@pytest.mark.parametrize("levels", ["0", "-1"])
+def test_build_fbeta_refuses_fewer_than_one_level(tmp_path, capsys, levels):
+    # the plan's K is levels - 1, but the message names the flag the user typed
+    code, out, err = run(capsys, "build-fbeta", "--beta", "1/2", "--levels", levels,
+                         "-o", str(tmp_path / "out"))
+    assert (code, out) == (2, "")
+    assert err == f"error: --levels must be >= 1, got {levels}\n"
+    assert not (tmp_path / "out").exists()
 
 
 def run_fresh(*argv: str) -> subprocess.CompletedProcess:
@@ -294,6 +304,53 @@ def test_the_cylinder_method_takes_no_grid(tmp_path, capsys, half_model, command
     assert not (tmp_path / "out").exists()
 
 
+def test_estimate_greedy_on_a_model_reads_its_map_at_the_given_scales(tmp_path, capsys,
+                                                                      half_model):
+    (tmp_path / "model.txt").write_text(dump_model(half_model))
+    argv = ["estimate", "--model", str(tmp_path / "model.txt"), "--method", "greedy",
+            "--n-window", "1:2", "-o", str(tmp_path / "out")]
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (2, "", "error: greedy estimation needs --scales\n")
+    assert not (tmp_path / "out").exists()
+    code, _, err = run(capsys, *argv, "--scales", "1/20")
+    assert code == 0 and err == ""
+    rows = (tmp_path / "out" / "report.csv").read_text().splitlines()[1:]
+    # the greedy counts of the staircase map itself on the default 1/80 grid
+    assert [row.split(",")[:5] for row in rows] == [
+        ["1/20", str(n), str(count_separated_greedy(half_model.map, n, F(1, 20), F(1, 80)).count),
+         "greedy-grid", "1/80"] for n in (1, 2)]
+
+
+@pytest.mark.parametrize("views,extra,message", [
+    ("level-views", ("--method", "greedy", "--scales", "1/58"),
+     "a views file carries no map; greedy needs a map or model file"),
+    ("full-laps", (), "views full laps declare no separation scale; pass --scales"),
+])
+def test_estimate_refuses_views_it_cannot_count(tmp_path, capsys, half_model, tent, views,
+                                                 extra, message):
+    (tmp_path / "views.txt").write_text(
+        dump_views(half_model.views if views == "level-views" else [full_lap_view(tent)]))
+    code, out, err = run(capsys, "estimate", "--model", str(tmp_path / "views.txt"), *extra,
+                         "-o", str(tmp_path / "out"))
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+    assert not (tmp_path / "out").exists()
+
+
+def test_estimate_picks_the_view_at_each_given_scale(tmp_path, capsys, half_model):
+    # one scale for two views: it is matched by value, here to level 1
+    (tmp_path / "model.txt").write_text(dump_model(half_model))
+    argv = ["estimate", "--model", str(tmp_path / "model.txt"), "--n-window", "1:2"]
+    code, _, err = run(capsys, *argv, "--scales", "1/214948", "-o", str(tmp_path))
+    assert code == 0 and err == ""
+    rows = (tmp_path / "report.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[:4] for row in rows] == [
+        ["1/214948", "1", "464", "cylinder-exact"], ["1/214948", "2", "215296", "cylinder-exact"]]
+    code, out, err = run(capsys, *argv, "--scales", "1/100", "-o", str(tmp_path / "out"))
+    assert (code, out) == (2, "")
+    assert err == "error: no view at scale 1/100; available: 1/58, 1/214948\n"
+    assert not (tmp_path / "out").exists()
+
+
 # === horseshoe ================================================================
 
 def test_horseshoe_2d_certifies_the_reference_model(tmp_path, capsys):
@@ -381,6 +438,23 @@ def test_horseshoe_1d_refuses_the_2d_flags(tmp_path, capsys, tent, flag, value):
     )
     assert (code, out) == (2, "")
     assert err == f"error: {flag} is not a --mode 1d flag\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["estimate", "--map", "tent.txt", "--scales", "1/10", "--n-window", "1-4"],
+     "bad iterate window '1-4', expected like 1:4"),
+    (["horseshoe", "--mode", "2d", "--half-side", "1/2", "--epsilon", "1/16"],
+     "--strips is required for --mode 2d"),
+    (["sweep", "--config", "bisection.cfg"], "unknown method 'bisection'"),
+], ids=["n-window", "missing-2d-flag", "sweep-method"])
+def test_malformed_parameters_exit_2_and_write_nothing(tmp_path, capsys, tent, argv, message):
+    (tmp_path / "tent.txt").write_text(dump_pwa(tent))
+    (tmp_path / "bisection.cfg").write_text(
+        GREEDY_SWEEP_CONFIG.replace("method = greedy", "method = bisection"))
+    argv = [str(tmp_path / a) if a.endswith((".txt", ".cfg")) else a for a in argv]
+    code, out, err = run(capsys, *argv, "-o", str(tmp_path / "out"))
+    assert (code, out, err) == (2, "", f"error: {message}\n")
     assert not (tmp_path / "out").exists()
 
 

@@ -11,7 +11,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import mdimlab.fbeta
-from conftest import OVER_BUDGET_PLAN
+from conftest import OVER_BUDGET_PLAN, value_at
 from mdimlab import (
     CheckResult,
     ContractError,
@@ -148,6 +148,40 @@ def test_predicted_count_validation(half_plan):
 
 # === built models =============================================================
 
+# beta = 0 and 1/20 at K = 2 plan ell 7 and 9 at levels 1 and 2, past the
+# 4*i_sel + 1 = 5 subintervals the branches and excursions use, so those
+# levels end with the wide excursion to the core top
+WIDE_EXCURSION_PLANS = {"beta-0": (F(0), 2), "beta-1/20": (F(1, 20), 2)}
+
+
+@pytest.fixture(scope="module", params=["beta-1/2", *WIDE_EXCURSION_PLANS])
+def built_model(request, half_model):
+    if request.param == "beta-1/2":
+        return half_model
+    return build_fbeta(plan_sequences(*WIDE_EXCURSION_PLANS[request.param]))
+
+
+@pytest.mark.parametrize("key", WIDE_EXCURSION_PLANS)
+def test_the_wide_excursion_peaks_in_the_gap_above(key):
+    model = build_fbeta(plan_sequences(*WIDE_EXCURSION_PLANS[key]))
+    assert [(lv.ell, lv.i_sel) for lv in model.plan.levels] == [(5, 1), (7, 1), (9, 1)]
+    for lv in model.plan.levels[1:]:
+        limit = 4 * lv.i_sel + 1
+        start = lv.a_odd + limit * lv.eps              # the end of the last full branch
+        peak = (start + lv.a_even) / 2
+        top_peak = model.plan.levels[lv.k - 1].b
+        for x, want in ((start, lv.a_even), (peak, top_peak), (lv.a_even, lv.a_even),
+                        ((start + peak) / 2, (lv.a_even + top_peak) / 2)):
+            assert value_at(model.map, x) == eval_map(model.map, x) == want
+    assert all(view.map is model.map for view in model.views)
+
+
+@pytest.mark.parametrize("k", [-1, 2])
+def test_model_view_refuses_a_level_out_of_range(half_model, k):
+    with pytest.raises(DomainError, match=rf"^level {k} outside 0..1$"):
+        half_model.view(k)
+
+
 def test_model_fixes_the_endpoints(half_model):
     assert eval_map(half_model.map, F(0)) == 0
     assert eval_map(half_model.map, F(1)) == 1
@@ -279,8 +313,8 @@ def test_dense_variant_builds_and_verifies():
 
 # === verification =============================================================
 
-def test_verify_model_passes_and_names_every_check(half_model):
-    summary = verify_model(half_model)
+def test_verify_model_passes_and_names_every_check(built_model):
+    summary = verify_model(built_model)
     assert summary.ok, summary.first_failure
     assert tuple(c.name for c in summary.checks) == EXPECTED_CHECKS
 
@@ -367,10 +401,10 @@ def test_plan_loader_rederives_and_cross_checks(half_plan):
         load_plan("wrong-header v1\n")
 
 
-def test_model_round_trip(half_model):
-    text = dump_model(half_model)
+def test_model_round_trip(built_model):
+    text = dump_model(built_model)
     loaded = load_model(text)
-    assert loaded == half_model
+    assert loaded == built_model
     assert dump_model(loaded) == text
 
 

@@ -117,6 +117,15 @@ def test_detect_separation_prunes_adjacent_laps(half_model):
     assert report.count == 1
 
 
+@pytest.mark.parametrize("window,text", [
+    ((F(1, 2), F(1, 2)), "1/2:1/2"), ((F(-1, 4), F(1)), "-1/4:1/1"), ((F(0), F(5, 4)), "0/1:5/4"),
+])
+def test_monotone_laps_refuses_a_window_outside_the_unit_interval(tent, window, text):
+    with pytest.raises(DomainError) as exc:
+        monotone_laps(tent, window)
+    assert str(exc.value) == f"window {text} is not a subinterval of [0, 1]"
+
+
 def test_detect_validation(tent):
     with pytest.raises(DomainError, match="degenerate core"):
         detect_1d(tent, UNIT, (F(1, 2), F(1, 2)), F(1, 8))
@@ -166,6 +175,9 @@ def test_packing_rejections_name_the_inequality():
         build_model_2d(4, F(1, 2), F(1, 16), 1, width=F(1, 4))
     with pytest.raises(ContractError, match="positive"):
         build_model_2d(4, F(1, 2), F(1, 16), 1, width=F(0))
+    with pytest.raises(ContractError, match=r"^single-slab width must satisfy 0 < w <= 2\*delta"
+                                            r" = 1/1, got 9/8$"):
+        build_model_2d(1, F(1, 2), F(1, 16), 1, width=F(9, 8))
 
 
 def test_branch_arithmetic_lands_in_the_strip():
@@ -249,19 +261,34 @@ def test_verify_conditions_catches_crowded_slabs():
     assert "slabs 0 and 1" in failed.detail
 
 
-@pytest.mark.parametrize("p,detail", [
-    (1, "stage 0: slab 0 does not cross strip 3 of stage 0"),
-    (2, "stage 0: slab 0 does not cross strip 3 of stage 1"),
-    (3, "stage 0: slab 0 does not cross strip 3 of stage 1"),
+@pytest.mark.parametrize("p,slab,offset,detail", [
+    (1, 3, F(7, 16), "stage 0: slab 0 does not cross strip 3 of stage 0"),
+    (2, 3, F(7, 16), "stage 0: slab 0 does not cross strip 3 of stage 1"),
+    (3, 3, F(7, 16), "stage 0: slab 0 does not cross strip 3 of stage 1"),
+    (2, 0, F(-9, 16), "stage 0: slab 0 does not cross strip 0 of stage 1"),
 ])
-def test_verify_conditions_reports_the_first_uncrossed_pair(p, detail):
+def test_verify_conditions_reports_the_first_uncrossed_pair(p, slab, offset, detail):
     # slab 3 pokes out of the top of the square, so strip 3 is too wide for
-    # every slab; each stage has the same slabs, and stage 0 is named
+    # every slab; each stage has the same slabs, and stage 0 is named.  Slab 0
+    # poking out of the bottom crosses no strip, its own first
     model = dataclasses.replace(reference_model(), p=p)
-    poking = dataclasses.replace(model, offsets=model.offsets[:3] + (F(7, 16),))
-    failed = next(c for c in verify_conditions(poking).checks if c.name == "coherence")
+    offsets = list(model.offsets)
+    offsets[slab] = offset
+    summary = verify_conditions(dataclasses.replace(model, offsets=tuple(offsets)))
+    failed = next(c for c in summary.checks if c.name == "coherence")
     assert not failed.ok
     assert failed.detail == detail
+    assert summary.first_failure.detail == f"slab {slab} leaves the square"
+
+
+@pytest.mark.parametrize("width", [F(0), F(-1, 8)])
+def test_verify_conditions_does_not_map_strips_of_no_width(width):
+    summary = verify_conditions(dataclasses.replace(reference_model(), width=width))
+    checks = {c.name: c for c in summary.checks}
+    assert summary.first_failure.name == "width-positive"
+    assert not checks["strips-span-square"].ok
+    assert checks["strips-span-square"].detail == (
+        "not evaluated: the branch maps need a positive width")
 
 
 def test_verify_conditions_catches_an_undersized_scale():

@@ -419,6 +419,13 @@ def test_from_nodes_validation_messages(nodes, message):
     assert str(exc.value) == message
 
 
+@pytest.mark.parametrize("c", [F(-1, 3), F(4, 3)])
+def test_constant_map_refuses_a_value_off_the_unit_interval(c):
+    with pytest.raises(DomainError) as exc:
+        constant_map(c)
+    assert str(exc.value) == f"constant value {c} outside [0,1]"
+
+
 # === algebraic properties =====================================================
 
 @settings(max_examples=60, deadline=None)

@@ -9,8 +9,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mdimlab import DomainError
-from mdimlab.rational import floor_pow, iroot
+from mdimlab import DomainError, SerializationError
+from mdimlab.rational import floor_pow, iroot, parse_interval
 
 F = Fraction
 
@@ -73,6 +73,16 @@ def test_iroot_rejects_a_negative_radicand_or_a_zero_index(n, k):
         iroot(n, k)
 
 
+@pytest.mark.parametrize("x,exponent,message", [
+    (F(0), F(1, 2), "floor_pow needs x > 0, got 0"),
+    (F(2), F(-1, 2), "floor_pow needs exponent >= 0, got -1/2"),
+])
+def test_floor_pow_rejects_a_nonpositive_base_or_a_negative_exponent(x, exponent, message):
+    with pytest.raises(DomainError) as exc:
+        floor_pow(x, exponent)
+    assert str(exc.value) == message
+
+
 positive_fractions = st.fractions(min_value=F(1, 10**6), max_value=10**6, max_denominator=10**6)
 
 
@@ -80,9 +90,23 @@ positive_fractions = st.fractions(min_value=F(1, 10**6), max_value=10**6, max_de
 @given(positive_fractions, st.integers(0, 64), st.integers(1, 64))
 @example(F(4), 1, 2)
 @example(F(1, 3), 5, 7)
+@example(F(27), 1, 3)                    # an exact power: the root itself, 3
+@example(F(26), 1, 3)                    # just below it: 2
+@example(F(8 * 10**6 - 1, 10**6), 1, 3)  # just below 8 over a denominator: 1
 def test_floor_pow_is_the_floor_power(x, p, q):
-    # m = floor(x**(p/q)) exactly when m**q <= x**p < (m+1)**q
+    # m = floor(x**(p/q)) exactly when m**q <= x**p < (m+1)**q; the root of
+    # num // den is that m with no correction step
     m = floor_pow(x, F(p, q))
     num, den = x.numerator**p, x.denominator**p
     assert m >= 0
     assert m**q * den <= num < (m + 1) ** q * den
+
+
+@pytest.mark.parametrize("text,message", [
+    ("1/2:1/3", "interval endpoints out of order: '1/2:1/3'"),
+    ("1/3", "not an interval literal lo:hi: '1/3'"),
+])
+def test_parse_interval_refusals(text, message):
+    with pytest.raises(SerializationError) as exc:
+        parse_interval(text)
+    assert str(exc.value) == message

@@ -166,6 +166,18 @@ def test_count_at_refuses_a_grid_outside_the_unit_interval(tent, grid, method):
         count_at(tent, 1, F(1, 10), method, grid=grid)
 
 
+@pytest.mark.parametrize("source,method,message", [
+    ("map", METHOD_CYLINDER, "cylinder method needs a MarkovView source"),
+    ("view", METHOD_GREEDY, "greedy method needs a PwaMap source"),
+    ("view", METHOD_EXHAUSTIVE, "exhaustive method needs a PwaMap source"),
+    ("map", "bisection", "unknown method 'bisection'"),
+])
+def test_count_at_refuses_a_source_its_method_cannot_count(tent, source, method, message):
+    with pytest.raises(DomainError) as exc:
+        count_at(tent if source == "map" else tent_view(), 1, F(1, 10), method)
+    assert str(exc.value) == message
+
+
 def test_exhaustive_count_at_records_the_grid_it_scanned(tent):
     default = count_at(tent, 1, F(1, 10), METHOD_EXHAUSTIVE)
     assert (default.count, default.grid_resolution) == (7, F(1, EXHAUSTIVE_POINT_CAP - 1))
@@ -279,6 +291,23 @@ def test_cylinders_need_some_scale():
         count_cylinders(tent_view(), 3)
 
 
+ONE_BRANCH_VIEW = MarkovView(F(1, 4), F(3, 4), (MarkovBranch(F(3, 8), F(5, 8), True),), F(1, 100))
+
+
+@pytest.mark.parametrize("call,error,message", [
+    (lambda: count_cylinders(ONE_BRANCH_VIEW, -1), DomainError,
+     "count_cylinders needs n >= 0, got -1"),
+    (lambda: verify_cylinder_separation(tent_view(), 2), ContractError,
+     "view declares no separation scale to certify against"),
+    (lambda: verify_cylinder_separation(ONE_BRANCH_VIEW, 0), DomainError,
+     "verify_cylinder_separation needs n >= 1, got 0"),
+], ids=["count-negative-depth", "certificate-no-scale", "certificate-depth-0"])
+def test_cylinder_count_and_certificate_refusals(call, error, message):
+    with pytest.raises(error) as exc:
+        call()
+    assert str(exc.value) == message
+
+
 def test_cylinder_counts_refuse_a_scale_above_the_declared_one(half_model):
     view = half_model.view(0)                   # declared scale 1/58
     for eps in (F(1, 58), F(1, 59), F(1, 1000)):
@@ -313,7 +342,7 @@ def test_cylinder_representatives_are_certified_separated(half_model):
 
 
 @pytest.mark.parametrize("view", [
-    MarkovView(F(1, 4), F(3, 4), (MarkovBranch(F(3, 8), F(5, 8), True),), F(1, 100)),
+    ONE_BRANCH_VIEW,
     MarkovView(F(0), F(1), (MarkovBranch(F(0), F(1), True),), F(1, 2), identity_map()),
 ], ids=["geometry-only", "identity-map"])
 @pytest.mark.parametrize("n", [1, 3])
@@ -402,6 +431,17 @@ def test_view_gap_premise_at_its_boundaries(first, second, scale, message):
         with pytest.raises(ContractError) as err:
             MarkovView(F(0), F(1), branches, scale)
         assert str(err.value) == message
+
+
+@pytest.mark.parametrize("core,branches,message", [
+    ((F(1, 2), F(1, 2)), (MarkovBranch(F(1, 2), F(1), True),), "degenerate core [1/2, 1/2]"),
+    ((F(1), F(0)), (MarkovBranch(F(0), F(1), True),), "degenerate core [1, 0]"),
+    ((F(0), F(1)), (), "a Markov view needs at least one branch"),
+], ids=["point-core", "reversed-core", "no-branches"])
+def test_view_refuses_a_degenerate_core_or_no_branches(core, branches, message):
+    with pytest.raises(ContractError) as exc:
+        MarkovView(*core, branches, F(1, 100))
+    assert str(exc.value) == message
 
 
 def test_view_rejects_branches_that_miss_the_core(tent):
