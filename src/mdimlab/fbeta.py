@@ -40,6 +40,7 @@ from .separation import MarkovBranch, MarkovView, verify_cylinder_separation
 
 ONE = Fraction(1)
 GAP_ORBIT_STEPS = 200           # orbit steps `verify_model` follows in each level's gap
+Node = tuple[Fraction, Fraction]
 
 
 # === plans ===================================================================
@@ -196,6 +197,10 @@ def plan_sequences(
                                 f" by level {k}, over the budget of {node_budget}")
         i_sel = floor_pow(Fraction(ell) / gamma, beta)
         eps = gamma / ell
+        # later levels have a_odd = gamma and ell >= 3, so only level 0 can fail
+        if eps >= a_odd:
+            raise ContractError(f"level {k} leaves no gap below its core: eps ="
+                                f" {format_rational(eps)} >= a_odd = {format_rational(a_odd)}")
         b = (eps + a_odd) / 2                      # midpoint of G_k = [a_{2k+2}, a_{2k+1}]
         levels.append(FBetaLevel(k, a_even, a_odd, ell, i_sel, eps, b))
         a_even, a_odd = eps, eps / 2               # next core: a_{2k+2} = eps_k, midpoint rule
@@ -240,24 +245,6 @@ class FBetaModel:
         return self.views[k]
 
 
-class _NodeSink:
-    """Append-only node list asserting exact continuity at shared x-values."""
-
-    def __init__(self) -> None:
-        self.nodes: list[tuple[Fraction, Fraction]] = []
-
-    def push(self, x: Fraction, y: Fraction) -> None:
-        if self.nodes:
-            lx, ly = self.nodes[-1]
-            if x <= lx:
-                if x < lx:
-                    raise ContractError(f"assembly out of order at x={x} after {lx}")
-                if y != ly:
-                    raise ContractError(f"assembly discontinuity at x={x}: {ly} vs {y}")
-                return
-        self.nodes.append((x, y))
-
-
 def build_fbeta(plan: FBetaPlan, node_budget: int = DEFAULT_NODE_BUDGET) -> FBetaModel:
     """The assembled map, its branch table, and one level view per level
     checked against the map."""
@@ -270,10 +257,12 @@ def assemble_fbeta(
 ) -> tuple[PwaMap, tuple[BranchEntry, ...]]:
     """Assemble the map bottom-up: identity tail, then gap + level per k.
 
-    Every piece boundary is asserted continuous during assembly; the final
-    node list is canonicalized by the PwaMap constructor (which also merges
-    level-0 top excursions into plateaus at height 1, where the gap above
-    the top core degenerates to the single point {1}).  Builds no level view.
+    Neighbouring pieces share one boundary node, which the lower appends:
+    the tail, gap k and level k end at (eps_k, eps_k), (c_0, a_odd) and
+    (a_even, a_even), the next gap's left end or (1, 1).  The planner refuses
+    eps_k >= a_odd, so x strictly increases; `PwaMap.from_nodes` checks that
+    and canonicalizes (merging level-0 top excursions into plateaus at height
+    1, where the gap above the top core is {1}).  Builds no level view.
     """
     est = _estimate_nodes(plan.levels)
     if est > node_budget:
@@ -281,34 +270,27 @@ def assemble_fbeta(
             f"building this plan needs about {est} nodes,"
             f" over the budget of {node_budget}"
         )
-    sink = _NodeSink()
-    sink.push(Fraction(0), Fraction(0))
     tail = plan.tail_end
-    sink.push(tail, tail)                              # identity on [0, a_{2K+2}]
+    nodes = [(Fraction(0), Fraction(0)), (tail, tail)]   # identity on [0, a_{2K+2}]
     branch_table: list[BranchEntry] = []
     for k in range(plan.K, -1, -1):
         lv = plan.levels[k]
-        _push_gap(sink, lv.eps, lv.a_odd, lv.b)        # G_k = [a_{2k+2}, a_{2k+1}]
+        _push_gap(nodes, lv.eps, lv.a_odd, lv.b)       # G_k = [a_{2k+2}, a_{2k+1}]
         top_peak = plan.levels[k - 1].b if k >= 1 else ONE
-        _push_level(sink, plan, lv, top_peak, branch_table)
-    if sink.nodes[-1] != (ONE, ONE):
-        raise ContractError(f"assembly did not end at (1,1): {sink.nodes[-1]}")
-    return PwaMap.from_nodes(sink.nodes), tuple(branch_table)
+        _push_level(nodes, plan, lv, top_peak, branch_table)
+    return PwaMap.from_nodes(nodes), tuple(branch_table)
 
 
-def _push_gap(sink: _NodeSink, g_l: Fraction, g_r: Fraction, b: Fraction) -> None:
+def _push_gap(nodes: list[Node], g_l: Fraction, g_r: Fraction, b: Fraction) -> None:
     """Gap map on [g_l, g_r]: both endpoints fixed, plateau at the midpoint b.
 
     Outer pieces have slope 2, the middle half [m_l, m_r] is flat at b; so
     f(x) > x strictly on (g_l, b), f(x) < x strictly on (b, g_r), and every
-    interior orbit lands exactly on b in finitely many steps.
+    interior orbit lands exactly on b in finitely many steps.  Appends the
+    nodes after the shared (g_l, g_l).
     """
     m_l, m_r = (g_l + b) / 2, (b + g_r) / 2
-    sink.push(g_l, g_l)
-    sink.push(m_l, b)
-    sink.push(b, b)
-    sink.push(m_r, b)
-    sink.push(g_r, g_r)
+    nodes += [(m_l, b), (b, b), (m_r, b), (g_r, g_r)]
 
 
 def _half_steps(lv: FBetaLevel) -> Callable[[int], Fraction]:
@@ -319,39 +301,36 @@ def _half_steps(lv: FBetaLevel) -> Callable[[int], Fraction]:
 
 
 def _push_level(
-    sink: _NodeSink,
+    nodes: list[Node],
     plan: FBetaPlan,
     lv: FBetaLevel,
     top_peak: Fraction,
     branch_table: list[BranchEntry],
 ) -> None:
+    """Append level lv's nodes after the shared (c_0, a_odd), up to (a_even, a_even)."""
     h = _half_steps(lv)
     c = [h(2 * j) for j in range(lv.ell + 1)]          # subdivision points
-    sink.push(c[0], lv.a_odd)
     if plan.variant_full:
         for j in range(1, lv.ell + 1):
             up = j % 2 == 1
-            sink.push(c[j], lv.a_even if up else lv.a_odd)
+            nodes.append((c[j], lv.a_even if up else lv.a_odd))
             branch_table.append(BranchEntry(lv.k, j, up, c[j - 1], c[j]))
         return
     limit = 4 * lv.i_sel + 1
     for j in range(1, limit + 1):
         r = (j - 1) % 4
         if r == 0:                                     # increasing full branch
-            sink.push(c[j], lv.a_even)
+            nodes.append((c[j], lv.a_even))
             branch_table.append(BranchEntry(lv.k, j, True, c[j - 1], c[j]))
         elif r == 1:                                   # excursion up into G_{k-1}
-            sink.push(h(2 * j - 1), top_peak)
-            sink.push(c[j], lv.a_even)
+            nodes += [(h(2 * j - 1), top_peak), (c[j], lv.a_even)]
         elif r == 2:                                   # decreasing full branch
-            sink.push(c[j], lv.a_odd)
+            nodes.append((c[j], lv.a_odd))
             branch_table.append(BranchEntry(lv.k, j, False, c[j - 1], c[j]))
         else:                                          # excursion down into G_k
-            sink.push(h(2 * j - 1), lv.b)
-            sink.push(c[j], lv.a_odd)
+            nodes += [(h(2 * j - 1), lv.b), (c[j], lv.a_odd)]
     if lv.ell > limit:                                 # wide excursion to the core top
-        sink.push(h(limit + lv.ell), top_peak)
-        sink.push(c[lv.ell], lv.a_even)
+        nodes += [(h(limit + lv.ell), top_peak), (c[lv.ell], lv.a_even)]
 
 
 def level_views(plan: FBetaPlan, pwa: PwaMap | None = None) -> tuple[MarkovView, ...]:
@@ -519,7 +498,7 @@ def dump_plan(plan: FBetaPlan) -> str:
 def load_plan(text: str, node_budget: int = DEFAULT_NODE_BUDGET) -> FBetaPlan:
     """Parse and re-derive under ``node_budget`` (a plan whose levels need
     more nodes is refused with ResourceError while it is planned): the stored
-    level table must match the scan."""
+    level lines must equal the rebuilt plan's, in order."""
     lines = body_lines(text, PLAN_HEADER)
     level_lines = [ln for ln in lines if ln.startswith("level ")]
     fields = read_fields([ln for ln in lines if not ln.startswith("level ")],
@@ -533,9 +512,8 @@ def load_plan(text: str, node_budget: int = DEFAULT_NODE_BUDGET) -> FBetaPlan:
     if len(level_lines) != K + 1:
         raise SerializationError(f"expected {K + 1} level lines, found {len(level_lines)}")
     plan = plan_sequences(beta, K, seed, variant == "full", node_budget)
-    stored = dump_plan(plan).splitlines()
-    for ln in level_lines:
-        if ln not in stored:
+    for ln, want in zip(level_lines, dump_plan(plan).splitlines()[-(K + 1):]):
+        if ln != want:
             raise SerializationError(f"stored level line does not match the plan rule: {ln!r}")
     return plan
 

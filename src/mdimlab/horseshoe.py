@@ -32,8 +32,7 @@ from .errors import (
 )
 from .pwa import PwaMap
 from .rational import (
-    body_lines, format_interval, format_rational, parse_int, parse_interval, parse_rational,
-    read_fields,
+    body_lines, format_interval, format_rational, parse_int, parse_rational, read_fields,
 )
 from .reporting import CheckResult, VerificationSummary
 from .separation import MarkovBranch, MarkovView, _cylinder_rows, _least_distances
@@ -253,6 +252,8 @@ def build_model_2d(
     the default width (2*delta - N*epsilon) / (2*N) spends half the slack
     on slabs.  A single slab (N = 1) has no gaps and fills the square.
     """
+    delta, epsilon = Fraction(delta), Fraction(epsilon)
+    width = None if width is None else Fraction(width)
     if N < 1 or p < 1:
         raise DomainError(f"need N >= 1 and p >= 1, got N={N}, p={p}")
     if delta <= 0 or epsilon <= 0:
@@ -438,38 +439,24 @@ def dump_model_2d(model: Horseshoe2DModel) -> str:
 
 
 def load_model_2d(text: str) -> Horseshoe2DModel:
+    """Rebuild the model from its five scalars with `build_model_2d`; the
+    branch lines must equal the rebuilt model's, in order."""
     lines = body_lines(text, MODEL2D_HEADER)
-    branches: list[tuple[int, Interval, Interval, int]] = []
-    for ln in lines:
-        parts = ln.split()
-        if parts[0] != "branch":
-            continue
-        if (len(parts) != 8 or parts[2] != "slab" or parts[4] != "strip"
-                or parts[6] != "orient" or parts[7] not in ("+", "-")):
-            raise SerializationError(f"bad branch line: {ln!r}")
-        branches.append((
-            parse_int(parts[1]),
-            parse_interval(parts[3]),
-            parse_interval(parts[5]),
-            1 if parts[7] == "+" else -1,
-        ))
+    branch_lines = [ln for ln in lines if ln.split()[0] == "branch"]
     scalars = read_fields([ln for ln in lines if ln.split()[0] != "branch"],
                           MODEL2D_SCALARS, MODEL2D_SCALARS, "scalar")
     n = parse_int(scalars["N"])
-    p = parse_int(scalars["p"])
-    delta = parse_rational(scalars["delta"])
-    epsilon = parse_rational(scalars["epsilon"])
-    width = parse_rational(scalars["width"])
-    if len(branches) != n or [b[0] for b in branches] != list(range(n)):
-        raise SerializationError(f"expected branches 0..{n - 1} in order")
-    offsets = []
-    orientations = []
-    for j, (y_lo, y_hi), (x_lo, x_hi), orient in branches:
-        if y_lo != x_lo or y_hi - y_lo != width or x_hi - x_lo != width:
-            raise SerializationError(f"branch {j}: slab/strip extents disagree with width")
-        offsets.append(y_lo)
-        orientations.append(orient)
-    return Horseshoe2DModel(n, p, delta, epsilon, width, tuple(offsets), tuple(orientations))
+    if len(branch_lines) != n:                     # checked before N slabs are built
+        raise SerializationError(f"expected {n} branch lines, found {len(branch_lines)}")
+    model = build_model_2d(n, parse_rational(scalars["delta"]), parse_rational(scalars["epsilon"]),
+                           parse_int(scalars["p"]), parse_rational(scalars["width"]))
+    want_lines = dump_model_2d(model).splitlines()[len(MODEL2D_SCALARS) + 1:]
+    for have, want in zip(branch_lines, want_lines):
+        if have != want:
+            raise SerializationError(
+                f"branch line {have!r} differs from the model its scalars rebuild: {want!r}"
+            )
+    return model
 
 
 CERTIFICATE_CSV_HEADER = "itinerary,x,y,min_pairwise_dn"

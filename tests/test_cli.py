@@ -72,6 +72,29 @@ def test_build_fbeta_refuses_fewer_than_one_level(tmp_path, capsys, levels):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("flags,gap", [
+    (("--beta", "0", "--seed-a1", "1/16"), "3/16 >= a_odd = 1/16"),
+    (("--beta", "1", "--variant", "full", "--seed-a1", "1/4"), "1/4 >= a_odd = 1/4"),
+])
+def test_build_fbeta_refuses_a_seed_leaving_no_gap_below_level_0(tmp_path, capsys, flags, gap):
+    code, out, err = run(capsys, "build-fbeta", *flags, "-o", str(tmp_path / "out"))
+    assert (code, out) == (2, "")
+    assert err == f"error: level 0 leaves no gap below its core: eps = {gap}\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_implant_refuses_a_plan_leaving_no_gap_below_level_0(tmp_path, capsys):
+    # the level line is the one the recursion gives for this seed
+    (tmp_path / "host.txt").write_text(dump_pwa(identity_map()))
+    (tmp_path / "plan.txt").write_text(
+        "fbeta-plan v1\nbeta = 0/1\nK = 0\nseed_a1 = 1/16\nvariant = none\n"
+        "level 0: a_even=1/1 a_odd=1/16 ell=5 i=1 eps=3/16 b=1/8\n")
+    code, out, err = run(capsys, *implant_argv(tmp_path, tmp_path / "host.txt"))
+    assert (code, out) == (6, "")
+    assert err == "error: level 0 leaves no gap below its core: eps = 3/16 >= a_odd = 1/16\n"
+    assert not (tmp_path / "out").exists()
+
+
 def run_fresh(*argv: str) -> subprocess.CompletedProcess:
     """The CLI in a new interpreter, which must finish within 10 s."""
     env = dict(os.environ, PYTHONPATH=str(Path(mdimlab.cli.__file__).parents[1]))

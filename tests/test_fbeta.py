@@ -84,18 +84,45 @@ def test_plan_level_table_recursion(half_plan):
         assert lv.b == (lv.eps + lv.a_odd) / 2
 
 
+PLAN_ARGS = (st.fractions(min_value=0, max_value=1, max_denominator=12), st.integers(0, 2),
+             st.fractions(min_value="1/16", max_value="15/16", max_denominator=16))
+
+
 @settings(max_examples=60, deadline=None)
-@given(st.fractions(min_value=0, max_value=1, max_denominator=12), st.integers(0, 2),
-       st.fractions(min_value="1/16", max_value="15/16", max_denominator=16))
+@given(*PLAN_ARGS)
 def test_every_planned_gap_attractor_is_its_gap_midpoint(beta, K, seed_a1):
     # verify_model's gap-dynamics check rests on this: an orbit whose distance
     # to the midpoint never grows cannot leave the gap
     try:
         plan = plan_sequences(beta, K, seed_a1, beta == 1, DEFAULT_NODE_BUDGET)
-    except ResourceError:
+    except (ResourceError, ContractError):
         assume(False)
     for lv in plan.levels:
         assert lv.b == (lv.eps + lv.a_odd) / 2
+        assert lv.eps < lv.b < lv.a_odd
+
+
+@settings(max_examples=200, deadline=None)
+@given(*PLAN_ARGS)
+def test_every_planned_staircase_assembles_and_verifies(beta, K, seed_a1):
+    # assembly appends each shared boundary node once and checks no order of
+    # its own: a plan the planner returns must give strictly increasing nodes
+    try:
+        plan = plan_sequences(beta, K, seed_a1, beta == 1, 20_000)
+    except (ResourceError, ContractError):
+        assume(False)
+    model = build_fbeta(plan)
+    assert verify_model(model).ok
+    assert all(a < b for a, b in zip(model.map.xs, model.map.xs[1:]))
+
+
+@pytest.mark.parametrize("args,message", [
+    ((F(0), 0, F(1, 16)), "eps = 3/16 >= a_odd = 1/16"),
+    ((F(1), 0, F(1, 4), True), "eps = 1/4 >= a_odd = 1/4"),
+])
+def test_a_seed_leaving_no_gap_below_level_0_is_refused_when_planned(args, message):
+    with pytest.raises(ContractError, match=f"^level 0 leaves no gap below its core: {message}$"):
+        plan_sequences(*args)
 
 
 @pytest.mark.parametrize("beta", [F(3, 10), F(1, 2), F(7, 10)])
@@ -399,6 +426,21 @@ def test_plan_loader_rederives_and_cross_checks(half_plan):
         load_plan(tampered)
     with pytest.raises(SerializationError):
         load_plan("wrong-header v1\n")
+
+
+PLAN_LEVEL_EDITS = {
+    "level-1-copies-level-0": lambda lines: [lines[5], lines[5]],
+    "levels-swapped": lambda lines: [lines[6], lines[5]],
+}
+
+
+@pytest.mark.parametrize("edit", PLAN_LEVEL_EDITS.values(), ids=PLAN_LEVEL_EDITS.keys())
+def test_plan_loader_compares_the_level_lines_in_order(half_plan, edit):
+    lines = dump_plan(half_plan).splitlines()
+    assert lines[5].startswith("level 0:") and len(lines) == 7
+    tampered = "\n".join(lines[:5] + edit(lines)) + "\n"
+    with pytest.raises(SerializationError, match="does not match the plan rule"):
+        load_plan(tampered)
 
 
 def test_model_round_trip(built_model):

@@ -7,7 +7,7 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import mdimlab.horseshoe
@@ -178,6 +178,15 @@ def test_packing_rejections_name_the_inequality():
     with pytest.raises(ContractError, match=r"^single-slab width must satisfy 0 < w <= 2\*delta"
                                             r" = 1/1, got 9/8$"):
         build_model_2d(1, F(1, 2), F(1, 16), 1, width=F(9, 8))
+
+
+def test_integer_arguments_build_the_fraction_model():
+    model = build_model_2d(2, 2, 1, 1)
+    assert model == build_model_2d(2, F(2), F(1), 1)
+    assert model.width == F(1, 2) and type(model.width) is Fraction
+    assert build_model_2d(2, 2, 1, 1, width=1) == build_model_2d(2, F(2), F(1), 1, width=F(1))
+    assert verify_conditions(model).ok
+    assert separated_bound_2d(model, 1).min_pairwise == F(7, 2)
 
 
 def test_branch_arithmetic_lands_in_the_strip():
@@ -544,8 +553,65 @@ def test_model_2d_loader_cross_checks_geometry():
     with pytest.raises(SerializationError):
         load_model_2d(text.replace("horseshoe-2d v1", "horseshoe-3d v1"))
     tampered = text.replace("branch 1 slab", "branch 9 slab")
-    with pytest.raises(SerializationError, match="branches 0"):
+    with pytest.raises(SerializationError, match="^branch line 'branch 9 slab"):
         load_model_2d(tampered)
+    dropped = text.replace(text.splitlines()[-1] + "\n", "")
+    with pytest.raises(SerializationError, match="^expected 4 branch lines, found 3$"):
+        load_model_2d(dropped)
+
+
+def test_model_2d_loader_counts_branch_lines_before_building():
+    # a packable billion-slab geometry: the count is refused before any slab is built
+    text = dump_model_2d(reference_model()).replace("N 4", "N 1000000000").replace(
+        "epsilon 1/16", "epsilon 1/10000000000").replace("width 1/8", "width 1/10000000000")
+    with pytest.raises(SerializationError, match="^expected 1000000000 branch lines, found 4$"):
+        load_model_2d(text)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(1, 12),
+    st.fractions(min_value="1/8", max_value=2, max_denominator=16),
+    st.fractions(min_value="1/64", max_value=1, max_denominator=64),
+    st.integers(1, 3),
+    st.one_of(st.none(), st.fractions(min_value="1/64", max_value=2, max_denominator=64)),
+)
+@example(1, F(1, 2), F(1, 4), 1, None)                 # one slab, default width
+@example(1, F(1, 2), F(1, 4), 2, F(1, 3))              # one slab, explicit width
+@example(3, F(1), F(1, 8), 1, None)                    # default width
+@example(4, F(1, 2), F(1, 16), 2, F(1, 8))             # explicit width
+def test_model_2d_round_trips_over_the_builder_parameters(n, delta, epsilon, p, width):
+    try:
+        model = build_model_2d(n, delta, epsilon, p, width)
+    except ContractError:
+        assume(False)
+    text = dump_model_2d(model)
+    assert load_model_2d(text) == model
+    assert dump_model_2d(load_model_2d(text)) == text
+
+
+def _flip_orientations(text: str) -> str:
+    return text.replace("orient +", "orient ?").replace("orient -", "orient +").replace(
+        "orient ?", "orient -")
+
+
+def _uneven_offsets(text: str) -> str:
+    # slab 1 and its strip 1/32 lower: gaps 1/6 -+ 1/32 stay above epsilon, so
+    # the layout meets every packing premise and only the rebuild tells it apart
+    return text.replace("slab -5/24:-1/12 strip -5/24:-1/12",
+                        "slab -23/96:-11/96 strip -23/96:-11/96")
+
+
+@pytest.mark.parametrize("edit,first", [
+    (_flip_orientations, "branch 0 slab -1/2:-3/8 strip -1/2:-3/8 orient -"),
+    (_uneven_offsets, "branch 1 slab -23/96:-11/96 strip -23/96:-11/96 orient -"),
+], ids=["flipped-orientations", "uneven-offsets"])
+def test_model_2d_loader_refuses_a_layout_the_builder_does_not_make(edit, first):
+    text = dump_model_2d(reference_model())
+    assert edit(text) != text
+    with pytest.raises(SerializationError) as err:
+        load_model_2d(edit(text))
+    assert str(err.value).startswith(f"branch line {first!r} differs from the model")
 
 
 @pytest.mark.parametrize("old,new", [
