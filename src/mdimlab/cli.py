@@ -42,6 +42,7 @@ from .fbeta import (
 from .horseshoe import (
     build_model_2d,
     certificate_to_csv,
+    check_rep_cap_2d,
     detect_1d,
     dump_model_2d,
     full_lap_view,
@@ -193,10 +194,10 @@ def _cmd_build_fbeta(args: argparse.Namespace) -> int:
 
 def _cmd_estimate(args: argparse.Namespace) -> int:
     method = _METHODS[args.method]
-    scales = _parse_scales(args.scales) if args.scales else None
+    scales = _parse_scales(args.scales) if args.scales is not None else None
     window = _parse_window(args.n_window)
-    grid = parse_rational(args.grid) if args.grid else None
-    source_path = Path(args.model if args.model else args.map)
+    grid = parse_rational(args.grid) if args.grid is not None else None
+    source_path = Path(args.model if args.model is not None else args.map)
     sources, scales = _resolve_sources(source_path.read_text(), method, scales)
     report = mdim_profile(sources, scales, window, method, grid)
     _write_report(report, args, "report")
@@ -227,12 +228,14 @@ def _cmd_horseshoe(args: argparse.Namespace) -> int:
             elif mode != args.mode:
                 raise DomainError(f"--{dest.replace('_', '-')} is not a --mode {args.mode} flag")
     if args.mode == "2d":
+        strips = _require_flag(args.strips, "--strips", "2d")
+        check_rep_cap_2d(strips, args.period, args.depth)     # before a slab is laid out
         model = build_model_2d(
-            _require_flag(args.strips, "--strips", "2d"),
+            strips,
             parse_rational(_require_flag(args.half_side, "--half-side", "2d")),
             parse_rational(_require_flag(args.epsilon, "--epsilon", "2d")),
             args.period,
-            parse_rational(args.strip_width) if args.strip_width else None,
+            parse_rational(args.strip_width) if args.strip_width is not None else None,
         )
         if not _print_summary(verify_conditions(model)):
             return 5
@@ -252,7 +255,7 @@ def _cmd_horseshoe(args: argparse.Namespace) -> int:
 
     m = load_pwa(Path(_require_flag(args.map, "--map", "1d")).read_text())
     window = parse_interval(args.window)
-    core = parse_interval(args.core) if args.core else window
+    core = parse_interval(args.core) if args.core is not None else window
     report = detect_1d(m, window, core,
                        parse_rational(_require_flag(args.epsilon, "--epsilon", "1d")),
                        parse_rational(args.margin))
@@ -282,7 +285,7 @@ def _cmd_implant(args: argparse.Namespace) -> int:
         parse_interval(args.inner),
         parse_interval(args.outer),
         fplan,
-        parse_rational(args.budget) if args.budget else None,
+        parse_rational(args.budget) if args.budget is not None else None,
     )
     blended = implant(plan, node_budget=args.node_budget)
     views = transported_views(plan, blended)

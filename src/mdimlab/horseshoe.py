@@ -26,7 +26,6 @@ from fractions import Fraction
 from .errors import (
     ContractError,
     DomainError,
-    ResourceError,
     SerializationError,
     VerificationError,
 )
@@ -35,7 +34,7 @@ from .rational import (
     body_lines, format_interval, format_rational, parse_int, parse_rational, read_fields,
 )
 from .reporting import CheckResult, VerificationSummary
-from .separation import MarkovBranch, MarkovView, _cylinder_rows, _least_distances
+from .separation import MarkovBranch, MarkovView, _cylinder_rows, _least_distances, _refuse_over_cap
 
 Interval = tuple[Fraction, Fraction]
 
@@ -382,6 +381,12 @@ def _orbit_rows(model: Horseshoe2DModel, view: MarkovView, steps: int
     return list(itertools.product(range(n), repeat=steps)), rows, den
 
 
+def check_rep_cap_2d(N: int, p: int, ell: int) -> None:
+    """Refuse N**(p*ell) representatives over REP_CAP_2D before a slab or a row is built."""
+    _refuse_over_cap(N, p * ell, REP_CAP_2D,
+                     f"N**(p*ell) = {{}} representatives exceed the cap {REP_CAP_2D}")
+
+
 def separated_bound_2d(model: Horseshoe2DModel, ell: int) -> Certificate2D:
     """One representative per depth-(p*ell) itinerary w and its exact least
     distance to the others: y_t is mid C(w[t:]) in ``slab_view``, x_0 = 0 and
@@ -391,21 +396,18 @@ def separated_bound_2d(model: Horseshoe2DModel, ell: int) -> Certificate2D:
     VerificationError with its reason before any row is built."""
     if ell < 1:
         raise DomainError(f"ell must be >= 1, got {ell}")
-    steps = model.p * ell
-    total = model.N ** steps
-    if total > REP_CAP_2D:
-        raise ResourceError(f"N**(p*ell) = {total} representatives exceed the cap {REP_CAP_2D}")
+    check_rep_cap_2d(model.N, model.p, ell)
 
     try:
         view = slab_view(model)
     except ContractError as exc:
         raise VerificationError(f"slab view refused: {exc}") from None
-    itineraries, rows, den = _orbit_rows(model, view, steps)
+    itineraries, rows, den = _orbit_rows(model, view, model.p * ell)
 
     # sup over time of the plane's sup metric = max over the flat row
     per_min = tuple(None if d is None else Fraction(d, den) for d in _least_distances(rows))
     min_pairwise = min((m for m in per_min if m is not None), default=None)
-    return Certificate2D(model, ell, steps, total, tuple(itineraries),
+    return Certificate2D(model, ell, model.p * ell, len(rows), tuple(itineraries),
                          tuple((Fraction(0), Fraction(r[0], den)) for r in rows), per_min,
                          min_pairwise)
 

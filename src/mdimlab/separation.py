@@ -62,6 +62,8 @@ METHODS = (METHOD_GREEDY, METHOD_EXHAUSTIVE, METHOD_CYLINDER)
 EXHAUSTIVE_POINT_CAP = 14       # exhaustive clique search point cap
 GREEDY_GRID_CAP = 10**6         # greedy grid point cap
 REPRESENTATIVE_CAP = 20000      # cylinder representative enumeration cap
+COUNT_DIGIT_CAP = 4300          # decimal digits of a cylinder count (CPython's default str limit)
+_COUNT_CAP = 10**COUNT_DIGIT_CAP - 1
 
 
 # === records =================================================================
@@ -137,21 +139,28 @@ def _integer_steps(
     """The integer form of one step of the map, for orbits of length n >= 1:
     M, the lcm of the pieces' d_i in the map's integer table (module
     ``pwa``); each piece's step (a_i·M/d_i, b_i·M/d_i), which sends v/d to
-    (a_i·v + b_i·d)/(d·M) exactly; and ``piece(v, d)``, the piece of v/d
-    found by the node keys as in ``pwa`` (x = 1 falls in the last piece)."""
+    (a_i·v + b_i·d)/(d·M) exactly; and ``_piece_finder``'s ``piece``."""
     if n < 1:
         raise DomainError(f"orbit needs n >= 1, got {n}")
-    shift, keys, pieces = m._table
+    pieces = m._table[2]
     big_m = math.lcm(*(d for _, _, d in pieces))
     table = [(a * (big_m // d), b * (big_m // d)) for a, b, d in pieces]
-    last, xs = len(table), m.xs
+    return big_m, table, _piece_finder(m)
+
+
+def _piece_finder(m: PwaMap) -> Callable[[int, int], int]:
+    """``piece(v, d)``, the i with x_i <= v/d < x_{i+1} (x = 1 falls in the
+    last piece), found by the map's integer node keys as in ``pwa``: a key
+    shared with node i needs one exact compare."""
+    shift, keys, pieces = m._table
+    last, xs = len(pieces), m.xs
 
     def piece(v: int, d: int) -> int:
         k = (v << shift) // d
         i = bisect_right(keys, k, 0, last) - 1
         return i - (k == keys[i] and v * xs[i].denominator < xs[i].numerator * d)
 
-    return big_m, table, piece
+    return piece
 
 
 def _scaled_orbits(m: PwaMap, nums, den: int, n: int) -> tuple[list[list[int]], int]:
@@ -465,16 +474,13 @@ class MarkovView:
 
     def _check_against_map(self) -> None:
         """Each branch equals the map on its domain: its end values are the
-        core ends, and no map node lies strictly inside it.  The ends of all
-        branches ascend, so one ``eval_sorted`` values them (or raises
-        DomainError for an end outside [0, 1]), and each branch's least node
-        above lo is found by the map's integer node keys, as ``eval_sorted``
-        does, from the previous branch's.  The error names the first failing
-        branch in branch order."""
+        core ends, and hi is at most the least map node above lo, the one that
+        ends lo's piece (``_piece_finder``; lo < hi <= 1).  One ``eval_sorted``
+        values the ascending branch ends (DomainError for one outside [0, 1]).
+        The error names the first failing branch in branch order."""
         m = self.map
         values = eval_sorted(m, [x for br in self.branches for x in (br.lo, br.hi)])
-        shift, keys, _ = m._table
-        i = 0
+        piece = _piece_finder(m)
         for k, br in enumerate(self.branches):
             got = tuple(values[2 * k:2 * k + 2])
             want = (self.core_lo, self.core_hi) if br.increasing else (self.core_hi, self.core_lo)
@@ -483,24 +489,24 @@ class MarkovView:
                     f"branch [{br.lo}, {br.hi}] does not map onto the core:"
                     f" endpoint values ({got[0]}, {got[1]}), expected {want}"
                 )
-            # the least node above lo; it exists, since lo < hi <= 1 = xs[-1].
-            # Nodes past lo's key lie above lo; one node may share its key.
-            p, q = br.lo.as_integer_ratio()
-            key = (p << shift) // q
-            i = bisect_right(keys, key, i)
-            if keys[i - 1] == key:
-                n, d = m.xs[i - 1].as_integer_ratio()
-                i -= p * d < n * q
-            n, d = m.xs[i].as_integer_ratio()
-            hn, hd = br.hi.as_integer_ratio()
-            if n * hd < hn * d:
-                raise ContractError(
-                    f"branch [{br.lo}, {br.hi}] is not affine: map node at {m.xs[i]}"
-                )
+            node = m.xs[piece(*br.lo.as_integer_ratio()) + 1]
+            if node < br.hi:
+                raise ContractError(f"branch [{br.lo}, {br.hi}] is not affine: map node at {node}")
 
     @property
     def branch_count(self) -> int:
         return len(self.branches)
+
+
+def _refuse_over_cap(base: int, exp: int, cap: int, refusal: str) -> None:
+    """ResourceError(refusal.format(count)) when the count base**exp is over cap, named in
+    decimal up to 10**18, else as ``base**exp``.  As base**exp >= 2**((bits(base) − 1)·exp), no
+    power past twice the bits of cap or 10**18 is built.  A base < 2 or an exp < 1 counts 1."""
+    if base > 1 and (base.bit_length() - 1) * exp >= max(cap, 10**18).bit_length():
+        raise ResourceError(refusal.format(f"{base}**{exp}"))
+    count = base**exp if base > 1 and exp > 0 else 1
+    if count > cap:
+        raise ResourceError(refusal.format(count if count <= 10**18 else f"{base}**{exp}"))
 
 
 def _branch_inverse(view: MarkovView, br: MarkovBranch) -> tuple[Fraction, Fraction]:
@@ -528,11 +534,8 @@ def _cylinder_rows(view: MarkovView, n: int) -> tuple[list[list[int]], int]:
     cap before anything is built."""
     if n < 0:
         raise DomainError(f"cylinder depth must be >= 0, got {n}")
-    total = view.branch_count**n
-    if total > REPRESENTATIVE_CAP:
-        raise ResourceError(
-            f"{total} depth-{n} cylinders exceed the representative cap {REPRESENTATIVE_CAP}"
-        )
+    _refuse_over_cap(view.branch_count, n, REPRESENTATIVE_CAP,
+                     f"{{}} depth-{n} cylinders exceed the representative cap {REPRESENTATIVE_CAP}")
     inverses = [_branch_inverse(view, br) for br in view.branches]
     big_d = math.lcm(*(v.denominator for pair in inverses for v in pair))
     steps = [tuple(v.numerator * (big_d // v.denominator) for v in pair) for pair in inverses]
@@ -546,16 +549,9 @@ def _cylinder_rows(view: MarkovView, n: int) -> tuple[list[list[int]], int]:
     return [list(map(mul, row, scales)) for row in rows], den
 
 
-def cylinder_orbits(view: MarkovView, n: int) -> list[list[Fraction]]:
-    """``_cylinder_rows`` as Fractions: the orbit of every depth-n
-    representative, in ``product`` order, refused over the cap unbuilt."""
-    rows, den = _cylinder_rows(view, n)
-    return [[Fraction(v, den) for v in row] for row in rows]
-
-
 def cylinder_representatives(view: MarkovView, n: int) -> list[tuple[tuple[int, ...], Fraction]]:
     """(itinerary, cylinder midpoint) for every depth-n itinerary: the heads
-    of the ``cylinder_orbits`` rows, or the core's midpoint at depth 0."""
+    of the ``_cylinder_rows`` rows, or the core's midpoint at depth 0."""
     rows, den = _cylinder_rows(view, n)
     heads = [Fraction(row[0], den) for row in rows] if n else [(view.core_lo + view.core_hi) / 2]
     return list(zip(product(range(view.branch_count), repeat=n), heads))
@@ -578,6 +574,8 @@ def count_cylinders(view: MarkovView, n: int, epsilon: Fraction | None = None) -
         raise DomainError("no scale: view declares none and no epsilon was passed")
     if scale is not None and eps > scale:
         raise ContractError(f"epsilon {eps} above the scale {scale} of view {view.label!r}")
+    _refuse_over_cap(view.branch_count, n, _COUNT_CAP,
+                     f"{{}} depth-{n} cylinders: a count over {COUNT_DIGIT_CAP} digits")
     return CountRecord(n, eps, view.branch_count**n, METHOD_CYLINDER)
 
 
@@ -586,8 +584,8 @@ def verify_cylinder_separation(view: MarkovView, n: int) -> Fraction:
     (the core length for one branch: nothing to separate).  It audits the
     view's premises, which put it above the scale (``MarkovView``).
 
-    The rows are ``cylinder_orbits``, read as integers (``_cylinder_rows``).
-    With an attached map these are the map's orbits too, since
+    The rows are the representatives' orbits (``_cylinder_rows``).  With an
+    attached map these are the map's orbits too, since
     ``MarkovView`` checked that each branch domain lies in the core and that
     the map equals each branch on its domain.  Raises ContractError for a
     view that declares no scale.
@@ -815,44 +813,32 @@ def _unit_interval(text: str, ln: str) -> tuple[Fraction, Fraction]:
 
 
 def load_views(text: str) -> tuple[MarkovView, ...]:
-    views: list[MarkovView] = []
-    pending: dict | None = None
-
-    def finish() -> None:
-        if pending is None:
-            return
-        if not pending["branches"]:
-            raise SerializationError(f"view {pending['label']!r} has no branch lines")
-        views.append(MarkovView(
-            pending["core"][0], pending["core"][1],
-            tuple(pending["branches"]), pending["scale"], None, pending["label"],
-        ))
-
+    """Read the whole file, each view line with its branch lines, then make
+    the views in file order: a syntax fault anywhere is named first."""
+    rows: list[tuple] = []              # (core lo, core hi, scale, label, branches)
     for ln in body_lines(text, VIEWS_HEADER):
         parts = ln.split()
         if parts[0] == "view":
             if len(parts) < 5 or parts[1] != "core" or parts[3] != "scale":
                 raise SerializationError(f"bad view line: {ln!r}")
-            finish()
             label = ""
             if len(parts) > 5:
                 label = ln.partition(" label ")[2]
                 if parts[5] != "label" or not label:
                     raise SerializationError(f"bad view line: {ln!r}")
-            pending = {
-                "core": _unit_interval(parts[2], ln),
-                "scale": None if parts[4] == "-" else parse_rational(parts[4]),
-                "branches": [],
-                "label": label,
-            }
+            core = _unit_interval(parts[2], ln)
+            rows.append((*core, None if parts[4] == "-" else parse_rational(parts[4]), label, []))
         elif parts[0] == "branch":
-            if pending is None or len(parts) != 3 or parts[1] not in ("up", "down"):
+            if not rows or len(parts) != 3 or parts[1] not in ("up", "down"):
                 raise SerializationError(f"bad branch line: {ln!r}")
-            lo, hi = _unit_interval(parts[2], ln)
-            pending["branches"].append(MarkovBranch(lo, hi, parts[1] == "up"))
+            rows[-1][-1].append(MarkovBranch(*_unit_interval(parts[2], ln), parts[1] == "up"))
         else:
             raise SerializationError(f"bad line: {ln!r}")
-    finish()
-    if not views:
+    if not rows:
         raise SerializationError("no views in file")
+    views = []
+    for lo, hi, scale, label, branches in rows:
+        if not branches:
+            raise SerializationError(f"view {label!r} has no branch lines")
+        views.append(MarkovView(lo, hi, tuple(branches), scale, None, label))
     return tuple(views)

@@ -2,6 +2,7 @@
 driven in-process through main()."""
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -17,8 +18,8 @@ import mdimlab.cli
 import mdimlab.fbeta
 import mdimlab.surgery
 from mdimlab import (
-    count_separated_greedy, dump_model, dump_plan, dump_pwa, dump_views, full_lap_view,
-    identity_map, load_plan, load_pwa, load_views, plan_sequences,
+    build_model_2d, count_separated_greedy, dump_model, dump_plan, dump_pwa, dump_views,
+    full_lap_view, identity_map, load_plan, load_pwa, load_views, plan_sequences,
 )
 from mdimlab.cli import main
 from mdimlab.separation import MarkovView
@@ -479,6 +480,101 @@ def test_malformed_parameters_exit_2_and_write_nothing(tmp_path, capsys, tent, a
     code, out, err = run(capsys, *argv, "-o", str(tmp_path / "out"))
     assert (code, out, err) == (2, "", f"error: {message}\n")
     assert not (tmp_path / "out").exists()
+
+
+EMPTY_FLAG_ARGV = {  # each command line exits 0 with a value for its last flag
+    "--scales": ["estimate", "--model", "model.txt"],
+    "--grid": ["estimate", "--model", "model.txt", "--method", "greedy", "--scales", "1/4"],
+    "--model": ["estimate"],
+    "--strip-width": ["horseshoe", "--mode", "2d", "--strips", "4", "--half-side", "1/2",
+                      "--epsilon", "1/16"],
+    "--core": ["horseshoe", "--mode", "1d", "--map", "tent.txt", "--epsilon", "1/8"],
+}
+
+
+@pytest.mark.parametrize("flag,code,message", [
+    ("--scales", 2, "scales list is empty"),
+    ("--grid", 2, "not a rational literal: ''"),
+    ("--model", 3, "not a file: ."),
+    ("--strip-width", 2, "not a rational literal: ''"),
+    ("--core", 2, "not an interval literal lo:hi: ''"),
+    ("--budget", 2, "not a rational literal: ''"),
+])
+def test_an_empty_flag_value_is_refused_not_read_as_absent(
+    tmp_path, capsys, tent, identity, half_plan, half_model, flag, code, message
+):
+    (tmp_path / "tent.txt").write_text(dump_pwa(tent))
+    (tmp_path / "model.txt").write_text(dump_model(half_model))
+    write_implant_inputs(tmp_path, identity, half_plan)
+    if flag == "--budget":
+        argv = implant_argv(tmp_path, tmp_path / "host.txt")
+    else:
+        argv = [str(tmp_path / a) if a.endswith(".txt") else a for a in EMPTY_FLAG_ARGV[flag]]
+        argv += ["-o", str(tmp_path / "out")]
+    assert run(capsys, *argv, flag, "") == (code, "", f"error: {message}\n")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv,count", [
+    (["--strips", "1000000", "--half-side", "1000000", "--epsilon", "1/2"], "1000000"),
+    (["--strips", "2", "--half-side", "1/2", "--epsilon", "1/16", "--depth", "15000"],
+     "2**15000"),
+    (["--strips", "2", "--half-side", "1/2", "--epsilon", "1/16", "--depth", "14000"],
+     "2**14000"),
+], ids=["million-slabs", "depth-15000", "depth-14000"])
+def test_horseshoe_2d_refuses_the_representative_cap_before_laying_out_a_slab(
+    tmp_path, capsys, monkeypatch, argv, count
+):
+    def no_layout(*args):
+        raise AssertionError("slabs laid out over the cap")
+
+    monkeypatch.setattr(mdimlab.cli, "build_model_2d", no_layout)
+    code, out, err = run(capsys, "horseshoe", "--mode", "2d", *argv, "-o", str(tmp_path / "out"))
+    assert (code, out) == (2, "")
+    assert err == f"error: N**(p*ell) = {count} representatives exceed the cap 4096\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_estimate_refuses_a_cylinder_count_too_long_to_print(tmp_path, capsys, half_model, fmt):
+    # 8**4999 has 4,515 digits: past the count digit cap, refused before a report is written
+    (tmp_path / "model.txt").write_text(dump_model(half_model))
+    code, out, err = run(capsys, "estimate", "--model", str(tmp_path / "model.txt"),
+                         "--scales", "1/58", "--n-window", "4999:5000", "--format", fmt,
+                         "-o", str(tmp_path / "out"))
+    assert (code, out) == (2, "")
+    assert err == "error: 8**4999 depth-4999 cylinders: a count over 4300 digits\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_horseshoe_2d_exits_5_when_the_built_model_fails_its_checks(tmp_path, capsys,
+                                                                      monkeypatch):
+    # build_model_2d refuses every layout verify_conditions fails, so the
+    # cross-check is driven by a builder that returns a gap at epsilon
+    model = build_model_2d(4, F(1, 2), F(1, 16), 2, F(1, 8))
+    monkeypatch.setattr(mdimlab.cli, "build_model_2d",
+                        lambda *args: dataclasses.replace(model, epsilon=F(1, 6)))
+    code, out, err = run(
+        capsys, "horseshoe", "--mode", "2d", "--strips", "4", "--half-side", "1/2",
+        "--epsilon", "1/16", "--period", "2", "--strip-width", "1/8", "-o", str(tmp_path / "out"),
+    )
+    assert code == 5
+    assert "[FAIL] slab-gaps: slabs 0 and 1: gap 1/6 <= epsilon 1/6" in out.splitlines()
+    # equal gaps at or below epsilon overfill the square too: packing fails first
+    assert err == "error: packing: N*(width + epsilon) = 7/6 vs 2*delta = 1/1\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_build_fbeta_exits_5_when_the_built_model_fails_its_checks(tmp_path, capsys,
+                                                                   monkeypatch, half_model):
+    # no known plan reaches this exit: a builder whose map is the identity drives it
+    monkeypatch.setattr(mdimlab.cli, "build_fbeta",
+                        lambda *args, **kwargs: dataclasses.replace(half_model, map=identity_map()))
+    code, out, err = run(capsys, "build-fbeta", "--beta", "1/2", "--levels", "2",
+                         "-o", str(tmp_path))
+    assert code == 5
+    assert "[FAIL] branches-onto-core: level 1 j=1 misses the core endpoints" in out.splitlines()
+    assert err == "error: branches-onto-core: level 1 j=1 misses the core endpoints\n"
 
 
 # === implant ==================================================================

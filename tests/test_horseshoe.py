@@ -33,8 +33,8 @@ from mdimlab import (
     slab_view,
     verify_conditions,
 )
-from mdimlab.horseshoe import _orbit_rows
-from mdimlab.separation import cylinder_orbits
+from mdimlab.horseshoe import _orbit_rows, check_rep_cap_2d
+from mdimlab.separation import _cylinder_rows
 
 F = Fraction
 
@@ -238,7 +238,8 @@ def test_slab_view_is_the_y_dynamics():
     assert view.separation_scale == model.epsilon and view.map is None
     # every cylinder is the y-range whose stage orbit follows its itinerary:
     # both ends follow it, and its midpoint orbit is the one read off the view
-    rows = cylinder_orbits(view, 3)
+    rows, den = _cylinder_rows(view, 3)
+    rows = [[F(v, den) for v in row] for row in rows]
     assert len(rows) == model.N**3
     for itin, ys in zip(product(range(model.N), repeat=3), rows):
         for y in cylinder_interval(view, itin):
@@ -324,6 +325,35 @@ def test_certificate_respects_the_representative_cap():
         separated_bound_2d(model, 4)                 # 4**8 = 65536 representatives
     with pytest.raises(DomainError):
         separated_bound_2d(model, 0)
+
+
+@pytest.mark.parametrize("N,p,ell,count", [
+    (4, 1, 7, "16384"), (2, 1, 15000, "2**15000"), (2, 2, 7000, "2**14000"),
+    (1000000, 1, 1, "1000000"),
+])
+def test_the_planar_cap_names_a_count_that_prints(N, p, ell, count):
+    with pytest.raises(ResourceError) as err:
+        check_rep_cap_2d(N, p, ell)
+    assert str(err.value) == f"N**(p*ell) = {count} representatives exceed the cap 4096"
+
+
+@pytest.mark.parametrize("N,p,ell", [(4, 1, 6), (4, 2, 3), (4096, 1, 1), (1, 1, 10**12)])
+def test_the_planar_cap_holds_up_to_4096_representatives(N, p, ell):
+    check_rep_cap_2d(N, p, ell)
+
+
+@pytest.mark.parametrize("N,p,ell", [(0, 1, 10**12), (-3, 1, 10**12), (2, 1, -10**12), (2, -1, 5)])
+def test_the_planar_cap_leaves_invalid_sizes_to_their_own_checks(N, p, ell):
+    # the command line checks the cap before build_model_2d and
+    # separated_bound_2d refuse these, so the check must not stall or raise on them
+    check_rep_cap_2d(N, p, ell)
+
+
+def test_certificate_refuses_a_deep_family_before_building_a_row(monkeypatch):
+    monkeypatch.setattr(mdimlab.horseshoe, "_orbit_rows", None)
+    model = build_model_2d(2, F(1, 2), F(1, 16), 1)
+    with pytest.raises(ResourceError, match=r"^N\*\*\(p\*ell\) = 2\*\*15000 representatives"):
+        separated_bound_2d(model, 15000)
 
 
 def test_certificate_representatives_follow_their_itineraries():
@@ -503,7 +533,8 @@ def test_rows_from_memoised_x_equal_rows_stepped_by_apply_branch(n, steps, delta
     assume(all(gaps))                               # a scale below every gap exists
     view = slab_view(dataclasses.replace(model, epsilon=min(gaps, default=model.width) / 2))
     itineraries, rows, den = _orbit_rows(model, view, steps)
-    orbits = cylinder_orbits(view, steps)
+    y_rows, y_den = _cylinder_rows(view, steps)
+    orbits = [[F(v, y_den) for v in row] for row in y_rows]
     assert itineraries == list(product(range(n), repeat=steps))
     assert len(orbits) == len(rows) == n**steps
     for itin, ys, row in zip(itineraries, orbits, rows):

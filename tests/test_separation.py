@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 import mdimlab.separation
 from conftest import (
     cylinder_interval, dn_reference, least_distances_reference, near_nodes, orbit_values,
-    prime_denominator_pwa, random_boundary_fixed_pwa, random_pwa,
+    prime_denominator_pwa, random_boundary_fixed_pwa, random_pwa, value_at,
 )
 from mdimlab import (
     ContractError,
@@ -49,6 +49,7 @@ from mdimlab import (
     verify_cylinder_separation,
 )
 from mdimlab.separation import (
+    COUNT_DIGIT_CAP,
     CSV_HEADER,
     GREEDY_GRID_CAP,
     METHOD_CYLINDER,
@@ -60,9 +61,9 @@ from mdimlab.separation import (
     _branch_inverse,
     _cylinder_rows,
     _least_distances,
+    _refuse_over_cap,
     _scaled_orbits,
     count_at,
-    cylinder_orbits,
     cylinder_representatives,
     greedy_separated_points,
 )
@@ -376,15 +377,57 @@ def test_cylinder_cap_refuses_before_building_a_representative(monkeypatch):
     # every midpoint is built by a branch inverse, so none may be taken
     built = []
     monkeypatch.setattr(mdimlab.separation, "_branch_inverse", lambda *args: built.append(args))
-    for refuse in (cylinder_orbits, cylinder_representatives, verify_cylinder_separation):
+    for refuse in (_cylinder_rows, cylinder_representatives, verify_cylinder_separation):
         with pytest.raises(ResourceError, match=f"^20164 depth-2 cylinders exceed the"
                                                 f" representative cap {REPRESENTATIVE_CAP}$"):
             refuse(view, 2)
     assert built == []
 
 
+def test_cylinder_cap_names_a_count_too_long_to_print():
+    # 8**5000 has 4,516 digits, past the default int-to-str limit
+    view = build_fbeta(plan_sequences(F(1, 2), 0)).view(0)
+    assert view.branch_count == 8
+    for refuse in (_cylinder_rows, cylinder_representatives, verify_cylinder_separation):
+        with pytest.raises(ResourceError) as err:
+            refuse(view, 5000)
+        assert str(err.value) == (f"8**5000 depth-5000 cylinders exceed the representative"
+                                  f" cap {REPRESENTATIVE_CAP}")
+
+
+def test_cylinder_counts_refuse_more_than_the_count_digit_cap():
+    # B = 10: B**4299 has 4,300 digits, B**4300 one more
+    assert COUNT_DIGIT_CAP == 4300
+    view = MarkovView(F(0), F(1), tuple(
+        MarkovBranch(F(2 * i, 20), F(2 * i + 1, 20), True) for i in range(10)), F(1, 40))
+    assert count_cylinders(view, 4299).count == 10**4299
+    with pytest.raises(ResourceError, match=r"^10\*\*4300 depth-4300 cylinders: a count over"
+                                            r" 4300 digits$"):
+        count_cylinders(view, 4300)
+    with pytest.raises(ResourceError, match=r"^10\*\*1000000000000 depth-1000000000000"):
+        count_cylinders(view, 10**12)
+
+
+@pytest.mark.parametrize("base,exp,cap,text", [
+    (142, 2, 20000, "20164"),
+    (10, 18, 1, "1000000000000000000"),      # 10**18 is still named in decimal
+    (10, 19, 1, "10**19"),
+    (2, 10**15, 4096, "2**1000000000000000"),  # decided on bit lengths, never built
+    (10, 4300, 10**4300 - 1, "10**4300"),
+    (141, 2, 20000, None), (4, 6, 4096, None), (1, 10**15, 1, None), (0, 10**15, 1, None),
+    (5, -10**15, 1, None), (-3, 10**15, 1, None),
+])
+def test_a_count_over_its_cap_is_named_in_a_form_that_prints(base, exp, cap, text):
+    if text is None:
+        _refuse_over_cap(base, exp, cap, "{}")
+    else:
+        with pytest.raises(ResourceError) as err:
+            _refuse_over_cap(base, exp, cap, "{} over")
+        assert str(err.value) == f"{text} over"
+
+
 def test_cylinder_rows_refuse_a_negative_depth(half_model):
-    for build in (cylinder_orbits, cylinder_representatives):
+    for build in (_cylinder_rows, cylinder_representatives):
         with pytest.raises(DomainError, match=r"^cylinder depth must be >= 0, got -1$"):
             build(half_model.view(0), -1)
 
@@ -860,6 +903,18 @@ branch_layouts = st.integers(1, 5).flatmap(lambda b: st.tuples(
 ))
 
 
+def layout_view(layout, scale_share: Fraction | None, label: str) -> MarkovView:
+    """The view of a ``branch_layouts`` example, at the given share of its
+    least gap (the core length for one branch) or at no scale."""
+    cuts, ups = layout
+    cuts = [F(c, 96) for c in sorted(cuts)]
+    inner = cuts[1:-1]
+    branches = tuple(MarkovBranch(lo, hi, up) for lo, hi, up in zip(inner[::2], inner[1::2], ups))
+    least = min((b.lo - a.hi for a, b in zip(branches, branches[1:])), default=cuts[-1] - cuts[0])
+    scale = None if scale_share is None else least * scale_share
+    return MarkovView(cuts[0], cuts[-1], branches, scale, label=label)
+
+
 @settings(max_examples=40, deadline=None)
 @given(branch_layouts, st.integers(1, 3))
 @example(([10, 20, 70, 90], [False]), 3)                   # one branch: the core length
@@ -878,6 +933,42 @@ def test_cylinder_certificate_matches_the_forward_walk(layout, n):
         assert verify_cylinder_separation(v, n) == expected
 
 
+def reference_map_check(view: MarkovView, m: PwaMap) -> str | None:
+    """The first failing branch's refusal, by ``value_at`` and a scan of the
+    nodes, or None when every branch is a full affine branch of m."""
+    for br in view.branches:
+        got = (value_at(m, br.lo), value_at(m, br.hi))
+        want = (view.core_lo, view.core_hi) if br.increasing else (view.core_hi, view.core_lo)
+        if got != want:
+            return (f"branch [{br.lo}, {br.hi}] does not map onto the core:"
+                    f" endpoint values ({got[0]}, {got[1]}), expected {want}")
+        inside = [x for x in m.xs if br.lo < x < br.hi]
+        if inside:
+            return f"branch [{br.lo}, {br.hi}] is not affine: map node at {min(inside)}"
+    return None
+
+
+@settings(max_examples=150, deadline=None)
+@given(branch_layouts, st.lists(st.tuples(st.integers(0, 192), st.integers(0, 12)), max_size=3))
+@example(([0, 10, 30, 31, 60, 96], [False, True]), [(40, 6)])      # a kink inside a branch
+@example(([0, 10, 30, 31, 60, 96], [False, True]), [(62, 5)])      # a new value at a branch end
+def test_view_map_check_matches_a_reference(layout, kinks):
+    # the realizing map with nodes added or moved on the 1/192 grid: inside a
+    # branch, on one of its ends, or in a gap
+    view = layout_view(layout, None, "")
+    nodes = dict(realizing_map(view).nodes())
+    for x, y in kinks:
+        nodes[F(x, 192)] = F(y, 12)
+    m = PwaMap.from_nodes(sorted(nodes.items()))
+    want = reference_map_check(view, m)
+    if want is None:
+        assert dataclasses.replace(view, map=m).map == m
+    else:
+        with pytest.raises(ContractError) as err:
+            dataclasses.replace(view, map=m)
+        assert str(err.value) == want
+
+
 @settings(max_examples=40, deadline=None)
 @given(branch_layouts, st.integers(0, 4))
 @example(([0, 10, 30, 31, 60, 96], [False, True]), 4)       # uneven widths, down then up
@@ -889,7 +980,8 @@ def test_tree_built_orbits_match_the_pullback_chain(layout, n):
     view = MarkovView(cuts[0], cuts[-1], tuple(
         MarkovBranch(lo, hi, up) for lo, hi, up in zip(inner[::2], inner[1::2], ups)))
     n = min(n, max(k for k in (1, 2, 3, 4) if view.branch_count**k <= 256))
-    orbits = cylinder_orbits(view, n)
+    rows, den = _cylinder_rows(view, n)
+    orbits = [[F(v, den) for v in row] for row in rows]
     itineraries = list(product(range(view.branch_count), repeat=n))
     assert len(orbits) == len(itineraries)
     for w, row in zip(itineraries, orbits):
@@ -917,7 +1009,6 @@ def test_cylinder_rows_lie_over_q_times_d_to_the_n(layout, n):
     big_d = math.lcm(*(v.denominator for br in view.branches for v in _branch_inverse(view, br)))
     assert den == q * big_d**n
     assert all(type(v) is int for row in rows for v in row)
-    assert [[F(v, den) for v in row] for row in rows] == cylinder_orbits(view, n)
 
 
 def test_certify_view_audit_at_depth_three():
@@ -1266,6 +1357,34 @@ def test_views_loader_refuses_branches_outside_the_core():
     text = "markov-views v1\nview core 1/2:1/1 scale 1/100\nbranch up 0:1/8\nbranch up 1/4:3/8\n"
     with pytest.raises(ContractError, match=r"^branch \[0, 1/8\] leaves the core \[1/2, 1\]$"):
         load_views(text)
+
+
+view_labels = st.text(alphabet="ab 1/:-", max_size=8).map(str.strip)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(branch_layouts, st.none() | st.fractions(F(1, 100), F(99, 100)),
+                          view_labels), min_size=1, max_size=4))
+def test_views_files_round_trip(drawn):
+    views = tuple(layout_view(*args) for args in drawn)
+    assert load_views(dump_views(views)) == views
+
+
+def test_views_loader_names_a_syntax_fault_before_any_premise_fault():
+    # the first view breaks a premise (its gap 1/8 is not above the scale 1/4),
+    # a later line is malformed: the file is read whole before a view is made
+    body = ("view core 0:1 scale 1/4\nbranch up 0:1/4\nbranch up 3/8:1\n"
+            "view core 0:1 scale -\nbranch up 0:1\n")
+    with pytest.raises(ContractError, match="not above the declared separation scale 1/4"):
+        load_views("markov-views v1\n" + body)
+    with pytest.raises(SerializationError, match="^bad branch line: 'branch up 0:1 extra'$"):
+        load_views("markov-views v1\n" + body.replace("branch up 0:1\n", "branch up 0:1 extra\n"))
+    # a view without branch lines is named in file order, after an earlier premise fault
+    with pytest.raises(ContractError, match="not above the declared separation scale 1/4"):
+        load_views("markov-views v1\n" + body.replace("branch up 0:1\n", ""))
+    with pytest.raises(SerializationError, match="^view '' has no branch lines$"):
+        load_views("markov-views v1\n" + body.replace("scale 1/4", "scale 1/16")
+                   .replace("branch up 0:1\n", ""))
 
 
 @pytest.mark.parametrize("body", [
