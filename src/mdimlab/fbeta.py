@@ -240,9 +240,7 @@ class FBetaModel:
     views: tuple[MarkovView, ...]      # one certified full-branch view per level
 
     def view(self, k: int) -> MarkovView:
-        if not 0 <= k <= self.plan.K:
-            raise DomainError(f"level {k} outside 0..{self.plan.K}")
-        return self.views[k]
+        return self.views[self.plan.level(k).k]
 
 
 def build_fbeta(plan: FBetaPlan, node_budget: int = DEFAULT_NODE_BUDGET) -> FBetaModel:

@@ -13,7 +13,9 @@ N**(p*ell) orbit segments that are pairwise (p*ell, epsilon)-separated in
 the sup metric: y is read off the cylinders of the Markov view ``slab_view``,
 whose premises (slab gaps above epsilon) certify the separation, and x steps
 by ``apply_branch`` once per itinerary prefix, in exact rational arithmetic,
-so the least distances are exact audits by direct evaluation.
+so the least distances are exact audits by direct evaluation.  ``build_model_2d``
+refuses a layout by the width-positive or packing line of ``verify_conditions``
+that it fails; the other four lines hold for every model it builds.
 """
 
 from __future__ import annotations
@@ -207,16 +209,6 @@ class Horseshoe2DModel:
         if any(o not in (-1, 1) for o in self.orientations):
             raise DomainError("orientation flags must be +1 or -1")
 
-    def slab(self, j: int) -> tuple[Interval, Interval]:
-        """Horizontal slab j as (x-range, y-range)."""
-        off = self.offsets[j]
-        return ((-self.delta, self.delta), (off, off + self.width))
-
-    def strip(self, j: int) -> tuple[Interval, Interval]:
-        """Vertical strip j (the image of slab j) as (x-range, y-range)."""
-        off = self.offsets[j]
-        return ((off, off + self.width), (-self.delta, self.delta))
-
     def apply_branch(self, j: int, point: tuple[Fraction, Fraction]) -> tuple[Fraction, Fraction]:
         """Affine branch j: squeeze x onto the strip, stretch y across it."""
         x, y = point
@@ -237,6 +229,16 @@ def slab_view(model: Horseshoe2DModel) -> MarkovView:
     return MarkovView(-model.delta, model.delta, branches, model.epsilon)
 
 
+def _packing_checks(N: int, delta: Fraction, eps: Fraction, w: Fraction) -> tuple[CheckResult, ...]:
+    """``verify_conditions``' width-positive and packing lines, read off the scalars alone."""
+    side, used = 2 * delta, N * (w + eps)
+    return (CheckResult("width-positive", 0 < w <= side,
+                        f"width {format_rational(w)}, square side {format_rational(side)}"),
+            CheckResult("packing", True, "single strip, no gaps required") if N == 1 else
+            CheckResult("packing", used <= side, f"N*(width + epsilon) = {format_rational(used)} "
+                                                 f"vs 2*delta = {format_rational(side)}"))
+
+
 def build_model_2d(
     N: int,
     delta: Fraction,
@@ -245,47 +247,31 @@ def build_model_2d(
     width: Fraction | None = None,
 ) -> Horseshoe2DModel:
     """Pack N horizontal slabs of height `width` into the square with equal
-    gaps > epsilon and alternate branch orientations.
+    gaps and alternate branch orientations.
 
-    Feasibility requires N*(width + epsilon) <= 2*delta with width > 0;
-    the default width (2*delta - N*epsilon) / (2*N) spends half the slack
-    on slabs.  A single slab (N = 1) has no gaps and fills the square.
+    The default width is 2*delta for one slab, else (2*delta - N*epsilon) / (2*N),
+    half the slack spent on slabs.  A width that fails the width-positive or
+    packing line of ``verify_conditions`` is refused with ContractError naming
+    that line, before any slab is laid out.  The other four lines hold for every
+    layout built: for N >= 2, w > 0 and N*(w + epsilon) <= 2*delta give the gap
+    (2*delta - N*w)/(N - 1) >= N*epsilon/(N - 1) > epsilon, and the slabs run
+    exactly from -delta to delta; for N = 1, 0 < w <= 2*delta puts the one slab
+    inside the square.
     """
     delta, epsilon = Fraction(delta), Fraction(epsilon)
-    width = None if width is None else Fraction(width)
     if N < 1 or p < 1:
         raise DomainError(f"need N >= 1 and p >= 1, got N={N}, p={p}")
     if delta <= 0 or epsilon <= 0:
         raise DomainError("delta and epsilon must be positive")
 
     side = 2 * delta
-    if N == 1:
-        w = side if width is None else width
-        if not 0 < w <= side:
-            raise ContractError(
-                f"single-slab width must satisfy 0 < w <= 2*delta = {format_rational(side)}, "
-                f"got {format_rational(w)}"
-            )
-        offsets = (-delta,)
-    else:
-        if width is None:
-            w = (side - N * epsilon) / (2 * N)
-            if w <= 0:
-                raise ContractError(
-                    f"packing infeasible: N*epsilon = {format_rational(N * epsilon)} >= "
-                    f"2*delta = {format_rational(side)} leaves no positive strip width"
-                )
-        else:
-            w = width
-            if w <= 0:
-                raise ContractError(f"strip width must be positive, got {format_rational(w)}")
-        if N * (w + epsilon) > side:
-            raise ContractError(
-                f"packing infeasible: N*(width + epsilon) = "
-                f"{format_rational(N * (w + epsilon))} > 2*delta = {format_rational(side)}"
-            )
-        gap = (side - N * w) / (N - 1)              # > epsilon by the packing bound
-        offsets = tuple(-delta + j * (w + gap) for j in range(N))
+    w = (Fraction(width) if width is not None
+         else side if N == 1 else (side - N * epsilon) / (2 * N))
+    failed = next((c for c in _packing_checks(N, delta, epsilon, w) if not c.ok), None)
+    if failed is not None:
+        raise ContractError(f"layout refused: {failed.name}: {failed.detail}")
+    gap = (side - N * w) / max(N - 1, 1)            # one slab sits at -delta, whatever the gap
+    offsets = tuple(-delta + j * (w + gap) for j in range(N))
     orientations = tuple(1 if j % 2 == 0 else -1 for j in range(N))
     return Horseshoe2DModel(N, p, delta, epsilon, w, offsets, orientations)
 
@@ -293,24 +279,17 @@ def build_model_2d(
 # === 2-D verification ========================================================
 
 def verify_conditions(model: Horseshoe2DModel) -> VerificationSummary:
-    """Independently re-check the model geometry: width, packing, slabs inside
-    the square and gaps.  strips-span-square is w > 0: ``apply_branch`` sends
-    slab j's corners onto strip j's x-ends and the rim y = +-delta (algebra on
-    the same offsets, width and delta).  Slab j1 crosses strip j2 iff both slabs
-    lie in the square, so coherence's first uncrossed pair is (0, ``bad``)."""
-    d, w, eps, n, checks = model.delta, model.width, model.epsilon, model.N, []
+    """Independently re-check the model geometry: width and packing (the lines
+    ``build_model_2d`` refuses by), slabs inside the square and gaps.  strips-span-square
+    is w > 0: ``apply_branch`` sends slab j's corners onto strip j's x-ends and the
+    rim y = +-delta (algebra on the same offsets, width and delta).  Slab j1 crosses
+    strip j2 iff both slabs lie in the square, so coherence's first uncrossed pair
+    is (0, ``bad``)."""
+    d, w, eps, n = model.delta, model.width, model.epsilon, model.N
+    checks = list(_packing_checks(n, d, eps, w))
 
     def check(name: str, ok: bool, detail: str = "") -> None:
         checks.append(CheckResult(name, ok, detail))
-
-    check("width-positive", 0 < w <= 2 * d,
-          f"width {format_rational(w)}, square side {format_rational(2 * d)}")
-    if n == 1:
-        check("packing", True, "single strip, no gaps required")
-    else:
-        used = n * (w + eps)
-        check("packing", used <= 2 * d,
-              f"N*(width + epsilon) = {format_rational(used)} vs 2*delta = {format_rational(2 * d)}")
 
     bad = next((j for j in range(n)
                 if not (-d <= model.offsets[j] and model.offsets[j] + w <= d)), None)
@@ -382,7 +361,10 @@ def _orbit_rows(model: Horseshoe2DModel, view: MarkovView, steps: int
 
 
 def check_rep_cap_2d(N: int, p: int, ell: int) -> None:
-    """Refuse N**(p*ell) representatives over REP_CAP_2D before a slab or a row is built."""
+    """Refuse a depth ell below 1, and N**(p*ell) representatives over REP_CAP_2D,
+    before a slab or a row is built."""
+    if ell < 1:
+        raise DomainError(f"ell must be >= 1, got {ell}")
     _refuse_over_cap(N, p * ell, REP_CAP_2D,
                      f"N**(p*ell) = {{}} representatives exceed the cap {REP_CAP_2D}")
 
@@ -394,8 +376,6 @@ def separated_bound_2d(model: Horseshoe2DModel, ell: int) -> Certificate2D:
     premises certify the family (``MarkovView``) and the minima are audits.
     Geometry the view refuses (slab gaps at or below epsilon among it) raises
     VerificationError with its reason before any row is built."""
-    if ell < 1:
-        raise DomainError(f"ell must be >= 1, got {ell}")
     check_rep_cap_2d(model.N, model.p, ell)
 
     try:
@@ -429,14 +409,9 @@ def dump_model_2d(model: Horseshoe2DModel) -> str:
         f"epsilon {format_rational(model.epsilon)}",
         f"width {format_rational(model.width)}",
     ]
-    for j in range(model.N):
-        _, (y_lo, y_hi) = model.slab(j)
-        (x_lo, x_hi), _ = model.strip(j)
-        sign = "+" if model.orientations[j] == 1 else "-"
-        lines.append(
-            f"branch {j} slab {format_interval(y_lo, y_hi)} "
-            f"strip {format_interval(x_lo, x_hi)} orient {sign}"
-        )
+    for j, (off, o) in enumerate(zip(model.offsets, model.orientations)):
+        span = format_interval(off, off + model.width)    # slab j's y-range is strip j's x-range
+        lines.append(f"branch {j} slab {span} strip {span} orient {'+' if o == 1 else '-'}")
     return "\n".join(lines) + "\n"
 
 

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from mdimlab import PwaMap, build_fbeta, identity_map, plan_sequences, tent_map
+from mdimlab import Horseshoe2DModel, PwaMap, build_fbeta, identity_map, plan_sequences, tent_map
 
 ACCEPTANCE_LINES: list[str] = []
 
@@ -153,6 +153,18 @@ def itinerary_point(model, itinerary: tuple[int, ...]) -> tuple[Fraction, Fracti
         off, up = model.offsets[j], model.orientations[j] == 1
         lo, hi = sorted(off + ((v + d) if up else (d - v)) * w / (2 * d) for v in (lo, hi))
     return (Fraction(0), (lo + hi) / 2)
+
+
+def laid_out_by_hand(N: int, delta: Fraction, epsilon: Fraction, p: int,
+                     width: Fraction | None = None) -> Horseshoe2DModel:
+    """N slabs of height w spread evenly from -delta to delta (slab j at
+    -delta + j*(2*delta - w)/(N - 1)), orientations +1, -1, ... from slab 0,
+    built directly whatever w is.  w is ``width``, else 2*delta for one slab
+    and (2*delta - N*epsilon)/(2*N) for more."""
+    side = 2 * delta
+    w = width if width is not None else side if N == 1 else (side - N * epsilon) / (2 * N)
+    offsets = tuple(-delta + j * (side - w) / max(N - 1, 1) for j in range(N))
+    return Horseshoe2DModel(N, p, delta, epsilon, w, offsets, tuple((-1)**j for j in range(N)))
 
 
 def plane_dn(a: list[tuple[Fraction, Fraction]], b: list[tuple[Fraction, Fraction]]) -> Fraction:

@@ -409,7 +409,7 @@ def test_horseshoe_2d_rejects_an_overfull_packing(tmp_path, capsys):
         "--epsilon", "1/16", "-o", str(tmp_path),
     )
     assert code == 2
-    assert "N*epsilon" in err
+    assert err == "error: layout refused: width-positive: width 0/1, square side 1/1\n"
 
 
 def test_horseshoe_1d_reports_tent_laps(tmp_path, capsys, tent):
@@ -532,6 +532,21 @@ def test_horseshoe_2d_refuses_the_representative_cap_before_laying_out_a_slab(
     code, out, err = run(capsys, "horseshoe", "--mode", "2d", *argv, "-o", str(tmp_path / "out"))
     assert (code, out) == (2, "")
     assert err == f"error: N**(p*ell) = {count} representatives exceed the cap 4096\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("depth", ["0", "-2"])
+def test_horseshoe_2d_refuses_a_depth_below_one_before_laying_out_a_slab(
+    tmp_path, capsys, monkeypatch, depth
+):
+    def no_layout(*args):
+        raise AssertionError("slabs laid out at a depth below 1")
+
+    monkeypatch.setattr(mdimlab.cli, "build_model_2d", no_layout)
+    code, out, err = run(capsys, "horseshoe", "--mode", "2d", "--strips", "2", "--half-side", "1/2",
+                         "--epsilon", "1/16", "--depth", depth, "-o", str(tmp_path / "out"))
+    assert (code, out) == (2, "")
+    assert err == f"error: ell must be >= 1, got {depth}\n"
     assert not (tmp_path / "out").exists()
 
 

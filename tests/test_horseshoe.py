@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import mdimlab.horseshoe
 from conftest import (
-    cylinder_interval, itinerary_point, plane_dn, slab_of, stage_map, stage_orbit,
+    cylinder_interval, itinerary_point, laid_out_by_hand, plane_dn, slab_of, stage_map, stage_orbit,
 )
 from mdimlab import (
     ContractError,
@@ -167,17 +167,62 @@ def test_single_strip_needs_no_gap():
 
 
 def test_packing_rejections_name_the_inequality():
-    with pytest.raises(ContractError, match=r"N\*epsilon"):
-        build_model_2d(16, F(1, 2), F(1, 16), 1)     # 16/16 == 2*delta
-    with pytest.raises(ContractError, match=r"N\*epsilon"):
-        build_model_2d(256, F(1), F(1, 16), 1)       # 16 > 2*delta
-    with pytest.raises(ContractError, match=r"N\*\(width \+ epsilon\)"):
-        build_model_2d(4, F(1, 2), F(1, 16), 1, width=F(1, 4))
-    with pytest.raises(ContractError, match="positive"):
-        build_model_2d(4, F(1, 2), F(1, 16), 1, width=F(0))
-    with pytest.raises(ContractError, match=r"^single-slab width must satisfy 0 < w <= 2\*delta"
-                                            r" = 1/1, got 9/8$"):
-        build_model_2d(1, F(1, 2), F(1, 16), 1, width=F(9, 8))
+    def refusal(*args, **kwargs) -> str:
+        with pytest.raises(ContractError) as exc:
+            build_model_2d(*args, **kwargs)
+        return str(exc.value)
+
+    # N*epsilon >= 2*delta leaves the default width at or below 0
+    assert refusal(16, F(1, 2), F(1, 16), 1) == (
+        "layout refused: width-positive: width 0/1, square side 1/1")
+    assert refusal(256, F(1), F(1, 16), 1) == (
+        "layout refused: width-positive: width -7/256, square side 2/1")
+    assert refusal(4, F(1, 2), F(1, 16), 1, width=F(1, 4)) == (
+        "layout refused: packing: N*(width + epsilon) = 5/4 vs 2*delta = 1/1")
+    assert refusal(4, F(1, 2), F(1, 16), 1, width=F(13, 64)) == (
+        "layout refused: packing: N*(width + epsilon) = 17/16 vs 2*delta = 1/1")
+    assert refusal(4, F(1, 2), F(1, 16), 1, width=F(0)) == (
+        "layout refused: width-positive: width 0/1, square side 1/1")
+    assert refusal(1, F(1, 2), F(1, 16), 1, width=F(9, 8)) == (
+        "layout refused: width-positive: width 9/8, square side 1/1")
+
+
+@pytest.mark.parametrize("N,width", [(4, F(3, 16)), (1, F(1))])
+def test_packing_accepts_its_boundaries(N, width):
+    # N*(width + epsilon) = 2*delta at N = 4 (gaps 1/12 > 1/16), and one slab filling the square
+    model = build_model_2d(N, F(1, 2), F(1, 16), 1, width)
+    assert verify_conditions(model).ok
+    slab_view(model)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    N=st.integers(min_value=1, max_value=12),
+    delta=st.fractions(min_value="1/16", max_value=2, max_denominator=16),
+    eps=st.fractions(min_value="1/64", max_value=1, max_denominator=64),
+    p=st.integers(min_value=1, max_value=3),
+    share=st.none() | st.fractions(min_value="-1/4", max_value="3/2", max_denominator=32),
+    per_slab=st.booleans(),
+)
+@example(N=4, delta=F(1, 2), eps=F(1, 16), p=1, share=F(3, 4), per_slab=True)     # width 3/16
+@example(N=4, delta=F(1, 2), eps=F(1, 16), p=1, share=F(13, 16), per_slab=True)   # width 13/64
+def test_build_refuses_by_the_first_failing_line_of_its_own_layout(N, delta, eps, p, share,
+                                                                   per_slab):
+    # the default width, or a share of the square's side or of its N-th part:
+    # at or below 0, inside, or above 2*delta
+    width = None if share is None else 2 * delta * share / (N if per_slab else 1)
+    # the layout laid out by hand, whatever its width, and verify_conditions' six lines on it
+    by_hand = laid_out_by_hand(N, delta, eps, p, width)
+    failed = next((c for c in verify_conditions(by_hand).checks if not c.ok), None)
+    try:
+        model = build_model_2d(N, delta, eps, p, width)
+    except ContractError as exc:
+        assert failed is not None
+        assert str(exc) == f"layout refused: {failed.name}: {failed.detail}"
+    else:
+        assert failed is None
+        assert model == by_hand
+        slab_view(model)
 
 
 def test_integer_arguments_build_the_fraction_model():
@@ -192,7 +237,7 @@ def test_integer_arguments_build_the_fraction_model():
 def test_branch_arithmetic_lands_in_the_strip():
     model = reference_model()
     for j in range(model.N):
-        (s_lo, s_hi), _ = model.strip(j)
+        s_lo, s_hi = model.offsets[j], model.offsets[j] + model.width
         corners = [
             (x, y)
             for x in (-model.delta, model.delta)
@@ -344,9 +389,14 @@ def test_the_planar_cap_holds_up_to_4096_representatives(N, p, ell):
 
 @pytest.mark.parametrize("N,p,ell", [(0, 1, 10**12), (-3, 1, 10**12), (2, 1, -10**12), (2, -1, 5)])
 def test_the_planar_cap_leaves_invalid_sizes_to_their_own_checks(N, p, ell):
-    # the command line checks the cap before build_model_2d and
-    # separated_bound_2d refuse these, so the check must not stall or raise on them
-    check_rep_cap_2d(N, p, ell)
+    # the command line checks the cap before build_model_2d refuses a bad N
+    # or p, so the check must not stall or raise on them; a depth below 1 is
+    # the cap's own refusal
+    if ell < 1:
+        with pytest.raises(DomainError, match=f"^ell must be >= 1, got {ell}$"):
+            check_rep_cap_2d(N, p, ell)
+    else:
+        check_rep_cap_2d(N, p, ell)
 
 
 def test_certificate_refuses_a_deep_family_before_building_a_row(monkeypatch):
