@@ -31,7 +31,7 @@ from .errors import (
     SerializationError,
     VerificationError,
 )
-from .pwa import PwaMap
+from .pwa import PwaMap, eval_sorted
 from .rational import (
     body_lines, format_interval, format_rational, parse_int, parse_rational, read_fields,
 )
@@ -93,7 +93,7 @@ def monotone_laps(m: PwaMap, window: Interval) -> tuple[Lap, ...]:
     if not (0 <= lo < hi <= 1):
         raise DomainError(f"window {format_interval(lo, hi)} is not a subinterval of [0, 1]")
     xs = [lo] + [x for x in m.xs if lo < x < hi] + [hi]
-    ys = [m(x) for x in xs]
+    ys = eval_sorted(m, xs)
 
     def close(a: int, b: int, direction: int) -> Lap:
         va, vb = ys[a], ys[b]
@@ -340,12 +340,14 @@ class Certificate2D:
 def _orbit_rows(model: Horseshoe2DModel, view: MarkovView, steps: int
                 ) -> tuple[list[tuple[int, ...]], list[list[int]], int]:
     """The itineraries of depth ``steps`` and their orbit rows
-    [y_0, x_1, y_1, ..., x_{steps-1}, y_{steps-1}] (x_0 = 0 on every row, so it
-    is left out), in ``product`` order, as integer numerators over one
+    [x_1, ..., x_{steps-1}, y_0, ..., y_{steps-1}] (x_0 = 0 on every row, so
+    it is left out), in ``product`` order, as integer numerators over one
     denominator, returned with them.  The y-rows are ``view``'s cylinder rows
-    (``_cylinder_rows``).  x_t depends only on the prefix w[:t], so the x-rows
-    grow along the prefixes by appending ``apply_branch``'s x, and the x-row
-    of a length-(steps−1) prefix serves the N itineraries that extend it."""
+    (``_cylinder_rows``), last so that ``_least_distances``, which groups by
+    the last entry first, walks their itinerary suffixes.  x_t depends only
+    on the prefix w[:t], so the x-rows grow along the prefixes by appending
+    ``apply_branch``'s x, and the x-row of a length-(steps−1) prefix serves
+    the N itineraries that extend it."""
     n = model.N
     xs = [[Fraction(0)]]
     for _ in range(steps - 1):     # x_{t+1} does not depend on y_t: any y in slab j does
@@ -355,7 +357,7 @@ def _orbit_rows(model: Horseshoe2DModel, view: MarkovView, steps: int
     den = math.lcm(y_den, *(x.denominator for row in xs for x in row))
     x_rows = [[x.numerator * (den // x.denominator) for x in row] for row in xs]
     k = den // y_den
-    rows = [[*itertools.chain.from_iterable(zip(x_row, (y * k for y in y_row)))][1:]
+    rows = [[*x_row[1:], *(y * k for y in y_row)]
             for x_row, y_row in zip((row for row in x_rows for _ in range(n)), ys)]
     return list(itertools.product(range(n), repeat=steps)), rows, den
 
@@ -382,13 +384,14 @@ def separated_bound_2d(model: Horseshoe2DModel, ell: int) -> Certificate2D:
         view = slab_view(model)
     except ContractError as exc:
         raise VerificationError(f"slab view refused: {exc}") from None
-    itineraries, rows, den = _orbit_rows(model, view, model.p * ell)
+    steps = model.p * ell
+    itineraries, rows, den = _orbit_rows(model, view, steps)
 
     # sup over time of the plane's sup metric = max over the flat row
     per_min = tuple(None if d is None else Fraction(d, den) for d in _least_distances(rows))
     min_pairwise = min((m for m in per_min if m is not None), default=None)
-    return Certificate2D(model, ell, model.p * ell, len(rows), tuple(itineraries),
-                         tuple((Fraction(0), Fraction(r[0], den)) for r in rows), per_min,
+    return Certificate2D(model, ell, steps, len(rows), tuple(itineraries),
+                         tuple((Fraction(0), Fraction(r[-steps], den)) for r in rows), per_min,
                          min_pairwise)
 
 

@@ -27,8 +27,10 @@ Both separated families (cylinders here, planar in ``horseshoe``) are
 certified by the premises of a ``MarkovView``.  Their exact least distances
 are audits, read off cylinder midpoints built on the itinerary tree as
 integer rows over one denominator (``_cylinder_rows``) by one kernel,
-``_least_distances``, which sweeps the rows in order of their last entry and
-prunes where the last entries alone are too far apart.
+``_least_distances``, which recurses on the itinerary tree: it groups the
+rows by their last entry, each group by its next-to-last, and so on, and
+compares across the groups of one node only where the entry they split on
+leaves a pair closer than a best already found.
 
 Rates h(f,eps) are least-squares slopes of log(count) against n over a
 window, with the max single-step increment reported alongside as a second
@@ -357,42 +359,64 @@ def count_separated_exhaustive(
 
 def _least_distances(rows: list[list[int]]) -> list[int | None]:
     """Each integer row's exact least sup-norm distance to any other row
-    (None for a lone row).  Every entry bounds the sup distance from below,
-    so a sweep keyed on any entry is exact; this one keys on the last.  A
-    row's scan right, then left, stops at the first row whose last entry is
-    its current best or more away.  A distance found scanning right lowers
-    both rows' bests; scanning left skips the rows whose right scan already
-    reached this one.  A cylinder row's last entry is mid C(w_{n-1}), one of
-    B values, so a row's window is its last-branch group, and a neighbouring
-    group only while its best exceeds the gap between the groups' last entries."""
-    order = sorted(range(len(rows)), key=lambda i: rows[i][-1])
-    rows = [rows[i] for i in order]
-    lasts = [a[-1] for a in rows]
-    k = len(rows)
-    best: list[float | int] = [math.inf] * k
-    reach = [0] * k                 # where each row's right scan stopped
-    for p, a in enumerate(rows):
-        key, low, q = lasts[p], best[p], p + 1
-        while q < k and lasts[q] - key < low:
-            d = max(map(abs, map(sub, a, rows[q])))
-            if d < low:
-                low = d
-            if d < best[q]:
-                best[q] = d
-            q += 1
-        reach[p] = q
-        for q in range(p - 1, -1, -1):
-            if key - lasts[q] >= low:
-                break
-            if reach[q] <= p:
-                d = max(map(abs, map(sub, a, rows[q])))
-                if d < low:
-                    low = d
-        best[p] = low
-    out: list[int | None] = [None] * k
-    for i, d in zip(order, best):
-        out[i] = None if d == math.inf else d
-    return out
+    (None for a lone row), by a sweep that recurses on the itinerary tree.
+
+    Rows that agree after entry t are sorted by entry t, from the last entry
+    down; rows with equal entry t form a group, which recurses on entry
+    t − 1 (past entry 0 its rows are equal, at distance 0).  Each row then
+    scans the other groups right, then left, and stops at the first row
+    whose entry t is its current best or more away.  A distance found
+    scanning right lowers both rows' bests; scanning left skips the rows
+    whose right scan already reached this one.
+
+    Exactness needs only that any entry bounds the sup distance from below,
+    no view premise, so the audit stays independent of the proof it audits.
+    A best is a distance to another row, never below the row's least
+    distance m, reached at a row s.  The recursion finds an s in the row's
+    group.  Otherwise the scan toward s reaches it (or s's right scan
+    reached this row first), unless it stops at a row no nearer than s in
+    entry t, at a gap of at least the best; that gap is at most d(row, s) =
+    m, so the best is m already.  A cylinder row's entry t is mid C(w[t:]),
+    so the groups are the subtrees of the itinerary tree."""
+    best: list[float | int] = [math.inf] * len(rows)
+
+    def sweep(group: list[int], t: int) -> None:
+        if t < 0:                   # equal on every entry
+            for i in group:
+                best[i] = 0
+            return
+        group.sort(key=lambda i: rows[i][t])
+        keys = [rows[i][t] for i in group]
+        k = len(group)
+        edges = [0, *(p for p in range(1, k) if keys[p] != keys[p - 1]), k]
+        reach = [0] * k             # where each row's right scan stopped
+        for lo, hi in zip(edges, edges[1:]):
+            if hi - lo > 1:
+                sweep(group[lo:hi], t - 1)
+            for p in range(lo, hi):
+                i = group[p]
+                a, key, low, q = rows[i], keys[p], best[i], hi
+                while q < k and keys[q] - key < low:
+                    j = group[q]
+                    d = max(map(abs, map(sub, a, rows[j])))
+                    if d < low:
+                        low = d
+                    if d < best[j]:
+                        best[j] = d
+                    q += 1
+                reach[p] = q
+                for q in range(lo - 1, -1, -1):
+                    if key - keys[q] >= low:
+                        break
+                    if reach[q] <= p:
+                        d = max(map(abs, map(sub, a, rows[group[q]])))
+                        if d < low:
+                            low = d
+                best[i] = low
+
+    if rows:
+        sweep(list(range(len(rows))), len(rows[0]) - 1)
+    return [None if d == math.inf else d for d in best]
 
 
 # === full-branch Markov views ===============================================

@@ -588,11 +588,12 @@ def test_rows_from_memoised_x_equal_rows_stepped_by_apply_branch(n, steps, delta
     assert itineraries == list(product(range(n), repeat=steps))
     assert len(orbits) == len(rows) == n**steps
     for itin, ys, row in zip(itineraries, orbits, rows):
-        # x stepped by apply_branch along each representative's own orbit
-        stepped = [F(0), ys[0]]
-        for j, y in zip(itin, ys[1:]):
-            stepped += (model.apply_branch(j, (stepped[-2], stepped[-1]))[0], y)
-        assert [F(v, den) for v in row] == stepped[1:]
+        # x stepped by apply_branch along each representative's own orbit,
+        # then the y-orbit: x_1 ... x_{steps-1}, y_0 ... y_{steps-1}
+        xs = [F(0)]
+        for j, y in zip(itin, ys):
+            xs.append(model.apply_branch(j, (xs[-1], y))[0])
+        assert [F(v, den) for v in row] == xs[1:steps] + ys
 
 
 def test_certificate_ratio_examples():

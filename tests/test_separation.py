@@ -1050,6 +1050,10 @@ kernel_values = st.integers(-12, 12)
 @example([[3, 1], [7, -1], [3, 1], [0, 4]])                      # a duplicate row
 @example([[0, 5], [0, 0], [0, 1]])                               # found scanning left
 @example([[-5, -1], [-9, -3], [-1, -7], [-4, -6]])               # negative entries
+@example([[0, 3, 1], [4, 3, 1], [2, 3, 1], [9, 0, 1], [1, 0, 2]])  # nested groups
+@example([[2, -1], [2, -1], [2, -1]])                            # all rows identical
+@example([[0, 0], [5, 0], [1, 1], [7, 3]])                       # nearest in another group
+@example([[0, 0, 0], [6, 2, 0], [1, 3, 0], [9, 3, 0], [2, 1, 1]])  # ... one level down
 def test_pruned_kernel_matches_all_pairs(rows):
     assert _least_distances(rows) == least_distances_reference(rows)
 
@@ -1059,8 +1063,9 @@ def test_pruned_kernel_matches_all_pairs(rows):
 @example(([0, 1, 40, 50, 95, 96], [True, False]), 3)       # two groups, far apart
 @example(([10, 20, 70, 90], [False]), 2)                   # one branch: one row
 def test_pruned_kernel_matches_all_pairs_on_cylinder_rows(layout, n):
-    # cylinder rows share their last entry within a last-branch group, so the
-    # sweep's windows are whole groups: the case the last-entry key is for
+    # entry t of a cylinder row is mid C(w[t:]), so rows that share w[t:]
+    # share every entry from t on, and the sweep's groups are the subtrees of
+    # the itinerary tree: the case the recursion is for
     cuts, ups = layout
     cuts = [F(c, 96) for c in sorted(cuts)]
     inner = cuts[1:-1]
