@@ -165,27 +165,67 @@ def _values(m: PwaMap, xs: Sequence[Fraction], pairs: bool = False) -> list:
 
 
 def compose(outer: PwaMap, inner: PwaMap) -> PwaMap:
-    """Exact outer∘inner by one ordered walk over inner's nodes.
+    """Exact outer∘inner by two ordered walks over inner's nodes.
 
-    Each inner value y is placed among outer's nodes by its node key (one
-    exact compare on a shared key) and valued on outer's node or piece
-    there.  Before each inner node come the preimages x0 + (u − y0)(x1 −
-    x0)/(y1 − y0) of the outer nodes u strictly between the values y0, y1
-    at the ends of the segment that ends there, in x order, each one integer
-    fraction valued by its node.  Between two consecutive points inner is
-    affine with image inside one affine piece of outer, so the result is
-    affine there; ``from_nodes`` rechecks the x order.
+    The first (``_place``) places each inner value y among outer's nodes by
+    its node key, with one exact compare on a shared key; the second values
+    y on outer's node or piece there.  Before each inner node come the
+    preimages x0 + (u − y0)(x1 − x0)/(y1 − y0) of the outer nodes u strictly
+    between the values y0, y1 at the ends of the segment that ends there, in
+    x order, each one integer fraction valued by its node.  Between two
+    consecutive points inner is affine with image inside one affine piece
+    of outer, so the result is affine there; ``from_nodes`` rechecks the x
+    order.
+
+    Every preimage is a node of the canonical result, so the result has at
+    least ``_preimage_count`` + 2 nodes.  A preimage x of u lies strictly
+    inside an inner segment, so it is never an inner node, 0 or 1, and
+    near x inner is affine with one slope s.  s ≠ 0, since u lies strictly
+    between the segment's end values.  u lies strictly inside (0, 1), so it
+    is an interior node of the canonical outer, whose slopes a_l, a_r on
+    either side of u differ (else u would be a collinear middle).  Near x
+    the result has slopes s·a_l and s·a_r, one on each side (in that order
+    for s > 0, swapped for s < 0), and these differ, so the result is not
+    affine across x and normalization keeps it.  Distinct u give distinct
+    x on one segment, and segments share no interior point.
     """
-    shift, keys, pieces = outer._table
-    oxs, oys = outer.xs, outer.ys
-    nodes: list[tuple[Fraction, Fraction]] = []
-    for x, y in zip(inner.xs, inner.ys):
-        (p1, q1), (s1, t1) = x.as_integer_ratio(), y.as_integer_ratio()
-        k = (s1 << shift) // t1
-        lo = hi = bisect_right(keys, k)             # outer nodes < y, <= y
+    return _compose_placed(outer, inner, _place(outer, inner))
+
+
+def _place(outer: PwaMap, inner: PwaMap) -> list[tuple[int, int, int, int]]:
+    """Per inner node, its value y = s/t as (s, t, lo, hi): lo and hi are
+    the numbers of outer nodes < y and <= y, found by y's node key and one
+    exact compare when y shares its key with a node.  No Fraction is made."""
+    shift, keys, _ = outer._table
+    oxs = outer.xs
+    places = []
+    for y in inner.ys:
+        s, t = y.as_integer_ratio()
+        k = (s << shift) // t
+        lo = hi = bisect_right(keys, k)
         if keys[lo - 1] == k:                       # y shares its key with node lo − 1
             n, d = oxs[lo - 1].as_integer_ratio()
-            lo, hi = lo - (s1 * d <= n * t1), hi - (s1 * d < n * t1)
+            lo, hi = lo - (s * d <= n * t), hi - (s * d < n * t)
+        places.append((s, t, lo, hi))
+    return places
+
+
+def _preimage_count(places: list[tuple[int, int, int, int]]) -> int:
+    """The number of preimage nodes ``compose`` inserts: on each inner
+    segment, the outer nodes strictly between its end values, hi0..lo − 1
+    going up and hi..lo0 − 1 going down (none when flat)."""
+    return sum(max(lo - hi0, lo0 - hi, 0)
+               for (_, _, lo0, hi0), (_, _, lo, hi) in zip(places, places[1:]))
+
+
+def _compose_placed(outer: PwaMap, inner: PwaMap,
+                    places: list[tuple[int, int, int, int]]) -> PwaMap:
+    """outer∘inner from inner's values as placed by ``_place``."""
+    pieces = outer._table[2]
+    oxs, oys = outer.xs, outer.ys
+    nodes: list[tuple[Fraction, Fraction]] = []
+    for x, (s1, t1, lo, hi) in zip(inner.xs, places):
+        p1, q1 = x.as_integer_ratio()
         if nodes:
             dy = s1 * t0 - s0 * t1
             # the outer nodes strictly between y0 and y1, in x order (none when flat)
@@ -207,20 +247,48 @@ def compose(outer: PwaMap, inner: PwaMap) -> PwaMap:
 def iterate(m: PwaMap, n: int, node_budget: int = DEFAULT_NODE_BUDGET) -> PwaMap:
     """Exact n-fold composition m∘…∘m (n=0 gives the identity).
 
-    Node growth is geometric for expanding maps; the budget caps it.  Deep
-    orbits of single points should use orbit evaluation (module separation),
-    which never materializes the iterated map.
+    Right-to-left binary powering: the power m^(2^j) is squared ⌊log₂ n⌋
+    times, and at each further set bit of n it is composed, as the outer
+    map, onto the result so far.  Composition is associative and a
+    canonical node tuple is unique, so the result is the step loop's
+    (n steps of ``compose(m, ·)``).
+
+    The budget bounds every map it builds: a composition is refused before
+    any of its nodes is made when its preimage count (see ``compose``)
+    already puts the result over the budget, and a built map is refused
+    when its canonical node count is.  Every map built is a power m^k with
+    k ≤ n, each of which the step loop built and checked, so this refuses
+    only where the step loop refused.  Node growth is geometric for
+    expanding maps, and one squaring can square the node count; the budget
+    caps it.  Deep orbits of single points should use orbit evaluation
+    (module separation), which never materializes the iterated map.
     """
     if n < 0:
         raise DomainError(f"iterate needs n >= 0, got {n}")
-    result = identity_map()
-    for step in range(1, n + 1):
-        result = compose(m, result)
-        if result.node_count > node_budget:
-            raise ResourceError(
-                f"iterate({step}) needs {result.node_count} nodes,"
-                f" over the budget of {node_budget} (requested n={n})"
-            )
+    if n == 0:
+        return identity_map()
+
+    def check(k: int, count: int, bound: str = "") -> None:
+        if count > node_budget:
+            raise ResourceError(f"iterate({k}) needs {bound}{count} nodes,"
+                                f" over the budget of {node_budget} (requested n={n})")
+
+    def composed(outer: PwaMap, inner: PwaMap, k: int) -> PwaMap:
+        places = _place(outer, inner)
+        check(k, _preimage_count(places) + 2, "at least ")
+        power = _compose_placed(outer, inner, places)
+        check(k, power.node_count)
+        return power
+
+    power = PwaMap.from_nodes(m.nodes())                 # m^(2^j)
+    check(1, power.node_count)
+    result, done = None, 0                               # m^done, done = n mod 2^j
+    for j in range(n.bit_length()):
+        if j:
+            power = composed(power, power, 1 << j)
+        if n >> j & 1:
+            done += 1 << j
+            result = power if result is None else composed(power, result, done)
     return result
 
 

@@ -8,7 +8,16 @@ from fractions import Fraction
 
 import pytest
 
-from mdimlab import Horseshoe2DModel, PwaMap, build_fbeta, identity_map, plan_sequences, tent_map
+from mdimlab import (
+    Horseshoe2DModel,
+    PwaMap,
+    ResourceError,
+    build_fbeta,
+    compose,
+    identity_map,
+    plan_sequences,
+    tent_map,
+)
 
 ACCEPTANCE_LINES: list[str] = []
 
@@ -83,6 +92,23 @@ def orbit_values(m: PwaMap, x: Fraction, n: int) -> list[Fraction]:
 def dn_reference(m: PwaMap, x: Fraction, y: Fraction, n: int) -> Fraction:
     """d_n(x, y) = max over the first n iterates of |f^k(x) - f^k(y)|, by ``value_at``."""
     return max(abs(a - b) for a, b in zip(orbit_values(m, x, n), orbit_values(m, y, n)))
+
+
+# === reference iteration ======================================================
+# The library iterates by repeated squaring and refuses a composition from
+# its preimage count before building it; the cross-checks hold it to the
+# plain step loop, which builds every power and checks each one built.
+
+def iterate_by_steps(m: PwaMap, n: int, node_budget: int) -> PwaMap:
+    """n steps of ``compose(m, r)`` from the identity, each power refused
+    after it is built when its node count is over the budget."""
+    result = identity_map()
+    for step in range(1, n + 1):
+        result = compose(m, result)
+        if result.node_count > node_budget:
+            raise ResourceError(f"iterate({step}) needs {result.node_count} nodes,"
+                                f" over the budget of {node_budget} (requested n={n})")
+    return result
 
 
 # === reference cylinders and pairwise minima ==================================

@@ -9,10 +9,16 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import near_nodes, prime_denominator_pwa, random_pwa, value_at
+from conftest import (
+    iterate_by_steps,
+    near_nodes,
+    prime_denominator_pwa,
+    random_pwa,
+    value_at,
+)
 from mdimlab import (
     DomainError,
     PwaMap,
@@ -30,7 +36,7 @@ from mdimlab import (
     sup_distance,
     tent_map,
 )
-from mdimlab.pwa import merge_nodes
+from mdimlab.pwa import _place, _preimage_count, merge_nodes
 
 F = Fraction
 
@@ -226,6 +232,101 @@ def test_iterate_rejects_negative_depth(tent):
 def test_iterate_budget_names_the_request(tent):
     with pytest.raises(ResourceError, match=r"requested n=25"):
         iterate(tent, 25, node_budget=100)
+
+
+@st.composite
+def flat_and_off_grid_maps(draw, max_interior: int = 6) -> PwaMap:
+    """A random map on the 1/6, 1/97, 1/101 or 1/1009 grid whose pieces are
+    often flat: each value after the first may repeat the one before."""
+    d = draw(st.sampled_from([6, 97, 101, 1009]))
+    interior = sorted(draw(st.lists(st.integers(1, d - 1), max_size=min(max_interior, d - 1),
+                                    unique=True)))
+    ys = [draw(st.integers(0, d))]
+    for _ in range(len(interior) + 1):
+        ys.append(draw(st.one_of(st.just(ys[-1]), st.integers(0, d))))
+    xs = [0, *interior, d]
+    return PwaMap.from_nodes([(F(x, d), F(y, d)) for x, y in zip(xs, ys)])
+
+
+@settings(max_examples=120, deadline=None)
+@given(flat_and_off_grid_maps(), flat_and_off_grid_maps())
+def test_every_preimage_of_an_interior_outer_node_is_a_node_of_the_composition(outer, inner):
+    # each x strictly inside an inner segment with inner(x) an interior outer
+    # node u: on a flat segment inner(x) = u nowhere or everywhere, else at
+    # one x, found here by solving the segment's line for u
+    preimages = []
+    for (x0, y0), (x1, y1) in zip(inner.nodes(), inner.nodes()[1:]):
+        if y0 != y1:
+            xs = (x0 + (u - y0) * (x1 - x0) / (y1 - y0) for u in outer.xs[1:-1])
+            preimages += [x for x in xs if x0 < x < x1]
+    composed = compose(outer, inner)
+    assert set(preimages) <= set(composed.xs)
+    assert composed.node_count >= len(preimages) + 2
+    assert _preimage_count(_place(outer, inner)) == len(preimages)
+
+
+def test_the_preimage_bound_is_met_exactly_by_a_trapezoid():
+    # m∘m keeps no inner node but 0 and 1: its 6 nodes are the 4 preimages
+    # of 1/6 and 1/2 plus the ends, so a budget of 5 is refused unbuilt
+    m = PwaMap.from_nodes([(F(0), F(0)), (F(1, 6), F(0)), (F(1, 2), F(5, 6)),
+                           (F(5, 6), F(5, 6)), (F(1), F(0))])
+    assert iterate(m, 2, node_budget=6) == compose(m, m)
+    assert compose(m, m).node_count == 6
+    with pytest.raises(ResourceError, match=r"iterate\(2\) needs at least 6 nodes"):
+        iterate(m, 2, node_budget=5)
+
+
+PINNED_POWERS = PwaMap.from_nodes([(F(x, 101), F(y, 101)) for x, y in zip(
+    (0, 21, 47, 49, 96, 98, 101), (92, 92, 44, 8, 18, 35, 20))])
+
+
+@settings(max_examples=150, deadline=None)
+@given(flat_and_off_grid_maps(), st.integers(0, 9), st.integers(10, 3000))
+@example(PINNED_POWERS, 4, 10)
+@example(PINNED_POWERS, 3, 10)
+def test_iterate_agrees_with_the_step_loop_and_refuses_only_where_it_refuses(m, n, budget):
+    try:
+        reference = iterate_by_steps(m, n, budget)
+    except ResourceError:
+        reference = None
+    try:
+        powered = iterate(m, n, node_budget=budget)
+    except ResourceError:
+        assert reference is None
+    else:
+        assert powered.node_count <= budget
+        assert reference is None or powered == reference
+
+
+def test_iterate_accepts_a_power_whose_lower_power_the_step_loop_refused():
+    m = PINNED_POWERS
+    powers = [m]
+    for _ in range(3):
+        powers.append(compose(m, powers[-1]))
+    assert [p.node_count for p in powers] == [7, 10, 11, 8]
+    square = compose(m, m)
+    fourth = iterate(m, 4, node_budget=10)
+    assert fourth == compose(square, square) == powers[3]
+    assert fourth.node_count == 8
+    with pytest.raises(ResourceError, match=r"iterate\(3\) needs 11 nodes"):
+        iterate_by_steps(m, 4, 10)
+    with pytest.raises(ResourceError, match=r"iterate\(3\) needs 11 nodes"):
+        iterate(m, 3, node_budget=10)
+
+
+def test_iterate_refuses_from_the_preimage_count_before_building(monkeypatch):
+    real = PwaMap.from_nodes
+    sizes: list[int] = []
+
+    def recording(nodes):
+        sizes.append(len(nodes))
+        return real(nodes)
+
+    monkeypatch.setattr(PwaMap, "from_nodes", staticmethod(recording))
+    with pytest.raises(ResourceError, match=r"needs at least \d+ nodes, over the budget of 1000"
+                                             r" \(requested n=40\)"):
+        iterate(tent_map(), 40, node_budget=1000)
+    assert sizes and max(sizes) <= 1000
 
 
 # === uniform distance =========================================================
