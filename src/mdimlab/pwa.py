@@ -10,6 +10,9 @@ Evaluation reads a private integer table, built on first use and never
 compared, hashed or pickled: node keys floor(x_i·2^s), s = 2·(bits of the
 largest x denominator) + 1, and per piece y = (a·x + b)/d, reduced.  No entry
 uses an lcm over the map, so nodes need not share a small common denominator.
+The table's format stays in this module: ``_locate`` is the one search of
+the node keys, which evaluation, composition, the distances and the integer
+orbit steps (``_integer_steps``, read by module separation) all go through.
 
 Everything here is exact; no operation touches floating point.
 """
@@ -135,13 +138,13 @@ def eval_sorted(m: PwaMap, xs: list[Fraction]) -> list[Fraction]:
 
 def _values(m: PwaMap, xs: Sequence[Fraction], pairs: bool = False) -> list:
     """Values at ascending points: a node's own value, else (a·p + b·q)/(d·q)
-    on the piece through x = p/q.  With ``pairs`` each value is that integer
-    (numerator, denominator) pair, unreduced off the nodes, for callers that
-    compare by cross-multiplication; else a Fraction.  A key shared with
-    node i needs one exact compare."""
-    shift, keys, pieces = m._table
+    on the piece through x = p/q, each located by ``_locate`` from the last
+    point's place.  With ``pairs`` each value is that integer (numerator,
+    denominator) pair, unreduced off the nodes, for callers that compare by
+    cross-multiplication; else a Fraction."""
+    pieces = m._table[2]
     out: list = []
-    i = 0
+    lo = 0
     pp, pq = 0, 1
     for x in xs:
         x = x if type(x) is Fraction else Fraction(x)
@@ -151,31 +154,49 @@ def _values(m: PwaMap, xs: Sequence[Fraction], pairs: bool = False) -> list:
         if p * pq < pp * q:
             raise DomainError(f"eval points must ascend: {Fraction(pp, pq)} then {x}")
         pp, pq = p, q
-        k = (p << shift) // q
-        i = bisect_right(keys, k, i) - 1
-        if k == keys[i]:
-            n, d0 = m.xs[i].as_integer_ratio()
-            if p == n and q == d0:            # x is a node (x == 1 is the last one)
-                out.append(m.ys[i].as_integer_ratio() if pairs else m.ys[i])
-                continue
-            i -= p * d0 < n * q               # x lies just below node i
-        a, b, d = pieces[i]
-        out.append((a * p + b * q, d * q) if pairs else Fraction(a * p + b * q, d * q))
+        lo, hi = _locate(m, p, q, lo)
+        if lo < hi:                           # x is node lo (x == 1 is the last one)
+            out.append(m.ys[lo].as_integer_ratio() if pairs else m.ys[lo])
+        else:
+            a, b, d = pieces[lo - 1]
+            out.append((a * p + b * q, d * q) if pairs else Fraction(a * p + b * q, d * q))
     return out
+
+
+def _locate(m: PwaMap, p: int, q: int, start: int = 0, end: int | None = None) -> tuple[int, int]:
+    """(lo, hi), the numbers of nodes below p/q and at or below it, as
+    ``bisect_left`` and ``bisect_right`` of m.xs with the bounds start and
+    end (end >= 1): found by p/q's node key, with one exact compare when it
+    shares its key with a node.  No Fraction is made."""
+    shift, keys, _ = m._table
+    k = (p << shift) // q
+    lo = hi = bisect_right(keys, k, start, end)
+    if keys[lo - 1] == k:                     # p/q shares its key with node lo − 1
+        n, d = m.xs[lo - 1].as_integer_ratio()
+        lo, hi = lo - (p * d <= n * q), hi - (p * d < n * q)
+    return lo, hi
+
+
+def _integer_steps(m: PwaMap) -> tuple[int, list[tuple[int, int]]]:
+    """The integer form of one step of the map: M, the lcm of the pieces'
+    d_i in the table, and each piece's step (a_i·M/d_i, b_i·M/d_i), which
+    sends v/d to (a_i·v + b_i·d)/(d·M) exactly."""
+    pieces = m._table[2]
+    big_m = math.lcm(*(d for _, _, d in pieces))
+    return big_m, [(a * (big_m // d), b * (big_m // d)) for a, b, d in pieces]
 
 
 def compose(outer: PwaMap, inner: PwaMap) -> PwaMap:
     """Exact outer∘inner by two ordered walks over inner's nodes.
 
     The first (``_place``) places each inner value y among outer's nodes by
-    its node key, with one exact compare on a shared key; the second values
-    y on outer's node or piece there.  Before each inner node come the
-    preimages x0 + (u − y0)(x1 − x0)/(y1 − y0) of the outer nodes u strictly
-    between the values y0, y1 at the ends of the segment that ends there, in
-    x order, each one integer fraction valued by its node.  Between two
-    consecutive points inner is affine with image inside one affine piece
-    of outer, so the result is affine there; ``from_nodes`` rechecks the x
-    order.
+    ``_locate``; the second values y on outer's node or piece there.  Before
+    each inner node come the preimages x0 + (u − y0)(x1 − x0)/(y1 − y0) of
+    the outer nodes u strictly between the values y0, y1 at the ends of the
+    segment that ends there, in x order, each one integer fraction valued
+    by its node.  Between two consecutive points inner is affine with image
+    inside one affine piece of outer, so the result is affine there;
+    ``from_nodes`` rechecks the x order.
 
     Every preimage is a node of the canonical result, so the result has at
     least ``_preimage_count`` + 2 nodes.  A preimage x of u lies strictly
@@ -193,21 +214,9 @@ def compose(outer: PwaMap, inner: PwaMap) -> PwaMap:
 
 
 def _place(outer: PwaMap, inner: PwaMap) -> list[tuple[int, int, int, int]]:
-    """Per inner node, its value y = s/t as (s, t, lo, hi): lo and hi are
-    the numbers of outer nodes < y and <= y, found by y's node key and one
-    exact compare when y shares its key with a node.  No Fraction is made."""
-    shift, keys, _ = outer._table
-    oxs = outer.xs
-    places = []
-    for y in inner.ys:
-        s, t = y.as_integer_ratio()
-        k = (s << shift) // t
-        lo = hi = bisect_right(keys, k)
-        if keys[lo - 1] == k:                       # y shares its key with node lo − 1
-            n, d = oxs[lo - 1].as_integer_ratio()
-            lo, hi = lo - (s * d <= n * t), hi - (s * d < n * t)
-        places.append((s, t, lo, hi))
-    return places
+    """Per inner node, its value y = s/t as (s, t, lo, hi), lo and hi as
+    ``_locate`` gives them among outer's nodes."""
+    return [(s, t, *_locate(outer, s, t)) for s, t in map(Fraction.as_integer_ratio, inner.ys)]
 
 
 def _preimage_count(places: list[tuple[int, int, int, int]]) -> int:
@@ -312,15 +321,22 @@ def _node_keys(ratios: list[tuple[int, int]]) -> tuple[int, list[int]]:
 
 
 def sup_distance(a: PwaMap, b: PwaMap) -> Fraction:
-    """Exact C0 distance max_x |a(x) − b(x)|.
+    """Exact C0 distance max_x |a(x) − b(x)|."""
+    return _distance_on(a, b, ZERO, ONE)
 
-    The difference is piecewise affine with breakpoints in the merged node
-    set, so the max is attained at one of those points.  The differences are
-    integer pairs compared by cross-multiplication; one Fraction is built.
+
+def _distance_on(a: PwaMap, b: PwaMap, lo: Fraction, hi: Fraction) -> Fraction:
+    """Exact max |a(x) − b(x)| over [lo, hi] inside [0, 1].
+
+    The difference is affine between consecutive points of {lo, hi} and the
+    nodes of either map between them, so the max is attained at one of
+    those points.  The differences are integer pairs compared by
+    cross-multiplication; one Fraction is built.
     """
-    merged = merge_nodes(a.xs, b.xs)
+    (p, q), (r, s) = lo.as_integer_ratio(), hi.as_integer_ratio()
+    xs = merge_nodes((lo, hi), *(m.xs[_locate(m, p, q)[1]:_locate(m, r, s)[0]] for m in (a, b)))
     best, best_d = 0, 1
-    for (un, ud), (vn, vd) in zip(_values(a, merged, True), _values(b, merged, True)):
+    for (un, ud), (vn, vd) in zip(_values(a, xs, True), _values(b, xs, True)):
         n, d = abs(un * vd - vn * ud), ud * vd
         if n * best_d > best * d:
             best, best_d = n, d

@@ -15,13 +15,15 @@ algorithm under d_n, so counts are produced three ways and labeled by method:
                          by the view's premises when it declares a scale.
 
 The greedy and exhaustive counts decide d_n(x,y) > eps on integer orbits
-over one denominator per count, reading the map's integer node table
-(``pwa``), as do ``orbit`` and ``dn_distance``.  The greedy count pushes its
-grid through the map as runs, integer progressions that split at the map's
-nodes and so stay inside one piece at every depth (``_affine_runs``).
-Inside a run d_n is the index gap times the run's widest step, so past a
-run's first eps in x the greedy picks one ``range`` by stride, and only the
-points within eps of a run's ends get an orbit and a pointwise check.
+over one denominator per count, stepped by ``pwa._integer_steps`` on the
+piece that ``pwa._locate``, the one search of the map's node keys, finds;
+``orbit`` and ``dn_distance`` evaluate through the same search.  The greedy
+count pushes its grid through the map as runs, integer progressions that
+split at the map's nodes and so stay inside one piece at every depth
+(``_affine_runs``).  Inside a run d_n is the index gap times the run's
+widest step, so past a run's first eps in x the greedy picks one ``range``
+by stride, and only the points within eps of a run's ends get an orbit and
+a pointwise check.
 
 Both separated families (cylinders here, planar in ``horseshoe``) are
 certified by the premises of a ``MarkovView``.  Their exact least distances
@@ -40,7 +42,6 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from collections.abc import Callable
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import chain, product
@@ -53,7 +54,7 @@ from .errors import (
     ResourceError,
     SerializationError,
 )
-from .pwa import PwaMap, eval_map, eval_sorted
+from .pwa import PwaMap, _integer_steps, _locate, eval_map, eval_sorted
 from .rational import body_lines, format_interval, format_rational, parse_interval, parse_rational
 
 METHOD_GREEDY = "greedy-grid"
@@ -135,41 +136,14 @@ def dn_distance(m: PwaMap, x: Fraction, y: Fraction, n: int) -> Fraction:
 
 # === greedy / exhaustive counting ===========================================
 
-def _integer_steps(
-    m: PwaMap, n: int
-) -> tuple[int, list[tuple[int, int]], Callable[[int, int], int]]:
-    """The integer form of one step of the map, for orbits of length n >= 1:
-    M, the lcm of the pieces' d_i in the map's integer table (module
-    ``pwa``); each piece's step (a_i·M/d_i, b_i·M/d_i), which sends v/d to
-    (a_i·v + b_i·d)/(d·M) exactly; and ``_piece_finder``'s ``piece``."""
-    if n < 1:
-        raise DomainError(f"orbit needs n >= 1, got {n}")
-    pieces = m._table[2]
-    big_m = math.lcm(*(d for _, _, d in pieces))
-    table = [(a * (big_m // d), b * (big_m // d)) for a, b, d in pieces]
-    return big_m, table, _piece_finder(m)
-
-
-def _piece_finder(m: PwaMap) -> Callable[[int, int], int]:
-    """``piece(v, d)``, the i with x_i <= v/d < x_{i+1} (x = 1 falls in the
-    last piece), found by the map's integer node keys as in ``pwa``: a key
-    shared with node i needs one exact compare."""
-    shift, keys, pieces = m._table
-    last, xs = len(pieces), m.xs
-
-    def piece(v: int, d: int) -> int:
-        k = (v << shift) // d
-        i = bisect_right(keys, k, 0, last) - 1
-        return i - (k == keys[i] and v * xs[i].denominator < xs[i].numerator * d)
-
-    return piece
-
-
 def _scaled_orbits(m: PwaMap, nums, den: int, n: int) -> tuple[list[list[int]], int]:
     """Orbits of the points v/den, v in ``nums``, as integer numerators over
-    one denominator D = den·M^(n−1) (``_integer_steps``).  Entry k is exact
-    over den·M^k, then scaled by M^(n−1−k).  Returns the orbits and D."""
-    big_m, table, piece = _integer_steps(m, n)
+    one denominator D = den·M^(n−1) (``pwa._integer_steps``).  Entry k is
+    exact over den·M^k, then scaled by M^(n−1−k).  Returns the orbits and D."""
+    if n < 1:
+        raise DomainError(f"orbit needs n >= 1, got {n}")
+    big_m, table = _integer_steps(m)
+    last = len(table)
     dens = [den * big_m**k for k in range(n - 1)]
     scales = [big_m**k for k in range(n - 1, -1, -1)]
     orbits = []
@@ -178,7 +152,7 @@ def _scaled_orbits(m: PwaMap, nums, den: int, n: int) -> tuple[list[list[int]], 
             raise DomainError(f"eval argument {Fraction(v, den)} outside [0,1]")
         out = [v]
         for d in dens:
-            a, b = table[piece(v, d)]
+            a, b = table[_locate(m, v, d, 0, last)[1] - 1]     # x = 1 in the last piece
             v = a * v + b * d
             out.append(v)
         orbits.append(list(map(mul, out, scales)))
@@ -195,7 +169,8 @@ def _affine_runs(m: PwaMap, runs, den: int, n: int) -> tuple[list[tuple[int, ...
     runs in index order (a point on a node goes to either side: the map is
     continuous).  Runs never outnumber points.  Returns the runs at depth
     n − 1 and D = den·M^(n−1)."""
-    big_m, table, piece = _integer_steps(m, n)
+    big_m, table = _integer_steps(m)
+    last = len(table)
     nodes = [x.as_integer_ratio() for x in m.xs]
     runs = [(first, count, start, step, abs(step)) for first, count, start, step in runs]
     d = den
@@ -203,7 +178,8 @@ def _affine_runs(m: PwaMap, runs, den: int, n: int) -> tuple[list[tuple[int, ...
         out = []
         for first, count, start, step, wide in runs:
             wide *= big_m
-            p0, p1 = piece(start, d), piece(start + (count - 1) * step, d)
+            p0 = _locate(m, start, d, 0, last)[1] - 1
+            p1 = _locate(m, start + (count - 1) * step, d, 0, last)[1] - 1
             s = 1 if p1 > p0 else -1
             cuts = [0]
             for q in range(p0 + s, p1 + s, s):
@@ -499,12 +475,12 @@ class MarkovView:
     def _check_against_map(self) -> None:
         """Each branch equals the map on its domain: its end values are the
         core ends, and hi is at most the least map node above lo, the one that
-        ends lo's piece (``_piece_finder``; lo < hi <= 1).  One ``eval_sorted``
-        values the ascending branch ends (DomainError for one outside [0, 1]).
-        The error names the first failing branch in branch order."""
+        ends lo's piece, m.xs[hi] for the count hi of nodes at or below lo
+        (``pwa._locate``; lo < hi <= 1).  One ``eval_sorted`` values the
+        ascending branch ends (DomainError for one outside [0, 1]).  The
+        error names the first failing branch in branch order."""
         m = self.map
         values = eval_sorted(m, [x for br in self.branches for x in (br.lo, br.hi)])
-        piece = _piece_finder(m)
         for k, br in enumerate(self.branches):
             got = tuple(values[2 * k:2 * k + 2])
             want = (self.core_lo, self.core_hi) if br.increasing else (self.core_hi, self.core_lo)
@@ -513,7 +489,7 @@ class MarkovView:
                     f"branch [{br.lo}, {br.hi}] does not map onto the core:"
                     f" endpoint values ({got[0]}, {got[1]}), expected {want}"
                 )
-            node = m.xs[piece(*br.lo.as_integer_ratio()) + 1]
+            node = m.xs[_locate(m, *br.lo.as_integer_ratio())[1]]
             if node < br.hi:
                 raise ContractError(f"branch [{br.lo}, {br.hi}] is not affine: map node at {node}")
 

@@ -13,7 +13,8 @@ transport through A with the window length as scale factor.
 
 `implant` assembles only the staircase map (`assemble_fbeta`), never its
 level views; `transported_views` checks each view once, against the implanted
-map.  Maps are compared on integer value pairs by cross-multiplication.
+map.  Maps are compared on a window by `pwa._distance_on`, which is 0 exactly
+when they agree there.
 """
 
 from __future__ import annotations
@@ -26,9 +27,7 @@ from pathlib import Path
 
 from .errors import ContractError, DomainError, SerializationError, VerificationError
 from .fbeta import FBetaPlan, assemble_fbeta, level_views, load_plan
-from .pwa import (
-    DEFAULT_NODE_BUDGET, PwaMap, _values, identity_map, load_pwa, merge_nodes,
-)
+from .pwa import DEFAULT_NODE_BUDGET, PwaMap, _distance_on, identity_map, load_pwa
 from .rational import (
     body_lines, format_interval, format_rational, parse_interval, parse_rational, read_fields,
 )
@@ -97,15 +96,6 @@ def _require(cond: bool, message: str) -> None:
         raise ContractError(message)
 
 
-def _agree_on(a: PwaMap, b: PwaMap, lo: Fraction, hi: Fraction) -> bool:
-    """Exact equality on [lo, hi]: both maps are affine between consecutive
-    points of {lo, hi} and their breakpoints inside, so those points decide."""
-    inside = [m.xs[bisect_right(m.xs, lo):bisect_left(m.xs, hi)] for m in (a, b)]
-    xs = merge_nodes((lo, hi), *inside)
-    return all(un * vd == vn * ud
-               for (un, ud), (vn, vd) in zip(_values(a, xs, True), _values(b, xs, True)))
-
-
 def _check_plan(plan: SurgeryPlan) -> None:
     (j_lo, j_hi), (h_lo, h_hi), (t_lo, t_hi) = plan.J, plan.J_hat, plan.J_tilde
     _require(t_lo < h_lo < h_hi < t_hi,
@@ -118,7 +108,7 @@ def _check_plan(plan: SurgeryPlan) -> None:
     _require(j_lo + j_hi == 2 * plan.P,
              f"flat interval {format_interval(j_lo, j_hi)} is not centered at "
              f"P = {format_rational(plan.P)}")
-    _require(_agree_on(plan.host, identity_map(), j_lo, j_hi),
+    _require(_distance_on(plan.host, identity_map(), j_lo, j_hi) == 0,
              f"host must fix {format_interval(j_lo, j_hi)} pointwise (flatten it first)")
     if plan.budget is not None:
         _require(t_hi - t_lo < plan.budget / 3,
@@ -163,9 +153,9 @@ def _verify_implant(blended: PwaMap, plan: SurgeryPlan, insert: PwaMap) -> None:
     """Raise one VerificationError naming every broken promise."""
     (h_lo, h_hi), (t_lo, t_hi) = plan.J_hat, plan.J_tilde
     broken = []
-    if not (_agree_on(blended, plan.host, 0, t_lo) and _agree_on(blended, plan.host, t_hi, 1)):
+    if _distance_on(blended, plan.host, 0, t_lo) or _distance_on(blended, plan.host, t_hi, 1):
         broken.append(f"implant leaked outside the outer window {format_interval(t_lo, t_hi)}")
-    if not _agree_on(blended, insert, h_lo, h_hi):
+    if _distance_on(blended, insert, h_lo, h_hi):
         broken.append(f"inner window {format_interval(h_lo, h_hi)} does not carry the exact "
                       "rescaled copy")
     (ln, ld), (hn, hd) = h_lo.as_integer_ratio(), h_hi.as_integer_ratio()

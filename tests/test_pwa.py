@@ -6,6 +6,7 @@ import copy
 import math
 import pickle
 import random
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 
 import pytest
@@ -36,7 +37,7 @@ from mdimlab import (
     sup_distance,
     tent_map,
 )
-from mdimlab.pwa import _place, _preimage_count, merge_nodes
+from mdimlab.pwa import _locate, _place, _preimage_count, merge_nodes
 
 F = Fraction
 
@@ -150,6 +151,22 @@ def test_compose_matches_the_reference_on_prime_denominator_maps(seed):
     inner = prime_denominator_pwa(rng, 7, first_prime=2003)
     assert compose(outer, inner).nodes() == reference_compose(outer, inner)
     assert compose(inner, outer).nodes() == reference_compose(inner, outer)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seeds, st.booleans(), st.data())
+def test_locate_is_bisect_on_the_nodes(seed, primes, data):
+    # the nodes and the points 10^-12 either side of each, most of which share its key
+    rng = random.Random(seed)
+    m = prime_denominator_pwa(rng, rng.randint(2, 12)) if primes else random_pwa(rng)
+    for x in [F(0), F(1), *near_nodes(m)]:
+        p, q = x.as_integer_ratio()
+        lo, hi = bisect_left(m.xs, x), bisect_right(m.xs, x)
+        assert _locate(m, p, q) == (lo, hi)
+        start = data.draw(st.integers(0, lo))
+        end = data.draw(st.integers(max(start, 1), m.node_count))
+        assert _locate(m, p, q, start, end) == (bisect_left(m.xs, x, start, end),
+                                                 bisect_right(m.xs, x, start, end))
 
 
 def node_key(m: PwaMap, x: Fraction) -> int:

@@ -36,10 +36,10 @@ from mdimlab import (
     transported_views,
     verify_cylinder_separation,
 )
-from mdimlab.pwa import PwaMap
+from mdimlab.pwa import PwaMap, _distance_on
 from mdimlab.rational import format_interval
 from mdimlab.separation import METHOD_CYLINDER, MarkovBranch, MarkovView
-from mdimlab.surgery import _agree_on, _verify_implant
+from mdimlab.surgery import _verify_implant
 
 F = Fraction
 
@@ -135,9 +135,10 @@ def blend_reference(base: PwaMap, insert: PwaMap, profile: PwaMap) -> PwaMap:
     return PwaMap.from_nodes([(x, value_at(base, x) + c * d) for x, c, d in zip(xs, chi, diffs)])
 
 
-def agree_reference(a: PwaMap, b: PwaMap, lo: Fraction, hi: Fraction) -> bool:
+def distance_reference(a: PwaMap, b: PwaMap, lo: Fraction, hi: Fraction) -> Fraction:
+    """max |a − b| over [lo, hi], taken at lo, hi and either map's nodes between."""
     xs = {lo, hi} | {x for x in a.xs + b.xs if lo < x < hi}
-    return all(value_at(a, x) == value_at(b, x) for x in xs)
+    return max(abs(value_at(a, x) - value_at(b, x)) for x in xs)
 
 
 def nearby_map(rng: random.Random, a: PwaMap, relation: str) -> PwaMap:
@@ -182,7 +183,7 @@ def test_conjugation_and_transport_match_a_fraction_reference(seed, kind):
 @settings(max_examples=80, deadline=None)
 @given(seeds, kinds, st.sampled_from(["inside", "from 0", "to 1", "whole", "point"]),
        st.sampled_from(["other", "same", "bent", "at 1", "in a piece"]))
-def test_agree_on_matches_a_fraction_reference(seed, kind, window, relation):
+def test_distance_on_matches_a_fraction_reference(seed, kind, window, relation):
     rng = random.Random(seed)
     a = host_map(rng, kind)
     (h_lo, h_hi), _ = nested_windows(rng)
@@ -201,11 +202,15 @@ def test_agree_on_matches_a_fraction_reference(seed, kind, window, relation):
             [(x, y) for x, y in b.nodes() if x < lo] + [(F(lo), value_at(a, lo))] + inside
             + ([(F(hi), value_at(a, hi))] if hi > lo else [])
             + [(x, y) for x, y in b.nodes() if x > hi])
-    assert _agree_on(a, b, lo, hi) == agree_reference(a, b, lo, hi)
+    got = _distance_on(a, b, lo, hi)
+    assert got == distance_reference(a, b, lo, hi) == _distance_on(b, a, lo, hi)
+    # the max over the window: no point of it is farther apart
+    assert all(abs(value_at(a, x) - value_at(b, x)) <= got
+               for x in (lo + (hi - lo) * F(k, 16) for k in range(17)))
     if relation in ("same", "bent"):
-        assert _agree_on(a, b, lo, hi) == (relation == "same" or hi == lo)
+        assert (got == 0) == (relation == "same" or hi == lo)
     elif relation == "at 1" and hi < a.xs[-2]:
-        assert _agree_on(a, b, lo, hi)
+        assert got == 0
 
 
 def test_bump_profile_is_one_inside_and_zero_outside():
