@@ -15,15 +15,17 @@ algorithm under d_n, so counts are produced three ways and labeled by method:
                          by the view's premises when it declares a scale.
 
 The greedy and exhaustive counts decide d_n(x,y) > eps on integer orbits
-over one denominator per count, stepped by ``pwa._integer_steps`` on the
-piece that ``pwa._locate``, the one search of the map's node keys, finds;
-``orbit`` and ``dn_distance`` evaluate through the same search.  The greedy
-count pushes its grid through the map as runs, integer progressions that
-split at the map's nodes and so stay inside one piece at every depth
-(``_affine_runs``).  Inside a run d_n is the index gap times the run's
-widest step, so past a run's first eps in x the greedy picks one ``range``
-by stride, and only the points within eps of a run's ends get an orbit and
-a pointwise check.
+over one denominator per count, read off one stepper, ``_affine_runs``: it
+pushes points through the map as runs, integer progressions that split at
+the map's nodes and so stay inside one piece at every depth, each stepped
+by ``pwa._integer_steps`` on the piece that ``pwa._locate``, the one search
+of the map's node keys, finds; ``orbit`` and ``dn_distance`` evaluate
+through the same search.  A run carries its whole orbit as one pair
+(S_k, step_k) per depth, so inside a run d_n is the index gap times the
+run's widest step.  The greedy count pushes its grid as one run and, past a
+run's first eps in x, picks one ``range`` by stride; only the points within
+eps of a run's ends get their orbit read off the run and a pointwise check.
+The exhaustive count pushes each point as a run of one.
 
 Both separated families (cylinders here, planar in ``horseshoe``) are
 certified by the premises of a ``MarkovView``.  Their exact least distances
@@ -136,63 +138,51 @@ def dn_distance(m: PwaMap, x: Fraction, y: Fraction, n: int) -> Fraction:
 
 # === greedy / exhaustive counting ===========================================
 
-def _scaled_orbits(m: PwaMap, nums, den: int, n: int) -> tuple[list[list[int]], int]:
-    """Orbits of the points v/den, v in ``nums``, as integer numerators over
-    one denominator D = den·M^(n−1) (``pwa._integer_steps``).  Entry k is
-    exact over den·M^k, then scaled by M^(n−1−k).  Returns the orbits and D."""
+def _affine_runs(m: PwaMap, runs, den: int, n: int) -> tuple[list[tuple], int]:
+    """The one integer orbit stepper: push runs of points through the map
+    n − 1 times.  A run (first index, count, start, step) holds the points
+    g = first .. first + count − 1 at (start + (g − first)·step)/den, and
+    goes out as (first, count, orbit), orbit one pair (S_k, step_k) per
+    depth k < n: point g's f^k-value is (S_k + g·step_k)/D, D = den·M^(n−1)
+    (``pwa._integer_steps``), so two points g, g' of a run are exactly
+    |g − g'|·max_k |step_k| apart in d_n.  A run whose two ends lie in one
+    piece maps to one run by that piece's step; one that crosses nodes
+    splits at each, by one floor division, into runs in index order (a point
+    on a node goes to either side: the map is continuous).  Runs never
+    outnumber points.  A run is refused when n < 1, or when an end (and so
+    any point) lies outside [0, 1].  Returns the runs at depth n − 1 and D."""
     if n < 1:
         raise DomainError(f"orbit needs n >= 1, got {n}")
-    big_m, table = _integer_steps(m)
-    last = len(table)
-    dens = [den * big_m**k for k in range(n - 1)]
-    scales = [big_m**k for k in range(n - 1, -1, -1)]
-    orbits = []
-    for v in nums:
-        if not 0 <= v <= den:
-            raise DomainError(f"eval argument {Fraction(v, den)} outside [0,1]")
-        out = [v]
-        for d in dens:
-            a, b = table[_locate(m, v, d, 0, last)[1] - 1]     # x = 1 in the last piece
-            v = a * v + b * d
-            out.append(v)
-        orbits.append(list(map(mul, out, scales)))
-    return orbits, den * big_m ** (n - 1)
-
-
-def _affine_runs(m: PwaMap, runs, den: int, n: int) -> tuple[list[tuple[int, ...]], int]:
-    """Push runs of points through the map n − 1 times.  A run (first index,
-    count, start, step) holds the points (start + i·step)/den, i < count;
-    at depth k its points' f^k-values are (start_k + i·step_k)/(den·M^k), and
-    each run carries a fifth entry, its widest step max_{i<=k} |step_i|·M^(k−i).
-    A run whose two ends lie in one piece maps to one run by that piece's
-    step; one that crosses nodes splits at each, by one floor division, into
-    runs in index order (a point on a node goes to either side: the map is
-    continuous).  Runs never outnumber points.  Returns the runs at depth
-    n − 1 and D = den·M^(n−1)."""
+    for first, count, start, step in runs:
+        for v in (start, start + (count - 1) * step):
+            if not 0 <= v <= den:
+                raise DomainError(f"eval argument {Fraction(v, den)} outside [0,1]")
     big_m, table = _integer_steps(m)
     last = len(table)
     nodes = [x.as_integer_ratio() for x in m.xs]
-    runs = [(first, count, start, step, abs(step)) for first, count, start, step in runs]
+    runs = [(first, count, ((start - first * step, step),)) for first, count, start, step in runs]
     d = den
     for _ in range(n - 1):
         out = []
-        for first, count, start, step, wide in runs:
-            wide *= big_m
-            p0 = _locate(m, start, d, 0, last)[1] - 1
-            p1 = _locate(m, start + (count - 1) * step, d, 0, last)[1] - 1
+        for first, count, orbit in runs:
+            base, step = orbit[-1]      # end = last puts x = 1 in the last piece
+            p0 = p1 = _locate(m, base + first * step, d, 0, last)[1] - 1
+            if count > 1:
+                p1 = _locate(m, base + (first + count - 1) * step, d, 0, last)[1] - 1
             s = 1 if p1 > p0 else -1
-            cuts = [0]
+            cuts = [first]
             for q in range(p0 + s, p1 + s, s):
                 u, w = nodes[max(q, q - s)]     # the node between pieces q − s and q
-                cuts.append((u * d - start * w) // (step * w) + 1)
-            cuts.append(count)
+                cuts.append((u * d - base * w) // (step * w) + 1)
+            cuts.append(first + count)
             for q, i, j in zip(range(p0, p1 + s, s), cuts, cuts[1:]):
                 if i < j:
                     a, b = table[q]
-                    out.append((first + i, j - i, a * (start + i * step) + b * d, a * step,
-                                max(wide, abs(a * step))))
+                    out.append((i, j - i, (*orbit, (a * base + b * d, a * step))))
         runs, d = out, d * big_m
-    return runs, d
+    scales = [big_m**k for k in range(n - 1, -1, -1)]
+    return [(first, count, [(b * c, t * c) for (b, t), c in zip(orbit, scales)])
+            for first, count, orbit in runs], d
 
 
 def _over_one_denominator(points: list[Fraction]) -> tuple[list[int], int]:
@@ -211,31 +201,28 @@ def _greedy_select(m: PwaMap, n: int, epsilon: Fraction, nums, den: int, runs) -
     All orbits share one denominator D, so d_n <= eps exactly when the
     integer gap is at most L = floor(eps·D); and d_n >= |x − y|, so a point
     is compared only with chosen points at most eps away in x.  Inside one
-    run at depth n − 1 every orbit entry is affine in the index, so two of
-    its points j, j' are exactly |j − j'|·w apart in d_n, w the run's widest
-    step.  Hence a point more than eps in x past its run's start is compared
-    only within its run, and is chosen iff it lies at least r = L // w + 1
+    run every orbit entry S_k + g·step_k is affine in the index g, so two of
+    its points j, j' are exactly |j − j'|·w apart in d_n, w = max_k |step_k|.
+    Hence a point more than eps in x past its run's start is compared only
+    within its run, and is chosen iff it lies at least r = L // w + 1
     indices past the last chosen point (a last choice before the run lies
     more than eps away in x, and w is at least the index spacing in x, so
     this holds there too): that stretch of the run is one ``range``.  Only
     each run's head (its points within eps in x of its start) and tail
-    (within eps of its end) get integer orbits, in one batch, and the head
-    is checked pointwise against the chosen points, all of them heads or
-    tails, within eps in x."""
+    (within eps of its end) get their rows S_k + g·step_k read off the run,
+    and the head is checked pointwise against the chosen points, all of them
+    heads or tails, within eps in x."""
     runs, big_d = _affine_runs(m, runs, den, n)
     limit = epsilon.numerator * big_d // epsilon.denominator
     near = limit // (big_d // den)          # at most eps apart in x: v − v' <= near
-    spans = []
-    for first, count, *_ in runs:
+    rows: dict[int, list[int]] = {}
+    chosen: list[int] = []
+    for first, count, orbit in runs:
         end = first + count
         head = bisect_right(nums, nums[first] + near, first, end)
         tail = max(head, bisect_left(nums, nums[end - 1] - near, first, end))
-        spans.append((first, head, tail, end))
-    edges = [i for first, head, tail, end in spans
-             for i in chain(range(first, head), range(tail, end))]
-    rows = dict(zip(edges, _scaled_orbits(m, [nums[i] for i in edges], den, n)[0]))
-    chosen: list[int] = []
-    for (first, head, _, end), (*_, wide) in zip(spans, runs):
+        for i in chain(range(first, head), range(tail, end)):
+            rows[i] = [b + i * t for b, t in orbit]
         for i in range(first, head):
             o, x, ok = rows[i], nums[i], True
             for j in reversed(chosen):
@@ -247,7 +234,7 @@ def _greedy_select(m: PwaMap, n: int, epsilon: Fraction, nums, den: int, runs) -
             if ok:
                 chosen.append(i)
         if head < end:
-            r = limit // wide + 1
+            r = limit // max(abs(t) for _, t in orbit) + 1
             chosen.extend(range(max(head, chosen[-1] + r), end, r))
     return chosen
 
@@ -321,7 +308,9 @@ def count_separated_exhaustive(
     k = len(points)
     if k > EXHAUSTIVE_POINT_CAP:
         raise ResourceError(f"exhaustive scan capped at {EXHAUSTIVE_POINT_CAP} points, got {k}")
-    orbits, big_d = _scaled_orbits(m, *_over_one_denominator(points), n)
+    nums, den = _over_one_denominator(points)
+    runs, big_d = _affine_runs(m, [(i, 1, v, 0) for i, v in enumerate(nums)], den, n)
+    orbits = [[b for b, _ in orbit] for *_, orbit in runs]      # count-1 runs: step 0
     limit = epsilon.numerator * big_d // epsilon.denominator
     # adjacency bitmasks: bit j of adj[i] set iff d_n(p_i, p_j) > eps
     adj = [0] * k

@@ -62,7 +62,6 @@ from mdimlab.separation import (
     _cylinder_rows,
     _least_distances,
     _refuse_over_cap,
-    _scaled_orbits,
     count_at,
     cylinder_representatives,
     greedy_separated_points,
@@ -342,13 +341,16 @@ def test_cylinder_representatives_are_certified_separated(half_model):
     assert margin > F(1, 58)
 
 
-@pytest.mark.parametrize("view", [
-    ONE_BRANCH_VIEW,
-    MarkovView(F(0), F(1), (MarkovBranch(F(0), F(1), True),), F(1, 2), identity_map()),
+@pytest.mark.parametrize("make_view", [
+    lambda: ONE_BRANCH_VIEW,
+    lambda: MarkovView(F(0), F(1), (MarkovBranch(F(0), F(1), True),), F(1, 2), identity_map()),
 ], ids=["geometry-only", "identity-map"])
 @pytest.mark.parametrize("n", [1, 3])
-def test_one_branch_certificate_is_the_core_length(view, n):
-    # a single depth-n representative has nothing to be separated from
+def test_one_branch_certificate_is_the_core_length(make_view, n):
+    # a single depth-n representative has nothing to be separated from; the
+    # view is made here, not at collection, so that a fault in the map check
+    # fails this test instead of the module's collection
+    view = make_view()
     assert verify_cylinder_separation(view, n) == view.core_hi - view.core_lo
 
 
@@ -616,10 +618,18 @@ def reference_greedy(m: PwaMap, n: int, eps: Fraction, points: list[Fraction]) -
     return chosen
 
 
+def run_orbit(run: tuple, g: int, big_d: int) -> list[Fraction]:
+    """Point g's orbit read off its run (first, count, orbit): f^k is (S_k + g·step_k)/D."""
+    return [F(b + g * t, big_d) for b, t in run[2]]
+
+
 def kernel_orbit_values(m: PwaMap, points: list[Fraction], n: int) -> list[list[Fraction]]:
+    """The points' orbits off the integer stepper, each pushed as a run of one."""
     den = math.lcm(*(F(x).denominator for x in points))
-    orbits, big_d = _scaled_orbits(m, [int(F(x) * den) for x in points], den, n)
-    return [[F(v, big_d) for v in o] for o in orbits]
+    nums = [int(F(x) * den) for x in points]
+    runs, big_d = _affine_runs(m, [(i, 1, v, 0) for i, v in enumerate(nums)], den, n)
+    assert [(first, count) for first, count, _ in runs] == [(i, 1) for i in range(len(points))]
+    return [run_orbit(run, run[0], big_d) for run in runs]
 
 
 unit_points = st.lists(
@@ -654,20 +664,29 @@ def test_integer_orbits_stay_exact_over_thirty_steps():
 
 
 def test_integer_orbits_reject_points_off_the_unit_interval(tent):
-    with pytest.raises(DomainError, match="outside"):
-        _scaled_orbits(tent, [2, 5], 4, 2)
-    with pytest.raises(DomainError, match="outside"):
-        _scaled_orbits(tent, [2, 5], 4, 1)
-    with pytest.raises(DomainError, match="n >= 1"):
-        _scaled_orbits(tent, [2], 4, 0)
+    for n in (1, 2):
+        # runs of one: the first point off [0, 1] is named
+        with pytest.raises(DomainError, match=r"^eval argument 5/4 outside \[0,1\]$"):
+            _affine_runs(tent, [(0, 1, 2, 0), (1, 1, 5, 0), (2, 1, -1, 0)], 4, n)
+        with pytest.raises(DomainError, match=r"^eval argument -1/4 outside \[0,1\]$"):
+            _affine_runs(tent, [(0, 1, 4, 0), (1, 1, -1, 0)], 4, n)
+        # a run is refused by its ends: 2/4, 3/4, 4/4 is in, 2/4 .. 5/4 is not
+        assert sum(r[1] for r in _affine_runs(tent, [(0, 3, 2, 1)], 4, n)[0]) == 3
+        with pytest.raises(DomainError, match=r"^eval argument 5/4 outside \[0,1\]$"):
+            _affine_runs(tent, [(0, 4, 2, 1)], 4, n)
+    # the window is checked before the points
+    with pytest.raises(DomainError, match=r"^orbit needs n >= 1, got 0$"):
+        _affine_runs(tent, [(0, 1, 5, 0)], 4, 0)
 
 
 @pytest.mark.parametrize("n", [1, 2])
 def test_counts_reject_points_off_the_unit_interval_at_every_n(tent, n):
     points = [F(0), F(5, 4), F(-3)]
-    with pytest.raises(DomainError, match="outside"):
+    # each names its first point off [0, 1]: the exhaustive count in the
+    # given order, the greedy count in ascending order
+    with pytest.raises(DomainError, match=r"^eval argument 5/4 outside \[0,1\]$"):
         count_separated_exhaustive(tent, n, F(1, 10), points)
-    with pytest.raises(DomainError, match="outside"):
+    with pytest.raises(DomainError, match=r"^eval argument -3 outside \[0,1\]$"):
         greedy_separated_points(tent, n, F(1, 10), points)
     with pytest.raises(DomainError, match=r"^eval argument -1 outside \[0,1\]$"):
         dn_distance(tent, F(-1), F(5), n)
@@ -732,7 +751,7 @@ def test_greedy_count_on_grids_whose_step_numerator_is_not_one(grid, eps, n):
 # inside each run and checks only run edges pointwise; these tests hold the
 # counts to the pairwise reference greedy and pin the runs themselves.
 
-def grid_runs(m: PwaMap, n: int, grid: Fraction) -> tuple[list[tuple[int, ...]], int]:
+def grid_runs(m: PwaMap, n: int, grid: Fraction) -> tuple[list[tuple], int]:
     """The greedy grid's runs at depth n − 1 and their denominator D."""
     p, q = grid.as_integer_ratio()
     return _affine_runs(m, [(0, q // p + 1, 0, p)], q, n)
@@ -776,12 +795,14 @@ def test_greedy_count_on_runs_on_explicit_maps(m, eps, grid, n):
 
 def test_runs_after_a_flat_piece_have_step_zero():
     runs, _ = grid_runs(FLAT_PIECE_MAP, 2, F(1, 40))
-    flat = [r for r in runs if r[3] == 0]
+    flat = [r for r in runs if r[2][-1][1] == 0]
     # the grid points 14/40 .. 26/40 lie inside the flat piece (1/3, 2/3)
-    assert [(first, count) for first, count, *_ in flat] == [(14, 13)]
-    assert all(r[4] > 0 for r in flat)      # the widest step keeps time 0's spacing
+    assert [(first, count) for first, count, _ in flat] == [(14, 13)]
+    # the orbit keeps time 0's spacing, so the widest step stays positive
+    assert all(r[2][0][1] > 0 for r in flat)
     for n in (3, 4):
-        assert all(r[3] == 0 for r in grid_runs(constant_map(F(2, 5)), n, F(1, 40))[0])
+        runs, _ = grid_runs(constant_map(F(2, 5)), n, F(1, 40))
+        assert all(t == 0 for r in runs for _, t in r[2][1:])
 
 
 def test_runs_split_on_nodes_and_cover_the_grid_in_index_order():
@@ -790,10 +811,12 @@ def test_runs_split_on_nodes_and_cover_the_grid_in_index_order():
             runs, big_d = grid_runs(m, n, F(1, 40))
             assert [r[0] for r in runs] == list(accumulate([0] + [r[1] for r in runs[:-1]]))
             assert sum(r[1] for r in runs) == 41
-            # every run is affine at its final depth: its points' f^(n−1)-values
-            for first, count, start, step, _ in runs:
-                want = [orbit_values(m, F(first + i, 40), n)[-1] for i in range(count)]
-                assert [F(start + i * step, big_d) for i in range(count)] == want
+            # every run is affine at every depth: its points' orbits
+            for run in runs:
+                first, count, orbit = run
+                assert len(orbit) == n
+                for g in range(first, first + count):
+                    assert run_orbit(run, g, big_d) == orbit_values(m, F(g, 40), n)
 
 
 @settings(max_examples=40, deadline=None)
@@ -801,10 +824,37 @@ def test_runs_split_on_nodes_and_cover_the_grid_in_index_order():
 def test_points_of_one_run_are_their_index_gap_times_the_widest_step_apart(seed, n, data):
     m = random_pwa(random.Random(seed))
     runs, big_d = grid_runs(m, n, F(1, 60))
-    first, count, _, _, wide = data.draw(st.sampled_from(runs))
+    first, count, orbit = data.draw(st.sampled_from(runs))
+    wide = max(abs(t) for _, t in orbit)
     i = data.draw(st.integers(first, first + count - 1))
     j = data.draw(st.integers(first, first + count - 1))
     assert dn_reference(m, F(i, 60), F(j, 60), n) == F(abs(i - j) * wide, big_d)
+
+
+RUN_MAPS = [
+    random_pwa,
+    lambda rng: prime_denominator_pwa(rng, rng.randint(2, 6)),
+    lambda rng: FLAT_PIECE_MAP,
+    lambda rng: DECREASING_MAP,
+    lambda rng: NODES_ON_GRID_MAP,
+]
+
+
+@settings(max_examples=80, deadline=None)
+@given(seeds, st.sampled_from(RUN_MAPS), st.integers(1, 6), st.integers(2, 7),
+       st.integers(1, 40), st.booleans())
+def test_every_grid_point_reads_its_whole_orbit_off_its_run(seed, make_map, n, p, k, low):
+    m = make_map(random.Random(seed))
+    # the grid p/q, q = p·k + 1 or p·k + p − 1, so its step numerator p is not 1
+    grid = F(p, p * k + (1 if low else p - 1))
+    assert grid.numerator == p
+    runs, big_d = grid_runs(m, n, grid)
+    assert [g for first, count, _ in runs for g in range(first, first + count)] == list(
+        range(int(1 / grid) + 1))
+    for run in runs:
+        for g in range(run[0], run[0] + run[1]):
+            # every depth, not only f^(n−1)
+            assert run_orbit(run, g, big_d) == orbit_values(m, grid * g, n)
 
 
 def test_a_run_shorter_than_its_head():
