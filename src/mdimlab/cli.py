@@ -87,7 +87,8 @@ def _parse_window(text: str) -> tuple[int, int]:
 
 
 def _parse_scales(text: str) -> list[Fraction]:
-    return [parse_rational(tok) for tok in text.split(",") if tok.strip()]
+    """Every comma-separated token, so an empty one is refused; blank text is no scales."""
+    return [parse_rational(tok) for tok in text.split(",")] if text.strip() else []
 
 
 def _resolve_sources(

@@ -35,7 +35,7 @@ from .pwa import DEFAULT_NODE_BUDGET, PwaMap, dump_pwa, eval_map, eval_sorted
 from .rational import (
     body_lines, floor_pow, format_interval, format_rational, parse_int, parse_rational, read_fields,
 )
-from .reporting import CheckResult, VerificationSummary
+from .reporting import CheckResult, VerificationSummary, first
 from .separation import MarkovBranch, MarkovView, verify_cylinder_separation
 
 ONE = Fraction(1)
@@ -353,118 +353,95 @@ def level_views(plan: FBetaPlan, pwa: PwaMap | None = None) -> tuple[MarkovView,
 def verify_model(model: FBetaModel) -> VerificationSummary:
     """Re-check every structural promise of a built model, independently.
 
-    Runs all checks and reports each; `first_failure` carries the offending
-    data when something breaks.
+    Runs all checks and reports each; a failed check names its first failing
+    item and evaluates nothing after it, and `first_failure` is the first
+    failed check.
     """
     plan, m = model.plan, model.map
-    checks: list[CheckResult] = []
-
-    def check(name: str, ok: bool, detail: str = "") -> None:
-        checks.append(CheckResult(name, ok, detail))
-
-    check("endpoints-fixed", eval_map(m, Fraction(0)) == 0 and eval_map(m, ONE) == ONE,
-          f"f(0)={eval_map(m, Fraction(0))}, f(1)={eval_map(m, ONE)}")
+    f0, f1 = eval_map(m, Fraction(0)), eval_map(m, ONE)
+    checks = [CheckResult("endpoints-fixed", f0 == 0 and f1 == ONE, f"f(0)={f0}, f(1)={f1}")]
 
     # the table ascends (levels are assembled bottom-up), so one pass values it
     ends = eval_sorted(m, [x for e in model.branch_table for x in (e.lo, e.hi)])
-    bad = next(
-        (
-            e for e, got in zip(model.branch_table, zip(ends[::2], ends[1::2]))
-            if got != ((plan.levels[e.level].a_odd, plan.levels[e.level].a_even) if e.increasing
-                       else (plan.levels[e.level].a_even, plan.levels[e.level].a_odd))
-        ),
-        None,
-    )
-    check("branches-onto-core", bad is None,
-          "all full branches hit both core endpoints" if bad is None
-          else f"level {bad.level} j={bad.j} misses the core endpoints")
+    checks.append(first("branches-onto-core", "all full branches hit both core endpoints", (
+        f"level {e.level} j={e.j} misses the core endpoints"
+        for e, lo, hi in zip(model.branch_table, ends[::2], ends[1::2])
+        if ((lo, hi) if e.increasing else (hi, lo))
+        != (plan.levels[e.level].a_odd, plan.levels[e.level].a_even))))
 
     if not plan.variant_full:
-        ok = True
-        detail = "increasing-branch domain gaps all equal 3*eps"
-        for k in range(plan.K + 1):
-            ups = [e for e in model.branch_table if e.level == k and e.increasing]
-            for a, b in zip(ups, ups[1:]):
-                if b.lo - a.hi != 3 * plan.levels[k].eps:
-                    ok, detail = False, f"level {k}: gap {b.lo - a.hi} after j={a.j}"
-        check("branch-gaps", ok, detail)
+        # a stable sort keeps each level's branches in order and puts level 0 first
+        ups = sorted((e for e in model.branch_table if e.increasing), key=lambda e: e.level)
+        checks.append(first("branch-gaps", "increasing-branch domain gaps all equal 3*eps", (
+            f"level {a.level}: gap {b.lo - a.hi} after j={a.j}" for a, b in zip(ups, ups[1:])
+            if a.level == b.level and b.lo - a.hi != 3 * plan.levels[a.level].eps)))
 
-    ok, detail = True, "gap orbits land on b and stay"
-    for lv in plan.levels:
-        if eval_map(m, lv.b) != lv.b:
-            ok, detail = False, f"level {lv.k}: b={lv.b} not fixed"
-            break
-        x = lv.a_odd - (lv.a_odd - lv.b) / 4           # right quarter-point of the gap
-        fx = eval_map(m, x)
-        if not lv.b < fx < x:
-            ok, detail = False, f"level {lv.k}: f({x})={fx} not strictly between b and x"
-            break
-        # b is the midpoint of the gap [eps, a_odd] and the orbit starts 3/4 of the
-        # half-gap from b; a step away from b fails, so no orbit leaves the gap
-        prev, x = abs(x - lv.b), fx
-        for _ in range(GAP_ORBIT_STEPS):
-            d = abs(x - lv.b)
-            if d > prev or (prev > 0 and d == prev and x != lv.b):
-                ok, detail = False, f"level {lv.k}: gap distance stalled at {d}"
-                break
-            if x == lv.b:                              # fixed, so every later step passes
-                break
-            prev, x = d, eval_map(m, x)
-        if not ok:
-            break
-    check("gap-dynamics", ok, detail)
+    def dynamics_failures():
+        for lv in plan.levels:
+            if eval_map(m, lv.b) != lv.b:
+                yield f"level {lv.k}: b={lv.b} not fixed"
+            x = lv.a_odd - (lv.a_odd - lv.b) / 4       # right quarter-point of the gap
+            fx = eval_map(m, x)
+            if not lv.b < fx < x:
+                yield f"level {lv.k}: f({x})={fx} not strictly between b and x"
+            # b is the midpoint of the gap [eps, a_odd] and the orbit starts 3/4 of
+            # the half-gap from b; a step away from b fails, so no orbit leaves the gap
+            prev, x = abs(x - lv.b), fx
+            for _ in range(GAP_ORBIT_STEPS):
+                d = abs(x - lv.b)
+                if d > prev or (prev > 0 and d == prev and x != lv.b):
+                    yield f"level {lv.k}: gap distance stalled at {d}"
+                if x == lv.b:                          # fixed, so every later step passes
+                    break
+                prev, x = d, eval_map(m, x)
+    checks.append(first("gap-dynamics", "gap orbits land on b and stay", dynamics_failures()))
 
     tail = plan.tail_end
-    check("tail-invariant",
-          eval_map(m, tail / 2) == tail / 2 and eval_map(m, tail) == tail,
-          f"identity on [0, {tail}]")
+    checks.append(CheckResult("tail-invariant",
+                              eval_map(m, tail / 2) == tail / 2 and eval_map(m, tail) == tail,
+                              f"identity on [0, {tail}]"))
 
-    ok, detail = True, "level values stay within the core and its two gaps"
-    for lv in plan.levels:
-        lo_bound = lv.eps                              # bottom of the gap below
-        hi_bound = plan.levels[lv.k - 1].a_odd if lv.k >= 1 else ONE
-        js = range(1, lv.ell + 1, max(1, lv.ell // 64))
-        values = eval_sorted(m, [lv.a_odd + (2 * j - 1) * lv.eps / 2 for j in js])
-        for j, v in zip(js, values):
-            if not lo_bound <= v <= hi_bound:
-                ok, detail = False, f"level {lv.k} j={j}: value {v} escapes"
-                break
-        if not ok:
-            break
-    check("level-range", ok, detail)
+    def range_failures():
+        for lv in plan.levels:
+            hi_bound = plan.levels[lv.k - 1].a_odd if lv.k >= 1 else ONE
+            js = range(1, lv.ell + 1, max(1, lv.ell // 64))
+            values = eval_sorted(m, [lv.a_odd + (2 * j - 1) * lv.eps / 2 for j in js])
+            yield from (f"level {lv.k} j={j}: value {v} escapes" for j, v in zip(js, values)
+                        if not lv.eps <= v <= hi_bound)     # eps: bottom of the gap below
+    checks.append(first("level-range", "level values stay within the core and its two gaps",
+                        range_failures()))
 
-    ok, detail = True, "branch_count^n >= predicted for n=2"
-    for k in range(plan.K + 1):
-        if plan.branch_count(k) ** 2 < predicted_count(plan, k, 2):
-            ok, detail = False, f"level {k}: {plan.branch_count(k)}^2 < prediction"
-    check("cylinder-count", ok, detail)
+    checks.append(first("cylinder-count", "branch_count^n >= predicted for n=2", (
+        f"level {k}: {plan.branch_count(k)}^2 < prediction" for k in range(plan.K + 1)
+        if plan.branch_count(k) ** 2 < predicted_count(plan, k, 2))))
 
-    ok, detail = True, "ratios within (1+|log gamma|)/|log eps| of beta"
-    for lv in plan.levels:
-        ratio = math.log(plan.branch_count(lv.k)) / abs(math.log(lv.eps))
-        delta = (1 + abs(math.log(lv.gamma))) / abs(math.log(lv.eps))
-        if abs(ratio - float(plan.beta)) > delta:
-            ok, detail = False, f"level {lv.k}: ratio {ratio:.6f} outside beta ± {delta:.6f}"
-    check("ratio-window", ok, detail)
+    def ratio_failures():
+        for lv in plan.levels:
+            ratio = math.log(plan.branch_count(lv.k)) / abs(math.log(lv.eps))
+            delta = (1 + abs(math.log(lv.gamma))) / abs(math.log(lv.eps))
+            if abs(ratio - float(plan.beta)) > delta:
+                yield f"level {lv.k}: ratio {ratio:.6f} outside beta ± {delta:.6f}"
+    checks.append(first("ratio-window", "ratios within (1+|log gamma|)/|log eps| of beta",
+                        ratio_failures()))
 
     # the view premises certify each level with a scale at every n; the
     # pairwise minimum audits them where the family is small
-    ok, detail, certified, bare, audits = True, "", [], [], []
+    certified, bare, audits = [], [], []
     for k, view in enumerate(model.views):
         scale, b_count = view.separation_scale, view.branch_count
         (bare if scale is None else certified).append(f"level {k}")
         n = 0 if scale is None else 2 if b_count <= 12 else 1 if b_count <= 600 else 0
         if n:
-            audits.append(f"level {k} n={n}")
-            least = verify_cylinder_separation(view, n)
-            if ok and least <= scale:
-                ok, detail = False, f"level {k}: d_{n} audit minimum {least} <= scale {scale}"
-    if ok:
-        detail = "; ".join(filter(None, (
-            certified and f"{', '.join(certified)} certified by the view premises at every n;"
-                          f" d_n audit above the scale at {', '.join(audits) or 'no level'}",
-            bare and f"{', '.join(bare)} uncertified: no separation scale")))
-    check("separation-certificate", ok, detail)
+            audits.append((k, view, n))
+    passing = "; ".join(filter(None, (
+        certified and f"{', '.join(certified)} certified by the view premises at every n;"
+                      f" d_n audit above the scale at"
+                      f" {', '.join(f'level {k} n={n}' for k, _, n in audits) or 'no level'}",
+        bare and f"{', '.join(bare)} uncertified: no separation scale")))
+    checks.append(first("separation-certificate", passing, (
+        f"level {k}: d_{n} audit minimum {least} <= scale {view.separation_scale}"
+        for k, view, n in audits
+        if (least := verify_cylinder_separation(view, n)) <= view.separation_scale)))
 
     return VerificationSummary(tuple(checks))
 

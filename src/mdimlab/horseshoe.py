@@ -35,7 +35,7 @@ from .pwa import PwaMap, eval_sorted
 from .rational import (
     body_lines, format_interval, format_rational, parse_int, parse_rational, read_fields,
 )
-from .reporting import CheckResult, VerificationSummary
+from .reporting import CheckResult, VerificationSummary, first
 from .separation import MarkovBranch, MarkovView, _cylinder_rows, _least_distances, _refuse_over_cap
 
 Interval = tuple[Fraction, Fraction]
@@ -280,36 +280,26 @@ def build_model_2d(
 
 def verify_conditions(model: Horseshoe2DModel) -> VerificationSummary:
     """Independently re-check the model geometry: width and packing (the lines
-    ``build_model_2d`` refuses by), slabs inside the square and gaps.  strips-span-square
+    ``build_model_2d`` refuses by), slabs inside the square and gaps; a failed
+    check names its first failing slab or pair.  strips-span-square
     is w > 0: ``apply_branch`` sends slab j's corners onto strip j's x-ends and the
     rim y = +-delta (algebra on the same offsets, width and delta).  Slab j1 crosses
     strip j2 iff both slabs lie in the square, so coherence's first uncrossed pair
     is (0, ``bad``)."""
     d, w, eps, n = model.delta, model.width, model.epsilon, model.N
-    checks = list(_packing_checks(n, d, eps, w))
-
-    def check(name: str, ok: bool, detail: str = "") -> None:
-        checks.append(CheckResult(name, ok, detail))
-
     bad = next((j for j in range(n)
                 if not (-d <= model.offsets[j] and model.offsets[j] + w <= d)), None)
-    check("slabs-inside-square", bad is None,
-          "" if bad is None else f"slab {bad} leaves the square")
-
-    gap_fail = ""
-    for j in range(n - 1):
-        gap = model.offsets[j + 1] - (model.offsets[j] + w)
-        if gap <= eps:
-            gap_fail = (f"slabs {j} and {j + 1}: gap {format_rational(gap)} <= "
-                        f"epsilon {format_rational(eps)}")
-            break
-    check("slab-gaps", not gap_fail, gap_fail)
-
-    check("strips-span-square", w > 0,
-          "" if w > 0 else "not evaluated: the branch maps need a positive width")
-    check("coherence", bad is None, "" if bad is None else
-          f"stage 0: slab 0 does not cross strip {bad} of stage {1 % model.p}")
-    return VerificationSummary(tuple(checks))
+    gaps = ((j, model.offsets[j + 1] - (model.offsets[j] + w)) for j in range(n - 1))
+    return VerificationSummary((
+        *_packing_checks(n, d, eps, w),
+        CheckResult("slabs-inside-square", bad is None,
+                    "" if bad is None else f"slab {bad} leaves the square"),
+        first("slab-gaps", "", (f"slabs {j} and {j + 1}: gap {format_rational(gap)} <= "
+                                f"epsilon {format_rational(eps)}" for j, gap in gaps if gap <= eps)),
+        CheckResult("strips-span-square", w > 0,
+                    "" if w > 0 else "not evaluated: the branch maps need a positive width"),
+        CheckResult("coherence", bad is None, "" if bad is None else
+                    f"stage 0: slab 0 does not cross strip {bad} of stage {1 % model.p}")))
 
 
 # === separated families ======================================================

@@ -1,6 +1,7 @@
 """Verification report containers shared by the model-checking operations."""
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 
@@ -9,6 +10,13 @@ class CheckResult:
     name: str
     ok: bool
     detail: str
+
+
+def first(name: str, passing: str, failures: Iterable[str]) -> CheckResult:
+    """A failed check with the first detail that ``failures`` yields, drawing
+    nothing after it; a passed check with ``passing`` if it yields none."""
+    detail = next(iter(failures), None)
+    return CheckResult(name, detail is None, passing if detail is None else detail)
 
 
 @dataclass(frozen=True)

@@ -18,8 +18,9 @@ import mdimlab.cli
 import mdimlab.fbeta
 import mdimlab.surgery
 from mdimlab import (
-    build_model_2d, count_separated_greedy, dump_model, dump_plan, dump_pwa, dump_views,
-    full_lap_view, identity_map, load_plan, load_pwa, load_views, plan_sequences,
+    VerificationError, build_model_2d, constant_map, count_separated_greedy, dump_model,
+    dump_plan, dump_pwa, dump_views, full_lap_view, identity_map, load_plan, load_pwa,
+    load_views, plan_sequences,
 )
 from mdimlab.cli import main
 from mdimlab.separation import MarkovView
@@ -515,6 +516,29 @@ def test_an_empty_flag_value_is_refused_not_read_as_absent(
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("scales", ["1/10,,1/20", "1/10,1/20,", ",1/10"])
+def test_an_empty_scale_token_is_refused_not_dropped(tmp_path, capsys, tent, scales):
+    (tmp_path / "tent.txt").write_text(dump_pwa(tent))
+    argv = ["estimate", "--map", str(tmp_path / "tent.txt"), "--method", "greedy",
+            "--scales", scales, "-o", str(tmp_path / "out")]
+    assert run(capsys, *argv) == (2, "", "error: not a rational literal: ''\n")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["estimate", "--map", "const.txt", "--scales", "1/4"],
+     "map has no monotone lap crossing [0, 1]; the cylinder method needs full laps"
+     " — use the greedy method instead"),
+    (["horseshoe", "--mode", "2d", "--strips", "0", "--half-side", "1/2", "--epsilon", "1/16"],
+     "need N >= 1 and p >= 1, got N=0, p=1"),
+], ids=["no-full-lap", "no-strips"])
+def test_inputs_with_nothing_to_count_exit_2(tmp_path, capsys, argv, message):
+    (tmp_path / "const.txt").write_text(dump_pwa(constant_map(F(1, 2))))
+    argv = [str(tmp_path / a) if a.endswith(".txt") else a for a in argv]
+    assert run(capsys, *argv, "-o", str(tmp_path / "out")) == (2, "", f"error: {message}\n")
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("argv,count", [
     (["--strips", "1000000", "--half-side", "1000000", "--epsilon", "1/2"], "1000000"),
     (["--strips", "2", "--half-side", "1/2", "--epsilon", "1/16", "--depth", "15000"],
@@ -673,6 +697,18 @@ def test_implant_precondition_failure_exits_6(tmp_path, capsys, identity, half_p
     assert "nest strictly inside" in err
 
 
+def test_a_failed_implant_postcondition_exits_5(tmp_path, capsys, monkeypatch, identity,
+                                               half_plan):
+    def refused(plan, node_budget):
+        raise VerificationError("implant moved the host outside the outer window")
+    monkeypatch.setattr(mdimlab.cli, "implant", refused)
+    write_implant_inputs(tmp_path, identity, half_plan)
+    code, out, err = run(capsys, *implant_argv(tmp_path, tmp_path / "host.txt"))
+    assert (code, out) == (5, "")
+    assert err == "error: implant moved the host outside the outer window\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_implant_takes_no_profile(tmp_path, capsys, identity, half_plan):
     # the splice is the blend for every bump, so there is no profile to pass
     write_implant_inputs(tmp_path, identity, half_plan)
@@ -789,6 +825,27 @@ def test_sweep_writes_a_json_report(tmp_path, capsys, tent):
     report = json.loads((tmp_path / "out" / "sweep.json").read_text())
     assert sorted(report) == ["entries", "lower", "upper"]
     assert [e["epsilon"] for e in report["entries"]] == ["1/10", "1/20"]
+
+
+@pytest.mark.parametrize("scales", ["1/10,,1/20", "1/10,1/20,"])
+def test_a_sweep_config_with_an_empty_scale_token_is_refused(tmp_path, capsys, tent, scales):
+    (tmp_path / "tent.txt").write_text(dump_pwa(tent))
+    (tmp_path / "greedy.cfg").write_text(
+        GREEDY_SWEEP_CONFIG.replace("scales = 1/10,1/20", f"scales = {scales}"))
+    code, out, err = run(capsys, "sweep", "--config", str(tmp_path / "greedy.cfg"),
+                         "-o", str(tmp_path / "out"))
+    assert (code, out, err) == (2, "", "error: not a rational literal: ''\n")
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_sweep_config_with_no_scales_is_refused(tmp_path, capsys, tent):
+    (tmp_path / "tent.txt").write_text(dump_pwa(tent))
+    (tmp_path / "greedy.cfg").write_text(
+        GREEDY_SWEEP_CONFIG.replace("scales = 1/10,1/20", "scales ="))
+    code, out, err = run(capsys, "sweep", "--config", str(tmp_path / "greedy.cfg"),
+                         "-o", str(tmp_path / "out"))
+    assert (code, out, err) == (2, "", "error: scales list is empty\n")
+    assert not (tmp_path / "out").exists()
 
 
 def test_sweep_rejects_an_unknown_config_key(tmp_path, capsys):

@@ -2,6 +2,7 @@
 predictions, verification checks, and plan/model round-trips."""
 from __future__ import annotations
 
+import dataclasses
 import math
 import re
 from fractions import Fraction
@@ -34,6 +35,7 @@ from mdimlab import (
 )
 from mdimlab.pwa import DEFAULT_NODE_BUDGET
 from mdimlab.rational import floor_pow
+from mdimlab.reporting import first
 
 F = Fraction
 
@@ -413,6 +415,41 @@ def test_verify_model_names_the_broken_promise(half_model, key):
     assert [c.name for c in summary.checks] == list(EXPECTED_CHECKS)
 
 
+def test_a_check_names_its_first_failure_and_draws_nothing_after_it():
+    drawn = []
+
+    def failures():
+        for detail in ("first", "second"):
+            drawn.append(detail)
+            yield detail
+    assert first("demo", "all fine", failures()) == CheckResult("demo", False, "first")
+    assert drawn == ["first"]
+    assert first("demo", "all fine", iter(())) == CheckResult("demo", True, "all fine")
+
+
+def test_failed_count_and_ratio_checks_name_their_first_level(half_model):
+    # one branch at both levels: each level fails both checks, and level 0 is named
+    plan = dataclasses.replace(half_model.plan, levels=tuple(
+        dataclasses.replace(lv, i_sel=0) for lv in half_model.plan.levels))
+    checks = verify_model(dataclasses.replace(half_model, plan=plan)).checks
+    assert [c for c in checks if not c.ok] == [
+        CheckResult("cylinder-count", False, "level 0: 1^2 < prediction"),
+        CheckResult("ratio-window", False, "level 0: ratio 0.000000 outside beta ± 0.416986"),
+    ]
+
+
+def test_a_failed_branch_gap_check_names_the_first_gap(half_model):
+    # level 0's increasing branches j=5 and j=13 start 10**-6 late, which
+    # widens the gaps after j=1 and after j=9 (and moves both off the core)
+    table = tuple(dataclasses.replace(e, lo=e.lo + F(1, 10**6))
+                  if e.level == 0 and e.j in (5, 13) else e for e in half_model.branch_table)
+    checks = verify_model(dataclasses.replace(half_model, branch_table=table)).checks
+    assert [c for c in checks if not c.ok] == [
+        CheckResult("branches-onto-core", False, "level 0 j=5 misses the core endpoints"),
+        CheckResult("branch-gaps", False, "level 0: gap 1500029/29000000 after j=1"),
+    ]
+
+
 # === serialization ============================================================
 
 def test_plan_round_trip(half_plan):
@@ -455,6 +492,9 @@ def test_model_loader_requires_all_sections(half_model):
     headless = text.replace("[branches]", "[other]")
     with pytest.raises(SerializationError, match=r"\[branches\]"):
         load_model(headless)
+    with pytest.raises(SerializationError) as exc:
+        load_model("fbeta-model v1\n[map]\n")
+    assert str(exc.value) == "model file has no [plan] section after its header"
 
 
 def _move_a_map_node(text: str) -> str:

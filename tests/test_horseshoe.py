@@ -15,6 +15,7 @@ from conftest import (
     cylinder_interval, itinerary_point, laid_out_by_hand, plane_dn, slab_of, stage_map, stage_orbit,
 )
 from mdimlab import (
+    CheckResult,
     ContractError,
     DomainError,
     Horseshoe2DModel,
@@ -24,8 +25,10 @@ from mdimlab import (
     VerificationError,
     build_model_2d,
     certificate_to_csv,
+    constant_map,
     detect_1d,
     dump_model_2d,
+    full_lap_view,
     interval_distance,
     load_model_2d,
     monotone_laps,
@@ -294,6 +297,37 @@ def test_slab_view_is_the_y_dynamics():
         assert [pos[1] for pos in stage_orbit(model, mid, 3)] == ys
 
 
+@pytest.mark.parametrize("N,p,delta,epsilon,offsets,orientations,message", [
+    (0, 1, F(1, 2), F(1, 16), (), (), "need N >= 1 and p >= 1, got N=0, p=1"),
+    (1, 1, F(0), F(1, 16), (F(0),), (1,), "delta and epsilon must be positive"),
+    (2, 1, F(1, 2), F(1, 16), (F(0),), (1, -1), "expected 2 offsets and orientations"),
+    (2, 1, F(1, 2), F(1, 16), (F(-1, 2), F(0)), (1, 0), "orientation flags must be +1 or -1"),
+], ids=["no-slabs", "no-square", "missing-offset", "zero-orientation"])
+def test_a_model_built_directly_refuses_bad_geometry(N, p, delta, epsilon, offsets,
+                                                     orientations, message):
+    with pytest.raises(DomainError) as exc:
+        Horseshoe2DModel(N, p, delta, epsilon, F(1, 8), offsets, orientations)
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("N,delta,message", [
+    (0, F(1, 2), "need N >= 1 and p >= 1, got N=0, p=1"),
+    (2, F(0), "delta and epsilon must be positive"),
+])
+def test_the_layout_refuses_no_slabs_and_no_square(N, delta, message):
+    with pytest.raises(DomainError) as exc:
+        build_model_2d(N, delta, F(1, 16), 1)
+    assert str(exc.value) == message
+
+
+def test_a_map_with_no_full_lap_has_no_lap_view():
+    with pytest.raises(ContractError) as exc:
+        full_lap_view(constant_map(F(1, 2)))
+    assert str(exc.value) == (
+        "map has no monotone lap crossing [0, 1]; the cylinder method needs full laps"
+        " — use the greedy method instead")
+
+
 # === geometry verification ====================================================
 
 def test_verify_conditions_passes_for_the_reference_model():
@@ -314,6 +348,15 @@ def test_verify_conditions_catches_crowded_slabs():
     failed = next(c for c in summary.checks if c.name == "slab-gaps")
     assert not failed.ok
     assert "slabs 0 and 1" in failed.detail
+
+
+def test_slab_gaps_name_the_first_crowded_pair():
+    # gaps 1/32, 7/16 and 1/32 at epsilon 1/16: the first and the last are crowded
+    model = dataclasses.replace(reference_model(),
+                                offsets=(F(-1, 2), F(-11, 32), F(7, 32), F(3, 8)))
+    summary = verify_conditions(model)
+    assert [c for c in summary.checks if not c.ok] == [
+        CheckResult("slab-gaps", False, "slabs 0 and 1: gap 1/32 <= epsilon 1/16")]
 
 
 @pytest.mark.parametrize("p,slab,offset,detail", [

@@ -308,6 +308,22 @@ def test_cylinder_count_and_certificate_refusals(call, error, message):
     assert str(exc.value) == message
 
 
+@pytest.mark.parametrize("call,message", [
+    (lambda: greedy_separated_points(tent_map(), 2, F(0), [F(0), F(1, 2)]),
+     "epsilon must be positive, got 0"),
+    (lambda: count_separated_greedy(tent_map(), 2, F(0), F(1, 10)),
+     "epsilon must be positive, got 0"),
+    (lambda: count_separated_greedy(tent_map(), 0, F(1, 10), F(1, 20)),
+     "count_separated_greedy needs n >= 1, got 0"),
+    (lambda: count_separated_exhaustive(tent_map(), 0, F(1, 10), [F(0)]),
+     "count_separated_exhaustive needs n >= 1, got 0"),
+], ids=["greedy-points-eps-0", "greedy-eps-0", "greedy-depth-0", "exhaustive-depth-0"])
+def test_point_count_refusals(call, message):
+    with pytest.raises(DomainError) as exc:
+        call()
+    assert str(exc.value) == message
+
+
 def test_cylinder_counts_refuse_a_scale_above_the_declared_one(half_model):
     view = half_model.view(0)                   # declared scale 1/58
     for eps in (F(1, 58), F(1, 59), F(1, 1000)):
@@ -1398,6 +1414,9 @@ def test_views_loader_rejects_malformed_documents():
         load_views("markov-views v1\nview core 0/1:1/1 scale -\nbranch sideways 0/1:1/2\n")
     with pytest.raises(SerializationError, match="no views"):
         load_views("markov-views v1\n")
+    with pytest.raises(SerializationError) as exc:
+        load_views("markov-views v1\nview core 0/1:1/1\n")
+    assert str(exc.value) == "bad view line: 'view core 0/1:1/1'"
 
 
 def test_views_loader_rejects_an_empty_label():
