@@ -31,7 +31,7 @@ from .errors import (
     SerializationError,
     VerificationError,
 )
-from .pwa import PwaMap, eval_sorted
+from .pwa import PwaMap, _window, eval_sorted
 from .rational import (
     body_lines, format_interval, format_rational, parse_int, parse_rational, read_fields,
 )
@@ -92,27 +92,19 @@ def monotone_laps(m: PwaMap, window: Interval) -> tuple[Lap, ...]:
     lo, hi = window
     if not (0 <= lo < hi <= 1):
         raise DomainError(f"window {format_interval(lo, hi)} is not a subinterval of [0, 1]")
-    xs = [lo] + [x for x in m.xs if lo < x < hi] + [hi]
-    ys = eval_sorted(m, xs)
-
-    def close(a: int, b: int, direction: int) -> Lap:
-        va, vb = ys[a], ys[b]
-        return Lap(xs[a], xs[b], direction >= 0, min(va, vb), max(va, vb))
-
-    laps: list[Lap] = []
-    start, direction = 0, 0
-    for i in range(len(xs) - 1):
-        step = ys[i + 1] - ys[i]
-        sign = (step > 0) - (step < 0)
-        if sign == 0 or sign == direction:
-            continue
-        if direction == 0:
-            direction = sign
-            continue
-        laps.append(close(start, i, direction))
-        start, direction = i, sign
-    laps.append(close(start, len(xs) - 1, direction))
-    return tuple(laps)
+    inside = _window(m, lo, hi)[1]
+    y_lo, y_hi = eval_sorted(m, (lo, hi))
+    xs, ys = [lo, *m.xs[inside], hi], [y_lo, *m.ys[inside], y_hi]
+    ends, ups = [0], []          # the laps' end nodes, and each sloped lap's direction
+    for i, (y0, y1) in enumerate(zip(ys, ys[1:])):
+        up = y1 > y0
+        if y0 != y1 and (not ups or up != ups[-1]):
+            if ups:              # a flip: the lap so far ends at node i, the next starts there
+                ends.append(i)
+            ups.append(up)
+    ends.append(len(xs) - 1)     # a window without a slope is one increasing lap
+    return tuple(Lap(xs[a], xs[b], up, min(ys[a], ys[b]), max(ys[a], ys[b]))
+                 for a, b, up in zip(ends, ends[1:], ups or [True]))
 
 
 def detect_1d(

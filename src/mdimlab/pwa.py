@@ -12,7 +12,9 @@ largest x denominator) + 1, and per piece y = (a·x + b)/d, reduced.  No entry
 uses an lcm over the map, so nodes need not share a small common denominator.
 The table's format stays in this module: ``_locate`` is the one search of
 the node keys, which evaluation, composition, the distances and the integer
-orbit steps (``_integer_steps``, read by module separation) all go through.
+orbit steps (``_integer_steps``, read by module separation) all go through,
+and ``_window`` is the one split of the nodes at a window's ends, which the
+windowed distance, surgery's splice and horseshoe's lap scan read.
 
 Everything here is exact; no operation touches floating point.
 """
@@ -177,6 +179,13 @@ def _locate(m: PwaMap, p: int, q: int, start: int = 0, end: int | None = None) -
     return lo, hi
 
 
+def _window(m: PwaMap, lo: Fraction, hi: Fraction) -> tuple[slice, slice, slice]:
+    """The slices of m's nodes below lo, strictly between lo and hi, and
+    above hi (lo <= hi inside [0, 1]), by two ``_locate`` calls."""
+    (a, b), (c, d) = _locate(m, *lo.as_integer_ratio()), _locate(m, *hi.as_integer_ratio())
+    return slice(a), slice(b, c), slice(d, None)
+
+
 def _integer_steps(m: PwaMap) -> tuple[int, list[tuple[int, int]]]:
     """The integer form of one step of the map: M, the lcm of the pieces'
     d_i in the table, and each piece's step (a_i·M/d_i, b_i·M/d_i), which
@@ -333,8 +342,7 @@ def _distance_on(a: PwaMap, b: PwaMap, lo: Fraction, hi: Fraction) -> Fraction:
     those points.  The differences are integer pairs compared by
     cross-multiplication; one Fraction is built.
     """
-    (p, q), (r, s) = lo.as_integer_ratio(), hi.as_integer_ratio()
-    xs = merge_nodes((lo, hi), *(m.xs[_locate(m, p, q)[1]:_locate(m, r, s)[0]] for m in (a, b)))
+    xs = merge_nodes((lo, hi), *(m.xs[_window(m, lo, hi)[1]] for m in (a, b)))
     best, best_d = 0, 1
     for (un, ud), (vn, vd) in zip(_values(a, xs, True), _values(b, xs, True)):
         n, d = abs(un * vd - vn * ud), ud * vd

@@ -414,8 +414,8 @@ class MarkovView:
     the least domain gap apart in d_n, and that gap is above the scale.  So
     every view made with a scale is separated at every depth n, and
     ``verify_cylinder_separation`` is an exact audit.  The planar rows
-    [y_0, x_1, y_1, ...] of ``horseshoe`` hold a slab view's y-orbits, so
-    the same argument covers them.
+    [x_1, ..., x_{steps−1}, y_0, ..., y_{steps−1}] of ``horseshoe`` hold a
+    slab view's y-orbits, so the same argument covers them.
     """
 
     core_lo: Fraction

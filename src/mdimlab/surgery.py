@@ -2,10 +2,10 @@
 high-complexity map into an interval the host fixes pointwise.
 
 Pipeline: the host fixes an interval J pointwise (`implant` refuses a host
-that does not), and `implant` splices A o g~ o A^{-1} into J, where A is
-the increasing affine bijection of [0, 1] onto the inner window and g~
-extends the implanted map by the identity: the host below the inner window,
-the rescaled copy on it, the host above it.
+that does not), and `implant` splices A o g o A^{-1} into J, A the
+increasing affine bijection of [0, 1] onto the inner window.  One splice,
+``_splice``, makes this map (the host below the inner window, the rescaled
+copy on it, the host above it) and the conjugation's identity extension.
 This is the paper's bump blend for every bump (the argument is in
 `implant`).  Off the outer window the result equals the host exactly; on the
 inner window it is exactly the rescaled implant, so separated-set counts
@@ -19,7 +19,6 @@ when they agree there.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
@@ -27,7 +26,7 @@ from pathlib import Path
 
 from .errors import ContractError, DomainError, SerializationError, VerificationError
 from .fbeta import FBetaPlan, assemble_fbeta, level_views, load_plan
-from .pwa import DEFAULT_NODE_BUDGET, PwaMap, _distance_on, identity_map, load_pwa
+from .pwa import DEFAULT_NODE_BUDGET, PwaMap, _distance_on, _window, identity_map, load_pwa
 from .rational import (
     body_lines, format_interval, format_rational, parse_interval, parse_rational, read_fields,
 )
@@ -39,7 +38,9 @@ Interval = tuple[Fraction, Fraction]
 # === building blocks =========================================================
 
 def _affine_into(lo: Fraction, hi: Fraction) -> Callable[[Fraction], Fraction]:
-    """A: x -> lo + x·(hi - lo), each image one Fraction of integer numerators."""
+    """A: x -> lo + x·(hi - lo), one Fraction per image, for [lo, hi] a subinterval of [0, 1]."""
+    if not (0 <= lo < hi <= 1):
+        raise DomainError(f"target {format_interval(lo, hi)} is not a subinterval of [0, 1]")
     (ln, ld), (hn, hd) = lo.as_integer_ratio(), hi.as_integer_ratio()
     start, span, den = ln * hd, hn * ld - ln * hd, ld * hd
 
@@ -50,25 +51,25 @@ def _affine_into(lo: Fraction, hi: Fraction) -> Callable[[Fraction], Fraction]:
     return move
 
 
+def _splice(host: PwaMap, inside: list[tuple[Fraction, Fraction]],
+            lo: Fraction, hi: Fraction) -> PwaMap:
+    """The map through host's nodes below lo, ``inside``, and host's nodes above hi."""
+    below, _, above = _window(host, lo, hi)
+    nodes = host.nodes()
+    return PwaMap.from_nodes(nodes[below] + inside + nodes[above])
+
+
 def conjugate_into_interval(m: PwaMap, lo: Fraction, hi: Fraction) -> PwaMap:
     """A o m o A^{-1} on [lo, hi] (A the increasing affine bijection from
     [0, 1]), extended by the identity outside.  The extension is continuous
     only when m fixes both endpoints, so that is required."""
-    if not (0 <= lo < hi <= 1):
-        raise DomainError(f"target {format_interval(lo, hi)} is not a subinterval of [0, 1]")
+    move = _affine_into(lo, hi)
     if m.ys[0] != 0 or m.ys[-1] != 1:                  # the values at x = 0 and x = 1
         raise ContractError(
             "conjugated map must fix 0 and 1 so the identity extension is continuous; "
             f"got m(0) = {format_rational(m.ys[0])}, m(1) = {format_rational(m.ys[-1])}"
         )
-    move = _affine_into(lo, hi)
-    nodes: list[tuple[Fraction, Fraction]] = []
-    if lo > 0:
-        nodes.append((Fraction(0), Fraction(0)))
-    nodes += [(move(x), move(y)) for x, y in m.nodes()]
-    if hi < 1:
-        nodes.append((Fraction(1), Fraction(1)))
-    return PwaMap.from_nodes(nodes)
+    return _splice(identity_map(), [(move(x), move(y)) for x, y in m.nodes()], lo, hi)
 
 
 # === implant plans ===========================================================
@@ -139,11 +140,8 @@ def implant(plan: SurgeryPlan, node_budget: int = DEFAULT_NODE_BUDGET) -> PwaMap
     staircase, _ = assemble_fbeta(plan.fbeta_plan, node_budget)
     lo, hi = plan.J_hat
     insert = conjugate_into_interval(staircase, lo, hi)
-    host = plan.host
-    inside = insert.nodes()[bisect_right(insert.xs, lo):bisect_left(insert.xs, hi)]
-    spliced = PwaMap.from_nodes(host.nodes()[:bisect_left(host.xs, lo)]
-                                + [(lo, lo), *inside, (hi, hi)]
-                                + host.nodes()[bisect_right(host.xs, hi):])
+    inside = insert.nodes()[_window(insert, lo, hi)[1]]
+    spliced = _splice(plan.host, [(lo, lo), *inside, (hi, hi)], lo, hi)
 
     _verify_implant(spliced, plan, insert)
     return spliced
@@ -159,7 +157,7 @@ def _verify_implant(blended: PwaMap, plan: SurgeryPlan, insert: PwaMap) -> None:
         broken.append(f"inner window {format_interval(h_lo, h_hi)} does not carry the exact "
                       "rescaled copy")
     (ln, ld), (hn, hd) = h_lo.as_integer_ratio(), h_hi.as_integer_ratio()
-    inner = blended.ys[bisect_right(blended.xs, h_lo):bisect_left(blended.xs, h_hi)]
+    inner = blended.ys[_window(blended, h_lo, h_hi)[1]]
     if (blended(h_lo) != h_lo or blended(h_hi) != h_hi
             or any(not (ln * d <= n * ld and n * hd <= hn * d)
                    for n, d in (y.as_integer_ratio() for y in inner))):
@@ -178,8 +176,6 @@ def transport_markov_view(
 ) -> MarkovView:
     """Affine image of a Markov view inside [lo, hi]: cores, branch domains,
     and the separation scale all rescale by hi - lo."""
-    if not (0 <= lo < hi <= 1):
-        raise DomainError(f"target {format_interval(lo, hi)} is not a subinterval of [0, 1]")
     move = _affine_into(lo, hi)
     branches = tuple(
         MarkovBranch(move(b.lo), move(b.hi), b.increasing) for b in view.branches

@@ -3,6 +3,7 @@ packing, geometry checks, certified separated families, and serialization."""
 from __future__ import annotations
 
 import dataclasses
+import random
 from fractions import Fraction
 from itertools import product
 
@@ -12,7 +13,8 @@ from hypothesis import strategies as st
 
 import mdimlab.horseshoe
 from conftest import (
-    cylinder_interval, itinerary_point, laid_out_by_hand, plane_dn, slab_of, stage_map, stage_orbit,
+    cylinder_interval, itinerary_point, laid_out_by_hand, plane_dn, prime_denominator_pwa,
+    random_pwa, slab_of, stage_map, stage_orbit, value_at,
 )
 from mdimlab import (
     CheckResult,
@@ -70,6 +72,38 @@ def test_monotone_laps_attach_plateaus_to_the_running_lap():
     assert [(lap.lo, lap.hi, lap.increasing) for lap in laps] == [
         (F(0), F(1, 2), True), (F(1, 2), F(1), False),
     ]
+
+
+def reference_laps(m: PwaMap, lo: Fraction, hi: Fraction) -> list[tuple]:
+    """Every node strictly inside [lo, hi] and both ends valued by ``value_at``,
+    then grouped into runs by the sign of each step (a flat step joins the run)."""
+    xs = [lo, *(x for x in m.xs if lo < x < hi), hi]
+    ys = [value_at(m, x) for x in xs]
+    runs, start, sign = [], 0, 0
+    for i in range(1, len(xs)):
+        step = ys[i] - ys[i - 1]
+        s = (step > 0) - (step < 0)
+        if s and sign and s != sign:
+            runs.append((start, i - 1, sign))
+            start = i - 1
+        sign = s or sign
+    runs.append((start, len(xs) - 1, sign))
+    return [(xs[a], xs[b], d >= 0, min(ys[a], ys[b]), max(ys[a], ys[b])) for a, b, d in runs]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 10**9), st.sampled_from(["plateaus", "small", "primes"]), st.data())
+def test_monotone_laps_match_a_scan_of_every_node_in_the_window(seed, kind, data):
+    # ends on nodes or off them; "plateaus" draws values from a 1/6 grid, so flat steps are common
+    rng = random.Random(seed)
+    m = {"plateaus": lambda: random_pwa(rng, 5, 6), "small": lambda: random_pwa(rng, 12),
+         "primes": lambda: prime_denominator_pwa(rng, rng.randint(2, 9))}[kind]()
+    ends = st.sampled_from(m.xs) | st.fractions(min_value=0, max_value=1, max_denominator=48)
+    lo, hi = sorted((data.draw(ends), data.draw(ends)))
+    assume(lo < hi)
+    laps = monotone_laps(m, (lo, hi))
+    assert [(lap.lo, lap.hi, lap.increasing, lap.img_lo, lap.img_hi) for lap in laps] \
+        == reference_laps(m, lo, hi)
 
 
 # === 1-D detection ============================================================

@@ -37,7 +37,7 @@ from mdimlab import (
     sup_distance,
     tent_map,
 )
-from mdimlab.pwa import _locate, _place, _preimage_count, merge_nodes
+from mdimlab.pwa import _locate, _place, _preimage_count, _window, merge_nodes
 
 F = Fraction
 
@@ -167,6 +167,22 @@ def test_locate_is_bisect_on_the_nodes(seed, primes, data):
         end = data.draw(st.integers(max(start, 1), m.node_count))
         assert _locate(m, p, q, start, end) == (bisect_left(m.xs, x, start, end),
                                                  bisect_right(m.xs, x, start, end))
+
+
+@settings(max_examples=40, deadline=None)
+@given(seeds, st.booleans())
+def test_window_splits_the_nodes_as_bisect_does(seed, primes):
+    # every window whose ends are nodes or 10^-12 either side of one, lo == hi included:
+    # a node on an end is not strictly inside
+    rng = random.Random(seed)
+    m = prime_denominator_pwa(rng, rng.randint(2, 12)) if primes else random_pwa(rng)
+    points = near_nodes(m)
+    for i, lo in enumerate(points):
+        for hi in points[i:]:
+            below, inside, above = _window(m, lo, hi)
+            assert m.xs[below] == m.xs[:bisect_left(m.xs, lo)]
+            assert m.xs[inside] == m.xs[bisect_right(m.xs, lo):bisect_left(m.xs, hi)]
+            assert m.xs[above] == m.xs[bisect_right(m.xs, hi):]
 
 
 def node_key(m: PwaMap, x: Fraction) -> int:
