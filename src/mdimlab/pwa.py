@@ -5,6 +5,10 @@ the map is affine between consecutive x-values.  Nodes are kept canonical:
 x strictly increasing from 0 to 1, all values inside [0,1], and no three
 consecutive collinear nodes (normalization drops redundant middles), so two
 maps are equal as functions iff their node tuples are equal.
+``PwaMap.from_nodes`` is the checks of a node list plus ``_build``, the one
+builder of a map from nodes, which drops the collinear middles among the
+positions it is given: ``from_nodes`` gives every interior position, and
+``compose``, whose nodes are proved in order, gives only inner's nodes.
 
 Evaluation reads a private integer table, built on first use and never
 compared, hashed or pickled: node keys floor(x_i·2^s), s = 2·(bits of the
@@ -22,10 +26,11 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import compress
 
 from .errors import DomainError, ResourceError, SerializationError
 from .rational import body_lines, format_rational, parse_rational
@@ -47,11 +52,11 @@ class PwaMap:
 
     @staticmethod
     def from_nodes(nodes: list[tuple[Fraction, Fraction]]) -> "PwaMap":
-        """Validate a node list and normalize away collinear middles.
+        """Check a node list, then build its canonical map by ``_build``
+        with every interior position as a possible collinear middle.
 
         Every check runs on the integer (numerator, denominator) pairs by
-        cross-multiplication, one node triple at a time; the kept nodes are
-        the given Fraction objects.
+        cross-multiplication; the kept nodes are the given Fraction objects.
         """
         if not nodes:
             raise DomainError("a PwaMap needs at least one node")
@@ -67,22 +72,7 @@ class PwaMap:
         for y, (yn, yd) in zip(ys, yr):
             if not 0 <= yn <= yd:
                 raise DomainError(f"node value {y} outside [0,1] (self-map contract)")
-        # drop middles of collinear triples: (y1-y0)(x2-x1) == (y2-y1)(x1-x0),
-        # multiplied through by all six denominators (xd1 and yd1 cancel)
-        kept = [0]
-        for k in range(1, len(xs)):
-            x2, xd2 = xr[k]
-            y2, yd2 = yr[k]
-            while len(kept) >= 2:
-                (x0, xd0), (x1, xd1) = xr[kept[-2]], xr[kept[-1]]
-                (y0, yd0), (y1, yd1) = yr[kept[-2]], yr[kept[-1]]
-                if ((y1 * yd0 - y0 * yd1) * (x2 * xd1 - x1 * xd2) * yd2 * xd0
-                        == (y2 * yd1 - y1 * yd2) * (x1 * xd0 - x0 * xd1) * yd0 * xd2):
-                    kept.pop()
-                else:
-                    break
-            kept.append(k)
-        return PwaMap(tuple(xs[k] for k in kept), tuple(ys[k] for k in kept))
+        return _build(xs, ys, xr, yr, range(1, len(xs) - 1))
 
     @cached_property
     def _table(self) -> tuple[int, list[int], list[tuple[int, int, int]]]:
@@ -109,6 +99,31 @@ class PwaMap:
 
     def nodes(self) -> list[tuple[Fraction, Fraction]]:
         return list(zip(self.xs, self.ys))
+
+
+def _build(xs: list[Fraction], ys: list[Fraction], xr: list[tuple[int, int]],
+           yr: list[tuple[int, int]], middles: Iterable[int]) -> PwaMap:
+    """The one builder of a map from a node list: the nodes (xs, ys) less
+    each position in middles whose two adjacent segments have one slope.
+
+    Precondition, checked by ``from_nodes`` and proved by ``compose`` for
+    the nodes it makes from a canonical outer map (every map the library
+    returns is canonical): x strictly increases from 0 to 1, every value
+    lies in [0, 1], xr and yr are the nodes' integer (numerator,
+    denominator) pairs, and every collinear middle is among the interior
+    positions in middles.  The map is affine between consecutive listed
+    nodes, so a node is a kink exactly when its own two segments differ in
+    slope, whichever other nodes are dropped: the result is canonical.
+    """
+    keep = [True] * len(xs)
+    for i in middles:
+        (x0, xd0), (x1, xd1), (x2, xd2) = xr[i - 1], xr[i], xr[i + 1]
+        (y0, yd0), (y1, yd1), (y2, yd2) = yr[i - 1], yr[i], yr[i + 1]
+        # (y1-y0)(x2-x1) == (y2-y1)(x1-x0), multiplied through by all six
+        # denominators (xd1 and yd1 cancel)
+        keep[i] = ((y1 * yd0 - y0 * yd1) * (x2 * xd1 - x1 * xd2) * yd2 * xd0
+                   != (y2 * yd1 - y1 * yd2) * (x1 * xd0 - x0 * xd1) * yd0 * xd2)
+    return PwaMap(tuple(compress(xs, keep)), tuple(compress(ys, keep)))
 
 
 def identity_map() -> PwaMap:
@@ -202,49 +217,69 @@ def compose(outer: PwaMap, inner: PwaMap) -> PwaMap:
     ``_locate``; the second values y on outer's node or piece there.  Before
     each inner node come the preimages x0 + (u − y0)(x1 − x0)/(y1 − y0) of
     the outer nodes u strictly between the values y0, y1 at the ends of the
-    segment that ends there, in x order, each one integer fraction valued
-    by its node.  Between two consecutive points inner is affine with image
-    inside one affine piece of outer, so the result is affine there;
-    ``from_nodes`` rechecks the x order.
+    segment that ends there, each one integer fraction valued by its node.
+    Between two consecutive points inner is affine with image inside one
+    affine piece of outer, so the result is affine there.
+
+    The nodes are built in x order, so nothing rechecks it: each preimage
+    lies strictly inside its segment, and the walk takes the outer nodes u
+    in ascending order when y1 > y0 and in descending order when y1 < y0,
+    which orders their preimages by x.  Every value is an outer node value
+    or a value on an outer piece, so it lies in [0, 1].
 
     Every preimage is a node of the canonical result, so the result has at
-    least ``_preimage_count`` + 2 nodes.  A preimage x of u lies strictly
+    least ``_place``'s count + 2 nodes, and ``_build`` tests only the inner
+    nodes' positions for collinear middles.  A preimage x of u lies strictly
     inside an inner segment, so it is never an inner node, 0 or 1, and
     near x inner is affine with one slope s.  s ≠ 0, since u lies strictly
     between the segment's end values.  u lies strictly inside (0, 1), so it
-    is an interior node of the canonical outer, whose slopes a_l, a_r on
-    either side of u differ (else u would be a collinear middle).  Near x
-    the result has slopes s·a_l and s·a_r, one on each side (in that order
-    for s > 0, swapped for s < 0), and these differ, so the result is not
-    affine across x and normalization keeps it.  Distinct u give distinct
-    x on one segment, and segments share no interior point.
+    is an interior node of outer, which is canonical (as every map the
+    library returns is), so its slopes a_l, a_r on either side of u differ
+    (else u would be a collinear middle).  Near x the result has slopes
+    s·a_l and s·a_r, one on each side (in that order for s > 0, swapped for
+    s < 0), and these differ, so the result is not affine across x.
+    Distinct u give distinct x on one segment, and segments share no
+    interior point.
     """
-    return _compose_placed(outer, inner, _place(outer, inner))
+    return _compose_placed(outer, inner, _place(outer, inner)[0])
 
 
-def _place(outer: PwaMap, inner: PwaMap) -> list[tuple[int, int, int, int]]:
+def _place(outer: PwaMap, inner: PwaMap,
+           limit: float = math.inf) -> tuple[list[tuple[int, int, int, int]], int]:
     """Per inner node, its value y = s/t as (s, t, lo, hi), lo and hi as
-    ``_locate`` gives them among outer's nodes."""
-    return [(s, t, *_locate(outer, s, t)) for s, t in map(Fraction.as_integer_ratio, inner.ys)]
-
-
-def _preimage_count(places: list[tuple[int, int, int, int]]) -> int:
-    """The number of preimage nodes ``compose`` inserts: on each inner
-    segment, the outer nodes strictly between its end values, hi0..lo − 1
-    going up and hi..lo0 − 1 going down (none when flat)."""
-    return sum(max(lo - hi0, lo0 - hi, 0)
-               for (_, _, lo0, hi0), (_, _, lo, hi) in zip(places, places[1:]))
+    ``_locate`` gives them among outer's nodes; and the count of preimage
+    nodes ``compose`` inserts: on each inner segment, the outer nodes
+    strictly between its end values, hi0..lo − 1 going up and hi..lo0 − 1
+    going down (none when flat).  Placing stops at the first segment that
+    takes the count past limit, so the places are then incomplete."""
+    places: list[tuple[int, int, int, int]] = []
+    count = 0
+    for s, t in map(Fraction.as_integer_ratio, inner.ys):
+        lo, hi = _locate(outer, s, t)
+        if places:
+            count += max(lo - hi0, lo0 - hi, 0)
+            if count > limit:
+                break
+        places.append((s, t, lo, hi))
+        lo0, hi0 = lo, hi
+    return places, count
 
 
 def _compose_placed(outer: PwaMap, inner: PwaMap,
                     places: list[tuple[int, int, int, int]]) -> PwaMap:
-    """outer∘inner from inner's values as placed by ``_place``."""
+    """outer∘inner from inner's values as placed by ``_place``, outer
+    canonical (see ``compose``)."""
     pieces = outer._table[2]
     oxs, oys = outer.xs, outer.ys
-    nodes: list[tuple[Fraction, Fraction]] = []
+    oyr = [y.as_integer_ratio() for y in oys]
+    xs: list[Fraction] = []
+    ys: list[Fraction] = []
+    xr: list[tuple[int, int]] = []
+    yr: list[tuple[int, int]] = []
+    inner_at: list[int] = []                  # the positions of inner's nodes
     for x, (s1, t1, lo, hi) in zip(inner.xs, places):
         p1, q1 = x.as_integer_ratio()
-        if nodes:
+        if xs:
             dy = s1 * t0 - s0 * t1
             # the outer nodes strictly between y0 and y1, in x order (none when flat)
             js = range(hi0, lo) if dy > 0 else range(lo0 - 1, hi - 1, -1)
@@ -252,14 +287,24 @@ def _compose_placed(outer: PwaMap, inner: PwaMap,
             c, e, f = (p1 * q0 - p0 * q1) * t1, q0 * q1 * dy, p0 * q1 * dy
             for j in js:
                 un, ud = oxs[j].as_integer_ratio()
-                nodes.append((Fraction(f * ud + (un * t0 - s0 * ud) * c, ud * e), oys[j]))
+                u = Fraction(f * ud + (un * t0 - s0 * ud) * c, ud * e)
+                xs.append(u)
+                xr.append(u.as_integer_ratio())
+                ys.append(oys[j])
+                yr.append(oyr[j])
+        inner_at.append(len(xs))
         if lo < hi:
-            nodes.append((x, oys[lo]))
+            y, yp = oys[lo], oyr[lo]
         else:
             a, b, d = pieces[lo - 1]
-            nodes.append((x, Fraction(a * s1 + b * t1, d * t1)))
+            y = Fraction(a * s1 + b * t1, d * t1)
+            yp = y.as_integer_ratio()
+        xs.append(x)
+        xr.append((p1, q1))
+        ys.append(y)
+        yr.append(yp)
         p0, q0, s0, t0, lo0, hi0 = p1, q1, s1, t1, lo, hi
-    return PwaMap.from_nodes(nodes)
+    return _build(xs, ys, xr, yr, inner_at[1:-1])
 
 
 def iterate(m: PwaMap, n: int, node_budget: int = DEFAULT_NODE_BUDGET) -> PwaMap:
@@ -272,14 +317,15 @@ def iterate(m: PwaMap, n: int, node_budget: int = DEFAULT_NODE_BUDGET) -> PwaMap
     (n steps of ``compose(m, ·)``).
 
     The budget bounds every map it builds: a composition is refused before
-    any of its nodes is made when its preimage count (see ``compose``)
-    already puts the result over the budget, and a built map is refused
-    when its canonical node count is.  Every map built is a power m^k with
-    k ≤ n, each of which the step loop built and checked, so this refuses
-    only where the step loop refused.  Node growth is geometric for
-    expanding maps, and one squaring can square the node count; the budget
-    caps it.  Deep orbits of single points should use orbit evaluation
-    (module separation), which never materializes the iterated map.
+    any of its nodes is made as soon as the preimages counted while placing
+    inner's values (see ``compose``) put the result over the budget, and a
+    built map is refused when its canonical node count is.  Every map built
+    is a power m^k with k ≤ n, each of which the step loop built and
+    checked, so this refuses only where the step loop refused.  Node growth
+    is geometric for expanding maps, and one squaring can square the node
+    count; the budget caps it.  Deep orbits of single points should use
+    orbit evaluation (module separation), which never materializes the
+    iterated map.
     """
     if n < 0:
         raise DomainError(f"iterate needs n >= 0, got {n}")
@@ -292,13 +338,13 @@ def iterate(m: PwaMap, n: int, node_budget: int = DEFAULT_NODE_BUDGET) -> PwaMap
                                 f" over the budget of {node_budget} (requested n={n})")
 
     def composed(outer: PwaMap, inner: PwaMap, k: int) -> PwaMap:
-        places = _place(outer, inner)
-        check(k, _preimage_count(places) + 2, "at least ")
+        places, count = _place(outer, inner, node_budget - 2)
+        check(k, count + 2, "at least ")
         power = _compose_placed(outer, inner, places)
         check(k, power.node_count)
         return power
 
-    power = PwaMap.from_nodes(m.nodes())                 # m^(2^j)
+    power = PwaMap.from_nodes(m.nodes())                 # m^(2^j), canonical
     check(1, power.node_count)
     result, done = None, 0                               # m^done, done = n mod 2^j
     for j in range(n.bit_length()):

@@ -37,7 +37,8 @@ from mdimlab import (
     sup_distance,
     tent_map,
 )
-from mdimlab.pwa import _locate, _place, _preimage_count, _window, merge_nodes
+from mdimlab import pwa
+from mdimlab.pwa import _locate, _place, _window, merge_nodes
 
 F = Fraction
 
@@ -295,7 +296,7 @@ def test_every_preimage_of_an_interior_outer_node_is_a_node_of_the_composition(o
     composed = compose(outer, inner)
     assert set(preimages) <= set(composed.xs)
     assert composed.node_count >= len(preimages) + 2
-    assert _preimage_count(_place(outer, inner)) == len(preimages)
+    assert _place(outer, inner)[1] == len(preimages)
 
 
 def test_the_preimage_bound_is_met_exactly_by_a_trapezoid():
@@ -348,18 +349,50 @@ def test_iterate_accepts_a_power_whose_lower_power_the_step_loop_refused():
 
 
 def test_iterate_refuses_from_the_preimage_count_before_building(monkeypatch):
-    real = PwaMap.from_nodes
+    # every map is built by pwa._build, the entry's from_nodes call and each
+    # composition alike: iterate builds the entry and three squarings up to
+    # the 257-node m^8, then refuses the squaring to m^16 from its count
+    # without building it
+    real = pwa._build
     sizes: list[int] = []
 
-    def recording(nodes):
-        sizes.append(len(nodes))
-        return real(nodes)
+    def recording(xs, ys, xr, yr, middles):
+        sizes.append(len(xs))
+        return real(xs, ys, xr, yr, middles)
 
-    monkeypatch.setattr(PwaMap, "from_nodes", staticmethod(recording))
+    monkeypatch.setattr(pwa, "_build", recording)
     with pytest.raises(ResourceError, match=r"needs at least \d+ nodes, over the budget of 1000"
                                              r" \(requested n=40\)"):
         iterate(tent_map(), 40, node_budget=1000)
-    assert sizes and max(sizes) <= 1000
+    assert max(sizes) <= 1000
+    assert sizes == [3, 5, 17, 257]
+
+
+def test_a_refused_composition_is_placed_only_until_its_count_passes_the_budget():
+    # each of the 65,536 segments of the sawtooth m^16 crosses its 65,535
+    # interior nodes, so m^16∘m^16 has 2^32 − 2^16 preimages; the count passes
+    # 10^6 − 2 on the 16th segment, and the refusal names the count there
+    m = iterate(tent_map(), 16)
+    assert _place(m, m)[1] == 65536 * 65535
+    places, count = _place(m, m, 10**6 - 2)
+    assert (len(places), count) == (16, 16 * 65535)
+    with pytest.raises(ResourceError, match=r"iterate\(32\) needs at least 1048562 nodes,"
+                                             r" over the budget of 1000000 \(requested n=40\)"):
+        iterate(tent_map(), 40)
+
+
+@settings(max_examples=120, deadline=None)
+@given(flat_and_off_grid_maps(), flat_and_off_grid_maps())
+def test_compose_builds_the_fraction_reference_on_flat_and_off_grid_maps(outer, inner):
+    # the builder tests only inner's node positions for collinear middles
+    assert compose(outer, inner).nodes() == reference_compose(outer, inner)
+
+
+def test_iterate_builds_the_fraction_reference_steps():
+    nodes = PINNED_POWERS.nodes()
+    for n in range(1, 5):
+        assert iterate(PINNED_POWERS, n).nodes() == nodes
+        nodes = reference_compose(PINNED_POWERS, PwaMap.from_nodes(nodes))
 
 
 # === uniform distance =========================================================
