@@ -1,24 +1,21 @@
 """Exact piecewise-affine self-maps of [0,1].
 
-A ``PwaMap`` is an ordered node list (x_i, y_i) with rational coordinates;
-the map is affine between consecutive x-values.  Nodes are kept canonical:
-x strictly increasing from 0 to 1, all values inside [0,1], and no three
-consecutive collinear nodes (normalization drops redundant middles), so two
-maps are equal as functions iff their node tuples are equal.
-``PwaMap.from_nodes`` is the checks of a node list plus ``_build``, the one
-builder of a map from nodes, which drops the collinear middles among the
-positions it is given: ``from_nodes`` gives every interior position, and
-``compose``, whose nodes are proved in order, gives only inner's nodes.
+A ``PwaMap`` is an ordered node list (x_i, y_i) with rational coordinates,
+affine between consecutive x-values and kept canonical: x strictly
+increasing from 0 to 1, values inside [0,1], and no three consecutive nodes
+collinear, so two maps are equal as functions iff their node tuples are.
+``_build`` is the one builder of a map from nodes, which drops the collinear
+middles among the positions it is given: ``PwaMap.from_nodes`` checks a node
+list and gives every interior position; ``compose`` gives only inner's
+nodes and surgery's splice its two junctions, their order being proved.
 
 Evaluation reads a private integer table, built on first use and never
-compared, hashed or pickled: node keys floor(x_i·2^s), s = 2·(bits of the
-largest x denominator) + 1, and per piece y = (a·x + b)/d, reduced.  No entry
-uses an lcm over the map, so nodes need not share a small common denominator.
-The table's format stays in this module: ``_locate`` is the one search of
-the node keys, which evaluation, composition, the distances and the integer
-orbit steps (``_integer_steps``, read by module separation) all go through,
-and ``_window`` is the one split of the nodes at a window's ends, which the
-windowed distance, surgery's splice and horseshoe's lap scan read.
+compared, hashed or pickled: node keys floor(x_i·2^s) and per piece
+y = (a·x + b)/d, reduced, none over an lcm of the map.  ``_locate`` is the
+one search of the keys, for evaluation, composition, the integer orbit steps
+(``_integer_steps``, read by module separation) and ``_window``, the one
+split of the nodes at a window's ends, which the windowed distance (one
+merged walk of both maps' nodes), surgery's splice and the lap scan read.
 
 Everything here is exact; no operation touches floating point.
 """
@@ -78,7 +75,11 @@ class PwaMap:
     def _table(self) -> tuple[int, list[int], list[tuple[int, int, int]]]:
         xr = [x.as_integer_ratio() for x in self.xs]
         yr = [y.as_integer_ratio() for y in self.ys]
-        shift, keys = _node_keys(xr)
+        # keys floor(x·2^s), s = 2·(bits of the largest denominator D) + 1: two
+        # nodes differ by at least 1/D² > 2/2^s, so their keys differ and keep
+        # their order; a point off the nodes may share a key with one of them
+        shift = 2 * max(d for _, d in xr).bit_length() + 1
+        keys = [(n << shift) // d for n, d in xr]
         pieces = []
         for (n0, m0), (n1, m1), (u0, v0), (u1, v1) in zip(xr, xr[1:], yr, yr[1:]):
             dx, dy = n1 * m0 - n0 * m1, u1 * v0 - u0 * v1
@@ -106,12 +107,12 @@ def _build(xs: list[Fraction], ys: list[Fraction], xr: list[tuple[int, int]],
     """The one builder of a map from a node list: the nodes (xs, ys) less
     each position in middles whose two adjacent segments have one slope.
 
-    Precondition, checked by ``from_nodes`` and proved by ``compose`` for
-    the nodes it makes from a canonical outer map (every map the library
-    returns is canonical): x strictly increases from 0 to 1, every value
-    lies in [0, 1], xr and yr are the nodes' integer (numerator,
-    denominator) pairs, and every collinear middle is among the interior
-    positions in middles.  The map is affine between consecutive listed
+    Precondition, checked by ``from_nodes`` and proved by ``compose`` and
+    surgery's ``_splice`` for the nodes they make from canonical maps
+    (every map the library returns is canonical): x strictly increases from
+    0 to 1, every value lies in [0, 1], xr and yr are the nodes' integer
+    (numerator, denominator) pairs, and every collinear middle is among the
+    interior positions in middles.  The map is affine between consecutive listed
     nodes, so a node is a kink exactly when its own two segments differ in
     slope, whichever other nodes are dropped: the result is canonical.
     """
@@ -356,41 +357,31 @@ def iterate(m: PwaMap, n: int, node_budget: int = DEFAULT_NODE_BUDGET) -> PwaMap
     return result
 
 
-def merge_nodes(*seqs: Sequence[Fraction]) -> list[Fraction]:
-    """The ascending union of ascending point lists, equal to
-    ``sorted(set().union(*seqs))``, ordered and deduplicated by the integer
-    keys of ``_node_keys``, so no two points are compared."""
-    points = [x for seq in seqs for x in seq]
-    _, keys = _node_keys([x.as_integer_ratio() for x in points])
-    by_key = dict(zip(keys, points))
-    return [by_key[k] for k in sorted(by_key)]
-
-
-def _node_keys(ratios: list[tuple[int, int]]) -> tuple[int, list[int]]:
-    """The shift s = 2·(bits of the largest denominator D) + 1 and the keys
-    floor(x·2^s) of the points x = n/d given as (n, d).  Two distinct points
-    differ by at least 1/D² > 2/2^s, so their keys differ and keep their
-    order; a point that is not in the list may share a key with one that is."""
-    shift = 2 * max(d for _, d in ratios).bit_length() + 1
-    return shift, [(n << shift) // d for n, d in ratios]
-
-
 def sup_distance(a: PwaMap, b: PwaMap) -> Fraction:
     """Exact C0 distance max_x |a(x) − b(x)|."""
     return _distance_on(a, b, ZERO, ONE)
 
 
 def _distance_on(a: PwaMap, b: PwaMap, lo: Fraction, hi: Fraction) -> Fraction:
-    """Exact max |a(x) − b(x)| over [lo, hi] inside [0, 1].
+    """Exact max |a(x) − b(x)| over [lo, hi] inside [0, 1], attained at lo,
+    hi or a node of either map between them, as a − b is affine between.
 
-    The difference is affine between consecutive points of {lo, hi} and the
-    nodes of either map between them, so the max is attained at one of
-    those points.  The differences are integer pairs compared by
-    cross-multiplication; one Fraction is built.
+    ``_values`` values the ends; one walk in x order (by cross-multiplication)
+    takes the inside slices by ``_window``: at a node of one map its stored
+    value, and the other's (a·p + b·q)/(d·q) on its piece up to its next
+    node.  The differences are integer pairs; one Fraction is built.
     """
-    xs = merge_nodes((lo, hi), *(m.xs[_window(m, lo, hi)[1]] for m in (a, b)))
+    pairs = list(zip(_values(a, (lo, hi), True), _values(b, (lo, hi), True)))
+    (i, i_end), (j, j_end) = ((w.start, w.stop) for w in (_window(m, lo, hi)[1] for m in (a, b)))
+    while i < i_end or j < j_end:             # an ended walk's node is at or above hi
+        (n1, d1), (n2, d2) = a.xs[i].as_integer_ratio(), b.xs[j].as_integer_ratio()
+        (sa, ta, da), (sb, tb, db) = a._table[2][i - 1], b._table[2][j - 1]
+        c = n1 * d2 - n2 * d1
+        pairs.append((a.ys[i].as_integer_ratio() if c <= 0 else (sa * n2 + ta * d2, da * d2),
+                      b.ys[j].as_integer_ratio() if c >= 0 else (sb * n1 + tb * d1, db * d1)))
+        i, j = i + (c <= 0), j + (c >= 0)
     best, best_d = 0, 1
-    for (un, ud), (vn, vd) in zip(_values(a, xs, True), _values(b, xs, True)):
+    for (un, ud), (vn, vd) in pairs:
         n, d = abs(un * vd - vn * ud), ud * vd
         if n * best_d > best * d:
             best, best_d = n, d

@@ -1,20 +1,15 @@
 """Local surgery on interval maps: splice a rescaled copy of a
 high-complexity map into an interval the host fixes pointwise.
 
-Pipeline: the host fixes an interval J pointwise (`implant` refuses a host
-that does not), and `implant` splices A o g o A^{-1} into J, A the
-increasing affine bijection of [0, 1] onto the inner window.  One splice,
-``_splice``, makes this map (the host below the inner window, the rescaled
-copy on it, the host above it) and the conjugation's identity extension.
-This is the paper's bump blend for every bump (the argument is in
-`implant`).  Off the outer window the result equals the host exactly; on the
-inner window it is exactly the rescaled implant, so separated-set counts
-transport through A with the window length as scale factor.
-
-`implant` assembles only the staircase map (`assemble_fbeta`), never its
-level views; `transported_views` checks each view once, against the implanted
-map.  Maps are compared on a window by `pwa._distance_on`, which is 0 exactly
-when they agree there.
+`implant` refuses a host that does not fix its flat interval J, moves the
+staircase's nodes into the inner window by A, the increasing affine
+bijection of [0, 1] onto it (``_moved_nodes``), and splices them between
+the host's nodes below and above it (``_splice``, which also makes
+`conjugate_into_interval`'s identity extension): the paper's bump blend for
+every bump (see `implant`).  Off the outer window the result is the host
+exactly; on the inner window it is exactly the rescaled copy, so counts
+transport through A, scaled by the window length.  No insert map or level
+view is built; `transported_views` checks each view against the result.
 """
 
 from __future__ import annotations
@@ -26,7 +21,7 @@ from pathlib import Path
 
 from .errors import ContractError, DomainError, SerializationError, VerificationError
 from .fbeta import FBetaPlan, assemble_fbeta, level_views, load_plan
-from .pwa import DEFAULT_NODE_BUDGET, PwaMap, _distance_on, _window, identity_map, load_pwa
+from .pwa import DEFAULT_NODE_BUDGET, PwaMap, _build, _distance_on, _window, identity_map, load_pwa
 from .rational import (
     body_lines, format_interval, format_rational, parse_interval, parse_rational, read_fields,
 )
@@ -51,25 +46,38 @@ def _affine_into(lo: Fraction, hi: Fraction) -> Callable[[Fraction], Fraction]:
     return move
 
 
-def _splice(host: PwaMap, inside: list[tuple[Fraction, Fraction]],
-            lo: Fraction, hi: Fraction) -> PwaMap:
-    """The map through host's nodes below lo, ``inside``, and host's nodes above hi."""
-    below, _, above = _window(host, lo, hi)
+def _splice(host: PwaMap, moved: list[tuple[Fraction, Fraction]]) -> PwaMap:
+    """The map through a canonical host's nodes below lo, ``moved`` from
+    (lo, lo) to (hi, hi), and its nodes above hi; the host must fix lo, hi.
+
+    ``pwa._build`` tests only the interior junctions.  The x order and the
+    [0, 1] range follow from ``_window``'s split and ``moved`` rising inside
+    [lo, hi].  A junction lies on the host piece through it, so a kept host
+    node keeps both slopes and stays a kink; ``moved`` is an increasing
+    affine image of a canonical map, so its interior nodes are kinks.
+    """
+    below, _, above = _window(host, moved[0][0], moved[-1][0])
     nodes = host.nodes()
-    return PwaMap.from_nodes(nodes[below] + inside + nodes[above])
+    xs, ys = map(list, zip(*nodes[below], *moved, *nodes[above]))
+    xr, yr = ([v.as_integer_ratio() for v in vs] for vs in (xs, ys))
+    ends = (below.stop, below.stop + len(moved) - 1)        # the junctions
+    return _build(xs, ys, xr, yr, [k for k in ends if 0 < k < len(xs) - 1])
 
 
-def conjugate_into_interval(m: PwaMap, lo: Fraction, hi: Fraction) -> PwaMap:
-    """A o m o A^{-1} on [lo, hi] (A the increasing affine bijection from
-    [0, 1]), extended by the identity outside.  The extension is continuous
-    only when m fixes both endpoints, so that is required."""
+def _moved_nodes(m: PwaMap, lo: Fraction, hi: Fraction) -> list[tuple[Fraction, Fraction]]:
+    """The nodes of A o m o A^{-1}, A the increasing affine bijection of [0, 1]
+    onto [lo, hi]; m must fix 0 and 1, so that a host fixing lo, hi continues it."""
     move = _affine_into(lo, hi)
     if m.ys[0] != 0 or m.ys[-1] != 1:                  # the values at x = 0 and x = 1
         raise ContractError(
             "conjugated map must fix 0 and 1 so the identity extension is continuous; "
-            f"got m(0) = {format_rational(m.ys[0])}, m(1) = {format_rational(m.ys[-1])}"
-        )
-    return _splice(identity_map(), [(move(x), move(y)) for x, y in m.nodes()], lo, hi)
+            f"got m(0) = {format_rational(m.ys[0])}, m(1) = {format_rational(m.ys[-1])}")
+    return [(move(x), move(y)) for x, y in m.nodes()]
+
+
+def conjugate_into_interval(m: PwaMap, lo: Fraction, hi: Fraction) -> PwaMap:
+    """A o m o A^{-1} on [lo, hi], extended by the identity; m must fix 0 and 1."""
+    return _splice(identity_map(), _moved_nodes(m, lo, hi))
 
 
 # === implant plans ===========================================================
@@ -130,37 +138,38 @@ def implant(plan: SurgeryPlan, node_budget: int = DEFAULT_NODE_BUDGET) -> PwaMap
     fixes J, which contains the outer window (`_check_plan`), and the insert
     is the identity off the inner window.  So the blend is the host off the
     outer window, the insert on the inner one, and on each collar between
-    them the identity, as both maps are, whatever χ is there: the map
-    through the host's nodes below the inner window, its ends (fixed by
-    both maps), the insert's nodes inside it and the host's nodes above it.
-    ``from_nodes`` drops the nodes the splice leaves collinear.
+    them the identity, as both maps are, whatever χ is there: the splice.
     """
     _check_plan(plan)
 
     staircase, _ = assemble_fbeta(plan.fbeta_plan, node_budget)
-    lo, hi = plan.J_hat
-    insert = conjugate_into_interval(staircase, lo, hi)
-    inside = insert.nodes()[_window(insert, lo, hi)[1]]
-    spliced = _splice(plan.host, [(lo, lo), *inside, (hi, hi)], lo, hi)
+    moved = _moved_nodes(staircase, *plan.J_hat)
+    spliced = _splice(plan.host, moved)
 
-    _verify_implant(spliced, plan, insert)
+    _verify_implant(spliced, plan, moved)
     return spliced
 
 
-def _verify_implant(blended: PwaMap, plan: SurgeryPlan, insert: PwaMap) -> None:
-    """Raise one VerificationError naming every broken promise."""
+def _verify_implant(blended: PwaMap, plan: SurgeryPlan,
+                    moved: list[tuple[Fraction, Fraction]]) -> None:
+    """Raise one VerificationError naming every broken promise.  The copy
+    is checked by nodes: blended's nodes strictly inside the inner window
+    are ``moved``'s interior ones and both ends are fixed.  Sound for any
+    maps (both are then affine between the same points, equal there);
+    complete for canonical ones (a node strictly inside is a kink of each)."""
     (h_lo, h_hi), (t_lo, t_hi) = plan.J_hat, plan.J_tilde
     broken = []
     if _distance_on(blended, plan.host, 0, t_lo) or _distance_on(blended, plan.host, t_hi, 1):
         broken.append(f"implant leaked outside the outer window {format_interval(t_lo, t_hi)}")
-    if _distance_on(blended, insert, h_lo, h_hi):
+    inside = _window(blended, h_lo, h_hi)[1]
+    ends_fixed = blended(h_lo) == h_lo and blended(h_hi) == h_hi
+    if not ends_fixed or list(zip(blended.xs[inside], blended.ys[inside])) != moved[1:-1]:
         broken.append(f"inner window {format_interval(h_lo, h_hi)} does not carry the exact "
                       "rescaled copy")
     (ln, ld), (hn, hd) = h_lo.as_integer_ratio(), h_hi.as_integer_ratio()
-    inner = blended.ys[_window(blended, h_lo, h_hi)[1]]
-    if (blended(h_lo) != h_lo or blended(h_hi) != h_hi
+    if (not ends_fixed
             or any(not (ln * d <= n * ld and n * hd <= hn * d)
-                   for n, d in (y.as_integer_ratio() for y in inner))):
+                   for n, d in (y.as_integer_ratio() for y in blended.ys[inside]))):
         broken.append(f"inner window {format_interval(h_lo, h_hi)} is not invariant")
     if broken:
         raise VerificationError("; ".join(broken))

@@ -38,7 +38,7 @@ from mdimlab import (
     tent_map,
 )
 from mdimlab import pwa
-from mdimlab.pwa import _locate, _place, _window, merge_nodes
+from mdimlab.pwa import _locate, _place, _window
 
 F = Fraction
 
@@ -408,34 +408,6 @@ def test_sup_distance_identity_to_constant(identity):
 def test_sup_distance_identity_to_tent(identity, tent):
     # |x - tent(x)| peaks at x = 1
     assert sup_distance(identity, tent) == F(1)
-
-
-# === merging node lists =======================================================
-
-@settings(max_examples=80, deadline=None)
-@given(seeds, st.lists(st.tuples(st.integers(2, 10), st.sampled_from([2, 101, 1009, 10007])),
-                       min_size=1, max_size=4))
-def test_merge_nodes_is_the_sorted_union(seed, shapes):
-    rng = random.Random(seed)
-    # maps on their own primes, so each list brings its own largest denominator
-    maps = [prime_denominator_pwa(rng, nodes, first) for nodes, first in shapes]
-    seqs = [m.xs for m in maps] + [random_pwa(rng).xs]
-    seqs.append(sorted(rng.sample(seqs[0], rng.randint(1, len(seqs[0])))))  # shared nodes
-    seqs.append(near_nodes(maps[-1]))                                        # a hair off nodes
-    lo = rng.choice(seqs[0])
-    seqs += [(0, lo), (lo, 1)]                           # int ends, as a window check gets them
-    merged = merge_nodes(*seqs)
-    assert merged == sorted(set().union(*seqs))
-    assert all(a < b for a, b in zip(merged, merged[1:]))
-
-
-def test_merge_nodes_separates_farey_neighbours():
-    # k/(2k+1) and (k+1)/(2k+3) differ by 1/((2k+1)(2k+3)), the least gap
-    # their denominators allow
-    big = 10**40
-    pairs = [F(k, 2 * k + 1) for k in (big, big + 1)]
-    assert merge_nodes([pairs[1], F(1, 2)], [pairs[0]]) == [*pairs, F(1, 2)]
-    assert merge_nodes((0, 1), (F(0), F(1, 3), F(1))) == [0, F(1, 3), 1]
 
 
 # === fixed points =============================================================

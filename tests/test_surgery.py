@@ -8,7 +8,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
@@ -39,7 +39,8 @@ from mdimlab import (
 from mdimlab.pwa import PwaMap, _distance_on
 from mdimlab.rational import format_interval
 from mdimlab.separation import METHOD_CYLINDER, MarkovBranch, MarkovView
-from mdimlab.surgery import _verify_implant
+from mdimlab.fbeta import assemble_fbeta
+from mdimlab.surgery import _moved_nodes, _splice, _verify_implant
 
 F = Fraction
 
@@ -66,9 +67,9 @@ def test_conjugation_rejects_a_degenerate_target(identity):
 
 
 # === the implant path against a plain Fraction reference ======================
-# The library merges node sets by integer keys, moves points with integer
-# numerators and evaluates through node tables; these references sort
-# Fraction sets and interpolate with conftest's value_at instead.
+# The library walks node lists by integer cross-multiplication, moves points
+# with integer numerators and evaluates through node tables; these references
+# sort Fraction sets and interpolate with conftest's value_at instead.
 
 seeds = st.integers(0, 10**9)
 kinds = st.sampled_from(["small", "prime"])
@@ -141,15 +142,19 @@ def distance_reference(a: PwaMap, b: PwaMap, lo: Fraction, hi: Fraction) -> Frac
     return max(abs(value_at(a, x) - value_at(b, x)) for x in xs)
 
 
+def with_kink(m: PwaMap, x: Fraction) -> PwaMap:
+    """``m`` with one more node at x, strictly inside one of its pieces, 1/10^9 off ``m``."""
+    y = value_at(m, x)
+    return PwaMap.from_nodes(sorted(m.nodes() + [(x, y + (F(-1, 10**9) if y else F(1, 10**9)))]))
+
+
 def nearby_map(rng: random.Random, a: PwaMap, relation: str) -> PwaMap:
     """``a`` but for its value at 1 ("at 1"), or but for one kink 1/10^9 off
     ``a`` strictly inside one of its pieces ("in a piece")."""
     if relation == "at 1":
         return PwaMap.from_nodes(a.nodes()[:-1] + [(F(1), F(rng.randint(0, 1009), 1009))])
     j = rng.randrange(len(a.xs) - 1)
-    x = a.xs[j] + (a.xs[j + 1] - a.xs[j]) * F(rng.randrange(1, 1000), 1000)
-    y = value_at(a, x) + (F(-1, 10**9) if value_at(a, x) else F(1, 10**9))
-    return PwaMap.from_nodes(sorted(a.nodes() + [(x, y)]))
+    return with_kink(a, a.xs[j] + (a.xs[j + 1] - a.xs[j]) * F(rng.randrange(1, 1000), 1000))
 
 
 @settings(max_examples=80, deadline=None)
@@ -180,16 +185,32 @@ def test_conjugation_and_transport_match_a_fraction_reference(seed, kind):
     assert (moved.core_lo, moved.core_hi, moved.separation_scale) == (lo, hi, end / 3 * (hi - lo))
 
 
-@settings(max_examples=80, deadline=None)
-@given(seeds, kinds, st.sampled_from(["inside", "from 0", "to 1", "whole", "point"]),
+# Farey neighbours 1/2 and (k+1)/(2k+1), 1/(2(2k+1)) apart, the least gap
+# their denominators allow: in the node table of a map with the node 1/2 and
+# no large denominator, the second shares its node key with 1/2
+FAREY = (F(1, 2), F(10**40 + 1, 2 * 10**40 + 1))
+
+
+@settings(max_examples=120, deadline=None)
+@given(seeds, kinds, st.sampled_from(["inside", "from 0", "to 1", "whole", "point", "at a's nodes",
+                                      "at a's and b's nodes", "no interior node", "farey"]),
        st.sampled_from(["other", "same", "bent", "at 1", "in a piece"]))
 def test_distance_on_matches_a_fraction_reference(seed, kind, window, relation):
     rng = random.Random(seed)
-    a = host_map(rng, kind)
+    a, b = host_map(rng, kind), host_map(rng, kind)
     (h_lo, h_hi), _ = nested_windows(rng)
+    if window == "farey":           # a node of each map, sharing a's node key
+        a, b = a if FAREY[0] in a.xs else with_kink(a, FAREY[0]), with_kink(b, FAREY[1])
+        shift, keys, _ = a._table
+        assert (FAREY[1].numerator << shift) // FAREY[1].denominator in keys
+    nodes = sorted(set(a.xs) | set(b.xs))
+    j = rng.randrange(len(nodes) - 1)   # a window between two consecutive nodes of either map
     lo, hi = {"inside": (h_lo, h_hi), "from 0": (0, h_hi), "to 1": (h_lo, 1), "whole": (0, 1),
-              "point": (h_lo, h_lo)}[window]
-    b = host_map(rng, kind)
+              "point": (h_lo, h_lo), "at a's nodes": sorted(rng.sample(a.xs, 2)),
+              "at a's and b's nodes": sorted([rng.choice(a.xs), rng.choice(b.xs)]),
+              "no interior node": sorted(nodes[j] + (nodes[j + 1] - nodes[j])
+                                         * F(rng.randint(0, 1000), 1000) for _ in range(2)),
+              "farey": rng.choice([FAREY, (F(1, 3), F(2, 3)), (F(0), FAREY[1])])}[window]
     if relation in ("at 1", "in a piece"):
         b = nearby_map(rng, a, relation)
     elif relation != "other":       # b follows a on [lo, hi] and b's own nodes elsewhere
@@ -258,6 +279,34 @@ def test_implant_is_the_blend_for_every_valid_profile(seed, kind, fplan, custom)
     plan = SurgeryPlan(host, (flat[0] + flat[1]) / 2, flat, inner, outer, fplan)
     insert = conjugate_into_interval(build_fbeta(fplan).map, *inner)
     assert dump_pwa(implant(plan)) == dump_pwa(blend_reference(host, insert, profile))
+
+
+
+@settings(max_examples=60, deadline=None)
+@given(seeds, st.sampled_from(["small", "prime", "identity"]), st.sampled_from(SPLICE_PLANS),
+       st.sampled_from(["host nodes", "inside a fixed piece", "from 0", "to 1", "whole"]))
+@example(0, "identity", SPLICE_PLANS[1], "host nodes")
+def test_splice_is_from_nodes_on_the_same_node_list(seed, kind, fplan, ends):
+    rng = random.Random(seed)
+    (lo, hi), outer = nested_windows(rng)
+    lo, hi = {"from 0": (F(0), hi), "to 1": (lo, F(1)), "whole": (F(0), F(1))}.get(ends, (lo, hi))
+    if kind == "identity":          # the staircase's identity tail continues it through (lo, lo)
+        host = PwaMap.from_nodes([(F(0), F(0)), (F(1), F(1))])
+    elif ends == "inside a fixed piece":
+        host = host_map(rng, kind, outer)
+    else:                           # the host fixes lo and hi at nodes of its own
+        m = host_map(rng, kind)
+        host = PwaMap.from_nodes([(x, y) for x, y in m.nodes() if x < lo] + [(lo, lo)]
+                                 + [(x, y) for x, y in m.nodes() if lo < x < hi] + [(hi, hi)]
+                                 + [(x, y) for x, y in m.nodes() if x > hi])
+    moved = _moved_nodes(assemble_fbeta(fplan)[0], lo, hi)
+    nodes = ([(x, y) for x, y in host.nodes() if x < lo] + moved
+             + [(x, y) for x, y in host.nodes() if x > hi])
+    spliced = _splice(host, moved)
+    assert spliced == PwaMap.from_nodes(nodes)
+    assert dump_pwa(spliced) == dump_pwa(PwaMap.from_nodes(nodes))
+    if kind == "identity" and lo > 0:   # the collinear junction is dropped
+        assert lo not in spliced.xs
 
 
 # === implant preconditions ====================================================
@@ -358,41 +407,52 @@ def test_inner_window_orbits_never_escape(implanted):
 
 def test_implant_verification_catches_a_tampered_blend(implanted, half_model):
     plan, blended = implanted
-    insert = conjugate_into_interval(half_model.map, *plan.J_hat)
+    moved = _moved_nodes(half_model.map, *plan.J_hat)
     leaked = PwaMap.from_nodes(sorted(blended.nodes() + [(F(1, 10), F(11, 100))]))
     with pytest.raises(VerificationError, match="leaked outside the outer window 1/5:4/5"):
-        _verify_implant(leaked, plan, insert)
+        _verify_implant(leaked, plan, moved)
     nodes = blended.nodes()
     k = next(i for i, (x, y) in enumerate(nodes) if F(1, 4) < x < F(3, 4) and y < F(3, 4))
     nodes[k] = (nodes[k][0], nodes[k][1] + F(1, 10**6))
     with pytest.raises(VerificationError, match="1/4:3/4 does not carry the exact rescaled"):
-        _verify_implant(PwaMap.from_nodes(nodes), plan, insert)
+        _verify_implant(PwaMap.from_nodes(nodes), plan, moved)
+    # a node with both neighbours inside the window, nudged right with its value
+    # kept, or dropped: the ends stay fixed and every value stays in the window
+    nodes = blended.nodes()
+    k = next(i for i, (x, _) in enumerate(nodes) if F(1, 2) < x < F(3, 4))
+    assert F(1, 4) < nodes[k - 1][0] and nodes[k + 1][0] < F(3, 4)
+    nudged = nodes[:k] + [(nodes[k][0] + (nodes[k + 1][0] - nodes[k][0]) / 10**6, nodes[k][1])]
+    for tampered in (nudged + nodes[k + 1:], nodes[:k] + nodes[k + 1:]):
+        with pytest.raises(VerificationError,
+                           match="^inner window 1/4:3/4 does not carry the exact rescaled copy$"):
+            _verify_implant(PwaMap.from_nodes(tampered), plan, moved)
+
 
 
 def test_implant_verification_catches_an_inner_value_outside_the_window(implanted, half_model):
     plan, blended = implanted
-    insert = conjugate_into_interval(half_model.map, *plan.J_hat)
+    moved = _moved_nodes(half_model.map, *plan.J_hat)
     # the staircase's top nodes sit exactly on the window's upper end, which is allowed
     assert F(3, 4) in blended.ys
-    _verify_implant(blended, plan, insert)
+    _verify_implant(blended, plan, moved)
     nodes = blended.nodes()
     k = next(i for i, (x, y) in enumerate(nodes) if F(1, 4) < x < F(3, 4) and y == F(3, 4))
     for escaped in (F(3, 4) + F(1, 10**9), F(1, 4) - F(1, 10**9)):
         nodes[k] = (nodes[k][0], escaped)
         with pytest.raises(VerificationError, match="inner window 1/4:3/4 is not invariant$"):
-            _verify_implant(PwaMap.from_nodes(nodes), plan, insert)
+            _verify_implant(PwaMap.from_nodes(nodes), plan, moved)
 
 
 def test_implant_verification_catches_a_leak_between_breakpoints(implanted, half_model):
     plan, blended = implanted
-    insert = conjugate_into_interval(half_model.map, *plan.J_hat)
+    moved = _moved_nodes(half_model.map, *plan.J_hat)
     # neither the host nor the insert has a breakpoint in (0, 1/5]
     nodes = [(F(0), F(0)), (F(9, 40), F(1, 5)), (F(1, 4), F(1, 4))]
     leaked = PwaMap.from_nodes(nodes + [(x, y) for x, y in blended.nodes() if x > F(1, 4)])
     assert leaked(F(1, 5)) == F(8, 45)
     with pytest.raises(VerificationError,
                        match="^implant leaked outside the outer window 1/5:4/5$"):
-        _verify_implant(leaked, plan, insert)
+        _verify_implant(leaked, plan, moved)
 
 
 @pytest.mark.parametrize("beta, full", [(F(1, 2), False), (F(1), True)], ids=["standard", "dense"])
