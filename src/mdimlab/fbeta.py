@@ -5,7 +5,8 @@ J_k = [a_{2k+1}, a_{2k}]; the cores shrink toward 0 and consecutive cores are
 separated by gap intervals G_k = [a_{2k+2}, a_{2k+1}] carrying attracting
 dynamics (every gap orbit falls onto the gap's midpoint b_k).  J_k is cut
 into ell_k equal subintervals of width eps_k = gamma_k/ell_k, gamma_k being
-the core length, and the subintervals carry, in order:
+the core length.  `_branch_positions` lists the full branches, and the free
+positions between them carry excursions into the gaps; in order:
 
     position 1+4i (0 <= i <= i_k)     increasing full branch onto J_k
     position 2+4i (0 <= i <= i_k-1)   tent excursion up into G_{k-1}
@@ -275,7 +276,7 @@ def assemble_fbeta(
         lv = plan.levels[k]
         _push_gap(nodes, lv.eps, lv.a_odd, lv.b)       # G_k = [a_{2k+2}, a_{2k+1}]
         top_peak = plan.levels[k - 1].b if k >= 1 else ONE
-        _push_level(nodes, plan, lv, top_peak, branch_table)
+        _push_level(nodes, lv, _branch_positions(plan, lv), top_peak, branch_table)
     return PwaMap.from_nodes(nodes), tuple(branch_table)
 
 
@@ -298,52 +299,45 @@ def _half_steps(lv: FBetaLevel) -> Callable[[int], Fraction]:
     return lambda t: Fraction(a0 + t * e, den)
 
 
+def _branch_positions(plan: FBetaPlan, lv: FBetaLevel) -> list[tuple[int, bool]]:
+    """Level lv's full branches in x order as (position j, increasing): every
+    position, alternately up and down, in the dense variant; else 1+4i up and
+    3+4i down, up to 4*i_k + 1 <= ell_k.  The one statement of the layout."""
+    if plan.variant_full:
+        return [(j, j % 2 == 1) for j in range(1, lv.ell + 1)]
+    return [(j, j % 4 == 1) for j in range(1, 4 * lv.i_sel + 2, 2)]
+
+
 def _push_level(
     nodes: list[Node],
-    plan: FBetaPlan,
     lv: FBetaLevel,
+    positions: list[tuple[int, bool]],
     top_peak: Fraction,
     branch_table: list[BranchEntry],
 ) -> None:
-    """Append level lv's nodes after the shared (c_0, a_odd), up to (a_even, a_even)."""
+    """Append level lv's nodes after the shared (c_0, a_odd), up to (a_even, a_even):
+    each branch of ``positions`` from the last node, c_{j-1}; where the next (or the
+    core top, ell + 1) is more than one position on, an excursion over the free
+    positions peaking mid-way, at ``top_peak`` after an up branch, else at b."""
     h = _half_steps(lv)
-    c = [h(2 * j) for j in range(lv.ell + 1)]          # subdivision points
-    if plan.variant_full:
-        for j in range(1, lv.ell + 1):
-            up = j % 2 == 1
-            nodes.append((c[j], lv.a_even if up else lv.a_odd))
-            branch_table.append(BranchEntry(lv.k, j, up, c[j - 1], c[j]))
-        return
-    limit = 4 * lv.i_sel + 1
-    for j in range(1, limit + 1):
-        r = (j - 1) % 4
-        if r == 0:                                     # increasing full branch
-            nodes.append((c[j], lv.a_even))
-            branch_table.append(BranchEntry(lv.k, j, True, c[j - 1], c[j]))
-        elif r == 1:                                   # excursion up into G_{k-1}
-            nodes += [(h(2 * j - 1), top_peak), (c[j], lv.a_even)]
-        elif r == 2:                                   # decreasing full branch
-            nodes.append((c[j], lv.a_odd))
-            branch_table.append(BranchEntry(lv.k, j, False, c[j - 1], c[j]))
-        else:                                          # excursion down into G_k
-            nodes += [(h(2 * j - 1), lv.b), (c[j], lv.a_odd)]
-    if lv.ell > limit:                                 # wide excursion to the core top
-        nodes += [(h(limit + lv.ell), top_peak), (c[lv.ell], lv.a_even)]
+    for (j, up), (n, _) in zip(positions, positions[1:] + [(lv.ell + 1, True)]):
+        end = lv.a_even if up else lv.a_odd
+        branch_table.append(BranchEntry(lv.k, j, up, nodes[-1][0], x := h(2 * j)))
+        nodes.append((x, end))
+        if n > j + 1:
+            nodes += [(h(j + n - 1), top_peak if up else lv.b), (h(2 * n - 2), end)]
 
 
 def level_views(plan: FBetaPlan, pwa: PwaMap | None = None) -> tuple[MarkovView, ...]:
-    """One full-branch view per level from the plan's layout, checked against `pwa` if given."""
+    """One full-branch view per level, checked against `pwa` if given: the
+    increasing branches of `_branch_positions`, whose domain gaps are 3*eps,
+    or every branch of the dense variant, whose domains touch (no scale)."""
     views = []
     for lv in plan.levels:
         h = _half_steps(lv)
-        if plan.variant_full:
-            branches = tuple(MarkovBranch(h(2 * j - 2), h(2 * j), j % 2 == 1)
-                             for j in range(1, lv.ell + 1))
-            scale = None                               # touching domains: no certificate
-        else:
-            branches = tuple(MarkovBranch(h(8 * i), h(8 * i + 2), True)
-                             for i in range(lv.i_sel + 1))
-            scale = lv.eps                             # domain gaps are 3*eps > eps
+        branches = tuple(MarkovBranch(h(2 * j - 2), h(2 * j), up)
+                         for j, up in _branch_positions(plan, lv) if up or plan.variant_full)
+        scale = None if plan.variant_full else lv.eps
         views.append(MarkovView(lv.a_odd, lv.a_even, branches, scale, pwa, label=f"level {lv.k}"))
     return tuple(views)
 

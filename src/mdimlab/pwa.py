@@ -154,14 +154,12 @@ def eval_sorted(m: PwaMap, xs: list[Fraction]) -> list[Fraction]:
     return _values(m, xs)
 
 
-def _values(m: PwaMap, xs: Sequence[Fraction], pairs: bool = False) -> list:
+def _values(m: PwaMap, xs: Sequence[Fraction]) -> list[Fraction]:
     """Values at ascending points: a node's own value, else (a·p + b·q)/(d·q)
     on the piece through x = p/q, each located by ``_locate`` from the last
-    point's place.  With ``pairs`` each value is that integer (numerator,
-    denominator) pair, unreduced off the nodes, for callers that compare by
-    cross-multiplication; else a Fraction."""
+    point's place."""
     pieces = m._table[2]
-    out: list = []
+    out: list[Fraction] = []
     lo = 0
     pp, pq = 0, 1
     for x in xs:
@@ -174,10 +172,10 @@ def _values(m: PwaMap, xs: Sequence[Fraction], pairs: bool = False) -> list:
         pp, pq = p, q
         lo, hi = _locate(m, p, q, lo)
         if lo < hi:                           # x is node lo (x == 1 is the last one)
-            out.append(m.ys[lo].as_integer_ratio() if pairs else m.ys[lo])
+            out.append(m.ys[lo])
         else:
             a, b, d = pieces[lo - 1]
-            out.append((a * p + b * q, d * q) if pairs else Fraction(a * p + b * q, d * q))
+            out.append(Fraction(a * p + b * q, d * q))
     return out
 
 
@@ -369,9 +367,10 @@ def _distance_on(a: PwaMap, b: PwaMap, lo: Fraction, hi: Fraction) -> Fraction:
     ``_values`` values the ends; one walk in x order (by cross-multiplication)
     takes the inside slices by ``_window``: at a node of one map its stored
     value, and the other's (a·p + b·q)/(d·q) on its piece up to its next
-    node.  The differences are integer pairs; one Fraction is built.
+    node, as integer pairs; of the differences only the largest is a Fraction.
     """
-    pairs = list(zip(_values(a, (lo, hi), True), _values(b, (lo, hi), True)))
+    pairs = [(u.as_integer_ratio(), v.as_integer_ratio())
+             for u, v in zip(_values(a, (lo, hi)), _values(b, (lo, hi)))]
     (i, i_end), (j, j_end) = ((w.start, w.stop) for w in (_window(m, lo, hi)[1] for m in (a, b)))
     while i < i_end or j < j_end:             # an ended walk's node is at or above hi
         (n1, d1), (n2, d2) = a.xs[i].as_integer_ratio(), b.xs[j].as_integer_ratio()

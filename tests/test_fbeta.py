@@ -18,12 +18,16 @@ from mdimlab import (
     ContractError,
     DomainError,
     FBetaModel,
+    FBetaPlan,
+    MarkovBranch,
+    MarkovView,
     PwaMap,
     ResourceError,
     SerializationError,
     build_fbeta,
     dump_model,
     dump_plan,
+    dump_views,
     eval_map,
     identity_map,
     load_model,
@@ -33,6 +37,7 @@ from mdimlab import (
     predicted_count,
     verify_model,
 )
+from mdimlab.fbeta import BranchEntry, assemble_fbeta, level_views
 from mdimlab.pwa import DEFAULT_NODE_BUDGET
 from mdimlab.rational import floor_pow
 from mdimlab.reporting import first
@@ -203,6 +208,76 @@ def test_the_wide_excursion_peaks_in_the_gap_above(key):
                         ((start + peak) / 2, (lv.a_even + top_peak) / 2)):
             assert value_at(model.map, x) == eval_map(model.map, x) == want
     assert all(view.map is model.map for view in model.views)
+
+
+# === the layout against a per-position restatement ===========================
+
+def reference_staircase(plan: FBetaPlan) -> tuple[PwaMap, list[BranchEntry]]:
+    """The staircase with each level's layout restated position by position:
+    the residue r = (j - 1) % 4 picks an up branch, an excursion up into the gap
+    above, a down branch or an excursion down into G_k up to 4*i_k + 1, then one
+    wide excursion to the core top; the dense variant alternates branches."""
+    tail = plan.tail_end
+    nodes, table = [(F(0), F(0)), (tail, tail)], []
+    for k in range(plan.K, -1, -1):
+        lv = plan.levels[k]
+        mdimlab.fbeta._push_gap(nodes, lv.eps, lv.a_odd, lv.b)
+        top_peak = plan.levels[k - 1].b if k else F(1)
+        c = [lv.a_odd + j * lv.eps for j in range(lv.ell + 1)]
+        if plan.variant_full:
+            for j in range(1, lv.ell + 1):
+                nodes.append((c[j], lv.a_even if j % 2 else lv.a_odd))
+                table.append(BranchEntry(k, j, j % 2 == 1, c[j - 1], c[j]))
+            continue
+        limit = 4 * lv.i_sel + 1
+        for j in range(1, limit + 1):
+            r = (j - 1) % 4
+            if r in (0, 2):
+                nodes.append((c[j], lv.a_even if r == 0 else lv.a_odd))
+                table.append(BranchEntry(k, j, r == 0, c[j - 1], c[j]))
+            else:
+                peak, end = (top_peak, lv.a_even) if r == 1 else (lv.b, lv.a_odd)
+                nodes += [((c[j - 1] + c[j]) / 2, peak), (c[j], end)]
+        if lv.ell > limit:
+            nodes += [((c[limit] + c[lv.ell]) / 2, top_peak), (c[lv.ell], lv.a_even)]
+    return PwaMap.from_nodes(nodes), table
+
+
+def reference_views(plan: FBetaPlan, m: PwaMap | None) -> list[MarkovView]:
+    """Each level's view restated: the increasing domains [c_{4i}, c_{4i+1}] at
+    scale eps, or every subinterval, alternately up and down, with no scale."""
+    views = []
+    for lv in plan.levels:
+        c = [lv.a_odd + j * lv.eps for j in range(lv.ell + 1)]
+        if plan.variant_full:
+            branches = [MarkovBranch(c[j - 1], c[j], j % 2 == 1) for j in range(1, lv.ell + 1)]
+        else:
+            branches = [MarkovBranch(c[4 * i], c[4 * i + 1], True) for i in range(lv.i_sel + 1)]
+        views.append(MarkovView(lv.a_odd, lv.a_even, tuple(branches),
+                                None if plan.variant_full else lv.eps, m, label=f"level {lv.k}"))
+    return views
+
+
+# beta = 7/10 plans only its level 0 under the default node budget
+LAYOUT_PLANS = [
+    *(pytest.param(F(beta), K, F(seed), False, id=f"{beta}-K{K}-a1={seed}")
+      for beta in ("0", "1/20", "1/3", "4/11", "5/11", "1/2", "7/10") for K in (0, 1)
+      for seed in ("1/2", "1/3", "2/3") if (beta, K) != ("7/10", 1)),
+    *(pytest.param(F(1), K, F(1, 2), True, id=f"1-K{K}-full") for K in (0, 1, 2)),
+]
+
+
+@pytest.mark.parametrize("beta, K, seed, full", LAYOUT_PLANS)
+def test_the_layout_matches_its_per_position_restatement(beta, K, seed, full):
+    plan = plan_sequences(beta, K, seed, full)
+    m, table = assemble_fbeta(plan)
+    want_map, want_table = reference_staircase(plan)
+    assert (m.xs, m.ys) == (want_map.xs, want_map.ys)
+    assert table == tuple(want_table)
+    for with_map in (None, m):
+        views = level_views(plan, with_map)
+        assert dump_views(views) == dump_views(reference_views(plan, with_map))
+        assert all(view.map is with_map for view in views)
 
 
 @pytest.mark.parametrize("k", [-1, 2])
