@@ -29,12 +29,12 @@ import math
 from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import zip_longest
 
 from .errors import ContractError, DomainError, ResourceError, SerializationError
 from .pwa import DEFAULT_NODE_BUDGET, PwaMap, dump_pwa, eval_map, eval_sorted
 from .rational import (
     body_lines, floor_pow, format_interval, format_rational, parse_int, parse_rational, read_fields,
+    require_rebuilt,
 )
 from .reporting import CheckResult, VerificationSummary, first
 from .separation import MarkovBranch, MarkovView, verify_cylinder_separation
@@ -481,9 +481,8 @@ def load_plan(text: str, node_budget: int = DEFAULT_NODE_BUDGET) -> FBetaPlan:
     if len(level_lines) != K + 1:
         raise SerializationError(f"expected {K + 1} level lines, found {len(level_lines)}")
     plan = plan_sequences(beta, K, seed, variant == "full", node_budget)
-    for ln, want in zip(level_lines, dump_plan(plan).splitlines()[-(K + 1):]):
-        if ln != want:
-            raise SerializationError(f"stored level line does not match the plan rule: {ln!r}")
+    require_rebuilt(level_lines, dump_plan(plan).splitlines()[-(K + 1):],
+                    "stored level line does not match the plan rule: {0!r}")
     return plan
 
 
@@ -506,10 +505,6 @@ def load_model(text: str) -> FBetaModel:
         raise SerializationError("model file has no [plan] section after its header")
     end = next((i for i in range(1, len(lines)) if lines[i].startswith("[")), len(lines))
     model = build_fbeta(load_plan("\n".join(lines[1:end])))
-    want_lines = dump_model(model).splitlines()[1:]
-    for have, want in zip_longest(lines, want_lines, fillvalue="end of file"):
-        if have != want:
-            raise SerializationError(
-                f"model line {have!r} differs from the model its plan rebuilds: {want!r}"
-            )
+    require_rebuilt(lines, dump_model(model).splitlines()[1:],
+                    "model line {0!r} differs from the model its plan rebuilds: {1!r}")
     return model

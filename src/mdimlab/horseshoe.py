@@ -34,6 +34,7 @@ from .errors import (
 from .pwa import PwaMap, _window, eval_sorted
 from .rational import (
     body_lines, format_interval, format_rational, parse_int, parse_rational, read_fields,
+    require_rebuilt,
 )
 from .reporting import CheckResult, VerificationSummary, first
 from .separation import MarkovBranch, MarkovView, _cylinder_rows, _least_distances, _refuse_over_cap
@@ -412,12 +413,8 @@ def load_model_2d(text: str) -> Horseshoe2DModel:
         raise SerializationError(f"expected {n} branch lines, found {len(branch_lines)}")
     model = build_model_2d(n, parse_rational(scalars["delta"]), parse_rational(scalars["epsilon"]),
                            parse_int(scalars["p"]), parse_rational(scalars["width"]))
-    want_lines = dump_model_2d(model).splitlines()[len(MODEL2D_SCALARS) + 1:]
-    for have, want in zip(branch_lines, want_lines):
-        if have != want:
-            raise SerializationError(
-                f"branch line {have!r} differs from the model its scalars rebuild: {want!r}"
-            )
+    require_rebuilt(branch_lines, dump_model_2d(model).splitlines()[len(MODEL2D_SCALARS) + 1:],
+                    "branch line {0!r} differs from the model its scalars rebuild: {1!r}")
     return model
 
 

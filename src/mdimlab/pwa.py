@@ -146,18 +146,13 @@ def tent_map() -> PwaMap:
 
 def eval_map(m: PwaMap, x: Fraction) -> Fraction:
     """Exact value of the map at x (linear interpolation between nodes)."""
-    return _values(m, (x,))[0]
+    return eval_sorted(m, (x,))[0]
 
 
-def eval_sorted(m: PwaMap, xs: list[Fraction]) -> list[Fraction]:
-    """Exact values at ascending points of [0,1], equal to ``eval_map`` at each."""
-    return _values(m, xs)
-
-
-def _values(m: PwaMap, xs: Sequence[Fraction]) -> list[Fraction]:
-    """Values at ascending points: a node's own value, else (a·p + b·q)/(d·q)
-    on the piece through x = p/q, each located by ``_locate`` from the last
-    point's place."""
+def eval_sorted(m: PwaMap, xs: Sequence[Fraction]) -> list[Fraction]:
+    """Exact values at ascending points of [0,1]: a node's own value, else
+    (a·p + b·q)/(d·q) on the piece through x = p/q, each located by
+    ``_locate`` from the last point's place."""
     pieces = m._table[2]
     out: list[Fraction] = []
     lo = 0
@@ -364,13 +359,13 @@ def _distance_on(a: PwaMap, b: PwaMap, lo: Fraction, hi: Fraction) -> Fraction:
     """Exact max |a(x) − b(x)| over [lo, hi] inside [0, 1], attained at lo,
     hi or a node of either map between them, as a − b is affine between.
 
-    ``_values`` values the ends; one walk in x order (by cross-multiplication)
+    ``eval_sorted`` values the ends; one walk in x order (by cross-multiplication)
     takes the inside slices by ``_window``: at a node of one map its stored
     value, and the other's (a·p + b·q)/(d·q) on its piece up to its next
     node, as integer pairs; of the differences only the largest is a Fraction.
     """
     pairs = [(u.as_integer_ratio(), v.as_integer_ratio())
-             for u, v in zip(_values(a, (lo, hi)), _values(b, (lo, hi)))]
+             for u, v in zip(eval_sorted(a, (lo, hi)), eval_sorted(b, (lo, hi)))]
     (i, i_end), (j, j_end) = ((w.start, w.stop) for w in (_window(m, lo, hi)[1] for m in (a, b)))
     while i < i_end or j < j_end:             # an ended walk's node is at or above hi
         (n1, d1), (n2, d2) = a.xs[i].as_integer_ratio(), b.xs[j].as_integer_ratio()
@@ -401,11 +396,10 @@ def fixed_points(m: PwaMap) -> list[tuple[Fraction, Fraction]]:
                 raw.append((x, x))
         elif b == 0:                    # the piece is the identity
             raw.append((x0, x1))
-    raw.sort()
     merged: list[tuple[Fraction, Fraction]] = []
-    for lo, hi in raw:
+    for lo, hi in raw:                  # in x order: a piece adds at most one, inside it
         if merged and lo <= merged[-1][1]:
-            merged[-1] = (merged[-1][0], max(hi, merged[-1][1]))
+            merged[-1] = (merged[-1][0], hi)
         else:
             merged.append((lo, hi))
     return merged

@@ -5,11 +5,13 @@ positive denominator — the stdlib maintains the canonical form for us).
 Floating point appears only in reports.  This module adds the few integer
 kernels the stdlib lacks: floor k-th roots, floor rational powers, the
 text form ``p/q`` used by every file format, and the line rules every format
-shares (a header line first, blank lines ignored, each key at most once).
+shares (a header line first, blank lines ignored, each key at most once, and
+each line its plan determines equal to the rebuilt one).
 """
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import zip_longest
 
 from .errors import DomainError, SerializationError
 
@@ -135,3 +137,11 @@ def read_fields(
         if key not in fields:
             raise SerializationError(f"missing {what} {key!r}")
     return fields
+
+
+def require_rebuilt(stored: list[str], rebuilt: list[str], message: str) -> None:
+    """At the first stored line that differs from its rebuilt line, raise
+    ``message.format(have, want)``; a missing line reads ``end of file``."""
+    for have, want in zip_longest(stored, rebuilt, fillvalue="end of file"):
+        if have != want:
+            raise SerializationError(message.format(have, want))

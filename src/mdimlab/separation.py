@@ -43,6 +43,7 @@ growth proxy; ratios h/|log eps| feed the mean-dimension profiles.
 from __future__ import annotations
 
 import math
+import os
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -677,11 +678,12 @@ def mdim_profile(
     ``sources`` may be a single source shared across scales or one source
     per scale (e.g. per-level Markov views at their own scales).  The scales,
     the n-window and ``workers >= 1`` are checked before any count runs.
-    With ``workers > 1`` the greedy and exhaustive (scale, n) counts fan out
-    over that many worker processes; cylinder counts are B**n, so they run
-    in-process rather than pickling a view and its map.  The report is the
-    same for any ``workers``.  The tail half of the scale list (the smallest
-    scales) gives the upper (max ratio) and lower (min ratio) estimates.
+    The greedy and exhaustive (scale, n) counts fan out over min(workers,
+    counts, ``os.cpu_count()``) processes, in-process when that is 1; cylinder
+    counts are B**n, so they run in-process rather than pickling a view and
+    its map.  The report is the same for any ``workers``.  The tail half of
+    the scale list (the smallest scales) gives the upper (max ratio) and
+    lower (min ratio) estimates.
     """
     check_scales(scales)
     if isinstance(sources, list):
@@ -702,10 +704,11 @@ def mdim_profile(
         for src, eps in zip(per_scale, scales)
         for n in range(n_min, n_max + 1)
     ]
-    if workers > 1 and method != METHOD_CYLINDER:
+    processes = min(workers, len(jobs), os.cpu_count() or 1)
+    if processes > 1 and method != METHOD_CYLINDER:
         from concurrent import futures     # imported only where a pool runs
 
-        with futures.ProcessPoolExecutor(min(workers, len(jobs))) as pool:
+        with futures.ProcessPoolExecutor(processes) as pool:
             records = list(pool.map(count_at, *zip(*jobs)))
     else:
         records = [count_at(*job) for job in jobs]

@@ -555,6 +555,25 @@ def test_plan_loader_compares_the_level_lines_in_order(half_plan, edit):
         load_plan(tampered)
 
 
+LEVEL_0 = "level 0: a_even=1/1 a_odd=1/2 ell=29 i=7 eps=1/58 b=15/58"
+LEVEL_1 = "level 1: a_even=1/58 a_odd=1/116 ell=1853 i=463 eps=1/214948 b=927/214948"
+
+
+@pytest.mark.parametrize("edit,message", [
+    (lambda t: t.replace(LEVEL_1 + "\n", ""), "expected 2 level lines, found 1"),
+    (lambda t: t + LEVEL_1 + "\n", "expected 2 level lines, found 3"),
+    (lambda t: t.replace("ell=29", "ell=31"), "stored level line does not match the plan rule: "
+     "'level 0: a_even=1/1 a_odd=1/2 ell=31 i=7 eps=1/58 b=15/58'"),
+], ids=["one-level-line-too-few", "one-level-line-too-many", "tampered-level-line"])
+def test_plan_loader_refusals_name_the_count_or_the_first_differing_line(half_plan, edit,
+                                                                         message):
+    text = dump_plan(half_plan)
+    assert text.endswith(f"{LEVEL_0}\n{LEVEL_1}\n")
+    with pytest.raises(SerializationError) as err:
+        load_plan(edit(text))
+    assert str(err.value) == message
+
+
 def test_model_round_trip(built_model):
     text = dump_model(built_model)
     loaded = load_model(text)
@@ -595,6 +614,25 @@ def test_model_loader_rejects_what_the_plan_does_not_rebuild(half_model, edit):
     assert edit(text) != text
     with pytest.raises(SerializationError, match="differs from the model its plan rebuilds"):
         load_model(edit(text))
+
+
+FIRST_UP = "level=1 j=1 dir=up dom=1/116:927/107474"
+LAST_BRANCH = "level=0 j=29 dir=up dom=57/58:1/1"
+EXTRA_BRANCH = "level=0 j=31 dir=up dom=0/1:1/1"
+
+
+@pytest.mark.parametrize("edit,have,want", [
+    (lambda t: t.replace("dir=up", "dir=down", 1), FIRST_UP.replace("up", "down"), FIRST_UP),
+    (lambda t: t.replace(LAST_BRANCH + "\n", ""), "end of file", LAST_BRANCH),
+    (lambda t: t + EXTRA_BRANCH + "\n", EXTRA_BRANCH, "end of file"),
+], ids=["flipped-dir", "last-line-dropped", "extra-line"])
+def test_model_loader_names_the_first_differing_line_in_full(half_model, edit, have, want):
+    text = dump_model(half_model)
+    assert FIRST_UP in text and text.endswith(LAST_BRANCH + "\n")
+    with pytest.raises(SerializationError) as err:
+        load_model(edit(text))
+    assert str(err.value) == (
+        f"model line {have!r} differs from the model its plan rebuilds: {want!r}")
 
 
 def test_plan_loader_rejects_a_non_integer_level_count(half_plan):

@@ -712,8 +712,11 @@ def test_model_2d_loader_cross_checks_geometry():
     with pytest.raises(SerializationError):
         load_model_2d(text.replace("horseshoe-2d v1", "horseshoe-3d v1"))
     tampered = text.replace("branch 1 slab", "branch 9 slab")
-    with pytest.raises(SerializationError, match="^branch line 'branch 9 slab"):
+    with pytest.raises(SerializationError) as err:
         load_model_2d(tampered)
+    assert str(err.value) == (
+        "branch line 'branch 9 slab -5/24:-1/12 strip -5/24:-1/12 orient -' differs from the"
+        " model its scalars rebuild: 'branch 1 slab -5/24:-1/12 strip -5/24:-1/12 orient -'")
     dropped = text.replace(text.splitlines()[-1] + "\n", "")
     with pytest.raises(SerializationError, match="^expected 4 branch lines, found 3$"):
         load_model_2d(dropped)

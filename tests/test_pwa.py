@@ -424,6 +424,12 @@ def test_fixed_points_tent(tent):
     assert fixed_points(tent) == [(F(0), F(0)), (F(2, 3), F(2, 3))]
 
 
+def test_fixed_points_merge_an_identity_piece_with_the_root_at_its_end():
+    # the identity piece [0, 1/4] ends where the next piece crosses the diagonal
+    m = PwaMap.from_nodes([(F(0), F(0)), (F(1, 4), F(1, 4)), (F(1, 2), F(0)), (F(1), F(1))])
+    assert fixed_points(m) == [(F(0), F(1, 4)), (F(1), F(1))]
+
+
 def test_fixed_points_nonempty_on_many_random_maps():
     rng = random.Random(20240817)
     for _ in range(1000):

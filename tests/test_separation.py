@@ -2,8 +2,10 @@
 profiles, report export, and the Markov-view text format."""
 from __future__ import annotations
 
+import concurrent.futures
 import dataclasses
 import math
+import os
 import random
 import tracemalloc
 from fractions import Fraction
@@ -1205,6 +1207,33 @@ def test_profile_validation(identity):
 def test_profile_refuses_fewer_than_one_worker(tent, workers):
     with pytest.raises(DomainError, match=f"workers must be >= 1, got {workers}"):
         mdim_profile(tent, [F(1, 10)], (1, 2), METHOD_GREEDY, workers=workers)
+
+
+@pytest.mark.parametrize("cpus,started", [(3, [3]), (1, []), (None, [])])
+def test_profile_starts_at_most_one_process_per_cpu(monkeypatch, tent, cpus, started):
+    sizes = []
+
+    class RecordingPool:
+        """Records the pool size asked for and maps in-process: no process starts."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    scales = [F(1, 10), F(1, 20)]                        # 6 (scale, n) counts
+    report = mdim_profile(tent, scales, (1, 3), METHOD_GREEDY, workers=5000)
+    assert sizes == started
+    assert report == mdim_profile(tent, scales, (1, 3), METHOD_GREEDY)
 
 
 def test_count_record_validation():
