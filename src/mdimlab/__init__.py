@@ -35,7 +35,6 @@ from .horseshoe import (
     detect_1d,
     dump_model_2d,
     full_lap_view,
-    interval_distance,
     load_model_2d,
     monotone_laps,
     separated_bound_2d,

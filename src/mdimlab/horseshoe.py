@@ -12,8 +12,9 @@ stages are chained cyclically.  Running the recursion for ell rounds yields
 N**(p*ell) orbit segments that are pairwise (p*ell, epsilon)-separated in
 the sup metric: y is read off the cylinders of the Markov view ``slab_view``,
 whose premises (slab gaps above epsilon) certify the separation, and x steps
-by ``apply_branch`` once per itinerary prefix, in exact rational arithmetic,
-so the least distances are exact audits by direct evaluation.  ``build_model_2d``
+by the same view's branch inverses with their sign dropped, once per
+itinerary prefix.  Both are exact integers over one denominator, so the
+least distances are exact audits by direct evaluation.  ``build_model_2d``
 refuses a layout by the width-positive or packing line of ``verify_conditions``
 that it fails; the other four lines hold for every model it builds.
 """
@@ -37,7 +38,8 @@ from .rational import (
     require_rebuilt,
 )
 from .reporting import CheckResult, VerificationSummary, first
-from .separation import MarkovBranch, MarkovView, _cylinder_rows, _least_distances, _refuse_over_cap
+from .separation import (MarkovBranch, MarkovView, _cylinder_rows, _integer_inverses,
+                         _least_distances, _refuse_over_cap)
 
 Interval = tuple[Fraction, Fraction]
 
@@ -78,12 +80,6 @@ class Horseshoe1DReport:
     margin: Fraction | None             # realized crossing margin
 
 
-def interval_distance(a: Interval, b: Interval) -> Fraction:
-    """Hausdorff distance between two closed intervals:
-    max(|lo difference|, |hi difference|)."""
-    return max(abs(a[0] - b[0]), abs(a[1] - b[1]))
-
-
 def monotone_laps(m: PwaMap, window: Interval) -> tuple[Lap, ...]:
     """Maximal weakly-monotone laps of `m` restricted to `window`.
 
@@ -119,9 +115,9 @@ def detect_1d(
     all cover the eta-expanded `core` and whose domains are pairwise more
     than `epsilon` apart (interval Hausdorff distance).
 
-    Laps are ordered left to right with both endpoints increasing, so the
-    pairwise distance is smallest on consecutive laps and the left-to-right
-    greedy sweep is maximal.
+    Laps are ordered left to right with both endpoints increasing, so lap b's
+    distance from an earlier lap a is max(b.lo - a.lo, b.hi - a.hi), smallest on
+    consecutive laps, and the left-to-right greedy sweep is maximal.
     """
     (i_lo, i_hi), (c_lo, c_hi) = interval, core
     if c_lo >= c_hi:
@@ -137,18 +133,18 @@ def detect_1d(
         raise DomainError(f"separation epsilon must be nonnegative, got {format_rational(epsilon)}")
 
     target_lo, target_hi = c_lo - eta, c_hi + eta
-    selected: list[Lap] = []
+    selected, gaps = [], []             # gaps[k]: selected lap k + 1's distance from lap k
     for lap in monotone_laps(m, interval):
         if lap.img_lo > target_lo or lap.img_hi < target_hi:
             continue
-        if selected and interval_distance(selected[-1].domain, lap.domain) <= epsilon:
-            continue
+        if selected:
+            gap = max(lap.lo - selected[-1].lo, lap.hi - selected[-1].hi)
+            if gap <= epsilon:
+                continue
+            gaps.append(gap)
         selected.append(lap)
 
-    min_sep = min(
-        (interval_distance(a.domain, b.domain) for a, b in zip(selected, selected[1:])),
-        default=None,
-    )
+    min_sep = min(gaps, default=None)
     margin = min((min(c_lo - lap.img_lo, lap.img_hi - c_hi) for lap in selected), default=None)
     return Horseshoe1DReport(interval, core, len(selected), tuple(selected), min_sep, margin)
 
@@ -201,15 +197,6 @@ class Horseshoe2DModel:
             raise DomainError(f"expected {self.N} offsets and orientations")
         if any(o not in (-1, 1) for o in self.orientations):
             raise DomainError("orientation flags must be +1 or -1")
-
-    def apply_branch(self, j: int, point: tuple[Fraction, Fraction]) -> tuple[Fraction, Fraction]:
-        """Affine branch j: squeeze x onto the strip, stretch y across it."""
-        x, y = point
-        off = self.offsets[j]
-        x2 = off + (x + self.delta) * self.width / (2 * self.delta)
-        span = (y - off) * 2 * self.delta / self.width
-        y2 = -self.delta + span if self.orientations[j] == 1 else self.delta - span
-        return (x2, y2)
 
 
 def slab_view(model: Horseshoe2DModel) -> MarkovView:
@@ -274,8 +261,9 @@ def build_model_2d(
 def verify_conditions(model: Horseshoe2DModel) -> VerificationSummary:
     """Independently re-check the model geometry: width and packing (the lines
     ``build_model_2d`` refuses by), slabs inside the square and gaps; a failed
-    check names its first failing slab or pair.  strips-span-square
-    is w > 0: ``apply_branch`` sends slab j's corners onto strip j's x-ends and the
+    check names its first failing slab or pair.  strips-span-square is w > 0:
+    branch j, x -> offsets[j] + (x + delta)*w/(2*delta) and y stretched from slab j
+    across [-delta, delta], sends slab j's corners onto strip j's x-ends and the
     rim y = +-delta (algebra on the same offsets, width and delta).  Slab j1 crosses
     strip j2 iff both slabs lie in the square, so coherence's first uncrossed pair
     is (0, ``bad``)."""
@@ -320,28 +308,29 @@ class Certificate2D:
         return math.inf if la == 0 else math.log(self.count) / self.steps / la
 
 
-def _orbit_rows(model: Horseshoe2DModel, view: MarkovView, steps: int
-                ) -> tuple[list[tuple[int, ...]], list[list[int]], int]:
-    """The itineraries of depth ``steps`` and their orbit rows
-    [x_1, ..., x_{steps-1}, y_0, ..., y_{steps-1}] (x_0 = 0 on every row, so
-    it is left out), in ``product`` order, as integer numerators over one
-    denominator, returned with them.  The y-rows are ``view``'s cylinder rows
-    (``_cylinder_rows``), last so that ``_least_distances``, which groups by
-    the last entry first, walks their itinerary suffixes.  x_t depends only
-    on the prefix w[:t], so the x-rows grow along the prefixes by appending
-    ``apply_branch``'s x, and the x-row of a length-(steps−1) prefix serves
-    the N itineraries that extend it."""
-    n = model.N
-    xs = [[Fraction(0)]]
-    for _ in range(steps - 1):     # x_{t+1} does not depend on y_t: any y in slab j does
-        xs = [[*row, model.apply_branch(j, (row[-1], model.offsets[j]))[0]]
-              for row in xs for j in range(n)]
-    ys, y_den = _cylinder_rows(view, steps)
-    den = math.lcm(y_den, *(x.denominator for row in xs for x in row))
-    x_rows = [[x.numerator * (den // x.denominator) for x in row] for row in xs]
-    k = den // y_den
-    rows = [[*x_row[1:], *(y * k for y in y_row)]
-            for x_row, y_row in zip((row for row in x_rows for _ in range(n)), ys)]
+def _orbit_rows(view: MarkovView, steps: int) -> tuple[list[tuple[int, ...]], list[list[int]], int]:
+    """The itineraries of depth ``steps`` of the slab view ``view`` and their
+    orbit rows [x_1, ..., x_{steps-1}, y_0, ..., y_{steps-1}] (x_0 = 0 on every
+    row, so it is left out), in ``product`` order, as integer numerators over
+    one denominator, returned with them.  The y-rows are ``view``'s cylinder
+    rows (``_cylinder_rows``), last so that ``_least_distances``, which groups
+    by the last entry first, walks their itinerary suffixes.
+
+    Strip j is slab j's y-range and the core [-delta, delta] is centred on 0, so
+    x's increasing step onto strip j is y's inverse (σ_j, γ_j) over D
+    (``_integer_inverses``) with its sign dropped.  x_0 = 0 is the core's
+    midpoint, so the y-rows lie over D**steps, and x_t lies over D**t: its
+    numerator X_t over D**steps is a multiple of D**(steps - t), so X_{t+1} =
+    (|σ_j|·X_t + γ_j·D**steps)/D divides exactly.  x_t depends only on w[:t], so
+    the x-row of a length-(steps−1) prefix serves the N itineraries extending it."""
+    n = view.branch_count
+    ys, den = _cylinder_rows(view, steps)
+    pairs, big_d = _integer_inverses(view)
+    top = den // big_d
+    xs = [[0]]
+    for _ in range(steps - 1):
+        xs = [[*row, abs(s) * row[-1] // big_d + c * top] for row in xs for s, c in pairs]
+    rows = [[*x_row[1:], *y_row] for x_row, y_row in zip((row for row in xs for _ in range(n)), ys)]
     return list(itertools.product(range(n), repeat=steps)), rows, den
 
 
@@ -357,7 +346,7 @@ def check_rep_cap_2d(N: int, p: int, ell: int) -> None:
 def separated_bound_2d(model: Horseshoe2DModel, ell: int) -> Certificate2D:
     """One representative per depth-(p*ell) itinerary w and its exact least
     distance to the others: y_t is mid C(w[t:]) in ``slab_view``, x_0 = 0 and
-    x_{t+1} is ``apply_branch``'s x.  The rows hold the y-orbits, so the view's
+    x_{t+1} is strip w_t's squeeze of x_t (``_orbit_rows``).  The rows hold the y-orbits, so the view's
     premises certify the family (``MarkovView``) and the minima are audits.
     Geometry the view refuses (slab gaps at or below epsilon among it) raises
     VerificationError with its reason before any row is built."""
@@ -368,7 +357,7 @@ def separated_bound_2d(model: Horseshoe2DModel, ell: int) -> Certificate2D:
     except ContractError as exc:
         raise VerificationError(f"slab view refused: {exc}") from None
     steps = model.p * ell
-    itineraries, rows, den = _orbit_rows(model, view, steps)
+    itineraries, rows, den = _orbit_rows(view, steps)
 
     # sup over time of the plane's sup metric = max over the flat row
     per_min = tuple(None if d is None else Fraction(d, den) for d in _least_distances(rows))

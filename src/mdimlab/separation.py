@@ -508,6 +508,15 @@ def _branch_inverse(view: MarkovView, br: MarkovBranch) -> tuple[Fraction, Fract
     return -s, br.lo + view.core_hi * s
 
 
+def _integer_inverses(view: MarkovView) -> tuple[list[tuple[int, int]], int]:
+    """Every branch inverse (``_branch_inverse``) as an integer pair (σ_j, γ_j)
+    over one denominator D, the lcm of their denominators, returned with them:
+    the inverse of branch j is y ↦ (σ_j·y + γ_j)/D."""
+    inverses = [_branch_inverse(view, br) for br in view.branches]
+    big_d = math.lcm(*(v.denominator for pair in inverses for v in pair))
+    return [tuple(v.numerator * (big_d // v.denominator) for v in pair) for pair in inverses], big_d
+
+
 def _cylinder_rows(view: MarkovView, n: int) -> tuple[list[list[int]], int]:
     """The orbit [mid C(w[t:]) for t < n] of the representative of every
     depth-n itinerary w, in ``product`` order, as integer rows over one
@@ -517,18 +526,16 @@ def _cylinder_rows(view: MarkovView, n: int) -> tuple[list[list[int]], int]:
     head of w''s row, then that row.  The view holds every branch domain
     inside the core, so every cylinder lies inside its branch.
 
-    The inverses are integer pairs (σ_j, γ_j) over one denominator D and
-    the core's midpoint is p/q, so a depth-d head lies over q·D^d and
-    prepending j is σ_j·head + γ_j·q·D^d.  Entry t is the depth-(n − t) head:
-    scaled by D^t, every entry lies over q·D^n.  Refuses a depth over the
-    cap before anything is built."""
+    The inverses are integer pairs (σ_j, γ_j) over one denominator D
+    (``_integer_inverses``) and the core's midpoint is p/q, so a depth-d head
+    lies over q·D^d and prepending j is σ_j·head + γ_j·q·D^d.  Entry t is the
+    depth-(n − t) head: scaled by D^t, every entry lies over q·D^n.  Refuses a
+    depth over the cap before anything is built."""
     if n < 0:
         raise DomainError(f"cylinder depth must be >= 0, got {n}")
     _refuse_over_cap(view.branch_count, n, REPRESENTATIVE_CAP,
                      f"{{}} depth-{n} cylinders exceed the representative cap {REPRESENTATIVE_CAP}")
-    inverses = [_branch_inverse(view, br) for br in view.branches]
-    big_d = math.lcm(*(v.denominator for pair in inverses for v in pair))
-    steps = [tuple(v.numerator * (big_d // v.denominator) for v in pair) for pair in inverses]
+    steps, big_d = _integer_inverses(view)
     mid, den = ((view.core_lo + view.core_hi) / 2).as_integer_ratio()
     rows = [[mid]]                  # the depth-0 cylinder is the core
     for _ in range(n):

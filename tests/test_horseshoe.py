@@ -3,9 +3,10 @@ packing, geometry checks, certified separated families, and serialization."""
 from __future__ import annotations
 
 import dataclasses
+import math
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -31,7 +32,6 @@ from mdimlab import (
     detect_1d,
     dump_model_2d,
     full_lap_view,
-    interval_distance,
     load_model_2d,
     monotone_laps,
     separated_bound_2d,
@@ -39,7 +39,7 @@ from mdimlab import (
     verify_conditions,
 )
 from mdimlab.horseshoe import _orbit_rows, check_rep_cap_2d
-from mdimlab.separation import _cylinder_rows
+from mdimlab.separation import _cylinder_rows, _integer_inverses
 
 F = Fraction
 
@@ -52,11 +52,6 @@ def reference_model():
 
 
 # === interval tools ===========================================================
-
-def test_interval_distance_is_the_larger_endpoint_shift():
-    assert interval_distance((F(0), F(1, 4)), (F(1, 2), F(5, 8))) == F(1, 2)
-    assert interval_distance((F(0), F(1)), (F(0), F(1))) == 0
-
 
 def test_monotone_laps_splits_at_direction_flips(tent):
     laps = monotone_laps(tent, UNIT)
@@ -145,6 +140,47 @@ def test_detect_reports_zero_when_the_margin_is_unreachable(tent):
     assert report.count == 0
     assert report.min_separation is None
     assert report.margin is None
+
+
+def test_detect_keeps_one_of_two_laps_exactly_epsilon_apart(tent):
+    # the tent's laps [0, 1/2] and [1/2, 1] are exactly 1/2 apart, and
+    # separation is strict: at 1/2 one lap is kept, just below it both are
+    assert detect_1d(tent, UNIT, UNIT, F(1, 2)).count == 1
+    report = detect_1d(tent, UNIT, UNIT, F(1, 2) - F(1, 10**12))
+    assert report.count == 2 and report.min_separation == F(1, 2)
+
+
+def hausdorff(a: tuple, b: tuple) -> Fraction:
+    """max(|lo difference|, |hi difference|) of two laps' domains."""
+    return max(abs(a[0] - b[0]), abs(a[1] - b[1]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 10**9), st.data())
+def test_detect_matches_a_brute_force_search_of_every_lap_family(seed, data):
+    # the crossing laps of the test's own lap scan, searched subset by subset,
+    # largest first and in index order: the left-to-right sweep keeps the first
+    # family found, and its least distance is the least over all of its pairs
+    m = random_pwa(random.Random(seed), 12)
+    k = data.draw(st.integers(0, 23))                   # the core starts at k/24
+    c_lo, c_hi = F(k, 24), F(k, 24) + data.draw(st.sampled_from((F(1, 96), F(1, 24), F(1, 4))))
+    assume(c_hi <= 1)
+    lo, hi = UNIT if data.draw(st.booleans()) else (
+        F(data.draw(st.integers(0, k)), 24), F(data.draw(st.integers(math.ceil(24 * c_hi), 24)), 24))
+    eps = data.draw(st.fractions(min_value=0, max_value=F(1, 4), max_denominator=24))
+    eta = data.draw(st.sampled_from((F(0), F(1, 48))))
+    crossing = [lap for lap in reference_laps(m, lo, hi)
+                if lap[3] <= c_lo - eta and lap[4] >= c_hi + eta]
+    family = next(list(pick) for size in range(len(crossing), -1, -1)
+                  for pick in combinations(crossing, size)
+                  if all(hausdorff(a, b) > eps for a, b in combinations(pick, 2)))
+    report = detect_1d(m, (lo, hi), (c_lo, c_hi), eps, eta)
+    assert [(lap.lo, lap.hi, lap.increasing, lap.img_lo, lap.img_hi)
+            for lap in report.laps] == family
+    assert report.count == len(family)
+    assert report.min_separation == min(
+        (hausdorff(a, b) for a, b in combinations(family, 2)), default=None)
+    assert report.margin == min((min(c_lo - a[3], a[4] - c_hi) for a in family), default=None)
 
 
 def test_detect_separation_prunes_adjacent_laps(half_model):
@@ -281,17 +317,9 @@ def test_branch_arithmetic_lands_in_the_strip():
             for y in (model.offsets[j], model.offsets[j] + model.width)
         ]
         for corner in corners:
-            x1, y1 = model.apply_branch(j, corner)
+            x1, y1 = stage_map(model, corner)
             assert s_lo <= x1 <= s_hi
             assert abs(y1) == model.delta            # corners land on the rim
-
-
-def test_apply_branch_is_the_reference_stage_map_on_its_slab():
-    model = reference_model()
-    for j, off in enumerate(model.offsets):
-        for y in (off, off + model.width / 3, off + model.width):
-            for x in (-model.delta, F(1, 7), model.delta):
-                assert model.apply_branch(j, (x, y)) == stage_map(model, (x, y))
     assert slab_of(model, F(0)) is None              # 0 falls in the gap above slab 1
 
 
@@ -300,14 +328,16 @@ def test_apply_branch_is_the_reference_stage_map_on_its_slab():
 def test_branch_jacobian_determinant_is_the_orientation(model):
     # x shrinks by width/(2 delta) and y stretches by 2 delta/width, flipped
     # on a -1 branch: the determinants differ in sign, so no plane
-    # homeomorphism restricts to the model
+    # homeomorphism restricts to the model.  The steps h stay inside slab j,
+    # where the stage map is branch j.
     assert {-1, 1} <= set(model.orientations)
+    h = model.width / 2
     for j, orientation in enumerate(model.orientations):
         corner = (-model.delta, model.offsets[j])
-        x0, y0 = model.apply_branch(j, corner)
-        x1, y1 = model.apply_branch(j, (corner[0] + 1, corner[1]))
-        x2, y2 = model.apply_branch(j, (corner[0], corner[1] + 1))
-        assert (x1 - x0) * (y2 - y0) - (x2 - x0) * (y1 - y0) == orientation
+        x0, y0 = stage_map(model, corner)
+        x1, y1 = stage_map(model, (corner[0] + h, corner[1]))
+        x2, y2 = stage_map(model, (corner[0], corner[1] + h))
+        assert (x1 - x0) * (y2 - y0) - (x2 - x0) * (y1 - y0) == orientation * h * h
 
 
 def test_slab_view_is_the_y_dynamics():
@@ -653,24 +683,38 @@ def test_certificate_minima_match_a_brute_force_scan(n, p, ell, delta, share, pi
     st.fractions(min_value="1/8", max_value=2, max_denominator=16),
     st.fractions(min_value="1/64", max_value="63/64", max_denominator=64), st.data(),
 )
-def test_rows_from_memoised_x_equal_rows_stepped_by_apply_branch(n, steps, delta, share, data):
+def test_rows_from_integer_x_steps_equal_rows_stepped_by_the_stage_map(n, steps, delta, share,
+                                                                        data):
+    # uneven_slabs draws mixed orientations, so the x step's dropped sign is covered
     assume(n**steps <= 256)
     model = data.draw(uneven_slabs(n, 1, delta, share))
     gaps = _slab_gaps(model)
     assume(all(gaps))                               # a scale below every gap exists
-    view = slab_view(dataclasses.replace(model, epsilon=min(gaps, default=model.width) / 2))
-    itineraries, rows, den = _orbit_rows(model, view, steps)
+    _assert_rows_follow_the_stage_map(
+        dataclasses.replace(model, epsilon=min(gaps, default=model.width) / 2), steps)
+
+
+@pytest.mark.parametrize("n,steps", [(3, 1), (1, 1), (1, 4), (2, 5)])
+def test_rows_without_an_x_entry_or_with_one_slab(n, steps):
+    # depth 1 has no x entry; one slab fills the square, so x stays at 0
+    _assert_rows_follow_the_stage_map(build_model_2d(n, F(1, 2), F(1, 16), 1), steps)
+
+
+def _assert_rows_follow_the_stage_map(model, steps):
+    """``_orbit_rows`` of the model's slab view are integers over D**steps, and
+    row w is the stage orbit of (0, mid C(w)): x_1 ... x_{steps-1}, y_0 ...
+    y_{steps-1}, visiting the slabs of w."""
+    view = slab_view(model)
+    itineraries, rows, den = _orbit_rows(view, steps)
     y_rows, y_den = _cylinder_rows(view, steps)
-    orbits = [[F(v, y_den) for v in row] for row in y_rows]
-    assert itineraries == list(product(range(n), repeat=steps))
-    assert len(orbits) == len(rows) == n**steps
-    for itin, ys, row in zip(itineraries, orbits, rows):
-        # x stepped by apply_branch along each representative's own orbit,
-        # then the y-orbit: x_1 ... x_{steps-1}, y_0 ... y_{steps-1}
-        xs = [F(0)]
-        for j, y in zip(itin, ys):
-            xs.append(model.apply_branch(j, (xs[-1], y))[0])
-        assert [F(v, den) for v in row] == xs[1:steps] + ys
+    assert itineraries == list(product(range(model.N), repeat=steps))
+    assert len(y_rows) == len(rows) == model.N**steps
+    assert den == _integer_inverses(view)[1]**steps
+    assert all(type(v) is int for row in rows for v in row)
+    for itin, y_row, row in zip(itineraries, y_rows, rows):
+        orbit = stage_orbit(model, (F(0), F(y_row[0], y_den)), steps)
+        assert [slab_of(model, y) for _, y in orbit] == list(itin)
+        assert [F(v, den) for v in row] == [x for x, _ in orbit[1:]] + [y for _, y in orbit]
 
 
 def test_certificate_ratio_examples():
