@@ -25,6 +25,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cmp_to_key
 
 from .errors import (
     ContractError,
@@ -84,7 +85,8 @@ def monotone_laps(m: PwaMap, window: Interval) -> tuple[Lap, ...]:
     """Maximal weakly-monotone laps of `m` restricted to `window`.
 
     Plateaus extend the run in progress; a new lap starts at the shared
-    node whenever the slope sign flips.
+    node whenever the slope sign flips: the sign of the step's piece's integer
+    slope in the map's node table.  A lap's image ends are its end values.
     """
     lo, hi = window
     if not (0 <= lo < hi <= 1):
@@ -93,15 +95,24 @@ def monotone_laps(m: PwaMap, window: Interval) -> tuple[Lap, ...]:
     y_lo, y_hi = eval_sorted(m, (lo, hi))
     xs, ys = [lo, *m.xs[inside], hi], [y_lo, *m.ys[inside], y_hi]
     ends, ups = [0], []          # the laps' end nodes, and each sloped lap's direction
-    for i, (y0, y1) in enumerate(zip(ys, ys[1:])):
-        up = y1 > y0
-        if y0 != y1 and (not ups or up != ups[-1]):
+    for i, (a, _, _) in enumerate(m._table[2][inside.start - 1:inside.stop]):
+        sign = (a > 0) - (a < 0)
+        if sign and (not ups or sign != ups[-1]):
             if ups:              # a flip: the lap so far ends at node i, the next starts there
                 ends.append(i)
-            ups.append(up)
+            ups.append(sign)
     ends.append(len(xs) - 1)     # a window without a slope is one increasing lap
-    return tuple(Lap(xs[a], xs[b], up, min(ys[a], ys[b]), max(ys[a], ys[b]))
-                 for a, b, up in zip(ends, ends[1:], ups or [True]))
+    return tuple(Lap(xs[a], xs[b], up > 0, *(ys[a], ys[b])[::up])     # image ends, low first
+                 for a, b, up in zip(ends, ends[1:], ups or [1]))
+
+
+# (numerator, denominator) pairs, denominators positive, ordered by cross-multiplication
+_exact = cmp_to_key(lambda a, b: a[0] * b[1] - b[0] * a[1])
+
+
+def _minus(a: tuple[int, int], b: tuple[int, int]):
+    """a − b for (numerator, denominator) pairs, as an ``_exact`` key."""
+    return _exact((a[0] * b[1] - b[0] * a[1], a[1] * b[1]))
 
 
 def detect_1d(
@@ -117,7 +128,10 @@ def detect_1d(
 
     Laps are ordered left to right with both endpoints increasing, so lap b's
     distance from an earlier lap a is max(b.lo - a.lo, b.hi - a.hi), smallest on
-    consecutive laps, and the left-to-right greedy sweep is maximal.
+    consecutive laps, and the left-to-right greedy sweep is maximal.  A lap's
+    room min(c_lo - img_lo, img_hi - c_hi) is at least eta iff it covers the
+    expanded core, and the margin is the least room kept.  Every compare is on
+    (numerator, denominator) pairs; only the two reported values are Fractions.
     """
     (i_lo, i_hi), (c_lo, c_hi) = interval, core
     if c_lo >= c_hi:
@@ -132,21 +146,25 @@ def detect_1d(
     if epsilon < 0:
         raise DomainError(f"separation epsilon must be nonnegative, got {format_rational(epsilon)}")
 
-    target_lo, target_hi = c_lo - eta, c_hi + eta
-    selected, gaps = [], []             # gaps[k]: selected lap k + 1's distance from lap k
+    c_lo, c_hi = c_lo.as_integer_ratio(), c_hi.as_integer_ratio()
+    eps, eta = _exact(epsilon.as_integer_ratio()), _exact(eta.as_integer_ratio())
+    selected, gaps, rooms = [], [], []  # gaps[k]: selected lap k + 1's distance from lap k
     for lap in monotone_laps(m, interval):
-        if lap.img_lo > target_lo or lap.img_hi < target_hi:
+        room = min(_minus(c_lo, lap.img_lo.as_integer_ratio()),
+                   _minus(lap.img_hi.as_integer_ratio(), c_hi))
+        if room < eta:
             continue
+        lo, hi = lap.lo.as_integer_ratio(), lap.hi.as_integer_ratio()
         if selected:
-            gap = max(lap.lo - selected[-1].lo, lap.hi - selected[-1].hi)
-            if gap <= epsilon:
+            gap = max(_minus(lo, last[0]), _minus(hi, last[1]))
+            if gap <= eps:
                 continue
             gaps.append(gap)
         selected.append(lap)
-
-    min_sep = min(gaps, default=None)
-    margin = min((min(c_lo - lap.img_lo, lap.img_hi - c_hi) for lap in selected), default=None)
-    return Horseshoe1DReport(interval, core, len(selected), tuple(selected), min_sep, margin)
+        rooms.append(room)
+        last = lo, hi
+    least = (Fraction(*min(keys).obj) if keys else None for keys in (gaps, rooms))
+    return Horseshoe1DReport(interval, core, len(selected), tuple(selected), *least)
 
 
 def full_lap_view(m: PwaMap) -> MarkovView:
@@ -360,11 +378,12 @@ def separated_bound_2d(model: Horseshoe2DModel, ell: int) -> Certificate2D:
     itineraries, rows, den = _orbit_rows(view, steps)
 
     # sup over time of the plane's sup metric = max over the flat row
-    per_min = tuple(None if d is None else Fraction(d, den) for d in _least_distances(rows))
-    min_pairwise = min((m for m in per_min if m is not None), default=None)
+    least = _least_distances(rows)
+    best = min((d for d in least if d is not None), default=None)
     return Certificate2D(model, ell, steps, len(rows), tuple(itineraries),
-                         tuple((Fraction(0), Fraction(r[-steps], den)) for r in rows), per_min,
-                         min_pairwise)
+                         tuple((Fraction(0), Fraction(r[-steps], den)) for r in rows),
+                         tuple(None if d is None else Fraction(d, den) for d in least),
+                         None if best is None else Fraction(best, den))
 
 
 # === serialization ===========================================================

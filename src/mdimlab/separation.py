@@ -188,7 +188,7 @@ def _affine_runs(m: PwaMap, runs, den: int, n: int) -> tuple[list[tuple], int]:
 
 def _over_one_denominator(points: list[Fraction]) -> tuple[list[int], int]:
     """The points as integer numerators over the lcm of their denominators."""
-    ratios = [Fraction(x).as_integer_ratio() for x in points]
+    ratios = [(x if type(x) is Fraction else Fraction(x)).as_integer_ratio() for x in points]
     den = math.lcm(*(d for _, d in ratios))
     return [p * (den // d) for p, d in ratios], den
 
@@ -499,22 +499,23 @@ def _refuse_over_cap(base: int, exp: int, cap: int, refusal: str) -> None:
         raise ResourceError(refusal.format(count if count <= 10**18 else f"{base}**{exp}"))
 
 
-def _branch_inverse(view: MarkovView, br: MarkovBranch) -> tuple[Fraction, Fraction]:
-    """(slope, offset) of the affine map from the core onto ``br``'s domain
-    that inverts the branch."""
-    s = (br.hi - br.lo) / (view.core_hi - view.core_lo)
-    if br.increasing:
-        return s, br.lo - view.core_lo * s
-    return -s, br.lo + view.core_hi * s
-
-
 def _integer_inverses(view: MarkovView) -> tuple[list[tuple[int, int]], int]:
-    """Every branch inverse (``_branch_inverse``) as an integer pair (σ_j, γ_j)
-    over one denominator D, the lcm of their denominators, returned with them:
-    the inverse of branch j is y ↦ (σ_j·y + γ_j)/D."""
-    inverses = [_branch_inverse(view, br) for br in view.branches]
-    big_d = math.lcm(*(v.denominator for pair in inverses for v in pair))
-    return [tuple(v.numerator * (big_d // v.denominator) for v in pair) for pair in inverses], big_d
+    """Every branch inverse, the affine map from the core onto the branch
+    domain, as an integer pair (σ_j, γ_j) over one denominator D, returned
+    with them: the inverse of branch j is y ↦ (σ_j·y + γ_j)/D.
+
+    With the core ends and branch ends integers c0, c1, l_j, h_j over their
+    lcm L and W = c1 − c0, over D′ = L·W σ_j = ±(h_j − l_j)·L and γ_j =
+    l_j·W ∓ c_{0|1}·(h_j − l_j), c0 up, c1 down.  Dividing them and D′ by
+    their gcd gives D = lcm_i(D′/gcd(D′, a_i)) = D′/gcd(D′, a_1, …, a_k), the
+    lcm of the reduced inverses' denominators, with no Fraction made."""
+    (c0, c1, *ends), big_l = _over_one_denominator(
+        [view.core_lo, view.core_hi, *(v for br in view.branches for v in (br.lo, br.hi))])
+    w = c1 - c0
+    pairs = [(r * big_l, lo * w - c0 * r) if br.increasing else (-r * big_l, lo * w + c1 * r)
+             for br, lo, r in zip(view.branches, ends[::2], map(sub, ends[1::2], ends[::2]))]
+    g = math.gcd(big_l * w, *(v for pair in pairs for v in pair))
+    return [(s // g, c // g) for s, c in pairs], big_l * w // g
 
 
 def _cylinder_rows(view: MarkovView, n: int) -> tuple[list[list[int]], int]:

@@ -125,6 +125,15 @@ def branch_pullback(view, idx: int, lo: Fraction, hi: Fraction) -> tuple[Fractio
     return (br.lo + (view.core_hi - hi) * s, br.lo + (view.core_hi - lo) * s)
 
 
+def branch_inverse(view, br) -> tuple[Fraction, Fraction]:
+    """(slope, offset) of the affine map from the core onto ``br``'s domain
+    that inverts the branch."""
+    s = (br.hi - br.lo) / (view.core_hi - view.core_lo)
+    if br.increasing:
+        return s, br.lo - view.core_lo * s
+    return -s, br.lo + view.core_hi * s
+
+
 def cylinder_interval(view, itinerary: tuple[int, ...]) -> tuple[Fraction, Fraction]:
     """The interval of points following the given branch itinerary."""
     lo, hi = view.core_lo, view.core_hi

@@ -156,19 +156,28 @@ def hausdorff(a: tuple, b: tuple) -> Fraction:
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.integers(0, 10**9), st.data())
-def test_detect_matches_a_brute_force_search_of_every_lap_family(seed, data):
+@given(st.integers(0, 10**9), st.sampled_from(["small", "primes", "ints"]), st.data())
+def test_detect_matches_a_brute_force_search_of_every_lap_family(seed, kind, data):
     # the crossing laps of the test's own lap scan, searched subset by subset,
     # largest first and in index order: the left-to-right sweep keeps the first
-    # family found, and its least distance is the least over all of its pairs
-    m = random_pwa(random.Random(seed), 12)
+    # family found, and its least distance is the least over all of its pairs;
+    # "ints" passes the window, scale and margin as int zeros and ones, as
+    # full_lap_view's call does, and half the time the core [0, 1] too
+    rng = random.Random(seed)
+    m = prime_denominator_pwa(rng, rng.randint(2, 9)) if kind == "primes" else random_pwa(rng, 12)
     k = data.draw(st.integers(0, 23))                   # the core starts at k/24
     c_lo, c_hi = F(k, 24), F(k, 24) + data.draw(st.sampled_from((F(1, 96), F(1, 24), F(1, 4))))
     assume(c_hi <= 1)
-    lo, hi = UNIT if data.draw(st.booleans()) else (
-        F(data.draw(st.integers(0, k)), 24), F(data.draw(st.integers(math.ceil(24 * c_hi), 24)), 24))
-    eps = data.draw(st.fractions(min_value=0, max_value=F(1, 4), max_denominator=24))
-    eta = data.draw(st.sampled_from((F(0), F(1, 48))))
+    if kind == "ints":
+        (lo, hi), eps, eta = (0, 1), 0, 0
+        if data.draw(st.booleans()):
+            c_lo, c_hi = 0, 1
+    else:
+        lo, hi = UNIT if data.draw(st.booleans()) else (
+            F(data.draw(st.integers(0, k)), 24),
+            F(data.draw(st.integers(math.ceil(24 * c_hi), 24)), 24))
+        eps = data.draw(st.fractions(min_value=0, max_value=F(1, 4), max_denominator=24))
+        eta = data.draw(st.sampled_from((F(0), F(1, 48))))
     crossing = [lap for lap in reference_laps(m, lo, hi)
                 if lap[3] <= c_lo - eta and lap[4] >= c_hi + eta]
     family = next(list(pick) for size in range(len(crossing), -1, -1)

@@ -17,8 +17,8 @@ from hypothesis import strategies as st
 
 import mdimlab.separation
 from conftest import (
-    cylinder_interval, dn_reference, least_distances_reference, near_nodes, orbit_values,
-    prime_denominator_pwa, random_boundary_fixed_pwa, random_pwa, value_at,
+    branch_inverse, cylinder_interval, dn_reference, least_distances_reference, near_nodes,
+    orbit_values, prime_denominator_pwa, random_boundary_fixed_pwa, random_pwa, value_at,
 )
 from mdimlab import (
     ContractError,
@@ -31,6 +31,7 @@ from mdimlab import (
     ResourceError,
     SerializationError,
     build_fbeta,
+    build_model_2d,
     conjugate_into_interval,
     constant_map,
     count_cylinders,
@@ -47,6 +48,7 @@ from mdimlab import (
     plan_sequences,
     report_to_csv,
     report_to_json,
+    slab_view,
     tent_map,
     verify_cylinder_separation,
 )
@@ -60,8 +62,8 @@ from mdimlab.separation import (
     METHOD_GREEDY,
     REPRESENTATIVE_CAP,
     _affine_runs,
-    _branch_inverse,
     _cylinder_rows,
+    _integer_inverses,
     _least_distances,
     _refuse_over_cap,
     count_at,
@@ -394,9 +396,9 @@ def test_cylinder_cap_refuses_before_building_a_representative(monkeypatch):
     assert 141**2 <= REPRESENTATIVE_CAP < 142**2
     branches = tuple(MarkovBranch(F(2 * i, 284), F(2 * i + 1, 284), True) for i in range(142))
     view = MarkovView(F(0), F(1), branches, F(1, 1000))
-    # every midpoint is built by a branch inverse, so none may be taken
+    # every midpoint is built by the branch inverses, so none may be taken
     built = []
-    monkeypatch.setattr(mdimlab.separation, "_branch_inverse", lambda *args: built.append(args))
+    monkeypatch.setattr(mdimlab.separation, "_integer_inverses", lambda *args: built.append(args))
     for refuse in (_cylinder_rows, cylinder_representatives, verify_cylinder_separation):
         with pytest.raises(ResourceError, match=f"^20164 depth-2 cylinders exceed the"
                                                 f" representative cap {REPRESENTATIVE_CAP}$"):
@@ -1074,9 +1076,46 @@ def test_cylinder_rows_lie_over_q_times_d_to_the_n(layout, n):
     n = min(n, max(k for k in (1, 2, 3, 4) if view.branch_count**k <= 256))
     rows, den = _cylinder_rows(view, n)
     q = ((view.core_lo + view.core_hi) / 2).denominator
-    big_d = math.lcm(*(v.denominator for br in view.branches for v in _branch_inverse(view, br)))
+    big_d = math.lcm(*(v.denominator for br in view.branches for v in branch_inverse(view, br)))
     assert den == q * big_d**n
     assert all(type(v) is int for row in rows for v in row)
+
+
+@st.composite
+def inverse_views(draw) -> MarkovView:
+    """A view on 2B + 2 distinct cuts, each n/d with d drawn among small,
+    composite and prime denominators and n of either sign, so cores sit off
+    zero, across it or below it; half the time the core is [-delta, delta],
+    delta the larger of |cut| over the two outer cuts, as in a slab view."""
+    b = draw(st.integers(1, 5))
+    cut = st.builds(F, st.integers(-3000, 3000), st.sampled_from((1, 2, 12, 96, 1009, 1013, 8191)))
+    cuts = sorted(draw(st.lists(cut, min_size=2 * b + 2, max_size=2 * b + 2, unique=True)))
+    if draw(st.booleans()):
+        delta = max(-cuts[0], cuts[-1])
+        cuts[0], cuts[-1] = -delta, delta
+    ups = draw(st.lists(st.booleans(), min_size=b, max_size=b))
+    inner = cuts[1:-1]
+    return MarkovView(cuts[0], cuts[-1], tuple(
+        MarkovBranch(lo, hi, up) for lo, hi, up in zip(inner[::2], inner[1::2], ups)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(
+    inverse_views(),
+    # slab views: branches up, down, up, ... on [-1/2, 1/2]
+    st.builds(lambda n, w: slab_view(build_model_2d(n, F(1, 2), F(1, 16), 2, w)),
+              st.integers(1, 5), st.sampled_from((None, F(1, 10), F(1, 24)))),
+    # the staircase views of ratio 4/11 (level 1 is the certify workload's view)
+    st.builds(lambda k: build_fbeta(plan_sequences(F(4, 11), 1)).view(k), st.integers(0, 1)),
+))
+@example(MarkovView(F(2, 1009), F(5, 1013), (MarkovBranch(F(3, 1009), F(4, 1013), False),)))
+def test_integer_inverses_are_the_branch_inverses_over_their_lcm(view):
+    # the integer pairs are the reduced Fraction inverses, each scaled onto the
+    # lcm D of their denominators: no common factor is left in D
+    inverses = [branch_inverse(view, br) for br in view.branches]
+    big_d = math.lcm(*(v.denominator for pair in inverses for v in pair))
+    pairs = [tuple(v.numerator * (big_d // v.denominator) for v in pair) for pair in inverses]
+    assert _integer_inverses(view) == (pairs, big_d)
 
 
 def test_certify_view_audit_at_depth_three():
