@@ -6,11 +6,12 @@ worker pool.  Every numeric input is an exact fraction literal ("1/58");
 nothing parses floats.  Reports land in --out; a short summary goes to
 stdout.
 
-Exit codes: 0 success; 2 contract violation or bad parameters; 3 missing
-input file or a directory given for one; 4 grid too coarse for the
-requested scale; 5 failed verification (horseshoe conditions, separation
-certificates, implant postconditions, detection below target); 6 failed
-implant precondition.
+Exit codes: 0 success; 2 contract violation, bad parameters, an input
+file that is not UTF-8 text, or an --out that names a file or lies under
+one; 3 missing input file or a directory given for one; 4 grid too coarse
+for the requested scale; 5 failed verification (horseshoe conditions,
+separation certificates, implant postconditions, detection below target);
+6 failed implant precondition.
 """
 
 from __future__ import annotations
@@ -72,10 +73,26 @@ _METHODS = {"cylinder": METHOD_CYLINDER, "greedy": METHOD_GREEDY}
 
 # === shared plumbing =========================================================
 
-def _out_dir(args: argparse.Namespace) -> Path:
+def _read(path: str | Path) -> str:
+    """Text of an input file; one that is not UTF-8 text is a SerializationError
+    naming it (a missing file or a directory stays an OSError: exit 3)."""
+    path = Path(path)
+    try:
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError:
+        raise SerializationError(f"not UTF-8 text: {path}") from None
+
+
+def _write(args: argparse.Namespace, files: dict[str, str]) -> list[Path]:
+    """Write each named text into --out, made if missing; their paths, in order."""
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except (FileExistsError, NotADirectoryError):
+        raise DomainError(f"--out is not a directory: {out}") from None
+    for name, text in files.items():
+        (out / name).write_text(text)
+    return [out / name for name in files]
 
 
 def _parse_window(text: str) -> tuple[int, int]:
@@ -139,17 +156,19 @@ def _resolve_sources(
     return picked, scales
 
 
-def _write_report(report, args: argparse.Namespace, name: str) -> None:
-    out = _out_dir(args)
-    if args.format == "json":
-        path = out / f"{name}.json"
-        path.write_text(json.dumps(report_to_json(report), indent=2) + "\n")
-    else:
-        path = out / f"{name}.csv"
-        path.write_text(report_to_csv(report))
+def _profile(args: argparse.Namespace, source: str | Path, method: str,
+             scales: list[Fraction] | None, window: tuple[int, int], grid: Fraction | None,
+             name: str, workers: int = 1) -> int:
+    """Profile the source file at the scales and write the report as ``name``."""
+    sources, scales = _resolve_sources(_read(source), method, scales)
+    report = mdim_profile(sources, scales, window, method, grid, workers)
+    text = (json.dumps(report_to_json(report), indent=2) + "\n" if args.format == "json"
+            else report_to_csv(report))
+    path, = _write(args, {f"{name}.{args.format}": text})
     print(f"wrote {path}")
     print(f"upper {report.upper:.12g}")
     print(f"lower {report.lower:.12g}")
+    return 0
 
 
 def _print_summary(summary: VerificationSummary) -> bool:
@@ -175,18 +194,14 @@ def _cmd_build_fbeta(args: argparse.Namespace) -> int:
         node_budget=args.node_budget,
     )
     model = build_fbeta(plan, node_budget=args.node_budget)
-    out = _out_dir(args)
-    plan_path = out / "plan.txt"
-    model_path = out / "model.txt"
-    plan_path.write_text(dump_plan(plan))
-    model_path.write_text(dump_model(model))
+    paths = _write(args, {"plan.txt": dump_plan(plan), "model.txt": dump_model(model)})
 
     print(f"{'level':>5}  {'core':<22} {'pieces':>14} {'branches':>9}  scale")
     for lv in plan.levels:
         print(f"{lv.k:>5}  {format_interval(lv.a_odd, lv.a_even):<22} "
               f"{lv.ell:>14} {plan.branch_count(lv.k):>9}  {format_rational(lv.eps)}")
-    print(f"wrote {plan_path}")
-    print(f"wrote {model_path}")
+    for path in paths:
+        print(f"wrote {path}")
 
     return 0 if _print_summary(verify_model(model)) else 5
 
@@ -198,11 +213,8 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
     scales = _parse_scales(args.scales) if args.scales is not None else None
     window = _parse_window(args.n_window)
     grid = parse_rational(args.grid) if args.grid is not None else None
-    source_path = Path(args.model if args.model is not None else args.map)
-    sources, scales = _resolve_sources(source_path.read_text(), method, scales)
-    report = mdim_profile(sources, scales, window, method, grid)
-    _write_report(report, args, "report")
-    return 0
+    source = args.model if args.model is not None else args.map
+    return _profile(args, source, method, scales, window, grid, "report")
 
 
 # === horseshoe ===============================================================
@@ -241,20 +253,16 @@ def _cmd_horseshoe(args: argparse.Namespace) -> int:
         if not _print_summary(verify_conditions(model)):
             return 5
         cert = separated_bound_2d(model, args.depth)
-        out = _out_dir(args)
-        model_path = out / "horseshoe.txt"
-        cert_path = out / "certificate.csv"
-        model_path.write_text(dump_model_2d(model))
-        cert_path.write_text(certificate_to_csv(cert))
-        print(f"wrote {model_path}")
-        print(f"wrote {cert_path}")
+        for path in _write(args, {"horseshoe.txt": dump_model_2d(model),
+                                  "certificate.csv": certificate_to_csv(cert)}):
+            print(f"wrote {path}")
         print(f"certified {cert.count} representatives at depth {cert.steps}"
               + (f" (min pairwise distance {format_rational(cert.min_pairwise)})"
                  if cert.min_pairwise is not None else ""))
         print(f"ratio-lower-bound {cert.ratio:.12g}")
         return 0
 
-    m = load_pwa(Path(_require_flag(args.map, "--map", "1d")).read_text())
+    m = load_pwa(_read(_require_flag(args.map, "--map", "1d")))
     window = parse_interval(args.window)
     core = parse_interval(args.core) if args.core is not None else window
     report = detect_1d(m, window, core,
@@ -277,8 +285,8 @@ def _cmd_horseshoe(args: argparse.Namespace) -> int:
 # === implant =================================================================
 
 def _cmd_implant(args: argparse.Namespace) -> int:
-    host = load_pwa(Path(args.host).read_text())
-    fplan = load_plan(Path(args.plan).read_text(), args.node_budget)
+    host = load_pwa(_read(args.host))
+    fplan = load_plan(_read(args.plan), args.node_budget)
     plan = SurgeryPlan(
         host,
         parse_rational(args.center),
@@ -290,12 +298,8 @@ def _cmd_implant(args: argparse.Namespace) -> int:
     )
     blended = implant(plan, node_budget=args.node_budget)
     views = transported_views(plan, blended)
-
-    out = _out_dir(args)
-    map_path = out / "implanted.txt"
-    views_path = out / "views.txt"
-    map_path.write_text(dump_pwa(blended))
-    views_path.write_text(dump_views(views))
+    map_path, views_path = _write(args, {"implanted.txt": dump_pwa(blended),
+                                         "views.txt": dump_views(views)})
     print(f"wrote {map_path} ({blended.node_count} nodes)")
     print(f"wrote {views_path} ({len(views)} views)")
     print(f"sup-distance {format_rational(sup_distance(blended, host))}")
@@ -309,7 +313,7 @@ _SWEEP_KEYS = ("source", "method", "scales", "n-window", "grid")
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     config_path = Path(args.config)
-    lines = [raw.split("#", 1)[0].strip() for raw in config_path.read_text().splitlines()]
+    lines = [raw.split("#", 1)[0].strip() for raw in _read(config_path).splitlines()]
     cfg = read_fields([ln for ln in lines if ln], _SWEEP_KEYS, _SWEEP_KEYS[:3], "config key", "=")
     if cfg["method"] not in _METHODS:
         raise SerializationError(f"unknown method {cfg['method']!r}")
@@ -318,41 +322,39 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     window = _parse_window(cfg.get("n-window", "1:4"))
     grid = parse_rational(cfg["grid"]) if "grid" in cfg else None
     check_scales(scales)
-    sources, scales = _resolve_sources((config_path.parent / cfg["source"]).read_text(),
-                                       method, scales)
-    report = mdim_profile(sources, scales, window, method, grid, args.workers)
-    _write_report(report, args, "sweep")
-    return 0
+    return _profile(args, config_path.parent / cfg["source"], method, scales, window, grid,
+                    "sweep", args.workers)
 
 
 # === dispatch ================================================================
 
 def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("-o", "--out", default=".", metavar="DIR",
-                        help="output directory (created if missing)")
-    reports = argparse.ArgumentParser(add_help=False, parents=[common])
-    reports.add_argument("--format", choices=("csv", "json"), default="csv",
-                         help="report file format")
-
     parser = argparse.ArgumentParser(
         prog="mdimlab",
         description="exact-arithmetic experiments on piecewise-affine interval maps",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("build-fbeta", parents=[common],
-                       help="build a staircase model and its plan")
+    def command(name: str, func, summary: str) -> argparse.ArgumentParser:
+        """A subcommand running ``func``, with -o and, for the reports, --format."""
+        p = sub.add_parser(name, help=summary)
+        p.add_argument("-o", "--out", default=".", metavar="DIR",
+                       help="output directory (created if missing)")
+        if name in ("estimate", "sweep"):
+            p.add_argument("--format", choices=("csv", "json"), default="csv",
+                           help="report file format")
+        p.set_defaults(func=func)
+        return p
+
+    p = command("build-fbeta", _cmd_build_fbeta, "build a staircase model and its plan")
     p.add_argument("--beta", required=True, help="target ratio, a fraction in [0, 1]")
     p.add_argument("--levels", type=int, default=1, help="number of staircase levels")
     p.add_argument("--seed-a1", default="1/2", help="lower endpoint of the top core")
     p.add_argument("--variant", choices=("full",),
                    help="all-full-branch variant (required when --beta 1)")
     p.add_argument("--node-budget", type=int, default=DEFAULT_NODE_BUDGET)
-    p.set_defaults(func=_cmd_build_fbeta)
 
-    p = sub.add_parser("estimate", parents=[reports],
-                       help="separation-growth ratio profile over scales")
+    p = command("estimate", _cmd_estimate, "separation-growth ratio profile over scales")
     src = p.add_mutually_exclusive_group(required=True)
     src.add_argument("--model", help="staircase model or views file")
     src.add_argument("--map", help="piecewise-affine map file")
@@ -360,10 +362,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scales", help="comma-separated decreasing fractions")
     p.add_argument("--n-window", default="1:4", help="iterate window, like 1:4")
     p.add_argument("--grid", help="grid resolution for the greedy method")
-    p.set_defaults(func=_cmd_estimate)
 
-    p = sub.add_parser("horseshoe", parents=[common],
-                       help="verify a planar model or detect crossing laps")
+    p = command("horseshoe", _cmd_horseshoe, "verify a planar model or detect crossing laps")
     p.add_argument("--mode", choices=("2d", "1d"), required=True)
     p.add_argument("--strips", type=int, help="2d: number of horizontal slabs")
     p.add_argument("--half-side", help="2d: half side length of the square")
@@ -376,10 +376,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--core", help="1d: crossing target (default: the window)")
     p.add_argument("--margin", help="1d: required crossing margin (default 0)")
     p.add_argument("--target", type=int, help="1d: fail (exit 5) below this lap count")
-    p.set_defaults(func=_cmd_horseshoe)
 
-    p = sub.add_parser("implant", parents=[common],
-                       help="blend a rescaled staircase model into a host map")
+    p = command("implant", _cmd_implant, "blend a rescaled staircase model into a host map")
     p.add_argument("--host", required=True, help="host map file (flat on the target)")
     p.add_argument("--plan", required=True, help="staircase plan file")
     p.add_argument("--center", required=True, help="fixed point at the flat's center")
@@ -388,13 +386,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--outer", required=True, help="window lo:hi where blending ends")
     p.add_argument("--budget", help="cap: outer window must be under budget/3")
     p.add_argument("--node-budget", type=int, default=DEFAULT_NODE_BUDGET)
-    p.set_defaults(func=_cmd_implant)
 
-    p = sub.add_parser("sweep", parents=[reports],
-                       help="run an estimation profile from a config file")
+    p = command("sweep", _cmd_sweep, "run an estimation profile from a config file")
     p.add_argument("--config", required=True, help="key = value config file")
     p.add_argument("--workers", type=int, default=1, metavar="N", help="worker processes")
-    p.set_defaults(func=_cmd_sweep)
     return parser
 
 
@@ -407,18 +402,13 @@ def main(argv: list[str] | None = None) -> int:
         kind = "missing file" if isinstance(exc, FileNotFoundError) else "not a file"
         print(f"error: {kind}: {exc.filename or exc}", file=sys.stderr)
         return 3
-    except GridPrecisionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except VerificationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 5
-    except ContractError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 6 if args.command == "implant" else 2
     except MdimError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        if isinstance(exc, GridPrecisionError):
+            return 4
+        if isinstance(exc, VerificationError):
+            return 5
+        return 6 if isinstance(exc, ContractError) and args.command == "implant" else 2
 
 
 if __name__ == "__main__":

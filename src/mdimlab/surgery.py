@@ -225,14 +225,14 @@ def dump_surgery_plan(plan: SurgeryPlan, host_ref: str, plan_ref: str) -> str:
 
 def _read_reference(base: Path, fields: dict[str, str], key: str) -> str:
     """Text of the file a plan's ``key`` line names; an unreadable one (a
-    missing file, a directory) is a SerializationError naming key and path."""
+    missing file, a directory, bytes that are not UTF-8 text) is a
+    SerializationError naming key and path."""
     path = base / fields[key]
     try:
-        return path.read_text()
-    except OSError as exc:
-        raise SerializationError(
-            f"{key} reference {str(path)!r} cannot be read: {exc.strerror}"
-        ) from None
+        return path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        why = exc.strerror if isinstance(exc, OSError) else "not UTF-8 text"
+        raise SerializationError(f"{key} reference {str(path)!r} cannot be read: {why}") from None
 
 
 def load_surgery_plan(text: str, base_dir: str | Path = ".") -> SurgeryPlan:

@@ -2,6 +2,7 @@
 driven in-process through main()."""
 from __future__ import annotations
 
+import argparse
 import dataclasses
 import json
 import os
@@ -685,6 +686,56 @@ def test_a_directory_given_for_an_input_file_exits_3(tmp_path, capsys, identity,
     assert f"not a file: {tmp_path}" in err
 
 
+@pytest.mark.parametrize("site", ["estimate --model", "estimate --map", "horseshoe --map",
+                                  "implant --host", "implant --plan", "sweep --config",
+                                  "sweep source"])
+def test_an_input_file_that_is_not_utf8_text_exits_2(tmp_path, capsys, identity, half_plan,
+                                                     site):
+    write_implant_inputs(tmp_path, identity, half_plan)
+    bad = tmp_path / "bad.bin"
+    bad.write_bytes(b"\xff\xfe\x00 not text")
+    (tmp_path / "source.cfg").write_text("source = bad.bin\nmethod = greedy\nscales = 1/10\n")
+    out = str(tmp_path / "out")
+    argv = {
+        "estimate --model": ["estimate", "--model", str(bad), "-o", out],
+        "estimate --map": ["estimate", "--map", str(bad), "--scales", "1/10", "-o", out],
+        "horseshoe --map": ["horseshoe", "--mode", "1d", "--map", str(bad), "--epsilon", "1/8"],
+        "implant --host": implant_argv(tmp_path, bad),
+        "implant --plan": implant_argv(tmp_path, tmp_path / "host.txt"),
+        "sweep --config": ["sweep", "--config", str(bad), "-o", out],
+        "sweep source": ["sweep", "--config", str(tmp_path / "source.cfg"), "-o", out],
+    }[site]
+    if site == "implant --plan":
+        argv[argv.index("--plan") + 1] = str(bad)
+    code, stdout, err = run(capsys, *argv)
+    assert (code, stdout) == (2, "")
+    assert err == f"error: not UTF-8 text: {bad}\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("under", [False, True], ids=["file", "under-a-file"])
+@pytest.mark.parametrize("command", ["build-fbeta", "estimate", "horseshoe", "implant", "sweep"])
+def test_an_out_that_is_not_a_directory_exits_2(tmp_path, capsys, identity, half_plan,
+                                                half_model, command, under):
+    write_implant_inputs(tmp_path, identity, half_plan)
+    (tmp_path / "model.txt").write_text(dump_model(half_model))
+    (tmp_path / "sweep.cfg").write_text(SWEEP_CONFIG)
+    blocker = tmp_path / "blocker.txt"
+    blocker.write_text("a file\n")
+    out = blocker / "sub" if under else blocker
+    argv = {
+        "build-fbeta": ["build-fbeta", "--beta", "1/2"],
+        "estimate": ["estimate", "--model", str(tmp_path / "model.txt")],
+        "horseshoe": ["horseshoe", "--mode", "2d", "--strips", "4", "--half-side", "1/2",
+                      "--epsilon", "1/16"],
+        "implant": implant_argv(tmp_path, tmp_path / "host.txt"),
+        "sweep": ["sweep", "--config", str(tmp_path / "sweep.cfg")],
+    }[command]
+    code, _, err = run(capsys, *argv, "-o", str(out))
+    assert (code, err) == (2, f"error: --out is not a directory: {out}\n")
+    assert blocker.read_text() == "a file\n"
+
+
 def test_implant_precondition_failure_exits_6(tmp_path, capsys, identity, half_plan):
     write_implant_inputs(tmp_path, identity, half_plan)
     code, _, err = run(
@@ -871,3 +922,27 @@ def test_sweep_rejects_a_repeated_config_key(tmp_path, capsys):
     code, _, err = run(capsys, "sweep", "--config", str(tmp_path / "bad.cfg"))
     assert code == 2
     assert "repeated config key 'method'" in err
+
+
+# === parser ===================================================================
+
+def test_each_subcommand_takes_help_then_out_then_the_report_format():
+    # the layout every subcommand shares, pinned without golden help text,
+    # which argparse lays out differently across Python versions
+    parser = mdimlab.cli._build_parser()
+    (subs,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    assert list(subs.choices) == ["build-fbeta", "estimate", "horseshoe", "implant", "sweep"]
+    for name, p in subs.choices.items():
+        help_action, out, *own = p._actions
+        assert help_action.option_strings == ["-h", "--help"]
+        assert (out.option_strings, out.default, out.metavar, out.help) == (
+            ["-o", "--out"], ".", "DIR", "output directory (created if missing)")
+        formats = [a for a in own if a.dest == "format"]
+        if name in ("estimate", "sweep"):
+            assert formats == own[:1]
+            assert (formats[0].option_strings, formats[0].choices, formats[0].default,
+                    formats[0].help) == (["--format"], ("csv", "json"), "csv",
+                                         "report file format")
+        else:
+            assert formats == []
+        assert p.get_default("func") is getattr(mdimlab.cli, f"_cmd_{name.replace('-', '_')}")

@@ -420,6 +420,7 @@ def test_dense_variant_builds_and_verifies():
 def test_verify_model_passes_and_names_every_check(built_model):
     summary = verify_model(built_model)
     assert summary.ok, summary.first_failure
+    assert summary.first_failure is None
     assert tuple(c.name for c in summary.checks) == EXPECTED_CHECKS
 
 

@@ -142,10 +142,14 @@ def distance_reference(a: PwaMap, b: PwaMap, lo: Fraction, hi: Fraction) -> Frac
     return max(abs(value_at(a, x) - value_at(b, x)) for x in xs)
 
 
+def off_by_kink(y: Fraction) -> Fraction:
+    """y moved 1/10^9 down, or up where that would leave [0, 1]."""
+    return y - F(1, 10**9) if y >= F(1, 10**9) else y + F(1, 10**9)
+
+
 def with_kink(m: PwaMap, x: Fraction) -> PwaMap:
     """``m`` with one more node at x, strictly inside one of its pieces, 1/10^9 off ``m``."""
-    y = value_at(m, x)
-    return PwaMap.from_nodes(sorted(m.nodes() + [(x, y + (F(-1, 10**9) if y else F(1, 10**9)))]))
+    return PwaMap.from_nodes(sorted(m.nodes() + [(x, off_by_kink(value_at(m, x)))]))
 
 
 def nearby_map(rng: random.Random, a: PwaMap, relation: str) -> PwaMap:
@@ -192,6 +196,7 @@ FAREY = (F(1, 2), F(10**40 + 1, 2 * 10**40 + 1))
 
 
 @settings(max_examples=120, deadline=None)
+@example(20000, "small", "farey", "other")   # b's value at FAREY[1] is above 0 but below 1/10^9
 @given(seeds, kinds, st.sampled_from(["inside", "from 0", "to 1", "whole", "point", "at a's nodes",
                                       "at a's and b's nodes", "no interior node", "farey"]),
        st.sampled_from(["other", "same", "bent", "at 1", "in a piece"]))
@@ -217,8 +222,7 @@ def test_distance_on_matches_a_fraction_reference(seed, kind, window, relation):
         inside = [(x, y) for x, y in a.nodes() if lo < x < hi]
         if relation == "bent" and hi > lo:   # ... but for one kink of its own inside
             x = lo + (hi - lo) * F(rng.randrange(1, 1000), 1000)
-            inside = sorted({*inside, (x, value_at(a, x) + (F(-1, 10**9) if value_at(a, x) else
-                                                             F(1, 10**9)))})
+            inside = sorted({*inside, (x, off_by_kink(value_at(a, x)))})
         b = PwaMap.from_nodes(
             [(x, y) for x, y in b.nodes() if x < lo] + [(F(lo), value_at(a, lo))] + inside
             + ([(F(hi), value_at(a, hi))] if hi > lo else [])
@@ -499,7 +503,7 @@ def test_surgery_plan_round_trip(tmp_path, implanted):
     assert load_surgery_plan(text, tmp_path) == plan
 
 
-@pytest.mark.parametrize("kind", ["missing", "directory"])
+@pytest.mark.parametrize("kind", ["missing", "directory", "binary"])
 @pytest.mark.parametrize("key,ref", [("host", "host.txt"), ("plan", "fplan.txt")])
 def test_surgery_plan_loader_names_an_unreadable_reference(tmp_path, implanted, key, ref, kind):
     plan, _ = implanted
@@ -509,6 +513,8 @@ def test_surgery_plan_loader_names_an_unreadable_reference(tmp_path, implanted, 
     (tmp_path / ref).unlink()
     if kind == "directory":
         (tmp_path / ref).mkdir()
+    elif kind == "binary":
+        (tmp_path / ref).write_bytes(b"\xff\xfe\x00 not text")
     with pytest.raises(SerializationError) as info:
         load_surgery_plan(text, tmp_path)
     assert str(info.value).startswith(f"{key} reference {str(tmp_path / ref)!r} cannot be read")
