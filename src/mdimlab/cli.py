@@ -8,15 +8,16 @@ stdout.
 
 Exit codes: 0 success; 2 contract violation, bad parameters, an input
 file that is not UTF-8 text, or an --out that names a file or lies under
-one; 3 missing input file or a directory given for one; 4 grid too coarse
-for the requested scale; 5 failed verification (horseshoe conditions,
-separation certificates, implant postconditions, detection below target);
-6 failed implant precondition.
+one; 3 missing input file or a directory given for an input or output file
+(then no output is written); 4 grid too coarse for the requested scale; 5
+failed verification (horseshoe conditions, separation certificates, implant
+postconditions, detection below target); 6 failed implant precondition.
 """
 
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import sys
 from fractions import Fraction
@@ -84,15 +85,18 @@ def _read(path: str | Path) -> str:
 
 
 def _write(args: argparse.Namespace, files: dict[str, str]) -> list[Path]:
-    """Write each named text into --out, made if missing; their paths, in order."""
+    """Write each named text into --out, made if missing; none if any target is a directory."""
     out = Path(args.out)
     try:
         out.mkdir(parents=True, exist_ok=True)
     except (FileExistsError, NotADirectoryError):
         raise DomainError(f"--out is not a directory: {out}") from None
-    for name, text in files.items():
-        (out / name).write_text(text)
-    return [out / name for name in files]
+    paths = [out / name for name in files]
+    if busy := [path for path in paths if path.is_dir()]:
+        raise IsADirectoryError(errno.EISDIR, "Is a directory", str(busy[0]))
+    for path, text in zip(paths, files.values()):
+        path.write_text(text)
+    return paths
 
 
 def _parse_window(text: str) -> tuple[int, int]:
@@ -328,16 +332,20 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 # === dispatch ================================================================
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(names: set[str] | None = None) -> argparse.ArgumentParser:
+    """Every subcommand with its summary, and the arguments of those in names
+    (all when None): argparse parses only the subcommand an argv string names."""
     parser = argparse.ArgumentParser(
         prog="mdimlab",
         description="exact-arithmetic experiments on piecewise-affine interval maps",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name: str, func, summary: str) -> argparse.ArgumentParser:
-        """A subcommand running ``func``, with -o and, for the reports, --format."""
+    def command(name: str, func, summary: str) -> argparse.ArgumentParser | None:
+        """A subcommand; if named, it runs ``func`` with -o and, for reports, --format."""
         p = sub.add_parser(name, help=summary)
+        if names is not None and name not in names:
+            return None
         p.add_argument("-o", "--out", default=".", metavar="DIR",
                        help="output directory (created if missing)")
         if name in ("estimate", "sweep"):
@@ -346,56 +354,55 @@ def _build_parser() -> argparse.ArgumentParser:
         p.set_defaults(func=func)
         return p
 
-    p = command("build-fbeta", _cmd_build_fbeta, "build a staircase model and its plan")
-    p.add_argument("--beta", required=True, help="target ratio, a fraction in [0, 1]")
-    p.add_argument("--levels", type=int, default=1, help="number of staircase levels")
-    p.add_argument("--seed-a1", default="1/2", help="lower endpoint of the top core")
-    p.add_argument("--variant", choices=("full",),
-                   help="all-full-branch variant (required when --beta 1)")
-    p.add_argument("--node-budget", type=int, default=DEFAULT_NODE_BUDGET)
+    if p := command("build-fbeta", _cmd_build_fbeta, "build a staircase model and its plan"):
+        p.add_argument("--beta", required=True, help="target ratio, a fraction in [0, 1]")
+        p.add_argument("--levels", type=int, default=1, help="number of staircase levels")
+        p.add_argument("--seed-a1", default="1/2", help="lower endpoint of the top core")
+        p.add_argument("--variant", choices=("full",),
+                       help="all-full-branch variant (required when --beta 1)")
+        p.add_argument("--node-budget", type=int, default=DEFAULT_NODE_BUDGET)
 
-    p = command("estimate", _cmd_estimate, "separation-growth ratio profile over scales")
-    src = p.add_mutually_exclusive_group(required=True)
-    src.add_argument("--model", help="staircase model or views file")
-    src.add_argument("--map", help="piecewise-affine map file")
-    p.add_argument("--method", choices=tuple(_METHODS), default="cylinder")
-    p.add_argument("--scales", help="comma-separated decreasing fractions")
-    p.add_argument("--n-window", default="1:4", help="iterate window, like 1:4")
-    p.add_argument("--grid", help="grid resolution for the greedy method")
+    if p := command("estimate", _cmd_estimate, "separation-growth ratio profile over scales"):
+        src = p.add_mutually_exclusive_group(required=True)
+        src.add_argument("--model", help="staircase model or views file")
+        src.add_argument("--map", help="piecewise-affine map file")
+        p.add_argument("--method", choices=tuple(_METHODS), default="cylinder")
+        p.add_argument("--scales", help="comma-separated decreasing fractions")
+        p.add_argument("--n-window", default="1:4", help="iterate window, like 1:4")
+        p.add_argument("--grid", help="grid resolution for the greedy method")
 
-    p = command("horseshoe", _cmd_horseshoe, "verify a planar model or detect crossing laps")
-    p.add_argument("--mode", choices=("2d", "1d"), required=True)
-    p.add_argument("--strips", type=int, help="2d: number of horizontal slabs")
-    p.add_argument("--half-side", help="2d: half side length of the square")
-    p.add_argument("--epsilon", help="separation scale")
-    p.add_argument("--period", type=int, help="2d: stages in the cycle (default 1)")
-    p.add_argument("--strip-width", help="2d: slab height (default: half the slack)")
-    p.add_argument("--depth", type=int, help="2d: recursion rounds (default 1)")
-    p.add_argument("--map", help="1d: map file to scan")
-    p.add_argument("--window", help="1d: scan window (default 0:1)")
-    p.add_argument("--core", help="1d: crossing target (default: the window)")
-    p.add_argument("--margin", help="1d: required crossing margin (default 0)")
-    p.add_argument("--target", type=int, help="1d: fail (exit 5) below this lap count")
+    if p := command("horseshoe", _cmd_horseshoe, "verify a planar model or detect crossing laps"):
+        p.add_argument("--mode", choices=("2d", "1d"), required=True)
+        p.add_argument("--strips", type=int, help="2d: number of horizontal slabs")
+        p.add_argument("--half-side", help="2d: half side length of the square")
+        p.add_argument("--epsilon", help="separation scale")
+        p.add_argument("--period", type=int, help="2d: stages in the cycle (default 1)")
+        p.add_argument("--strip-width", help="2d: slab height (default: half the slack)")
+        p.add_argument("--depth", type=int, help="2d: recursion rounds (default 1)")
+        p.add_argument("--map", help="1d: map file to scan")
+        p.add_argument("--window", help="1d: scan window (default 0:1)")
+        p.add_argument("--core", help="1d: crossing target (default: the window)")
+        p.add_argument("--margin", help="1d: required crossing margin (default 0)")
+        p.add_argument("--target", type=int, help="1d: fail (exit 5) below this lap count")
 
-    p = command("implant", _cmd_implant, "blend a rescaled staircase model into a host map")
-    p.add_argument("--host", required=True, help="host map file (flat on the target)")
-    p.add_argument("--plan", required=True, help="staircase plan file")
-    p.add_argument("--center", required=True, help="fixed point at the flat's center")
-    p.add_argument("--flat", required=True, help="flat interval lo:hi")
-    p.add_argument("--inner", required=True, help="window lo:hi receiving the copy")
-    p.add_argument("--outer", required=True, help="window lo:hi where blending ends")
-    p.add_argument("--budget", help="cap: outer window must be under budget/3")
-    p.add_argument("--node-budget", type=int, default=DEFAULT_NODE_BUDGET)
+    if p := command("implant", _cmd_implant, "blend a rescaled staircase model into a host map"):
+        p.add_argument("--host", required=True, help="host map file (flat on the target)")
+        p.add_argument("--plan", required=True, help="staircase plan file")
+        p.add_argument("--center", required=True, help="fixed point at the flat's center")
+        p.add_argument("--flat", required=True, help="flat interval lo:hi")
+        p.add_argument("--inner", required=True, help="window lo:hi receiving the copy")
+        p.add_argument("--outer", required=True, help="window lo:hi where blending ends")
+        p.add_argument("--budget", help="cap: outer window must be under budget/3")
+        p.add_argument("--node-budget", type=int, default=DEFAULT_NODE_BUDGET)
 
-    p = command("sweep", _cmd_sweep, "run an estimation profile from a config file")
-    p.add_argument("--config", required=True, help="key = value config file")
-    p.add_argument("--workers", type=int, default=1, metavar="N", help="worker processes")
+    if p := command("sweep", _cmd_sweep, "run an estimation profile from a config file"):
+        p.add_argument("--config", required=True, help="key = value config file")
+        p.add_argument("--workers", type=int, default=1, metavar="N", help="worker processes")
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser(set(sys.argv[1:] if argv is None else argv)).parse_args(argv)
     try:
         return args.func(args)
     except (FileNotFoundError, IsADirectoryError) as exc:

@@ -95,7 +95,7 @@ def monotone_laps(m: PwaMap, window: Interval) -> tuple[Lap, ...]:
     y_lo, y_hi = eval_sorted(m, (lo, hi))
     xs, ys = [lo, *m.xs[inside], hi], [y_lo, *m.ys[inside], y_hi]
     ends, ups = [0], []          # the laps' end nodes, and each sloped lap's direction
-    for i, (a, _, _) in enumerate(m._table[2][inside.start - 1:inside.stop]):
+    for i, (a, _, _) in enumerate(m._pieces[inside.start - 1:inside.stop]):
         sign = (a > 0) - (a < 0)
         if sign and (not ups or sign != ups[-1]):
             if ups:              # a flip: the lap so far ends at node i, the next starts there

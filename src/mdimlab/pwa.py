@@ -9,13 +9,14 @@ middles among the positions it is given: ``PwaMap.from_nodes`` checks a node
 list and gives every interior position; ``compose`` gives only inner's
 nodes and surgery's splice its two junctions, their order being proved.
 
-Evaluation reads a private integer table, built on first use and never
-compared, hashed or pickled: node keys floor(x_i·2^s) and per piece
-y = (a·x + b)/d, reduced, none over an lcm of the map.  ``_locate`` is the
-one search of the keys, for evaluation, composition, the integer orbit steps
-(``_integer_steps``, read by module separation) and ``_window``, the one
-split of the nodes at a window's ends, which the windowed distance (one
-merged walk of both maps' nodes), surgery's splice and the lap scan read.
+Evaluation reads a private integer table whose two halves are each built on
+first use and never compared, hashed or pickled: ``_keys``, node keys
+floor(x_i·2^s) with the nodes' integer pairs, and ``_pieces``, read only off
+the nodes, per piece y = (a·x + b)/d from those pairs, reduced, none over an
+lcm of the map.  ``_locate`` is the one search of the keys, for evaluation,
+composition, the integer orbit steps (``_integer_steps``, read by module
+separation) and ``_window``, the one split of the nodes at a window's ends,
+which the windowed distance, surgery's splice and the lap scan read.
 
 Everything here is exact; no operation touches floating point.
 """
@@ -72,21 +73,24 @@ class PwaMap:
         return _build(xs, ys, xr, yr, range(1, len(xs) - 1))
 
     @cached_property
-    def _table(self) -> tuple[int, list[int], list[tuple[int, int, int]]]:
+    def _keys(self) -> tuple[int, list[int], list[tuple[int, int]]]:
         xr = [x.as_integer_ratio() for x in self.xs]
-        yr = [y.as_integer_ratio() for y in self.ys]
         # keys floor(x·2^s), s = 2·(bits of the largest denominator D) + 1: two
         # nodes differ by at least 1/D² > 2/2^s, so their keys differ and keep
         # their order; a point off the nodes may share a key with one of them
         shift = 2 * max(d for _, d in xr).bit_length() + 1
-        keys = [(n << shift) // d for n, d in xr]
+        return shift, [(n << shift) // d for n, d in xr], xr
+
+    @cached_property
+    def _pieces(self) -> list[tuple[int, int, int]]:
+        xr, yr = self._keys[2], [y.as_integer_ratio() for y in self.ys]
         pieces = []
         for (n0, m0), (n1, m1), (u0, v0), (u1, v1) in zip(xr, xr[1:], yr, yr[1:]):
             dx, dy = n1 * m0 - n0 * m1, u1 * v0 - u0 * v1
             a, b, d = dy * m0 * m1, u0 * v1 * dx - dy * m1 * n0, v0 * v1 * dx
             g = math.gcd(a, b, d)
             pieces.append((a // g, b // g, d // g))
-        return shift, keys, pieces
+        return pieces
 
     def __getstate__(self) -> dict:
         return {"xs": self.xs, "ys": self.ys}     # the node table is derived
@@ -153,7 +157,6 @@ def eval_sorted(m: PwaMap, xs: Sequence[Fraction]) -> list[Fraction]:
     """Exact values at ascending points of [0,1]: a node's own value, else
     (a·p + b·q)/(d·q) on the piece through x = p/q, each located by
     ``_locate`` from the last point's place."""
-    pieces = m._table[2]
     out: list[Fraction] = []
     lo = 0
     pp, pq = 0, 1
@@ -169,7 +172,7 @@ def eval_sorted(m: PwaMap, xs: Sequence[Fraction]) -> list[Fraction]:
         if lo < hi:                           # x is node lo (x == 1 is the last one)
             out.append(m.ys[lo])
         else:
-            a, b, d = pieces[lo - 1]
+            a, b, d = m._pieces[lo - 1]
             out.append(Fraction(a * p + b * q, d * q))
     return out
 
@@ -179,11 +182,11 @@ def _locate(m: PwaMap, p: int, q: int, start: int = 0, end: int | None = None) -
     ``bisect_left`` and ``bisect_right`` of m.xs with the bounds start and
     end (end >= 1): found by p/q's node key, with one exact compare when it
     shares its key with a node.  No Fraction is made."""
-    shift, keys, _ = m._table
+    shift, keys, xr = m._keys
     k = (p << shift) // q
     lo = hi = bisect_right(keys, k, start, end)
     if keys[lo - 1] == k:                     # p/q shares its key with node lo − 1
-        n, d = m.xs[lo - 1].as_integer_ratio()
+        n, d = xr[lo - 1]
         lo, hi = lo - (p * d <= n * q), hi - (p * d < n * q)
     return lo, hi
 
@@ -199,7 +202,7 @@ def _integer_steps(m: PwaMap) -> tuple[int, list[tuple[int, int]]]:
     """The integer form of one step of the map: M, the lcm of the pieces'
     d_i in the table, and each piece's step (a_i·M/d_i, b_i·M/d_i), which
     sends v/d to (a_i·v + b_i·d)/(d·M) exactly."""
-    pieces = m._table[2]
+    pieces = m._pieces
     big_m = math.lcm(*(d for _, _, d in pieces))
     return big_m, [(a * (big_m // d), b * (big_m // d)) for a, b, d in pieces]
 
@@ -263,7 +266,7 @@ def _compose_placed(outer: PwaMap, inner: PwaMap,
                     places: list[tuple[int, int, int, int]]) -> PwaMap:
     """outer∘inner from inner's values as placed by ``_place``, outer
     canonical (see ``compose``)."""
-    pieces = outer._table[2]
+    pieces = outer._pieces
     oxs, oys = outer.xs, outer.ys
     oyr = [y.as_integer_ratio() for y in oys]
     xs: list[Fraction] = []
@@ -369,7 +372,7 @@ def _distance_on(a: PwaMap, b: PwaMap, lo: Fraction, hi: Fraction) -> Fraction:
     (i, i_end), (j, j_end) = ((w.start, w.stop) for w in (_window(m, lo, hi)[1] for m in (a, b)))
     while i < i_end or j < j_end:             # an ended walk's node is at or above hi
         (n1, d1), (n2, d2) = a.xs[i].as_integer_ratio(), b.xs[j].as_integer_ratio()
-        (sa, ta, da), (sb, tb, db) = a._table[2][i - 1], b._table[2][j - 1]
+        (sa, ta, da), (sb, tb, db) = a._pieces[i - 1], b._pieces[j - 1]
         c = n1 * d2 - n2 * d1
         pairs.append((a.ys[i].as_integer_ratio() if c <= 0 else (sa * n2 + ta * d2, da * d2),
                       b.ys[j].as_integer_ratio() if c >= 0 else (sb * n1 + tb * d1, db * d1)))
@@ -389,7 +392,7 @@ def fixed_points(m: PwaMap) -> list[tuple[Fraction, Fraction]]:
     every self-map of [0,1] (intermediate value theorem on m(x) − x).
     """
     raw: list[tuple[Fraction, Fraction]] = []
-    for x0, x1, (a, b, d) in zip(m.xs, m.xs[1:], m._table[2]):
+    for x0, x1, (a, b, d) in zip(m.xs, m.xs[1:], m._pieces):
         if a != d:                      # m(x) − x = ((a − d)·x + b)/d has one root
             x = Fraction(-b, a - d)
             if x0 <= x <= x1:

@@ -465,21 +465,25 @@ class MarkovView:
     def _check_against_map(self) -> None:
         """Each branch equals the map on its domain: its end values are the
         core ends, and hi is at most the least map node above lo, the one that
-        ends lo's piece, m.xs[hi] for the count hi of nodes at or below lo
-        (``pwa._locate``; lo < hi <= 1).  One ``eval_sorted`` values the
-        ascending branch ends (DomainError for one outside [0, 1]).  The
-        error names the first failing branch in branch order."""
+        ends lo's piece.  One ``pwa._locate`` of lo gives (a, b), the nodes below
+        lo and at or below it: lo's value is ys[a] if lo is a node (a < b), hi's
+        ys[b] if hi is node b, else the map's value; xs[b] < hi fails.  First
+        ``eval_sorted`` refuses the least end outside [0, 1] (DomainError); then
+        the first failing branch is named, its end values before its node."""
         m = self.map
-        values = eval_sorted(m, [x for br in self.branches for x in (br.lo, br.hi)])
-        for k, br in enumerate(self.branches):
-            got = tuple(values[2 * k:2 * k + 2])
+        if self.branches[0].lo < 0 or self.branches[-1].hi > 1:     # raises the DomainError
+            eval_sorted(m, [x for br in self.branches for x in (br.lo, br.hi)])
+        for br in self.branches:
+            a, b = _locate(m, *br.lo.as_integer_ratio())
+            node = m.xs[b]
+            got = (m.ys[a] if a < b else eval_map(m, br.lo),
+                   m.ys[b] if node == br.hi else eval_map(m, br.hi))
             want = (self.core_lo, self.core_hi) if br.increasing else (self.core_hi, self.core_lo)
             if got != want:
                 raise ContractError(
                     f"branch [{br.lo}, {br.hi}] does not map onto the core:"
                     f" endpoint values ({got[0]}, {got[1]}), expected {want}"
                 )
-            node = m.xs[_locate(m, *br.lo.as_integer_ratio())[1]]
             if node < br.hi:
                 raise ContractError(f"branch [{br.lo}, {br.hi}] is not affine: map node at {node}")
 

@@ -33,6 +33,18 @@ def random_pwa(rng: random.Random, max_interior: int = 4, denom: int = 24) -> Pw
     return PwaMap.from_nodes(nodes)
 
 
+def mixed_pwa(rng: random.Random, interior: int, values=None) -> PwaMap:
+    """A random map whose nodes sit on the 1/7, 1/24 and 1/97 grids at once;
+    its values are drawn from ``values`` when given."""
+    def grid_point() -> Fraction:
+        d = rng.choice((7, 24, 97))
+        return Fraction(rng.randint(0, d), d)
+
+    xs = sorted({Fraction(0), Fraction(1), *(grid_point() for _ in range(interior))})
+    pick = (lambda: rng.choice(values)) if values else grid_point
+    return PwaMap.from_nodes([(x, pick()) for x in xs])
+
+
 def random_boundary_fixed_pwa(
     rng: random.Random, max_interior: int = 3, denom: int = 16
 ) -> PwaMap:

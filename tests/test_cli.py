@@ -736,6 +736,29 @@ def test_an_out_that_is_not_a_directory_exits_2(tmp_path, capsys, identity, half
     assert blocker.read_text() == "a file\n"
 
 
+@pytest.mark.parametrize("command,files", [
+    ("build-fbeta", ("plan.txt", "model.txt")),
+    ("horseshoe", ("horseshoe.txt", "certificate.csv")),
+    ("implant", ("implanted.txt", "views.txt")),
+])
+def test_a_directory_at_an_output_path_exits_3_and_writes_no_file(tmp_path, capsys, identity,
+                                                                  half_plan, command, files):
+    # the second of the two targets is a directory: the first is not written either
+    write_implant_inputs(tmp_path, identity, half_plan)
+    out = tmp_path / "out"
+    (out / files[1]).mkdir(parents=True)
+    argv = {
+        "build-fbeta": ["build-fbeta", "--beta", "1/2", "--levels", "2"],
+        "horseshoe": ["horseshoe", "--mode", "2d", "--strips", "4", "--half-side", "1/2",
+                      "--epsilon", "1/16"],
+        "implant": implant_argv(tmp_path, tmp_path / "host.txt"),
+    }[command]
+    code, _, err = run(capsys, *argv, "-o", str(out))
+    assert (code, err) == (3, f"error: not a file: {out / files[1]}\n")
+    assert [p.name for p in out.iterdir()] == [files[1]]
+    assert not any((out / files[1]).iterdir())
+
+
 def test_implant_precondition_failure_exits_6(tmp_path, capsys, identity, half_plan):
     write_implant_inputs(tmp_path, identity, half_plan)
     code, _, err = run(
@@ -946,3 +969,47 @@ def test_each_subcommand_takes_help_then_out_then_the_report_format():
         else:
             assert formats == []
         assert p.get_default("func") is getattr(mdimlab.cli, f"_cmd_{name.replace('-', '_')}")
+
+
+SUBCOMMANDS = ("build-fbeta", "estimate", "horseshoe", "implant", "sweep")
+
+
+def parse_ending(capsys, parse, argv: list[str]) -> tuple[int | str | None, str, str]:
+    """The exit code, stdout and stderr of a parse that ends the program."""
+    with pytest.raises(SystemExit) as exc:
+        parse(argv)
+    captured = capsys.readouterr()
+    return exc.value.code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["--help"], *([name, "--help"] for name in SUBCOMMANDS), [], ["bogus"], ["-h", "estimate"],
+    # one required flag missing per subcommand
+    ["build-fbeta", "--levels", "2"], ["estimate", "--method", "greedy"],
+    ["horseshoe", "--strips", "4"], ["sweep", "--workers", "2"],
+    ["implant", "--host", "h", "--plan", "p", "--center", "1/2", "--flat", "0:1",
+     "--inner", "0:1"],
+], ids=lambda argv: " ".join(argv) or "no-arguments")
+def test_main_parses_like_the_full_parser(capsys, argv):
+    # main builds only the arguments of the subcommand argv names; what it
+    # prints and exits with must be the full parser's, byte for byte, on the
+    # running interpreter (help layout differs across Python versions)
+    full = parse_ending(capsys, mdimlab.cli._build_parser().parse_args, argv)
+    assert parse_ending(capsys, main, argv) == full
+    assert full[0] in (0, 2) and full[1] + full[2]
+
+
+def test_main_adds_arguments_only_to_the_subcommand_argv_names(capsys, monkeypatch):
+    built = []
+
+    def recorded(names=None, real=mdimlab.cli._build_parser):
+        built.append(real(names))
+        return built[-1]
+    monkeypatch.setattr(mdimlab.cli, "_build_parser", recorded)
+    with pytest.raises(SystemExit):
+        main(["sweep", "--help"])
+    (subs,) = [a for a in built[0]._actions if isinstance(a, argparse._SubParsersAction)]
+    assert tuple(subs.choices) == SUBCOMMANDS
+    for name, p in subs.choices.items():
+        assert [a.dest for a in p._actions] == (
+            ["help", "out", "format", "config", "workers"] if name == "sweep" else ["help"])

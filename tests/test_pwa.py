@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     iterate_by_steps,
+    mixed_pwa,
     near_nodes,
     prime_denominator_pwa,
     random_pwa,
@@ -103,18 +104,6 @@ def reference_compose(outer: PwaMap, inner: PwaMap) -> list[tuple[Fraction, Frac
     )
 
 
-def mixed_pwa(rng: random.Random, interior: int, values=None) -> PwaMap:
-    """A random map whose nodes sit on the 1/7, 1/24 and 1/97 grids at once;
-    its values are drawn from ``values`` when given."""
-    def grid_point() -> Fraction:
-        d = rng.choice((7, 24, 97))
-        return F(rng.randint(0, d), d)
-
-    xs = sorted({F(0), F(1), *(grid_point() for _ in range(interior))})
-    pick = (lambda: rng.choice(values)) if values else grid_point
-    return PwaMap.from_nodes([(x, pick()) for x in xs])
-
-
 @settings(max_examples=80, deadline=None)
 @given(seeds, st.integers(0, 12), st.integers(0, 12), st.sampled_from(["free", "on-nodes", "flat"]))
 def test_compose_matches_a_set_sort_evaluate_reference(seed, n_outer, n_inner, kind):
@@ -187,7 +176,7 @@ def test_window_splits_the_nodes_as_bisect_does(seed, primes):
 
 
 def node_key(m: PwaMap, x: Fraction) -> int:
-    shift = m._table[0]
+    shift = m._keys[0]
     return (x.numerator << shift) // x.denominator
 
 
@@ -451,8 +440,8 @@ def test_fixed_points_and_slopes_match_the_node_segments(seed, interior):
                            for x, y in mixed_pwa(rng, interior).nodes()])
     segments = list(zip(m.nodes(), m.nodes()[1:]))
     # each piece of the integer table has its node segment's slope
-    assert [F(a, d) for a, _, d in m._table[2]] == [(y1 - y0) / (x1 - x0)
-                                                   for (x0, y0), (x1, y1) in segments]
+    assert [F(a, d) for a, _, d in m._pieces] == [(y1 - y0) / (x1 - x0)
+                                                 for (x0, y0), (x1, y1) in segments]
     # m(x) - x vanishes on a segment iff it is zero at both ends or changes sign
     intervals = fixed_points(m)
     for (x0, y0), (x1, y1) in segments:
@@ -648,7 +637,7 @@ def test_evaluation_on_maps_without_a_common_denominator(seed):
         xs = sorted(set(points))
         assert eval_sorted(m, xs) == [value_at(m, x) for x in xs]
     # every table entry is built from its own nodes, so none grows with the lcm
-    _, keys, pieces = primes._table
+    keys, pieces = primes._keys[1], primes._pieces
     assert max(v.bit_length() for v in keys + [abs(c) for t in pieces for c in t]) < 128
 
 
@@ -668,17 +657,22 @@ def test_evaluation_error_texts(tent, points, message):
 
 
 def test_a_map_with_its_node_table_built_behaves_like_a_fresh_one(half_model):
-    for m in (tent_map(), mixed_pwa(random.Random(5), 9), half_model.map):
-        eval_map(m, F(1, 3))
-        eval_sorted(m, [F(0), F(1)])
+    halves = {"_keys", "_pieces"}
+    for made in (tent_map(), mixed_pwa(random.Random(5), 9), half_model.map):
+        m = PwaMap(made.xs, made.ys)
+        # valued only at its nodes, a map builds its keys and no pieces
+        eval_sorted(m, [F(0), *m.xs[1:-1], F(1)])
+        assert "_keys" in vars(m) and "_pieces" not in vars(m)
+        eval_map(m, (m.xs[0] + m.xs[1]) / 2)
         fresh = PwaMap(m.xs, m.ys)
-        assert "_table" in vars(m) and "_table" not in vars(fresh)
+        assert halves <= vars(m).keys() and not halves & vars(fresh).keys()
         assert m == fresh and hash(m) == hash(fresh) and repr(m) == repr(fresh)
         assert pickle.dumps(m) == pickle.dumps(fresh)
         back = pickle.loads(pickle.dumps(m))
-        assert back == m and "_table" not in vars(back)
+        assert back == m and not halves & vars(back).keys()
         assert eval_map(back, F(1, 3)) == eval_map(m, F(1, 3))
-        assert copy.deepcopy(m) == m
+        dup = copy.deepcopy(m)
+        assert dup == m and not halves & vars(dup).keys()
         assert dump_pwa(m) == dump_pwa(fresh)
 
 

@@ -18,7 +18,8 @@ from hypothesis import strategies as st
 import mdimlab.separation
 from conftest import (
     branch_inverse, cylinder_interval, dn_reference, least_distances_reference, near_nodes,
-    orbit_values, prime_denominator_pwa, random_boundary_fixed_pwa, random_pwa, value_at,
+    mixed_pwa, orbit_values, prime_denominator_pwa, random_boundary_fixed_pwa, random_pwa,
+    value_at,
 )
 from mdimlab import (
     ContractError,
@@ -579,7 +580,7 @@ def test_view_check_finds_a_node_just_above_the_branch_start():
     # floor(128·x) = 42; the map takes 1 and 0 at the branch ends, as a falling branch needs
     m = PwaMap.from_nodes([(F(0), F(0)), (F(1, 4), F(1)), (F(1, 3), F(1)), (F(1, 2), F(0)),
                            (F(1), F(0))])
-    shift, keys, _ = m._table
+    shift, keys, _ = m._keys
     assert keys == [0, 32, 42, 64, 128] and F(997, 3000) * 2**shift // 1 == 42
     branch = MarkovBranch(F(997, 3000), F(1, 2), False)
     with pytest.raises(ContractError, match=r"^branch \[997/3000, 1/2\] is not affine: map node at 1/3$"):
@@ -621,6 +622,71 @@ def test_view_check_refuses_a_branch_past_1():
     # a core reaching past 1 holds it, and the map cannot value its end
     with pytest.raises(DomainError, match="eval argument 5/4 outside"):
         MarkovView(F(0), F(5, 4), (branch,), None, KINKED)
+
+
+def map_check_reference(core: tuple[Fraction, Fraction], branches, m: PwaMap):
+    """What a view's map check decides, by conftest's interpolation and a scan
+    for the first node above each branch start: None when it accepts, else
+    (exception type, message)."""
+    outside = [x for br in branches for x in (br.lo, br.hi) if not 0 <= x <= 1]
+    if outside:
+        return DomainError, f"eval argument {outside[0]} outside [0,1]"
+    for br in branches:
+        got = (value_at(m, br.lo), value_at(m, br.hi))
+        want = core if br.increasing else core[::-1]
+        if got != want:
+            return ContractError, (f"branch [{br.lo}, {br.hi}] does not map onto the core:"
+                                   f" endpoint values ({got[0]}, {got[1]}), expected {want}")
+        node = next(x for x in m.xs if x > br.lo)
+        if node < br.hi:
+            return ContractError, f"branch [{br.lo}, {br.hi}] is not affine: map node at {node}"
+    return None
+
+
+@settings(max_examples=200, deadline=None)
+@given(seeds, st.sampled_from(["mixed", "random", "core-valued", "core-valued"]),
+       st.sampled_from([(F(0), F(1)), (F(1, 4), F(3, 4)), (F(1, 2), F(1)), (F(-1, 8), F(1)),
+                        (F(0), F(9, 8))]),
+       st.booleans())
+def test_view_map_check_agrees_with_a_reference(seed, kind, core, chained):
+    # most branch ends are preimages of the core ends, which the map may send
+    # onto the core, the rest are nodes and points strictly inside pieces; a
+    # core reaching past 0 or 1 adds two ends there, which the map cannot
+    # value. Chained branches share their ends
+    rng = random.Random(seed)
+    c0, c1 = core
+    lo_end, hi_end = max(c0, F(0)), min(c1, F(1))
+    m = {"mixed": lambda: mixed_pwa(rng, rng.randint(0, 9)),
+         "random": lambda: random_pwa(rng, 6),
+         "core-valued": lambda: mixed_pwa(rng, rng.randint(1, 9), values=[lo_end, hi_end])}[kind]()
+    hits, others = {x for x, y in m.nodes() if y in core}, set(m.xs)
+    for (x0, y0), (x1, y1) in zip(m.nodes(), m.nodes()[1:]):
+        others.add(x0 + (x1 - x0) * F(rng.randint(1, 6), 7))
+        hits.update(x0 + (y - y0) * (x1 - x0) / (y1 - y0) for y in core
+                    if min(y0, y1) < y < max(y0, y1))
+    hits, others = ([x for x in sorted(pool) if lo_end <= x <= hi_end] for pool in (hits, others))
+    # a run of the hits, every second one at times, so a node may lie inside a branch
+    step = rng.choice([1, 1, 2])
+    start = rng.randrange(max(len(hits) - step, 1))
+    ends = {*hits[start::step][:rng.randint(2, 4)],
+            *rng.sample(others, min(len(others), rng.choice([0, 0, 1, 2])))}
+    ends = sorted(ends if len(ends) > 1 else ends | {lo_end, hi_end})
+    below, above = [F(-1, 8), F(-1, 16)] if c0 < 0 else [], [F(17, 16), F(9, 8)] if c1 > 1 else []
+    ends = below + ends + above
+
+    def rising(lo: Fraction, hi: Fraction) -> bool:   # the map's way on [lo, hi], one in ten flipped
+        up = value_at(m, lo) <= value_at(m, hi) if 0 <= lo and hi <= 1 else rng.random() < 0.5
+        return up != (rng.random() < 0.1)
+
+    pairs = zip(ends, ends[1:]) if chained else zip(ends[::2], ends[1::2])
+    branches = tuple(MarkovBranch(lo, hi, rising(lo, hi)) for lo, hi in pairs)
+    want = map_check_reference(core, branches, m)
+    if want is None:
+        assert MarkovView(c0, c1, branches, None, m).map == m
+    else:
+        with pytest.raises(want[0]) as err:
+            MarkovView(c0, c1, branches, None, m)
+        assert (type(err.value), str(err.value)) == want
 
 
 # === exact integer orbits =====================================================

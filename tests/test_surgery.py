@@ -206,7 +206,7 @@ def test_distance_on_matches_a_fraction_reference(seed, kind, window, relation):
     (h_lo, h_hi), _ = nested_windows(rng)
     if window == "farey":           # a node of each map, sharing a's node key
         a, b = a if FAREY[0] in a.xs else with_kink(a, FAREY[0]), with_kink(b, FAREY[1])
-        shift, keys, _ = a._table
+        shift, keys, _ = a._keys
         assert (FAREY[1].numerator << shift) // FAREY[1].denominator in keys
     nodes = sorted(set(a.xs) | set(b.xs))
     j = rng.randrange(len(nodes) - 1)   # a window between two consecutive nodes of either map
