@@ -22,10 +22,11 @@ by ``pwa._integer_steps`` on the piece that ``pwa._locate``, the one search
 of the map's node keys, finds; ``orbit`` and ``dn_distance`` evaluate
 through the same search.  A run carries its whole orbit as one pair
 (S_k, step_k) per depth, so inside a run d_n is the index gap times the
-run's widest step.  The greedy count pushes its grid as one run and, past a
-run's first eps in x, picks one ``range`` by stride; only the points within
-eps of a run's ends get their orbit read off the run and a pointwise check.
-The exhaustive count pushes each point as a run of one.
+run's widest step.  The greedy count pushes its grid as one run, any other
+list as its equal-step stretches (``_progressions``), and picks each run by
+stride, jumping past one integer interval of indices per earlier choice
+within eps in x; only its choices within eps of its end keep a row.  The
+exhaustive count pushes the stretches too and reads each row off its run.
 
 Both separated families (cylinders here, planar in ``horseshoe``) are
 certified by the premises of a ``MarkovView``.  Their exact least distances
@@ -47,7 +48,7 @@ import os
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from itertools import chain, product
+from itertools import product
 from operator import mul, sub
 
 from .errors import (
@@ -160,7 +161,7 @@ def _affine_runs(m: PwaMap, runs, den: int, n: int) -> tuple[list[tuple], int]:
                 raise DomainError(f"eval argument {Fraction(v, den)} outside [0,1]")
     big_m, table = _integer_steps(m)
     last = len(table)
-    nodes = [x.as_integer_ratio() for x in m.xs]
+    nodes = m._keys[2]
     runs = [(first, count, ((start - first * step, step),)) for first, count, start, step in runs]
     d = den
     for _ in range(n - 1):
@@ -193,26 +194,46 @@ def _over_one_denominator(points: list[Fraction]) -> tuple[list[int], int]:
     return [p * (den // d) for p, d in ratios], den
 
 
+def _progressions(nums: list[int], den: int) -> list[tuple[int, int, int, int]]:
+    """The points v/den, v in ``nums``, as runs (first index, count, start,
+    step) for ``_affine_runs``, in the list's order: from the left, each run
+    is the longest stretch of one positive step inside [0, den] from the
+    point after the last run (a repeat or a descent ends it), and a run of
+    one point has step 0.  So a point off [0, den] is a run of its own, and
+    the first point off [0, 1] in the list is the first run refused."""
+    runs, i, k = [], 0, len(nums)
+    while i < k:
+        v, j = nums[i], i + 1
+        t = nums[j] - v if j < k and v >= 0 else 0
+        while t > 0 and j < k and nums[j] - nums[j - 1] == t and nums[j] <= den:
+            j += 1
+        runs.append((i, j - i, v, t if j - i > 1 else 0))
+        i = j
+    return runs
+
+
 def _greedy_select(m: PwaMap, n: int, epsilon: Fraction, nums, den: int, runs) -> list[int]:
     """Indices of the greedy left-to-right (n,eps)-separated subset of the
     ascending points v/den, v in ``nums``, given as runs (first index, count,
     start, step) of ``nums`` (``_affine_runs``): the uniform grid is one run,
-    any other point list one run per point.
+    any other point list its ``_progressions``.
 
     All orbits share one denominator D, so d_n <= eps exactly when the
     integer gap is at most L = floor(eps·D); and d_n >= |x − y|, so a point
     is compared only with chosen points at most eps away in x.  Inside one
-    run every orbit entry S_k + g·step_k is affine in the index g, so two of
-    its points j, j' are exactly |j − j'|·w apart in d_n, w = max_k |step_k|.
-    Hence a point more than eps in x past its run's start is compared only
-    within its run, and is chosen iff it lies at least r = L // w + 1
-    indices past the last chosen point (a last choice before the run lies
-    more than eps away in x, and w is at least the index spacing in x, so
-    this holds there too): that stretch of the run is one ``range``.  Only
-    each run's head (its points within eps in x of its start) and tail
-    (within eps of its end) get their rows S_k + g·step_k read off the run,
-    and the head is checked pointwise against the chosen points, all of them
-    heads or tails, within eps in x."""
+    run every orbit entry S_k + i·t_k is affine in the index i, so two of
+    its points are exactly their index gap times w = max_k |t_k| apart in
+    d_n: a point is separated from the run's earlier choices iff it lies at
+    least r = L // w + 1 indices past the last of them.  An earlier run's
+    choice j (its row R_jk read once, when chosen) is within eps of exactly
+    the indices i with |S_k + i·t_k − R_jk| <= L at every depth k, one
+    integer interval: for t_k ≠ 0 one ceil and one floor division, for
+    t_k = 0 all or none.  Only choices at most eps before the run's start in
+    x give one, clipped to the run's head (its points within eps in x of its
+    start); past the head nothing earlier is near.  So the run is chosen by
+    stride r from its first index, jumping past each interval.  A later run
+    reads only choices within eps in x of this run's end, so only those
+    keep their rows."""
     runs, big_d = _affine_runs(m, runs, den, n)
     limit = epsilon.numerator * big_d // epsilon.denominator
     near = limit // (big_d // den)          # at most eps apart in x: v − v' <= near
@@ -221,22 +242,30 @@ def _greedy_select(m: PwaMap, n: int, epsilon: Fraction, nums, den: int, runs) -
     for first, count, orbit in runs:
         end = first + count
         head = bisect_right(nums, nums[first] + near, first, end)
-        tail = max(head, bisect_left(nums, nums[end - 1] - near, first, end))
-        for i in chain(range(first, head), range(tail, end)):
-            rows[i] = [b + i * t for b, t in orbit]
-        for i in range(first, head):
-            o, x, ok = rows[i], nums[i], True
-            for j in reversed(chosen):
-                if x - nums[j] > near:
-                    break           # this and all earlier points are far in x
-                if max(map(abs, map(sub, o, rows[j]))) <= limit:
-                    ok = False
+        cuts = []       # one per choice at most eps before the run's start in x
+        for j in chosen[bisect_left(chosen, bisect_left(nums, nums[first] - near, 0, first)):]:
+            lo, hi = first, head - 1
+            for (s, t), y in zip(orbit, rows[j]):
+                c = y - s           # index i is |i·t − c| from choice j at this depth
+                if t > 0:
+                    lo, hi = max(lo, -((limit - c) // t)), min(hi, (c + limit) // t)
+                elif t < 0:
+                    lo, hi = max(lo, -((-c - limit) // t)), min(hi, (c - limit) // t)
+                elif abs(c) > limit:
+                    lo = head
+                if lo > hi:
                     break
-            if ok:
-                chosen.append(i)
-        if head < end:
-            r = limit // max(abs(t) for _, t in orbit) + 1
-            chosen.extend(range(max(head, chosen[-1] + r), end, r))
+            else:
+                cuts.append((lo, hi))
+        r = limit // (max(abs(t) for _, t in orbit) or 1) + 1    # a run of one has step 0
+        i = first
+        for lo, hi in sorted(cuts):
+            picks = range(i, lo, r)
+            chosen.extend(picks)
+            i = max(i + len(picks) * r, hi + 1)
+        chosen.extend(range(i, end, r))
+        tail = bisect_left(chosen, bisect_left(nums, nums[end - 1] - near, first, end))
+        rows.update((j, [b + j * t for b, t in orbit]) for j in chosen[tail:])
     return chosen
 
 
@@ -248,8 +277,7 @@ def greedy_separated_points(
         raise DomainError(f"epsilon must be positive, got {epsilon}")
     pts = sorted(points)
     nums, den = _over_one_denominator(pts)
-    runs = [(i, 1, v, 0) for i, v in enumerate(nums)]
-    return [pts[i] for i in _greedy_select(m, n, epsilon, nums, den, runs)]
+    return [pts[i] for i in _greedy_select(m, n, epsilon, nums, den, _progressions(nums, den))]
 
 
 def _grid(grid: Fraction, cap: int, what: str) -> tuple[range, int]:
@@ -310,8 +338,9 @@ def count_separated_exhaustive(
     if k > EXHAUSTIVE_POINT_CAP:
         raise ResourceError(f"exhaustive scan capped at {EXHAUSTIVE_POINT_CAP} points, got {k}")
     nums, den = _over_one_denominator(points)
-    runs, big_d = _affine_runs(m, [(i, 1, v, 0) for i, v in enumerate(nums)], den, n)
-    orbits = [[b for b, _ in orbit] for *_, orbit in runs]      # count-1 runs: step 0
+    runs, big_d = _affine_runs(m, _progressions(nums, den), den, n)
+    orbits = [[b + i * t for b, t in orbit]
+              for first, count, orbit in runs for i in range(first, first + count)]
     limit = epsilon.numerator * big_d // epsilon.denominator
     # adjacency bitmasks: bit j of adj[i] set iff d_n(p_i, p_j) > eps
     adj = [0] * k

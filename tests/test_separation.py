@@ -66,6 +66,7 @@ from mdimlab.separation import (
     _cylinder_rows,
     _integer_inverses,
     _least_distances,
+    _progressions,
     _refuse_over_cap,
     count_at,
     cylinder_representatives,
@@ -778,6 +779,12 @@ def test_counts_reject_points_off_the_unit_interval_at_every_n(tent, n):
         dn_distance(tent, F(-1), F(5), n)
     with pytest.raises(DomainError, match=r"^eval argument 5/4 outside \[0,1\]$"):
         orbit(tent, F(5, 4), n)
+    # a stretch 1, 6/5, .. 11/5 is stepped as runs: the first point past 1 is
+    # named in both orders, as a per-point check names it
+    stretch = [F(j, 5) for j in range(5, 12)]
+    for count in (count_separated_exhaustive, greedy_separated_points):
+        with pytest.raises(DomainError, match=r"^eval argument 6/5 outside \[0,1\]$"):
+            count(tent, n, F(1, 10), stretch)
 
 
 @pytest.mark.parametrize("x, n, want", [
@@ -832,10 +839,12 @@ def test_greedy_count_on_grids_whose_step_numerator_is_not_one(grid, eps, n):
 
 
 # === greedy counts on affine runs ============================================
-# The greedy count pushes its grid through the map as runs, arithmetic
-# progressions that stay inside one piece at every depth, chooses by stride
-# inside each run and checks only run edges pointwise; these tests hold the
-# counts to the pairwise reference greedy and pin the runs themselves.
+# The greedy count pushes its grid (any other point list, its equal-step
+# stretches) through the map as runs, arithmetic progressions that stay
+# inside one piece at every depth, and chooses each run by stride, jumping
+# past one integer interval of indices per earlier choice within eps in x;
+# these tests hold the counts to the pairwise reference greedy and pin the
+# runs themselves.
 
 def grid_runs(m: PwaMap, n: int, grid: Fraction) -> tuple[list[tuple], int]:
     """The greedy grid's runs at depth n − 1 and their denominator D."""
@@ -963,6 +972,112 @@ def test_tent_runs_approach_points_at_depth_twelve(tent):
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_tent_runs_on_the_1_4000_grid_double_at_each_depth(tent, n):
     assert len(grid_runs(tent, n, F(1, 4000))[0]) == 2 ** (n - 1)
+
+
+@pytest.mark.parametrize("nums,den,runs", [
+    ([4, 4, 4], 6, [(0, 1, 4, 0), (1, 1, 4, 0), (2, 1, 4, 0)]),            # repeats
+    ([5, 3, 1], 6, [(0, 1, 5, 0), (1, 1, 3, 0), (2, 1, 1, 0)]),            # descents
+    ([0, 2, 4, 4, 6, 3], 6, [(0, 3, 0, 2), (3, 2, 4, 2), (5, 1, 3, 0)]),   # a repeat starts one
+    ([3, 4, 5, 6, 7], 5, [(0, 3, 3, 1), (3, 1, 6, 0), (4, 1, 7, 0)]),      # breaks at den
+    ([-2, -1, 0, 1], 5, [(0, 1, -2, 0), (1, 1, -1, 0), (2, 2, 0, 1)]),     # starts below 0
+    ([0, 1, 3, 5, 6], 6, [(0, 2, 0, 1), (2, 2, 3, 2), (4, 1, 6, 0)]),      # the step changes
+    ([], 1, []),
+])
+def test_progressions_are_the_maximal_equal_step_stretches(nums, den, runs):
+    assert _progressions(nums, den) == runs
+
+
+def test_thirteenths_step_as_one_run():
+    nums = [int(x * 13) for x in THIRTEENTHS]
+    assert _progressions(nums, 13) == [(0, 14, 0, 1)]
+
+
+# identity: a repeat of 0 before the stretch 0 .. 30/100, so at eps = 1/10 the
+# choice 0 excludes that run's whole head 0 .. 10/100 and its stride starts
+# past it; then a run short enough to lie in one earlier choice's interval
+WHOLE_HEAD = [F(0)] + [F(j, 100) for j in range(31)]
+SHORT_RUN = [F(j, 100) for j in (0, 1, 2, 3, 5, 7, 20, 21, 22, 23)]
+
+
+@pytest.mark.parametrize("m,points", [
+    (identity_map(), WHOLE_HEAD),
+    (identity_map(), SHORT_RUN),
+    (tent_map(), WHOLE_HEAD),
+    (tent_map(), SHORT_RUN),
+    # step 0 after the first depth: inside the flat piece and on a constant map
+    (FLAT_PIECE_MAP, [F(j, 30) for j in range(8, 13)] + [F(j, 60) for j in range(25, 40, 2)]),
+    (FLAT_PIECE_MAP, [F(j, 90) for j in range(20, 70, 3)] + [F(j, 90) for j in range(21, 70, 5)]),
+    (constant_map(F(2, 5)), WHOLE_HEAD),
+    (constant_map(F(2, 5)), [F(j, 40) for j in range(0, 41, 3)] + [F(j, 40) for j in range(1, 41, 2)]),
+    # negative steps
+    (DECREASING_MAP, WHOLE_HEAD),
+    (DECREASING_MAP, [F(j, 50) for j in range(0, 51, 2)] + [F(j, 50) for j in range(1, 51, 3)]),
+    (NODES_ON_GRID_MAP, [F(j, 40) for j in range(41)] + [F(j, 80) for j in range(1, 80, 6)]),
+])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("eps", [F(1, 10), F(1, 7), F(1, 25)])
+def test_greedy_points_on_stretches_match_a_reference_greedy(m, points, n, eps):
+    assert greedy_separated_points(m, n, eps, points) == reference_greedy(m, n, eps, points)
+
+
+@pytest.mark.parametrize("nodes", [10, 11, 12])
+@pytest.mark.parametrize("n", [2, 4, 6])
+def test_greedy_on_runs_shorter_than_their_heads(nodes, n):
+    # slopes of hundreds: the 1/60 grid splits at every node, so runs are
+    # shorter than the 7 points within eps = 1/10 in x of a run's start
+    m = prime_denominator_pwa(random.Random(nodes), nodes)
+    runs, _ = _affine_runs(m, [(0, 61, 0, 1)], 60, n)
+    assert min(count for _, count, _ in runs) < 7
+    points = explicit_grid(F(1, 60))
+    assert greedy_separated_points(m, n, F(1, 10), points) == reference_greedy(
+        m, n, F(1, 10), points)
+
+
+@st.composite
+def stretch_lists(draw) -> list[Fraction]:
+    """Equal-step stretches of varied steps, some running past 1 or starting
+    below 0, with repeats, in ascending or shuffled order."""
+    points: list[Fraction] = []
+    for _ in range(draw(st.integers(1, 3))):
+        q = draw(st.sampled_from([5, 7, 12, 13, 20, 30]))
+        start, step = draw(st.integers(-3, q + 2)), draw(st.integers(1, 4))
+        points += [F(start + i * step, q) for i in range(draw(st.integers(1, 6)))]
+    if draw(st.booleans()):
+        points += draw(st.lists(st.sampled_from(points), max_size=3))
+    return draw(st.permutations(points)) if draw(st.booleans()) else points
+
+
+def first_refusal(points: list[Fraction]) -> str | None:
+    """The refusal a per-point check names: the first point off [0, 1]."""
+    off = next((x for x in points if not 0 <= x <= 1), None)
+    return None if off is None else f"eval argument {off} outside [0,1]"
+
+
+def outcome(count):
+    """count(), or the text of the DomainError it raises."""
+    try:
+        return count()
+    except DomainError as exc:
+        return str(exc)
+
+
+@settings(max_examples=80, deadline=None)
+@given(seeds, st.sampled_from(RUN_MAPS), st.integers(0, 4),
+       st.fractions(min_value="1/40", max_value="1/2", max_denominator=40), stretch_lists())
+@example(0, random_pwa, 2, F(1, 10), [F(j, 5) for j in range(5, 12)])      # 1, 6/5 .. 11/5
+@example(0, RUN_MAPS[3], 3, F(1, 10), [F(j, 5) for j in range(-2, 6)])     # -2/5 .. 1
+def test_counts_and_refusals_on_stretched_point_lists(seed, make_map, n, eps, points):
+    m = make_map(random.Random(seed))
+    few = points[:10]
+    # the window is named before any point; then the exhaustive count names
+    # the first point off [0, 1] in the given order, the greedy count the
+    # first in ascending order
+    want = ("count_separated_exhaustive needs n >= 1, got 0" if n < 1
+            else first_refusal(few) or reference_mask_scan(m, n, eps, few))
+    assert outcome(lambda: count_separated_exhaustive(m, n, eps, few).count) == want
+    want = ("orbit needs n >= 1, got 0" if n < 1
+            else first_refusal(sorted(points)) or reference_greedy(m, n, eps, points))
+    assert outcome(lambda: greedy_separated_points(m, n, eps, points)) == want
 
 
 # f = (0,0) (1/3,1) (1,1/7): slope -9/7 on the right piece, so 1/2 and 3/5
